@@ -3,7 +3,11 @@
 Solves x = Phi(x) by plain iteration, Anderson acceleration, the spectral
 algorithm, or SQUAREM. The engine is agnostic about where the mapping comes
 from; the demand modules wrap their share/value mappings in a
-:class:`FixedPointMap` and hand it to :func:`solve`.
+:class:`FixedPointMap` and hand it to :func:`solve`. One driver loop in
+:func:`solve` evaluates, checks finiteness, records the residual and tests
+for convergence for every method; only the step to the next iterate differs.
+The first spectral step, and every step whose step size degenerates, uses
+the unit step alpha = 1.
 
 Evaluation counting is the primary performance metric: the ``evaluations``
 field of :class:`SolveOutcome` counts every application of the mapping
@@ -22,8 +26,8 @@ from .numerics import ls_minnorm
 METHODS = ("plain", "anderson", "spectral", "squarem")
 STEP_RULES = ("S1", "S2", "S3", "S3prime")
 
-# Upper bound on per-block step sizes when none is configured explicitly;
-# unbounded block steps occasionally spike above 100 and destabilize.
+# Upper bound on per-block step sizes (cfg.use_blocks); unbounded block steps
+# occasionally spike above 100 and destabilize. Scalar steps are not capped.
 DEFAULT_BLOCK_STEP_CAP = 10.0
 
 
@@ -59,9 +63,7 @@ class AccelConfig:
     max_evaluations: int = 1000
     anderson_memory: int = 5
     step_size_rule: str = "S3"
-    step_cap: float | None = None
     use_blocks: bool = False
-    initial_alpha: float = 1.0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -95,8 +97,8 @@ def spectral_alpha(s, y, rule: str = "S3", cap: float | None = None,
     """Step size from the last step s = x_n - x_{n-1} and residual change y.
 
     S1 = -s'y/y'y, S2 = -s's/s'y, S3 = ||s||/||y||, S3prime = sgn(s'y)||s||/||y||.
-    Degenerate denominators fall back to ``fallback`` (the caller's
-    initial alpha). ``cap`` is an upper bound, applied when configured.
+    Degenerate denominators fall back to ``fallback`` (the unit step by
+    default). ``cap`` is an upper bound, applied when given.
     """
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -185,178 +187,85 @@ def anderson_combine(residual_history: Sequence[np.ndarray],
     return out
 
 
-def _block_alphas(s, y, blocks, rule, cap, fallback):
-    return np.array([
-        spectral_alpha(s[g], y[g], rule=rule, cap=cap, fallback=fallback)
-        for g in blocks
-    ])
-
-
 def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
-    """Run the configured method until tolerance, budget, or a non-finite value."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (fp_map.dimension,):
+    """Run the configured method until tolerance, budget, or a non-finite value.
+
+    One loop serves every method: evaluate Phi at x, stop on a non-finite
+    image or a residual below tolerance, then step to the next x. A stop on a
+    non-finite image returns the point that was evaluated; a non-finite
+    extrapolation returns the last finite image; an exhausted budget returns
+    the next iterate.
+    """
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (fp_map.dimension,):
         raise ValueError(f"x0 must have shape ({fp_map.dimension},)")
-    if not np.all(np.isfinite(x0)):
+    if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
-    if cfg.method == "plain":
-        return _solve_plain(fp_map, x0, cfg)
-    if cfg.method == "anderson":
-        return _solve_anderson(fp_map, x0, cfg)
-    if cfg.method == "spectral":
-        return _solve_spectral(fp_map, x0, cfg)
-    return _solve_squarem(fp_map, x0, cfg)
-
-
-def _blocks_and_cap(fp_map, cfg):
     blocks = fp_map.block_partition if cfg.use_blocks else None
-    cap = cfg.step_cap
-    if blocks is not None and cap is None:
-        cap = DEFAULT_BLOCK_STEP_CAP
-    return blocks, cap
 
+    def alpha_from(s, y):
+        if blocks is None:
+            return spectral_alpha(s, y, rule=cfg.step_size_rule)
+        return np.array([spectral_alpha(s[g], y[g], rule=cfg.step_size_rule,
+                                        cap=DEFAULT_BLOCK_STEP_CAP) for g in blocks])
 
-def _finish(point, converged, evals, termination, residual, history):
-    return SolveOutcome(
-        point=np.asarray(point, dtype=float),
-        converged=converged,
-        evaluations=evals,
-        termination=termination,
-        final_residual=residual,
-        residual_history=history,
-    )
-
-
-def _solve_plain(fp_map, x0, cfg):
-    x = x0
     evals = 0
-    history: list[float] = []
     r = np.inf
-    while evals < cfg.max_evaluations:
-        fx = fp_map.evaluate(x)
-        evals += 1
-        if not np.all(np.isfinite(fx)):
-            return _finish(x, False, evals, "non_finite", np.inf, history)
-        r = _supnorm(fx - x)
-        history.append(r)
-        if r < cfg.tolerance:
-            return _finish(fx, True, evals, "converged", r, history)
-        x = fx
-    return _finish(x, False, evals, "max_evaluations", r, history)
-
-
-def _solve_anderson(fp_map, x0, cfg):
-    m = cfg.anderson_memory
-    x = x0
     history: list[float] = []
-    f_hist: list[np.ndarray] = []
-    g_hist: list[np.ndarray] = []
+    f_hist: list[np.ndarray] = []  # Anderson: newest residuals Phi(x) - x
+    g_hist: list[np.ndarray] = []  # Anderson: the matching images Phi(x)
+    x_prev = F_prev = None         # spectral: start and residual of the last step
 
-    g = fp_map.evaluate(x)
-    evals = 1
-    if not np.all(np.isfinite(g)):
-        return _finish(x, False, evals, "non_finite", np.inf, history)
-    f = g - x
-    r = _supnorm(f)
-    history.append(r)
-    if r < cfg.tolerance:
-        return _finish(g, True, evals, "converged", r, history)
-    f_hist.append(f)
-    g_hist.append(g)
-    x = g  # first step is plain
+    def finish(point, termination, residual):
+        return SolveOutcome(point=np.asarray(point, dtype=float),
+                            converged=termination == "converged", evaluations=evals,
+                            termination=termination, final_residual=residual,
+                            residual_history=history)
 
     while evals < cfg.max_evaluations:
         g = fp_map.evaluate(x)
         evals += 1
         if not np.all(np.isfinite(g)):
-            return _finish(x, False, evals, "non_finite", np.inf, history)
-        f = g - x
-        r = _supnorm(f)
-        history.append(r)
-        if r < cfg.tolerance:
-            return _finish(g, True, evals, "converged", r, history)
-        f_hist.append(f)
-        g_hist.append(g)
-        if len(f_hist) > m + 1:
-            f_hist.pop(0)
-            g_hist.pop(0)
-        x = anderson_combine(f_hist, g_hist, len(f_hist) - 1)
-        if not np.all(np.isfinite(x)):
-            return _finish(g, False, evals, "non_finite", np.inf, history)
-    return _finish(x, False, evals, "max_evaluations", r, history)
-
-
-def _solve_spectral(fp_map, x0, cfg):
-    blocks, cap = _blocks_and_cap(fp_map, cfg)
-    x = x0
-    x_prev = None
-    F_prev = None
-    evals = 0
-    history: list[float] = []
-    r = np.inf
-    while evals < cfg.max_evaluations:
-        g = fp_map.evaluate(x)
-        evals += 1
-        if not np.all(np.isfinite(g)):
-            return _finish(x, False, evals, "non_finite", np.inf, history)
+            return finish(x, "non_finite", np.inf)
         F = g - x
         r = _supnorm(F)
         history.append(r)
         if r < cfg.tolerance:
-            return _finish(g, True, evals, "converged", r, history)
-        if x_prev is None:
-            alpha = (np.full(len(blocks), cfg.initial_alpha)
-                     if blocks is not None else cfg.initial_alpha)
-        else:
-            s = x - x_prev
-            y = F - F_prev
-            if blocks is None:
-                alpha = spectral_alpha(s, y, rule=cfg.step_size_rule, cap=cap,
-                                       fallback=cfg.initial_alpha)
+            return finish(g, "converged", r)
+        if cfg.method == "plain":
+            x = g
+            continue
+        last_image = g
+        if cfg.method == "anderson":
+            # the first combination has m_n = 0: a plain step
+            f_hist.append(F)
+            g_hist.append(g)
+            if len(f_hist) > cfg.anderson_memory + 1:
+                f_hist.pop(0)
+                g_hist.pop(0)
+            x_next = anderson_combine(f_hist, g_hist, len(f_hist) - 1)
+        elif cfg.method == "spectral":
+            if x_prev is None:
+                alpha = 1.0 if blocks is None else np.ones(len(blocks))
             else:
-                alpha = _block_alphas(s, y, blocks, cfg.step_size_rule, cap,
-                                      cfg.initial_alpha)
-        x_next = spectral_update(x, F, alpha, blocks=blocks)
+                alpha = alpha_from(x - x_prev, F - F_prev)
+            x_prev, F_prev = x, F
+            x_next = spectral_update(x, F, alpha, blocks=blocks)
+        else:  # SQUAREM: one step spends a second evaluation on Phi(Phi(x))
+            if evals >= cfg.max_evaluations:
+                break
+            g2 = fp_map.evaluate(g)
+            evals += 1
+            if not np.all(np.isfinite(g2)):
+                return finish(g, "non_finite", np.inf)
+            last_image = g2
+            y = g2 - 2.0 * g + x
+            # degenerate curvature: alpha = 1 reproduces the exact two-step Phi^2(x)
+            if blocks is None and float(y @ y) == 0.0:
+                x_next = g2
+            else:
+                x_next = squarem_update(x, g, g2, alpha_from(F, y), blocks=blocks)
         if not np.all(np.isfinite(x_next)):
-            return _finish(g, False, evals, "non_finite", np.inf, history)
-        x_prev, F_prev = x, F
+            return finish(last_image, "non_finite", np.inf)
         x = x_next
-    return _finish(x, False, evals, "max_evaluations", r, history)
-
-
-def _solve_squarem(fp_map, x0, cfg):
-    blocks, cap = _blocks_and_cap(fp_map, cfg)
-    x = x0
-    evals = 0
-    history: list[float] = []
-    r = np.inf
-    while evals < cfg.max_evaluations:
-        g1 = fp_map.evaluate(x)
-        evals += 1
-        if not np.all(np.isfinite(g1)):
-            return _finish(x, False, evals, "non_finite", np.inf, history)
-        r = _supnorm(g1 - x)
-        history.append(r)
-        if r < cfg.tolerance:
-            return _finish(g1, True, evals, "converged", r, history)
-        if evals >= cfg.max_evaluations:
-            break
-        g2 = fp_map.evaluate(g1)
-        evals += 1
-        if not np.all(np.isfinite(g2)):
-            return _finish(g1, False, evals, "non_finite", np.inf, history)
-        s = g1 - x
-        y = g2 - 2.0 * g1 + x
-        # degenerate curvature: alpha = 1 reproduces the exact two-step Phi^2(x)
-        if blocks is None:
-            if float(y @ y) == 0.0:
-                x = g2
-                continue
-            alpha = spectral_alpha(s, y, rule=cfg.step_size_rule, cap=cap,
-                                   fallback=1.0)
-        else:
-            alpha = _block_alphas(s, y, blocks, cfg.step_size_rule, cap, 1.0)
-        x = squarem_update(x, g1, g2, alpha, blocks=blocks)
-        if not np.all(np.isfinite(x)):
-            return _finish(g2, False, evals, "non_finite", np.inf, history)
-    return _finish(x, False, evals, "max_evaluations", r, history)
+    return finish(x, "max_evaluations", r)

@@ -172,106 +172,70 @@ def _accel_cfg(cfg: ExperimentConfig, algo: AlgorithmSpec, use_blocks=False) -> 
                        step_size_rule=algo.step_rule, use_blocks=use_blocks)
 
 
-def _static_mapping_name(algo: AlgorithmSpec) -> str:
+def _mapping_name(algo: AlgorithmSpec) -> str:
     if algo.mapping.startswith("kalouptsidi"):
         return algo.mapping
     return f"{algo.mapping}{int(algo.gamma)}"
 
 
-def _run_static_rep(cfg, rep, make_instance):
-    rng = SeededRng(cfg.master_seed, rep).generator()
-    inst = make_instance(rng)
-    theta = draw_theta(inst.theta_true, rng)
-    market = inst.with_theta(theta)
-    records = []
-    for algo in cfg.algorithms:
-        t0 = time.perf_counter()
-        delta, outcome = solve_inner(market, _static_mapping_name(algo),
-                                     _accel_cfg(cfg, algo))
-        ms = (time.perf_counter() - t0) * 1e3
-        d = dist_metric(delta, market) if np.all(np.isfinite(delta)) else float("nan")
-        records.append(RunRecord(cfg.suite, rep, algo.label, outcome.evaluations,
-                                 outcome.converged, outcome.termination, d, ms))
-    return records
+def _drawn(inst, rng):
+    """The market of a DGP instance at a parameter draw from the same stream."""
+    return inst.with_theta(draw_theta(inst.theta_true, rng))
 
 
-def _run_rcnl_rep(cfg, rep):
-    rng = SeededRng(cfg.master_seed, rep).generator()
-    inst = gen_nested_market(StaticDgpParams(n_products=75), rng)
-    theta = draw_theta(inst.theta_true, rng)
-    market = inst.with_theta(theta)
-    records = []
-    for algo in cfg.algorithms:
-        mapping = f"{algo.mapping}{int(algo.gamma)}"
-        t0 = time.perf_counter()
-        delta, outcome = rcnl_solve_inner(market, mapping, _accel_cfg(cfg, algo))
-        ms = (time.perf_counter() - t0) * 1e3
-        d = rcnl_dist_metric(delta, market) if np.all(np.isfinite(delta)) else float("nan")
-        records.append(RunRecord(cfg.suite, rep, algo.label, outcome.evaluations,
-                                 outcome.converged, outcome.termination, d, ms))
-    return records
+def _dist_at_finite(metric):
+    """DIST of a finite point; NaN marks a non-finite one."""
+    return lambda delta, market: (metric(delta, market) if np.all(np.isfinite(delta))
+                                  else float("nan"))
 
 
-def _run_large_hetero_rep(cfg, rep):
-    market, _ = large_heterogeneity_market()
-    records = []
-    for algo in cfg.algorithms:
-        t0 = time.perf_counter()
-        delta, outcome = solve_inner(market, _static_mapping_name(algo),
-                                     _accel_cfg(cfg, algo))
-        ms = (time.perf_counter() - t0) * 1e3
-        d = dist_metric(delta, market) if np.all(np.isfinite(delta)) else float("nan")
-        records.append(RunRecord(cfg.suite, rep, algo.label, outcome.evaluations,
-                                 outcome.converged, outcome.termination, d, ms))
-    return records
+def _replication(cfg: ExperimentConfig, rep: int):
+    """(market, solve(market, algo) -> (result, outcome), dist(result, market))."""
+    def static(market, algo):
+        return solve_inner(market, _mapping_name(algo), _accel_cfg(cfg, algo))
 
+    def nested(market, algo):
+        return rcnl_solve_inner(market, _mapping_name(algo), _accel_cfg(cfg, algo))
 
-def _run_dynamic_rep(cfg, rep, ivs: bool):
-    rng = SeededRng(cfg.master_seed, rep).generator()
-    params = DynamicDgpParams(horizon=25 if ivs else 50)
-    inst = gen_dynamic_market(params, rng)
-    theta = draw_theta(inst.theta_true, rng)
-    market = inst.with_theta(theta)
-    records = []
-    for algo in cfg.algorithms:
-        t0 = time.perf_counter()
+    def durable(market, algo):
         if algo.mapping == "joint":
-            sol, outcome = traditional_joint_solve(market, algo.gamma, 1.0,
-                                                   _accel_cfg(cfg, algo))
-        elif ivs:
-            sol, outcome = ivs_solve(market, algo.gamma, IvsGrid(),
-                                     _accel_cfg(cfg, algo))
-        else:
-            blocks = algo.method in ("spectral", "squarem")
-            sol, outcome = pf_solve(market, algo.gamma,
-                                    _accel_cfg(cfg, algo, use_blocks=blocks))
-        ms = (time.perf_counter() - t0) * 1e3
-        records.append(RunRecord(cfg.suite, rep, algo.label, outcome.evaluations,
-                                 outcome.converged, outcome.termination,
-                                 sol.dist, ms))
-    return records
+            return traditional_joint_solve(market, algo.gamma, 1.0, _accel_cfg(cfg, algo))
+        if cfg.suite == "dynamic_ivs":
+            return ivs_solve(market, algo.gamma, IvsGrid(), _accel_cfg(cfg, algo))
+        blocks = algo.method in ("spectral", "squarem")
+        return pf_solve(market, algo.gamma, _accel_cfg(cfg, algo, use_blocks=blocks))
+
+    if cfg.suite == "large_hetero":
+        return large_heterogeneity_market()[0], static, _dist_at_finite(dist_metric)
+    rng = SeededRng(cfg.master_seed, rep).generator()
+    if cfg.suite == "rcnl":
+        market = _drawn(gen_nested_market(StaticDgpParams(n_products=75), rng), rng)
+        return market, nested, _dist_at_finite(rcnl_dist_metric)
+    if cfg.suite in ("dynamic_pf", "dynamic_ivs"):
+        params = DynamicDgpParams(horizon=25 if cfg.suite == "dynamic_ivs" else 50)
+        market = _drawn(gen_dynamic_market(params, rng), rng)
+        return market, durable, lambda sol, _: sol.dist
+    if cfg.suite == "static_j25":
+        params = StaticDgpParams(n_products=25)
+    elif cfg.suite == "static_2types":
+        params = StaticDgpParams(n_products=250, n_draws=2)
+    else:
+        params = StaticDgpParams(n_products=250)
+    return _drawn(gen_static_market(params, rng), rng), static, _dist_at_finite(dist_metric)
 
 
 def run_suite(cfg: ExperimentConfig) -> list[RunRecord]:
     """Execute the configured grid; solver divergence is recorded, never raised."""
     records = []
     for rep in range(cfg.replications):
-        if cfg.suite in ("static_j25", "static_j250", "static_2types",
-                         "stepsize_sweep"):
-            if cfg.suite == "static_j25":
-                params = StaticDgpParams(n_products=25)
-            elif cfg.suite == "static_2types":
-                params = StaticDgpParams(n_products=250, n_draws=2)
-            else:
-                params = StaticDgpParams(n_products=250)
-            records += _run_static_rep(cfg, rep,
-                                       lambda rng: gen_static_market(params, rng))
-        elif cfg.suite == "rcnl":
-            records += _run_rcnl_rep(cfg, rep)
-        elif cfg.suite == "large_hetero":
-            records += _run_large_hetero_rep(cfg, rep)
-        else:
-            records += _run_dynamic_rep(cfg, rep, ivs=(cfg.suite == "dynamic_ivs"))
+        market, solve, dist = _replication(cfg, rep)
+        for algo in cfg.algorithms:
+            t0 = time.perf_counter()
+            result, outcome = solve(market, algo)
+            ms = (time.perf_counter() - t0) * 1e3
+            records.append(RunRecord(cfg.suite, rep, algo.label, outcome.evaluations,
+                                     outcome.converged, outcome.termination,
+                                     dist(result, market), ms))
     return records
 
 

@@ -218,17 +218,41 @@ def _conditional_shares(ccp: np.ndarray, pr0: np.ndarray, weights: np.ndarray) -
     return np.einsum("it,ijt->jt", b, ccp) / b.sum(axis=0)[None, :]
 
 
-def dynamic_dist(delta, V, mkt: DurableMarket) -> float:
-    """sup |log S_jt - log s_jt(delta, V)| over products and periods."""
-    delta = np.asarray(delta, dtype=float)
-    V = np.asarray(V, dtype=float)
+def _shares_at(delta: np.ndarray, V: np.ndarray, mkt: DurableMarket):
+    """(pr0 (I,T), ccp (I,J,T), conditional shares (J,T)) implied by (delta, V)."""
     pr0 = _pr0_from(delta, V, mkt)
     with np.errstate(over="ignore"):
         ccp = np.exp(delta[None, :, :] + mkt.mu - V[:, None, :])
-    s = _conditional_shares(ccp, pr0, mkt.weights)
+    return pr0, ccp, _conditional_shares(ccp, pr0, mkt.weights)
+
+
+def _dist(s: np.ndarray, mkt: DurableMarket) -> float:
+    """sup |log S - log s| for model conditional shares s (J, T)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        gap = np.log(mkt.shares) - np.log(s)
-    return float(np.max(np.abs(gap)))
+        return float(np.max(np.abs(np.log(mkt.shares) - np.log(s))))
+
+
+def dynamic_dist(delta, V, mkt: DurableMarket) -> float:
+    """sup |log S_jt - log s_jt(delta, V)| over products and periods."""
+    _, _, s = _shares_at(np.asarray(delta, dtype=float), np.asarray(V, dtype=float), mkt)
+    return _dist(s, mkt)
+
+
+def _delta_update(delta: np.ndarray, V: np.ndarray, gamma: float, phi: float,
+                  mkt: DurableMarket) -> np.ndarray:
+    """delta + phi*(log S - log s) - gamma*(log S0 - log s0) at (delta, V)."""
+    _, _, s = _shares_at(delta, V, mkt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_next = delta + phi * (np.log(mkt.shares) - np.log(s))
+        if gamma != 0.0:
+            s0 = 1.0 - s.sum(axis=0)
+            d_next = d_next - gamma * (np.log(mkt.outside_shares) - np.log(s0))[None, :]
+    return d_next
+
+
+def _solution(delta: np.ndarray, V: np.ndarray, mkt: DurableMarket) -> DurableSolution:
+    pr0, ccp, s = _shares_at(delta, V, mkt)
+    return DurableSolution(value=V, delta=delta, pr0=pr0, ccp=ccp, dist=_dist(s, mkt))
 
 
 def bellman_residual(sol: DurableSolution, mkt: DurableMarket) -> float:
@@ -240,10 +264,7 @@ def bellman_residual(sol: DurableSolution, mkt: DurableMarket) -> float:
 
 def _assemble(V: np.ndarray, mkt: DurableMarket, ivs: IvsState | None = None) -> DurableSolution:
     delta, _, pr0, ccp = _forward(V, mkt, want_ccp=True)
-    s = _conditional_shares(ccp, pr0, mkt.weights)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = np.log(mkt.shares) - np.log(s)
-    dist = float(np.max(np.abs(gap)))
+    dist = _dist(_conditional_shares(ccp, pr0, mkt.weights), mkt)
     return DurableSolution(value=V, delta=delta, pr0=pr0, ccp=ccp, dist=dist, ivs=ivs)
 
 
@@ -257,7 +278,7 @@ def pf_solve(mkt: DurableMarket, gamma: float, cfg: AccelConfig):
 
     Each evaluation runs the forward delta/ownership pass and one corrected
     value backup. cfg.use_blocks turns on one spectral/SQUAREM step size
-    per period (capped at 10 unless configured otherwise).
+    per period, each capped at accel.DEFAULT_BLOCK_STEP_CAP (10).
     """
     I, T = mkt.n_types, mkt.horizon
     shape = (I, T)
@@ -296,28 +317,14 @@ def traditional_joint_solve(mkt: DurableMarket, gamma: float, phi: float,
     def evaluate(x):
         delta = x[:nd].reshape(J, T)
         V = x[nd:].reshape(I, T)
-        pr0 = _pr0_from(delta, V, mkt)
-        with np.errstate(over="ignore"):
-            ccp = np.exp(delta[None, :, :] + mkt.mu - V[:, None, :])
-        s = _conditional_shares(ccp, pr0, mkt.weights)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d_next = delta + phi * (np.log(mkt.shares) - np.log(s))
-            if gamma != 0.0:
-                s0 = 1.0 - s.sum(axis=0)
-                d_next = d_next - gamma * (np.log(mkt.outside_shares) - np.log(s0))[None, :]
+        d_next = _delta_update(delta, V, gamma, phi, mkt)
         v_next = np.logaddexp(mkt.beta * _v_next(V), _omega_from_delta(delta, mkt))
         return np.concatenate([d_next.ravel(), v_next.ravel()])
 
     x0 = np.concatenate([initial_delta_myopic(mkt).ravel(), np.zeros(I * T)])
     fp = FixedPointMap(evaluate, nd + I * T)
     outcome = solve(fp, x0, cfg)
-    delta = outcome.point[:nd].reshape(J, T)
-    V = outcome.point[nd:].reshape(I, T)
-    pr0 = _pr0_from(delta, V, mkt)
-    with np.errstate(over="ignore"):
-        ccp = np.exp(delta[None, :, :] + mkt.mu - V[:, None, :])
-    sol = DurableSolution(value=V, delta=delta, pr0=pr0, ccp=ccp,
-                          dist=dynamic_dist(delta, V, mkt))
+    sol = _solution(outcome.point[:nd].reshape(J, T), outcome.point[nd:].reshape(I, T), mkt)
     return sol, outcome
 
 
@@ -347,28 +354,12 @@ def traditional_nested_solve(mkt: DurableMarket, gamma: float, phi: float,
 
     def outer_evaluate(x):
         delta = x.reshape(J, T)
-        V = inner_solve(delta)
-        state["V"] = V
-        pr0 = _pr0_from(delta, V, mkt)
-        with np.errstate(over="ignore"):
-            ccp = np.exp(delta[None, :, :] + mkt.mu - V[:, None, :])
-        s = _conditional_shares(ccp, pr0, mkt.weights)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d_next = delta + phi * (np.log(mkt.shares) - np.log(s))
-            if gamma != 0.0:
-                s0 = 1.0 - s.sum(axis=0)
-                d_next = d_next - gamma * (np.log(mkt.outside_shares) - np.log(s0))[None, :]
-        return d_next.ravel()
+        state["V"] = inner_solve(delta)
+        return _delta_update(delta, state["V"], gamma, phi, mkt).ravel()
 
     fp = FixedPointMap(outer_evaluate, J * T)
     outcome = solve(fp, initial_delta_myopic(mkt).ravel(), outer_cfg)
-    delta = outcome.point.reshape(J, T)
-    V = state["V"]
-    pr0 = _pr0_from(delta, V, mkt)
-    with np.errstate(over="ignore"):
-        ccp = np.exp(delta[None, :, :] + mkt.mu - V[:, None, :])
-    sol = DurableSolution(value=V, delta=delta, pr0=pr0, ccp=ccp,
-                          dist=dynamic_dist(delta, V, mkt))
+    sol = _solution(outcome.point.reshape(J, T), state["V"], mkt)
     return sol, outcome, state["psi_evals"]
 
 

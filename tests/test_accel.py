@@ -268,3 +268,123 @@ def test_config_validation():
         AccelConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         AccelConfig(step_size_rule="S9")
+    # not settable: the first step is the unit step, and only block steps
+    # are capped, at DEFAULT_BLOCK_STEP_CAP
+    with pytest.raises(TypeError):
+        AccelConfig(initial_alpha=2.0)
+    with pytest.raises(TypeError):
+        AccelConfig(step_cap=2.0)
+
+
+def recording_map(phi, dim):
+    """A map that records every point it is evaluated at."""
+    inputs = []
+
+    def evaluate(x):
+        inputs.append(np.array(x, copy=True))
+        return phi(x)
+    return FixedPointMap(evaluate, dim), inputs
+
+
+def scripted_map(steps):
+    """Phi(x) = x + steps[k] on the k-th call."""
+    calls = []
+
+    def evaluate(x):
+        calls.append(1)
+        return x + steps[len(calls) - 1]
+    return FixedPointMap(evaluate, len(steps[0]))
+
+
+# Two steps whose extrapolation overflows while both images stay finite:
+# Anderson's weights reach ~2^50 on images near 1e300; the spectral step
+# size reaches |s|/|y| = 1e250 with |s| = 1e150; SQUAREM's 2*alpha*s term
+# reaches 2.6e308 with alpha = 1e154.
+_OVERFLOW_STEPS = {
+    "anderson": [np.array([1e300]), np.array([1e300 * (1 + 2.0 ** -50)])],
+    "spectral": [np.array([1e150, 0.0]), np.array([1e150, 1e-100])],
+    "squarem": [np.array([1.3e154, 0.0]), np.array([1.3e154, 1.3])],
+}
+
+
+class TestTerminationContract:
+    @staticmethod
+    def slow_contraction(dim=20):
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(dim, dim))
+        A *= 0.95 / np.linalg.norm(A, 2)
+        b = rng.normal(size=dim)
+        return lambda x: A @ x + b
+
+    @pytest.mark.parametrize("method", ["plain", "anderson", "spectral", "squarem"])
+    def test_non_finite_image_returns_evaluated_point(self, method):
+        phi = self.slow_contraction(4)
+        calls = []
+
+        def evaluate(x):
+            calls.append(1)
+            return phi(x) * (np.inf if len(calls) == 3 else 1.0)
+        fp, inputs = recording_map(evaluate, 4)
+        out = solve(fp, np.zeros(4), AccelConfig(method=method, max_evaluations=50))
+        assert out.termination == "non_finite"
+        assert not out.converged
+        assert out.evaluations == 3
+        assert np.array_equal(out.point, inputs[2])
+
+    @pytest.mark.parametrize("method", sorted(_OVERFLOW_STEPS))
+    def test_non_finite_extrapolation_returns_last_image(self, method):
+        steps = _OVERFLOW_STEPS[method]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = solve(scripted_map(steps), np.zeros(steps[0].size),
+                        AccelConfig(method=method, max_evaluations=50))
+        assert out.termination == "non_finite"
+        assert not out.converged
+        assert out.evaluations == 2
+        # the second image: Phi(x1) for Anderson/spectral, Phi^2(x0) for SQUAREM
+        assert np.array_equal(out.point, steps[0] + steps[1])
+
+    def test_squarem_non_finite_second_evaluation_returns_first_image(self):
+        phi = self.slow_contraction(4)
+        calls = []
+
+        def evaluate(x):
+            calls.append(1)
+            return phi(x) * (np.inf if len(calls) == 4 else 1.0)
+        fp, inputs = recording_map(evaluate, 4)
+        out = solve(fp, np.zeros(4), AccelConfig(method="squarem", max_evaluations=50))
+        assert out.termination == "non_finite"
+        assert out.evaluations == 4
+        # Phi(x) of the outer iterate x = inputs[2] is the point evaluated last
+        assert np.array_equal(out.point, phi(inputs[2]))
+        assert np.array_equal(out.point, inputs[3])
+        assert len(out.residual_history) == 2
+
+    @pytest.mark.parametrize("method", ["plain", "anderson", "spectral", "squarem"])
+    def test_max_evaluations_returns_next_iterate(self, method):
+        # the point returned at budget n is the one a budget of n + 1 evaluates last
+        n = 6
+        phi = self.slow_contraction()
+        cfg = AccelConfig(method=method, tolerance=1e-15, max_evaluations=n)
+        out = solve(FixedPointMap(phi, 20), np.zeros(20), cfg)
+        fp, inputs = recording_map(phi, 20)
+        solve(fp, np.zeros(20), AccelConfig(method=method, tolerance=1e-15,
+                                            max_evaluations=n + 1))
+        assert out.termination == "max_evaluations"
+        assert not out.converged
+        assert out.evaluations == n
+        assert np.array_equal(out.point, inputs[n])
+        per_record = 2 if method == "squarem" else 1
+        assert len(out.residual_history) == n // per_record
+        assert out.final_residual == out.residual_history[-1]
+
+    def test_squarem_odd_budget_stops_at_exactly_that_count(self):
+        n = 7
+        phi = self.slow_contraction()
+        fp, inputs = recording_map(phi, 20)
+        out = solve(fp, np.zeros(20), AccelConfig(method="squarem", tolerance=1e-15,
+                                                  max_evaluations=n))
+        assert out.termination == "max_evaluations"
+        assert out.evaluations == n == len(inputs)
+        # the last outer iterate, whose step the budget cut short
+        assert np.array_equal(out.point, inputs[n - 1])
+        assert len(out.residual_history) == (n + 1) // 2
