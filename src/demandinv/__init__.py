@@ -12,8 +12,8 @@ from .dynamic import (DurableMarket, DurableSolution, IvsGrid, IvsState,
                       bellman_residual, dynamic_dist, ivs_solve,
                       pf_forward_pass, pf_solve, pf_value_update,
                       traditional_joint_solve, traditional_nested_solve)
-from .numerics import (Ar1Fit, Quadrature, chebyshev_eval, chebyshev_fit,
-                       chebyshev_nodes, gauss_hermite, ls_minnorm, ols_ar1)
+from .numerics import (Quadrature, chebyshev_eval_rows, chebyshev_fit_matrix,
+                       chebyshev_nodes, gauss_hermite, ls_minnorm, ols_ar1_rows)
 from .rcnl import (NestedMarket, rcnl_dist_metric, rcnl_iota_delta_to_IV,
                    rcnl_iota_IV_to_delta, rcnl_phi_delta, rcnl_phi_IV,
                    rcnl_shares, rcnl_solve_inner)

@@ -144,7 +144,8 @@ def squarem_update(x, phix, phi2x, alpha, blocks=None) -> np.ndarray:
     s = np.asarray(phix, dtype=float) - x
     y = np.asarray(phi2x, dtype=float) - 2.0 * np.asarray(phix, dtype=float) + x
     if blocks is None:
-        return x + 2.0 * alpha * s + alpha**2 * y
+        # a numpy scalar squares like a Python float but overflows to inf, not an error
+        return x + 2.0 * alpha * s + np.float64(alpha) ** 2 * y
     out = np.empty_like(x)
     for group, a in zip(blocks, alpha):
         out[group] = x[group] + 2.0 * a * s[group] + a**2 * y[group]
@@ -236,22 +237,7 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
             x = g
             continue
         last_image = g
-        if cfg.method == "anderson":
-            # the first combination has m_n = 0: a plain step
-            f_hist.append(F)
-            g_hist.append(g)
-            if len(f_hist) > cfg.anderson_memory + 1:
-                f_hist.pop(0)
-                g_hist.pop(0)
-            x_next = anderson_combine(f_hist, g_hist, len(f_hist) - 1)
-        elif cfg.method == "spectral":
-            if x_prev is None:
-                alpha = 1.0 if blocks is None else np.ones(len(blocks))
-            else:
-                alpha = alpha_from(x - x_prev, F - F_prev)
-            x_prev, F_prev = x, F
-            x_next = spectral_update(x, F, alpha, blocks=blocks)
-        else:  # SQUAREM: one step spends a second evaluation on Phi(Phi(x))
+        if cfg.method == "squarem":  # a second evaluation, on Phi(Phi(x))
             if evals >= cfg.max_evaluations:
                 break
             g2 = fp_map.evaluate(g)
@@ -259,12 +245,30 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
             if not np.all(np.isfinite(g2)):
                 return finish(g, "non_finite", np.inf)
             last_image = g2
-            y = g2 - 2.0 * g + x
-            # degenerate curvature: alpha = 1 reproduces the exact two-step Phi^2(x)
-            if blocks is None and float(y @ y) == 0.0:
-                x_next = g2
+        # an overflowing step ends the solve as non_finite below, without warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cfg.method == "anderson":
+                # the first combination has m_n = 0: a plain step
+                f_hist.append(F)
+                g_hist.append(g)
+                if len(f_hist) > cfg.anderson_memory + 1:
+                    f_hist.pop(0)
+                    g_hist.pop(0)
+                x_next = anderson_combine(f_hist, g_hist, len(f_hist) - 1)
+            elif cfg.method == "spectral":
+                if x_prev is None:
+                    alpha = 1.0 if blocks is None else np.ones(len(blocks))
+                else:
+                    alpha = alpha_from(x - x_prev, F - F_prev)
+                x_prev, F_prev = x, F
+                x_next = spectral_update(x, F, alpha, blocks=blocks)
             else:
-                x_next = squarem_update(x, g, g2, alpha_from(F, y), blocks=blocks)
+                y = g2 - 2.0 * g + x
+                # degenerate curvature: alpha = 1 reproduces the exact two-step Phi^2(x)
+                if blocks is None and float(y @ y) == 0.0:
+                    x_next = g2
+                else:
+                    x_next = squarem_update(x, g, g2, alpha_from(F, y), blocks=blocks)
         if not np.all(np.isfinite(x_next)):
             return finish(last_image, "non_finite", np.inf)
         x = x_next

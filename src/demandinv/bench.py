@@ -13,7 +13,8 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -24,9 +25,6 @@ from .datagen import (DynamicDgpParams, SeededRng, StaticDgpParams, draw_theta,
 from .dynamic import IvsGrid, ivs_solve, pf_solve, traditional_joint_solve
 from .rcnl import rcnl_dist_metric, rcnl_solve_inner
 from .static_rcl import dist_metric, solve_inner
-
-SUITES = ("static_j25", "static_j250", "static_2types", "rcnl", "large_hetero",
-          "dynamic_pf", "dynamic_ivs", "stepsize_sweep")
 
 RECORD_FIELDS = ("suite", "replication", "algorithm", "evaluations",
                  "converged", "termination", "dist", "wall_ms")
@@ -65,13 +63,18 @@ class ExperimentConfig:
     tolerance: float
     max_evaluations: int
     dist_tol: float = 1e-12
-    out_dir: str | None = None
 
     def __post_init__(self):
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
         if self.replications < 1 or not self.algorithms:
             raise ValueError("need replications >= 1 and a non-empty algorithm list")
+        solvers = _SUITE_TABLE[self.suite].solvers
+        for algo in self.algorithms:
+            if algo.mapping not in solvers:
+                raise ValueError(f"mapping {algo.mapping!r} is not one of {sorted(solvers)} "
+                                 f"for suite {self.suite!r}")
+            _accel_cfg(self, algo)  # rejects a bad method, step rule, tolerance or cap
 
 
 @dataclass(frozen=True)
@@ -101,86 +104,45 @@ class SummaryRow:
     mean_wall_ms: float
 
 
-def _grid(mappings, gammas, methods, step_rule="S3"):
-    return [AlgorithmSpec(m, g, meth, step_rule)
-            for m in mappings for g in gammas for meth in methods]
-
-
-def default_config(suite: str) -> ExperimentConfig:
-    """Table-note defaults per suite: tolerances, caps, algorithm grids."""
-    methods = ("plain", "anderson", "spectral", "squarem")
-    if suite == "static_j25":
-        return ExperimentConfig(suite, _grid(("delta", "V"), (0.0, 1.0), methods),
-                                replications=50, master_seed=9, tolerance=1e-13,
-                                max_evaluations=1000)
-    if suite == "static_j250":
-        return ExperimentConfig(suite, _grid(("delta", "V"), (0.0, 1.0), methods),
-                                replications=50, master_seed=4, tolerance=1e-13,
-                                max_evaluations=1000)
-    if suite == "static_2types":
-        algos = _grid(("delta", "V"), (0.0, 1.0), methods)
-        algos += [AlgorithmSpec("kalouptsidi_mixed"), AlgorithmSpec("kalouptsidi_tilde")]
-        return ExperimentConfig(suite, algos, replications=50, master_seed=7,
-                                tolerance=1e-13, max_evaluations=1000)
-    if suite == "rcnl":
-        return ExperimentConfig(suite, _grid(("delta", "IV"), (0.0, 1.0), methods),
-                                replications=50, master_seed=7, tolerance=1e-13,
-                                max_evaluations=1000)
-    if suite == "large_hetero":
-        return ExperimentConfig(suite, _grid(("delta", "V"), (0.0, 1.0), methods),
-                                replications=1, master_seed=0, tolerance=1e-13,
-                                max_evaluations=2000)
-    if suite == "dynamic_pf":
-        algos = _grid(("V",), (0.0, 1.0), methods) + _grid(("joint",), (0.0, 1.0), methods)
-        return ExperimentConfig(suite, algos, replications=20, master_seed=11,
-                                tolerance=1e-12, max_evaluations=3000)
-    if suite == "dynamic_ivs":
-        return ExperimentConfig(suite, _grid(("V",), (0.0, 1.0), methods),
-                                replications=20, master_seed=11, tolerance=1e-12,
-                                max_evaluations=3000)
-    if suite == "stepsize_sweep":
-        algos = []
-        for rule in ("S1", "S2", "S3prime"):
-            algos += _grid(("delta", "V"), (0.0, 1.0), ("spectral", "squarem"), rule)
-        return ExperimentConfig(suite, algos, replications=50, master_seed=7,
-                                tolerance=1e-13, max_evaluations=1000)
-    raise ValueError(f"unknown suite {suite!r}")
-
-
-def config_from_json(text: str) -> ExperimentConfig:
-    doc = json.loads(text)
-    cfg = default_config(doc["suite"])
-    if "algorithms" in doc:
-        cfg.algorithms = [AlgorithmSpec(a["mapping"], float(a.get("gamma", 1.0)),
-                                        a.get("method", "plain"),
-                                        a.get("step_rule", "S3"))
-                          for a in doc["algorithms"]]
-    for key in ("replications", "master_seed", "max_evaluations"):
-        if key in doc:
-            setattr(cfg, key, int(doc[key]))
-    for key in ("tolerance", "dist_tol"):
-        if key in doc:
-            setattr(cfg, key, float(doc[key]))
-    if "out_dir" in doc:
-        cfg.out_dir = str(doc["out_dir"])
-    return cfg
-
-
-def _accel_cfg(cfg: ExperimentConfig, algo: AlgorithmSpec, use_blocks=False) -> AccelConfig:
+def _accel_cfg(cfg: ExperimentConfig, algo: AlgorithmSpec) -> AccelConfig:
     return AccelConfig(method=algo.method, tolerance=cfg.tolerance,
                        max_evaluations=cfg.max_evaluations,
-                       step_size_rule=algo.step_rule, use_blocks=use_blocks)
+                       step_size_rule=algo.step_rule)
 
 
-def _mapping_name(algo: AlgorithmSpec) -> str:
-    if algo.mapping.startswith("kalouptsidi"):
-        return algo.mapping
-    return f"{algo.mapping}{int(algo.gamma)}"
+# Solvers: (market, algo, AccelConfig) -> (result, SolveOutcome)
 
 
-def _drawn(inst, rng):
-    """The market of a DGP instance at a parameter draw from the same stream."""
-    return inst.with_theta(draw_theta(inst.theta_true, rng))
+def _by_name(solve_named):
+    """A solver for modules that dispatch on a mapping name such as "delta1"."""
+    def run(market, algo, acfg):
+        name = algo.mapping
+        if not name.startswith("kalouptsidi"):
+            name += str(int(algo.gamma))
+        return solve_named(market, name, acfg)
+    return run
+
+
+def _joint(market, algo, acfg):
+    return traditional_joint_solve(market, algo.gamma, 1.0, acfg)
+
+
+def _pf(market, algo, acfg):
+    # spectral and SQUAREM take one step size per period
+    blocks = algo.method in ("spectral", "squarem")
+    return pf_solve(market, algo.gamma, replace(acfg, use_blocks=blocks))
+
+
+def _ivs(market, algo, acfg):
+    return ivs_solve(market, algo.gamma, IvsGrid(), acfg)
+
+
+def _drawn(gen, params):
+    """rng -> the DGP instance's market at a parameter draw from the same stream."""
+    def market(rng):
+        inst = gen(params, rng)
+        return inst.with_theta(draw_theta(inst.theta_true, rng))
+    return market
 
 
 def _dist_at_finite(metric):
@@ -189,53 +151,121 @@ def _dist_at_finite(metric):
                                   else float("nan"))
 
 
-def _replication(cfg: ExperimentConfig, rep: int):
-    """(market, solve(market, algo) -> (result, outcome), dist(result, market))."""
-    def static(market, algo):
-        return solve_inner(market, _mapping_name(algo), _accel_cfg(cfg, algo))
+@dataclass(frozen=True)
+class Suite:
+    """A suite's table-note defaults and its replications: market(rng) draws the
+    market, solvers maps each accepted mapping family to its solver, and
+    dist(result, market) is the post-solve audit."""
 
-    def nested(market, algo):
-        return rcnl_solve_inner(market, _mapping_name(algo), _accel_cfg(cfg, algo))
+    market: Callable
+    solvers: dict
+    dist: Callable
+    algorithms: tuple
+    replications: int
+    master_seed: int
+    tolerance: float = 1e-13
+    max_evaluations: int = 1000
 
-    def durable(market, algo):
-        if algo.mapping == "joint":
-            return traditional_joint_solve(market, algo.gamma, 1.0, _accel_cfg(cfg, algo))
-        if cfg.suite == "dynamic_ivs":
-            return ivs_solve(market, algo.gamma, IvsGrid(), _accel_cfg(cfg, algo))
-        blocks = algo.method in ("spectral", "squarem")
-        return pf_solve(market, algo.gamma, _accel_cfg(cfg, algo, use_blocks=blocks))
 
-    if cfg.suite == "large_hetero":
-        return large_heterogeneity_market()[0], static, _dist_at_finite(dist_metric)
-    rng = SeededRng(cfg.master_seed, rep).generator()
-    if cfg.suite == "rcnl":
-        market = _drawn(gen_nested_market(StaticDgpParams(n_products=75), rng), rng)
-        return market, nested, _dist_at_finite(rcnl_dist_metric)
-    if cfg.suite in ("dynamic_pf", "dynamic_ivs"):
-        params = DynamicDgpParams(horizon=25 if cfg.suite == "dynamic_ivs" else 50)
-        market = _drawn(gen_dynamic_market(params, rng), rng)
-        return market, durable, lambda sol, _: sol.dist
-    if cfg.suite == "static_j25":
-        params = StaticDgpParams(n_products=25)
-    elif cfg.suite == "static_2types":
-        params = StaticDgpParams(n_products=250, n_draws=2)
-    else:
-        params = StaticDgpParams(n_products=250)
-    return _drawn(gen_static_market(params, rng), rng), static, _dist_at_finite(dist_metric)
+def _grid(mappings, gammas=(0.0, 1.0), methods=("plain", "anderson", "spectral", "squarem"),
+          step_rule="S3"):
+    return tuple(AlgorithmSpec(m, g, meth, step_rule)
+                 for m in mappings for g in gammas for meth in methods)
+
+
+_STATIC = dict.fromkeys(("delta", "V", "kalouptsidi_mixed", "kalouptsidi_tilde"),
+                        _by_name(solve_inner))
+_STATIC_DIST = _dist_at_finite(dist_metric)
+_NESTED = dict.fromkeys(("delta", "IV"), _by_name(rcnl_solve_inner))
+_J250 = _drawn(gen_static_market, StaticDgpParams(n_products=250))
+
+
+def _durable_dist(sol, _market):
+    return sol.dist
+
+
+_SUITE_TABLE = {
+    "static_j25": Suite(_drawn(gen_static_market, StaticDgpParams(n_products=25)),
+                        _STATIC, _STATIC_DIST, _grid(("delta", "V")), 50, 9),
+    "static_j250": Suite(_J250, _STATIC, _STATIC_DIST, _grid(("delta", "V")), 50, 4),
+    "static_2types": Suite(
+        _drawn(gen_static_market, StaticDgpParams(n_products=250, n_draws=2)),
+        _STATIC, _STATIC_DIST,
+        _grid(("delta", "V")) + (AlgorithmSpec("kalouptsidi_mixed"),
+                                 AlgorithmSpec("kalouptsidi_tilde")), 50, 7),
+    "rcnl": Suite(_drawn(gen_nested_market, StaticDgpParams(n_products=75)),
+                  _NESTED, _dist_at_finite(rcnl_dist_metric), _grid(("delta", "IV")), 50, 7),
+    "large_hetero": Suite(lambda rng: large_heterogeneity_market()[0], _STATIC, _STATIC_DIST,
+                          _grid(("delta", "V")), 1, 0, max_evaluations=2000),
+    "dynamic_pf": Suite(_drawn(gen_dynamic_market, DynamicDgpParams(horizon=50)),
+                        {"V": _pf, "joint": _joint}, _durable_dist,
+                        _grid(("V", "joint")), 20, 11, 1e-12, 3000),
+    "dynamic_ivs": Suite(_drawn(gen_dynamic_market, DynamicDgpParams(horizon=25)),
+                         {"V": _ivs, "joint": _joint}, _durable_dist,
+                         _grid(("V",)), 20, 11, 1e-12, 3000),
+    "stepsize_sweep": Suite(_J250, _STATIC, _STATIC_DIST,
+                            tuple(a for rule in ("S1", "S2", "S3prime")
+                                  for a in _grid(("delta", "V"), methods=("spectral", "squarem"),
+                                                 step_rule=rule)), 50, 7),
+}
+SUITES = tuple(_SUITE_TABLE)
+
+
+def default_config(suite: str) -> ExperimentConfig:
+    """Table-note defaults per suite: tolerances, caps, algorithm grids."""
+    if suite not in _SUITE_TABLE:
+        raise ValueError(f"unknown suite {suite!r}")
+    s = _SUITE_TABLE[suite]
+    return ExperimentConfig(suite, list(s.algorithms), s.replications, s.master_seed,
+                            s.tolerance, s.max_evaluations)
+
+
+_INT_KEYS = ("replications", "master_seed", "max_evaluations")
+_FLOAT_KEYS = ("tolerance", "dist_tol")
+_ALGORITHM_KEYS = ("mapping", "gamma", "method", "step_rule")
+
+
+def _unknown(keys, known, where):
+    extra = sorted(set(keys) - set(known))
+    if extra:
+        raise ValueError(f"unknown {where} keys {extra}; known: {sorted(known)}")
+
+
+def _algorithm_from_json(a: dict) -> AlgorithmSpec:
+    _unknown(a, _ALGORITHM_KEYS, "algorithm")
+    if "mapping" not in a:
+        raise ValueError("every algorithm needs a mapping")
+    return AlgorithmSpec(a["mapping"], float(a.get("gamma", 1.0)),
+                         a.get("method", "plain"), a.get("step_rule", "S3"))
+
+
+def config_from_json(text: str) -> ExperimentConfig:
+    """A suite's defaults with the document's overrides; ValueError on unknown
+    keys, or on a mapping, method or step rule the suite cannot run."""
+    doc = json.loads(text)
+    _unknown(doc, ("suite", "algorithms") + _INT_KEYS + _FLOAT_KEYS, "config")
+    if "suite" not in doc:
+        raise ValueError("config needs a suite")
+    overrides = {k: int(doc[k]) for k in _INT_KEYS if k in doc}
+    overrides.update({k: float(doc[k]) for k in _FLOAT_KEYS if k in doc})
+    if "algorithms" in doc:
+        overrides["algorithms"] = [_algorithm_from_json(a) for a in doc["algorithms"]]
+    return replace(default_config(doc["suite"]), **overrides)
 
 
 def run_suite(cfg: ExperimentConfig) -> list[RunRecord]:
     """Execute the configured grid; solver divergence is recorded, never raised."""
+    suite = _SUITE_TABLE[cfg.suite]
     records = []
     for rep in range(cfg.replications):
-        market, solve, dist = _replication(cfg, rep)
+        market = suite.market(SeededRng(cfg.master_seed, rep).generator())
         for algo in cfg.algorithms:
             t0 = time.perf_counter()
-            result, outcome = solve(market, algo)
+            result, outcome = suite.solvers[algo.mapping](market, algo, _accel_cfg(cfg, algo))
             ms = (time.perf_counter() - t0) * 1e3
             records.append(RunRecord(cfg.suite, rep, algo.label, outcome.evaluations,
                                      outcome.converged, outcome.termination,
-                                     dist(result, market), ms))
+                                     suite.dist(result, market), ms))
     return records
 
 
@@ -252,15 +282,11 @@ def nearest_rank(sorted_values, pct: float) -> float:
 
 def summarize(records, dist_tol: float = 1e-12) -> list[SummaryRow]:
     """Per-algorithm statistics in first-seen order; order-invariant values."""
-    order: list[str] = []
     grouped: dict[str, list[RunRecord]] = {}
     for r in sorted(records, key=lambda r: (r.algorithm, r.replication)):
         grouped.setdefault(r.algorithm, []).append(r)
-    for r in records:
-        if r.algorithm not in order:
-            order.append(r.algorithm)
     rows = []
-    for label in order:
+    for label in dict.fromkeys(r.algorithm for r in records):
         recs = grouped[label]
         evals = sorted(r.evaluations for r in recs)
         dists = np.array([r.dist for r in recs], dtype=float)

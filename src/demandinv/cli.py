@@ -1,17 +1,19 @@
 """Command-line benchmark runner.
 
-    bench run --suite static_j25 [--config cfg.json] [--out DIR]
+    bench run --suite static_j25 [static_j250 ...] [--replications N] [--out DIR]
+    bench run --config cfg.json [--replications N] [--out DIR]
     bench summarize --in records.csv [--format md|csv]
 
-``run`` writes records.csv, summary.csv and summary.md under --out and
-prints the Markdown summary; ``summarize`` re-aggregates an existing
-records file.
+``run`` writes records.csv, summary.csv and summary.md for every suite under
+DIR/<suite>/ and prints each Markdown summary; ``summarize`` re-aggregates
+an existing records file.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import (SUITES, config_from_json, default_config, read_records,
@@ -19,27 +21,28 @@ from .bench import (SUITES, config_from_json, default_config, read_records,
 
 
 def _cmd_run(args) -> int:
-    if args.config:
-        cfg = config_from_json(Path(args.config).read_text())
-        if args.suite and args.suite != cfg.suite:
-            print(f"--suite {args.suite} conflicts with config suite {cfg.suite}",
-                  file=sys.stderr)
-            return 2
-    else:
-        if not args.suite:
-            print("either --suite or --config is required", file=sys.stderr)
-            return 2
-        cfg = default_config(args.suite)
-    records = run_suite(cfg)
-    rows = summarize(records, dist_tol=cfg.dist_tol)
-    out = Path(args.out or cfg.out_dir or "bench_out")
-    out.mkdir(parents=True, exist_ok=True)
-    write_records(records, out / "records.csv")
-    (out / "summary.csv").write_text(render(rows, "csv"))
-    (out / "summary.md").write_text(render(rows, "md"))
-    print(f"suite={cfg.suite} replications={cfg.replications} "
-          f"seed={cfg.master_seed} -> {out}")
-    print(render(rows, "md"), end="")
+    if bool(args.suite) == bool(args.config):
+        print("give exactly one of --suite and --config", file=sys.stderr)
+        return 2
+    try:
+        configs = ([config_from_json(Path(args.config).read_text())] if args.config
+                   else [default_config(suite) for suite in args.suite])
+        if args.replications is not None:
+            configs = [replace(cfg, replications=args.replications) for cfg in configs]
+    except ValueError as err:
+        print(f"bench run: {err}", file=sys.stderr)
+        return 2
+    for cfg in configs:
+        records = run_suite(cfg)
+        rows = summarize(records, dist_tol=cfg.dist_tol)
+        out = Path(args.out) / cfg.suite
+        out.mkdir(parents=True, exist_ok=True)
+        write_records(records, out / "records.csv")
+        (out / "summary.csv").write_text(render(rows, "csv"))
+        (out / "summary.md").write_text(render(rows, "md"))
+        print(f"suite={cfg.suite} replications={cfg.replications} "
+              f"seed={cfg.master_seed} -> {out}")
+        print(render(rows, "md"))
     return 0
 
 
@@ -55,10 +58,13 @@ def main(argv=None) -> int:
                                      description="fixed-point inner-loop benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a benchmark suite")
-    p_run.add_argument("--suite", choices=SUITES)
-    p_run.add_argument("--config", help="JSON config overriding suite defaults")
-    p_run.add_argument("--out", default=None, help="output directory (default: config out_dir or bench_out)")
+    p_run = sub.add_parser("run", help="run benchmark suites")
+    p_run.add_argument("--suite", nargs="+", choices=SUITES)
+    p_run.add_argument("--config", help="JSON config overriding one suite's defaults")
+    p_run.add_argument("--replications", type=int, default=None,
+                       help="override every suite's replication count")
+    p_run.add_argument("--out", default="bench_out",
+                       help="output root; each suite writes to OUT/<suite>/")
     p_run.set_defaults(func=_cmd_run)
 
     p_sum = sub.add_parser("summarize", help="aggregate a records.csv")

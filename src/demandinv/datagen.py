@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import ndtri
 
-from .dynamic import DurableMarket, DurableSolution, _conditional_shares
+from .dynamic import DurableMarket, DurableSolution, _conditional_shares, _dist, _v_next
 from .rcnl import NestedMarket, nested_shares
 from .static_rcl import StaticMarket, logit_shares
 
@@ -143,9 +143,7 @@ class NestedInstance:
 
     def with_theta(self, theta) -> NestedMarket:
         mu = (self.nodes * np.asarray(theta, dtype=float)) @ self.X.T
-        base = replace(self.market.base, mu=mu)
-        return NestedMarket(base=base, nest_of=self.market.nest_of,
-                            rho=self.market.rho)
+        return replace(self.market, base=replace(self.market.base, mu=mu))
 
 
 def gen_nested_market(p: StaticDgpParams, rng, n_nests: int = 3,
@@ -241,8 +239,7 @@ def gen_dynamic_market(p: DynamicDgpParams, rng) -> DynamicInstance:
             V[:, t] = np.logaddexp(beta * V[:, t + 1], omega[:, t])
 
         ccp = np.exp(util - V[:, None, :])
-        v_next = np.concatenate([V[:, 1:], V[:, -1:]], axis=1)
-        ccp0 = np.exp(beta * v_next - V)
+        ccp0 = np.exp(beta * _v_next(V) - V)
         pr0 = np.empty((I, T))
         pr0[:, 0] = 1.0
         for t in range(T - 1):
@@ -255,10 +252,8 @@ def gen_dynamic_market(p: DynamicDgpParams, rng) -> DynamicInstance:
 
     market = DurableMarket(shares=shares, outside_shares=outside, mu=mu,
                            weights=np.full(I, 1.0 / I), beta=beta)
-    with np.errstate(divide="ignore"):
-        gap = np.log(shares) - np.log(_conditional_shares(ccp, pr0, market.weights))
     truth = DurableSolution(value=V, delta=delta, pr0=pr0, ccp=ccp,
-                            dist=float(np.max(np.abs(gap))))
+                            dist=_dist(_conditional_shares(ccp, pr0, market.weights), market))
     return DynamicInstance(market=market, delta_true=delta, value_true=V,
                            theta_true=np.asarray(p.sd_coefs, dtype=float),
                            X=X, nodes=nodes, solution_true=truth, redraws=redraws)
@@ -269,24 +264,6 @@ def draw_theta(theta_true, rng) -> np.ndarray:
     g = _as_rng(rng)
     theta_true = np.asarray(theta_true, dtype=float)
     return g.random(theta_true.shape) * 2.0 * theta_true
-
-
-def write_market_fixture(market, path) -> None:
-    """Write any market type to a versioned JSON fixture file."""
-    from .dynamic import durable_market_to_json
-    from .rcnl import nested_market_to_json
-    from .static_rcl import market_to_json
-
-    if isinstance(market, DurableMarket):
-        text = durable_market_to_json(market)
-    elif isinstance(market, NestedMarket):
-        text = nested_market_to_json(market)
-    elif isinstance(market, StaticMarket):
-        text = market_to_json(market)
-    else:
-        raise TypeError(f"unsupported market type {type(market).__name__}")
-    with open(path, "w") as fh:
-        fh.write(text)
 
 
 def large_heterogeneity_market() -> tuple[StaticMarket, np.ndarray]:

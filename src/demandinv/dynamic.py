@@ -20,13 +20,14 @@ Algorithms:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .accel import AccelConfig, FixedPointMap, solve
-from .numerics import chebyshev_eval_rows, chebyshev_nodes, gauss_hermite, ols_ar1_rows
-from .static_rcl import SCHEMA_VERSION
+from .numerics import (chebyshev_eval_rows, chebyshev_fit_matrix, chebyshev_nodes,
+                       gauss_hermite, ols_ar1_rows)
+from .static_rcl import SCHEMA_VERSION, parse_fixture
 
 # Active fractions are floored at a tiny positive value: off the solution,
 # 1 - sum_j ccp can dip below zero for extreme heterogeneity draws, which
@@ -114,21 +115,17 @@ class DurableSolution:
     dist: float        # sup-norm log-share audit at the solution
     ivs: IvsState | None = field(default=None, repr=False)
 
-    @property
-    def ccp_outside(self) -> np.ndarray:
-        return 1.0 - self.ccp.sum(axis=1)
-
 
 def _v_next(V: np.ndarray) -> np.ndarray:
     """V_{t+1} with the stationary terminal condition V_{T+1} = V_T."""
     return np.concatenate([V[:, 1:], V[:, -1:]], axis=1)
 
 
-def _forward(V: np.ndarray, mkt: DurableMarket, want_ccp: bool = False):
+def _forward(V: np.ndarray, mkt: DurableMarket):
     """Alg-step 1: sequential delta recovery and ownership propagation.
 
-    Returns (delta (J,T), omega (I,T), pr0 (I,T), ccp or None). omega is
-    each type's purchase inclusive value log sum_j exp(delta + mu).
+    Returns (delta (J,T), omega (I,T), pr0 (I,T)). omega is each type's
+    purchase inclusive value log sum_j exp(delta + mu).
     """
     I, J, T = mkt.n_types, mkt.n_products, mkt.horizon
     w = mkt.weights
@@ -136,7 +133,6 @@ def _forward(V: np.ndarray, mkt: DurableMarket, want_ccp: bool = False):
     omega = np.empty((I, T))
     pr0 = np.empty((I, T))
     pr0[:, 0] = mkt.pr0_init
-    ccp = np.empty((I, J, T)) if want_ccp else None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for t in range(T):
             b = w * pr0[:, t]
@@ -150,18 +146,17 @@ def _forward(V: np.ndarray, mkt: DurableMarket, want_ccp: bool = False):
             qm = q.max(axis=1)
             sq = np.exp(q - qm[:, None]).sum(axis=1)
             omega[:, t] = V[:, t] + qm + np.log(sq)
-            if want_ccp:
-                ccp[:, :, t] = np.exp(q)
             if t + 1 < T:
                 buy = np.exp(qm + np.log(sq))
                 pr0[:, t + 1] = np.maximum(pr0[:, t] * (1.0 - buy), PR0_FLOOR)
-    return delta, omega, pr0, ccp
+    return delta, omega, pr0
 
 
 def pf_forward_pass(V, mkt: DurableMarket):
     """Public forward pass: (delta (J,T), ccp (I,J,T), pr0 (I,T)) at V."""
     V = np.asarray(V, dtype=float)
-    delta, _, pr0, ccp = _forward(V, mkt, want_ccp=True)
+    delta = _forward(V, mkt)[0]
+    pr0, ccp, _ = _shares_at(delta, V, mkt)
     return delta, ccp, pr0
 
 
@@ -262,12 +257,6 @@ def bellman_residual(sol: DurableSolution, mkt: DurableMarket) -> float:
     return float(np.max(np.abs(resid)))
 
 
-def _assemble(V: np.ndarray, mkt: DurableMarket, ivs: IvsState | None = None) -> DurableSolution:
-    delta, _, pr0, ccp = _forward(V, mkt, want_ccp=True)
-    dist = _dist(_conditional_shares(ccp, pr0, mkt.weights), mkt)
-    return DurableSolution(value=V, delta=delta, pr0=pr0, ccp=ccp, dist=dist, ivs=ivs)
-
-
 def _time_blocks(I: int, T: int) -> tuple[np.ndarray, ...]:
     """Index groups of the flattened (I, T) state, one group per period."""
     return tuple(np.arange(I) * T + t for t in range(T))
@@ -285,7 +274,7 @@ def pf_solve(mkt: DurableMarket, gamma: float, cfg: AccelConfig):
 
     def evaluate(x):
         V = x.reshape(shape)
-        delta, omega, pr0, _ = _forward(V, mkt)
+        _, omega, pr0 = _forward(V, mkt)
         if gamma != 0.0:
             s0_hat = _outside_hat(V, mkt, pr0)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -294,8 +283,8 @@ def pf_solve(mkt: DurableMarket, gamma: float, cfg: AccelConfig):
 
     fp = FixedPointMap(evaluate, I * T, block_partition=_time_blocks(I, T))
     outcome = solve(fp, np.zeros(I * T), cfg)
-    sol = _assemble(outcome.point.reshape(shape), mkt)
-    return sol, outcome
+    V = outcome.point.reshape(shape)
+    return _solution(_forward(V, mkt)[0], V, mkt), outcome
 
 
 def initial_delta_myopic(mkt: DurableMarket) -> np.ndarray:
@@ -375,16 +364,6 @@ class IvsGrid:
     gh_order: int = 5
 
 
-def _cheb_fit_matrix(n: int) -> np.ndarray:
-    """Matrix mapping values at increasing Chebyshev nodes to coefficients."""
-    k = np.arange(n)
-    theta = (2 * k + 1) * np.pi / (2 * n)
-    m = np.arange(n)[:, None]
-    M = (2.0 / n) * np.cos(m * theta[None, :])
-    M[0] *= 0.5
-    return M[:, ::-1]  # reorder columns for increasing node order
-
-
 def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig):
     """Inclusive-value-sufficiency algorithm.
 
@@ -396,7 +375,7 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
     I, T = mkt.n_types, mkt.horizon
     N = grid.n_nodes
     nodes = chebyshev_nodes(N, grid.lo, grid.hi)
-    fitmat = _cheb_fit_matrix(N)
+    fitmat = chebyshev_fit_matrix(N)
     quad = gauss_hermite(grid.gh_order)
     ghx = quad.nodes * np.sqrt(2.0)
     ghw = quad.weights / np.sqrt(np.pi)
@@ -413,7 +392,7 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
     def evaluate(x):
         v_data = x[:nd].reshape(I, T)
         v_grid = x[nd:].reshape(I, N)
-        _, omega, pr0, _ = _forward(v_data, mkt)
+        _, omega, pr0 = _forward(v_data, mkt)
         if not np.all(np.isfinite(omega)):
             return np.full_like(x, np.nan)
         theta0, theta1, sd = ols_ar1_rows(omega)
@@ -433,13 +412,12 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
     outcome = solve(fp, np.zeros(nd + I * N), cfg)
     v_data = outcome.point[:nd].reshape(I, T)
     v_grid = outcome.point[nd:].reshape(I, N)
-    _, omega, _, _ = _forward(v_data, mkt)
+    delta, omega, _ = _forward(v_data, mkt)
     theta0, theta1, sd = ols_ar1_rows(omega)
     state = IvsState(grid=nodes, v_data=v_data, v_grid=v_grid,
                      ar1_intercept=theta0, ar1_slope=theta1, ar1_sd=sd,
                      gh_order=grid.gh_order)
-    sol = _assemble(v_data, mkt, ivs=state)
-    return sol, outcome
+    return replace(_solution(delta, v_data, mkt), ivs=state), outcome
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +441,7 @@ def durable_market_to_json(mkt: DurableMarket) -> str:
 
 
 def durable_market_from_json(text: str) -> DurableMarket:
-    doc = json.loads(text)
+    doc = parse_fixture(text)
     shares = np.array(doc["shares"], dtype=float).T
     mu = np.stack([np.array(m, dtype=float) for m in doc["mu"]], axis=2)
     return DurableMarket(

@@ -1,7 +1,7 @@
 """Numerical utilities shared by the solvers.
 
 Minimum-norm least squares, Chebyshev nodes/interpolation, Gauss-Hermite
-quadrature, and AR(1) fitting. All functions are pure.
+quadrature, and row-wise AR(1) fitting. All functions are pure.
 """
 
 from __future__ import annotations
@@ -9,13 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Ar1Fit:
-    intercept: float
-    slope: float
-    residual_sd: float
 
 
 @dataclass(frozen=True)
@@ -47,47 +40,32 @@ def chebyshev_nodes(n: int, lo: float, hi: float) -> np.ndarray:
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
 
 
-def chebyshev_fit(values) -> np.ndarray:
-    """Chebyshev coefficients interpolating ``values`` at chebyshev_nodes(n, ...).
+def chebyshev_fit_matrix(n: int) -> np.ndarray:
+    """Matrix M with c = M @ f: Chebyshev coefficients interpolating values f
+    given at chebyshev_nodes(n, ...) (increasing abscissa).
 
-    values[k] must be ordered like the node array (increasing abscissa).
     Uses the discrete orthogonality of T_m at the Chebyshev-Gauss points.
     """
-    f = np.asarray(values, dtype=float)
-    n = f.size
     k = np.arange(n)
-    theta = (2 * k + 1) * np.pi / (2 * n)  # angles of the decreasing node order
-    fk = f[::-1]  # back to cos-ordering
+    theta = (2 * k + 1) * np.pi / (2 * n)
     m = np.arange(n)[:, None]
-    c = (2.0 / n) * (np.cos(m * theta[None, :]) @ fk)
-    c[0] *= 0.5
-    return c
-
-
-def chebyshev_eval(coeffs, x, lo: float, hi: float):
-    """Evaluate the interpolant at x, clamping x into [lo,hi] first.
-
-    Clamping keeps the AR(1) expectation step from extrapolating the
-    polynomial outside the grid, where it blows up.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    xa = np.clip(np.asarray(x, dtype=float), lo, hi)
-    z = (2.0 * xa - (lo + hi)) / (hi - lo)
-    return np.polynomial.chebyshev.chebval(z, c)
+    M = (2.0 / n) * np.cos(m * theta[None, :])
+    M[0] *= 0.5
+    return M[:, ::-1]  # reorder columns for increasing node order
 
 
 def chebyshev_eval_rows(coeffs, x, lo: float, hi: float) -> np.ndarray:
     """Row-batched Clenshaw evaluation: coeffs (R, n) at points x (R, ...).
 
     Row r of ``x`` is evaluated under row r of ``coeffs``; used where every
-    consumer type carries its own interpolant.
+    consumer type carries its own interpolant. x is clamped into [lo, hi]
+    first, which keeps the AR(1) expectation step from extrapolating the
+    polynomial outside the grid, where it blows up.
     """
     c = np.asarray(coeffs, dtype=float)
     xa = np.clip(np.asarray(x, dtype=float), lo, hi)
     z = (2.0 * xa - (lo + hi)) / (hi - lo)
     n = c.shape[1]
-    if n == 1:
-        return np.broadcast_to(c[:, 0][(...,) + (None,) * (z.ndim - 1)], z.shape).copy()
     extra = (None,) * (z.ndim - 1)
     b1 = np.zeros_like(z)
     b2 = np.zeros_like(z)
@@ -104,36 +82,17 @@ def gauss_hermite(order: int) -> Quadrature:
     return Quadrature(nodes=nodes, weights=weights)
 
 
-def ols_ar1(series) -> Ar1Fit:
-    """OLS fit of x_{t+1} = a + b x_t + u; residual sd uses T-1-2 dof.
+def ols_ar1_rows(series: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """OLS fits of x_{t+1} = a + b x_t + u on each row of ``series`` (R, T).
 
-    A zero-variance regressor (flat series) returns slope 0 and intercept
-    equal to the mean of the targets, keeping downstream value iteration
-    well defined on flat inclusive-value paths.
+    Returns (intercepts, slopes, residual sds); the sd uses T-1-2 degrees of
+    freedom (at least 1). A zero-variance regressor (flat row) gets slope 0
+    and the mean of its targets as intercept, keeping downstream value
+    iteration well defined on flat inclusive-value paths.
     """
     x = np.asarray(series, dtype=float)
-    if x.size < 3:
+    if x.shape[-1] < 3:
         raise ValueError("series must have length >= 3")
-    lo, hi = x[:-1], x[1:]
-    n = lo.size
-    mx = lo.mean()
-    my = hi.mean()
-    sxx = float(((lo - mx) ** 2).sum())
-    if sxx == 0.0:
-        slope = 0.0
-        intercept = my
-    else:
-        slope = float(((lo - mx) * (hi - my)).sum() / sxx)
-        intercept = my - slope * mx
-    resid = hi - (intercept + slope * lo)
-    dof = n - 2
-    sd = float(np.sqrt((resid @ resid) / dof)) if dof > 0 else 0.0
-    return Ar1Fit(intercept=intercept, slope=slope, residual_sd=sd)
-
-
-def ols_ar1_rows(series: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized ols_ar1 over the rows of ``series`` (R, T)."""
-    x = np.asarray(series, dtype=float)
     lo, hi = x[:, :-1], x[:, 1:]
     n = lo.shape[1]
     mx = lo.mean(axis=1)

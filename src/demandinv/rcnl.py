@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accel import AccelConfig, FixedPointMap, solve
-from .static_rcl import SCHEMA_VERSION, StaticMarket
+from .static_rcl import StaticMarket, market_doc, market_from_doc, parse_fixture
 
 RCNL_MAPPINGS = ("delta0", "delta1", "IV0", "IV1")
 
@@ -47,17 +47,13 @@ class NestedMarket:
         nest_of.flags.writeable = False
         rho.flags.writeable = False
         groups = tuple(np.flatnonzero(nest_of == g) for g in range(n_nests))
-        object.__setattr__(self, "_groups", groups)
+        object.__setattr__(self, "groups", groups)  # product indices of each nest
         object.__setattr__(self, "nest_shares",
                            np.array([self.base.shares[g].sum() for g in groups]))
 
     @property
     def n_nests(self) -> int:
         return self.rho.size
-
-    @property
-    def groups(self):
-        return self._groups
 
 
 def _iv_kernel(delta, mu, groups, rho) -> np.ndarray:
@@ -183,25 +179,11 @@ def rcnl_solve_inner(mkt: NestedMarket, mapping: str, cfg: AccelConfig):
 
 
 def nested_market_to_json(mkt: NestedMarket) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "shares": mkt.base.shares.tolist(),
-        "outside_share": mkt.base.outside_share,
-        "mu": mkt.base.mu.tolist(),
-        "weights": mkt.base.weights.tolist(),
-        "nest_of": mkt.nest_of.tolist(),
-        "rho": mkt.rho.tolist(),
-    }
-    return json.dumps(doc)
+    return json.dumps({**market_doc(mkt.base), "nest_of": mkt.nest_of.tolist(),
+                       "rho": mkt.rho.tolist()})
 
 
 def nested_market_from_json(text: str) -> NestedMarket:
-    doc = json.loads(text)
-    base = StaticMarket(
-        shares=np.array(doc["shares"], dtype=float),
-        outside_share=float(doc["outside_share"]),
-        mu=np.array(doc["mu"], dtype=float),
-        weights=np.array(doc["weights"], dtype=float),
-    )
-    return NestedMarket(base=base, nest_of=np.array(doc["nest_of"], dtype=int),
+    doc = parse_fixture(text)
+    return NestedMarket(base=market_from_doc(doc), nest_of=np.array(doc["nest_of"], dtype=int),
                         rho=np.array(doc["rho"], dtype=float))

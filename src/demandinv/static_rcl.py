@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import AccelConfig, FixedPointMap, SolveOutcome, solve
+from .accel import AccelConfig, FixedPointMap, solve
 
 SCHEMA_VERSION = 1
 
@@ -203,33 +203,25 @@ def kalouptsidi_delta_from_r(r, mkt: StaticMarket) -> np.ndarray:
 def kalouptsidi_mixed_solve(mkt: StaticMarket, cfg: AccelConfig):
     """Solve for r with the mixed algorithm and recover delta.
 
-    F is used by default; once the adding-up residual S_0 - sum exp(F_i)
-    goes non-positive (or F turns non-real) the solve latches onto the
-    normalized mapping for all remaining iterations. Re-checking every
-    iteration instead makes the two branches thrash in a slow cycle.
+    F is used by default; once F turns non-finite (its adding-up residual
+    S_0 - sum exp(F_i) goes non-positive, or a head entry is non-finite) the
+    solve latches onto the normalized mapping for all remaining iterations.
+    Re-checking every iteration instead makes the two branches thrash in a
+    slow cycle. With one type F is the constant log S_0 and never latches.
     """
-    I = mkt.n_types
-    if I == 1:
-        # single type: F degenerates to the closed form r = log S0 in one step
-        fp = FixedPointMap(lambda r: np.array([mkt.log_outside]), 1)
-        outcome = solve(fp, np.log(mkt.weights), cfg)
-        return kalouptsidi_delta_from_r(outcome.point, mkt), outcome
-
     latched = False
 
     def mixed_map(r):
         nonlocal latched
         if not latched:
-            rhs = _kalouptsidi_rhs(r, mkt)
-            head = r[:-1] + np.log(mkt.weights[:-1]) - rhs[:-1]
-            resid = mkt.outside_share - np.exp(head).sum()
-            if np.all(np.isfinite(head)) and resid > 0.0:
-                return np.concatenate([head, [np.log(resid)]])
+            out = kalouptsidi_F(r, mkt)
+            if np.all(np.isfinite(out)):
+                return out
             latched = True
         rt_next = kalouptsidi_Ftilde(r[:-1] - r[-1], mkt)
         return _r_from_r_tilde(rt_next, mkt)
 
-    fp = FixedPointMap(mixed_map, I)
+    fp = FixedPointMap(mixed_map, mkt.n_types)
     outcome = solve(fp, np.log(mkt.weights), cfg)  # V = 0 start
     delta = kalouptsidi_delta_from_r(outcome.point, mkt)
     return delta, outcome
@@ -279,22 +271,38 @@ def solve_inner(mkt: StaticMarket, mapping: str, cfg: AccelConfig):
 # JSON fixtures
 
 
-def market_to_json(mkt: StaticMarket) -> str:
-    doc = {
+def market_doc(mkt: StaticMarket) -> dict:
+    """The JSON object of a static market fixture; nested fixtures extend it."""
+    return {
         "schema_version": SCHEMA_VERSION,
         "shares": mkt.shares.tolist(),
         "outside_share": mkt.outside_share,
         "mu": mkt.mu.tolist(),  # row-major, one row per consumer type
         "weights": mkt.weights.tolist(),
     }
-    return json.dumps(doc)
 
 
-def market_from_json(text: str) -> StaticMarket:
+def market_to_json(mkt: StaticMarket) -> str:
+    return json.dumps(market_doc(mkt))
+
+
+def parse_fixture(text: str) -> dict:
+    """The JSON object of a market fixture; other schema versions are rejected."""
     doc = json.loads(text)
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"fixture schema_version {version!r} is not {SCHEMA_VERSION}")
+    return doc
+
+
+def market_from_doc(doc: dict) -> StaticMarket:
     return StaticMarket(
         shares=np.array(doc["shares"], dtype=float),
         outside_share=float(doc["outside_share"]),
         mu=np.array(doc["mu"], dtype=float),
         weights=np.array(doc["weights"], dtype=float),
     )
+
+
+def market_from_json(text: str) -> StaticMarket:
+    return market_from_doc(parse_fixture(text))

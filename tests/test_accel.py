@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -376,6 +378,27 @@ class TestTerminationContract:
         per_record = 2 if method == "squarem" else 1
         assert len(out.residual_history) == n // per_record
         assert out.final_residual == out.residual_history[-1]
+
+    def test_squarem_step_size_overflow_ends_non_finite_without_warnings(self):
+        # S3 alpha = 1e150 / 1e-100 = 1e250, whose square overflows a double
+        steps = [np.array([1e150, 0.0]), np.array([1e150, 1e-100])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = solve(scripted_map(steps), np.zeros(2),
+                        AccelConfig(method="squarem", max_evaluations=50))
+        assert out.termination == "non_finite"
+        assert out.evaluations == 2
+        assert np.array_equal(out.point, steps[0] + steps[1])
+
+    def test_squarem_huge_curvature_runs_without_warnings(self):
+        # y = (0, 1e160): y @ y overflows; the third image is non-finite
+        steps = [np.array([1.0, 0.0]), np.array([1.0, 1e160]), np.array([np.inf, 0.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = solve(scripted_map(steps), np.zeros(2),
+                        AccelConfig(method="squarem", max_evaluations=50))
+        assert out.termination == "non_finite"
+        assert out.evaluations == 3
 
     def test_squarem_odd_budget_stops_at_exactly_that_count(self):
         n = 7

@@ -166,6 +166,61 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig("nope", [AlgorithmSpec("delta")], 1, 0, 1e-13, 10)
 
+    @pytest.mark.parametrize("doc", [
+        {"suite": "static_j25", "replication": 2},
+        {"suite": "static_j25", "out_dir": "elsewhere"},
+        {"suite": "static_j25", "algorithms": [{"mapping": "delta", "gama": 0}]},
+        {"suite": "static_j25", "algorithms": [{"mapping": "delta", "method": "newton"}]},
+        {"suite": "static_j25",
+         "algorithms": [{"mapping": "delta", "method": "spectral", "step_rule": "S4"}]},
+        {"suite": "static_j25", "algorithms": [{"mapping": "IV"}]},
+        {"suite": "dynamic_pf", "algorithms": [{"mapping": "delta"}]},
+    ], ids=["unknown-key", "out_dir", "unknown-algorithm-key", "bad-method",
+            "bad-step-rule", "mapping-of-another-suite", "static-mapping-on-dynamic"])
+    def test_rejects_at_parse_time(self, doc):
+        with pytest.raises(ValueError):
+            config_from_json(json.dumps(doc))
+
+
+def _labels(bases, tags):
+    return [b + t for b in bases for t in tags]
+
+
+_S3 = ("", "+anderson", "+spectral", "+squarem")
+
+# Table-note defaults per suite: replications, master seed, tolerance, cap, labels.
+FROZEN_DEFAULTS = {
+    "static_j25": (50, 9, 1e-13, 1000, _labels(
+        ["delta-(0)", "delta-(1)", "V-(0)", "V-(1)"], _S3)),
+    "static_j250": (50, 4, 1e-13, 1000, _labels(
+        ["delta-(0)", "delta-(1)", "V-(0)", "V-(1)"], _S3)),
+    "static_2types": (50, 7, 1e-13, 1000, _labels(
+        ["delta-(0)", "delta-(1)", "V-(0)", "V-(1)"], _S3)
+        + ["kalouptsidi_mixed", "kalouptsidi_tilde"]),
+    "rcnl": (50, 7, 1e-13, 1000, _labels(
+        ["delta-(0)", "delta-(1)", "IV-(0)", "IV-(1)"], _S3)),
+    "large_hetero": (1, 0, 1e-13, 2000, _labels(
+        ["delta-(0)", "delta-(1)", "V-(0)", "V-(1)"], _S3)),
+    "dynamic_pf": (20, 11, 1e-12, 3000, _labels(
+        ["V-(0)", "V-(1)", "Vdelta-(0) (joint)", "Vdelta-(1) (joint)"], _S3)),
+    "dynamic_ivs": (20, 11, 1e-12, 3000, _labels(["V-(0)", "V-(1)"], _S3)),
+    "stepsize_sweep": (50, 7, 1e-13, 1000, [
+        label for rule in ("S1", "S2", "S3prime")
+        for label in _labels(["delta-(0)", "delta-(1)", "V-(0)", "V-(1)"],
+                             [f"+spectral[{rule}]", f"+squarem[{rule}]"])]),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(FROZEN_DEFAULTS))
+def test_suite_defaults_are_frozen(suite):
+    from demandinv.bench import SUITES
+    assert sorted(SUITES) == sorted(FROZEN_DEFAULTS)
+    cfg = default_config(suite)
+    reps, seed, tol, cap, labels = FROZEN_DEFAULTS[suite]
+    assert (cfg.replications, cfg.master_seed, cfg.tolerance, cfg.max_evaluations,
+            cfg.dist_tol) == (reps, seed, tol, cap, 1e-12)
+    assert [a.label for a in cfg.algorithms] == labels
+
 
 class TestCli:
     def test_run_and_summarize(self, tmp_path, capsys):
@@ -174,9 +229,9 @@ class TestCli:
                                    "method": "anderson"}]}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg_doc))
-        out_dir = tmp_path / "out"
         assert cli_main(["run", "--config", str(cfg_path),
-                         "--out", str(out_dir)]) == 0
+                         "--out", str(tmp_path / "out")]) == 0
+        out_dir = tmp_path / "out" / "static_j25"  # one directory per suite
         assert (out_dir / "records.csv").exists()
         assert (out_dir / "summary.csv").exists()
         assert (out_dir / "summary.md").exists()
@@ -185,3 +240,29 @@ class TestCli:
                          "--format", "md"]) == 0
         out = capsys.readouterr().out
         assert "delta-(1)+anderson" in out
+
+    def test_run_several_suites(self, tmp_path, capsys):
+        suites = ["static_j25", "large_hetero"]
+        assert cli_main(["run", "--suite", *suites, "--replications", "1",
+                         "--out", str(tmp_path)]) == 0
+        for suite in suites:
+            recs = read_records(tmp_path / suite / "records.csv")
+            assert {r.suite for r in recs} == {suite}
+            assert {r.replication for r in recs} == {0}
+            assert len(recs) == len(default_config(suite).algorithms)
+            assert (tmp_path / suite / "summary.csv").exists()
+
+    def test_suite_and_config_are_exclusive(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"suite": "static_j25"}))
+        assert cli_main(["run", "--suite", "static_j25", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_config_is_rejected_before_running(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"suite": "static_j25", "replication": 2}))
+        assert cli_main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "replication" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -124,27 +124,6 @@ class TestDynamicDgp:
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 
-class TestFixtures:
-    def test_write_market_fixture_round_trips(self, tmp_path):
-        import json
-        from demandinv.datagen import write_market_fixture
-        from demandinv.static_rcl import market_from_json
-
-        inst = gen_static_market(StaticDgpParams(n_products=4, n_draws=3),
-                                 SeededRng(1, 0).generator())
-        path = tmp_path / "market.json"
-        write_market_fixture(inst.market, path)
-        doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 1
-        clone = market_from_json(path.read_text())
-        np.testing.assert_array_equal(clone.shares, inst.market.shares)
-
-    def test_rejects_unknown_type(self, tmp_path):
-        from demandinv.datagen import write_market_fixture
-        with pytest.raises(TypeError):
-            write_market_fixture(object(), tmp_path / "x.json")
-
-
 class TestDrawTheta:
     def test_zero_component_stays_zero(self):
         th = draw_theta(np.array([0.0, 1.0]), SeededRng(1, 0).generator())

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -296,19 +298,19 @@ class TestIvs:
 
     def test_noiseless_ar1_expectation_equals_direct_evaluation(self):
         # sigma -> 0: the quadrature collapses onto the deterministic next state
-        from demandinv.numerics import (chebyshev_fit, chebyshev_nodes,
-                                        chebyshev_eval, gauss_hermite)
+        from demandinv.numerics import (chebyshev_eval_rows, chebyshev_fit_matrix,
+                                        chebyshev_nodes, gauss_hermite)
         lo, hi = -20.0, 10.0
         nodes = chebyshev_nodes(10, lo, hi)
-        coefs = chebyshev_fit(np.log(1 + np.exp(nodes)))
+        coefs = (chebyshev_fit_matrix(10) @ np.log(1 + np.exp(nodes)))[None, :]
         quad = gauss_hermite(5)
         theta0, theta1, sd = 0.5, 0.9, 0.0
         omega = 2.3
         nxt = theta0 + theta1 * omega
         args = nxt + np.sqrt(2) * sd * quad.nodes
-        expect = float(np.sum(quad.weights * chebyshev_eval(coefs, args, lo, hi))
+        expect = float(np.sum(quad.weights * chebyshev_eval_rows(coefs, args[None, :], lo, hi)[0])
                        / np.sqrt(np.pi))
-        direct = float(chebyshev_eval(coefs, nxt, lo, hi))
+        direct = float(chebyshev_eval_rows(coefs, np.array([nxt]), lo, hi)[0])
         assert expect == pytest.approx(direct, abs=1e-12)
 
 
@@ -321,6 +323,13 @@ class TestJson:
         np.testing.assert_array_equal(clone.mu, mkt.mu)
         np.testing.assert_array_equal(clone.pr0_init, mkt.pr0_init)
         assert clone.beta == mkt.beta
+
+    def test_rejects_other_schema_version(self):
+        inst, _ = desk_instance(14, horizon=4, n_products=2, n_draws=3)
+        doc = json.loads(durable_market_to_json(inst.market))
+        doc["schema_version"] = 99
+        with pytest.raises(ValueError, match="schema_version"):
+            durable_market_from_json(json.dumps(doc))
 
 
 class TestValidation:

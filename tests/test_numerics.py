@@ -3,9 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demandinv.numerics import (chebyshev_eval, chebyshev_eval_rows,
-                                chebyshev_fit, chebyshev_nodes, gauss_hermite,
-                                ls_minnorm, ols_ar1, ols_ar1_rows)
+from demandinv.numerics import (chebyshev_eval_rows, chebyshev_fit_matrix,
+                                chebyshev_nodes, gauss_hermite, ls_minnorm,
+                                ols_ar1_rows)
+
+
+def chebyshev_fit(values):
+    """Coefficients of one interpolant through values at the Chebyshev nodes."""
+    values = np.asarray(values, dtype=float)
+    return chebyshev_fit_matrix(values.size) @ values
+
+
+def chebyshev_eval(coeffs, x, lo, hi):
+    """One interpolant at points x: a single row of chebyshev_eval_rows."""
+    x = np.asarray(x, dtype=float)
+    return chebyshev_eval_rows(np.asarray(coeffs)[None, :], x[None, ...], lo, hi)[0]
+
+
+def ols_ar1(series):
+    """(intercept, slope, residual sd) of one series: a single row of ols_ar1_rows."""
+    return tuple(v[0] for v in ols_ar1_rows(np.asarray(series, dtype=float)[None, :]))
 
 
 class TestLsMinnorm:
@@ -95,16 +112,17 @@ class TestChebyshev:
         assert err / scale < 1e-10
 
     def test_rows_variant_matches_scalar(self):
+        # each row agrees with numpy's chebval on the clamped, rescaled points
         lo, hi = -4.0, 2.0
         nodes = chebyshev_nodes(8, lo, hi)
         vals = np.vstack([np.sin(nodes), np.cos(nodes)])
-        coefs = np.vstack([chebyshev_fit(vals[0]), chebyshev_fit(vals[1])])
+        coefs = vals @ chebyshev_fit_matrix(8).T
         xs = np.linspace(lo - 1, hi + 1, 23)
         rows = chebyshev_eval_rows(coefs, np.vstack([xs, xs]), lo, hi)
-        np.testing.assert_allclose(rows[0], chebyshev_eval(coefs[0], xs, lo, hi),
-                                   atol=1e-12)
-        np.testing.assert_allclose(rows[1], chebyshev_eval(coefs[1], xs, lo, hi),
-                                   atol=1e-12)
+        z = (2.0 * np.clip(xs, lo, hi) - (lo + hi)) / (hi - lo)
+        for r in range(2):
+            np.testing.assert_allclose(rows[r], np.polynomial.chebyshev.chebval(z, coefs[r]),
+                                       atol=1e-12)
 
 
 class TestGaussHermite:
@@ -148,34 +166,37 @@ class TestGaussHermite:
 
 class TestAr1:
     def test_constant_series(self):
-        fit = ols_ar1([1.0, 1.0, 1.0, 1.0])
-        assert fit.intercept == pytest.approx(1.0)
-        assert fit.slope == 0.0
-        assert fit.residual_sd == 0.0
+        intercept, slope, sd = ols_ar1([1.0, 1.0, 1.0, 1.0])
+        assert intercept == pytest.approx(1.0)
+        assert slope == 0.0
+        assert sd == 0.0
 
     def test_noiseless_recursion_recovered(self):
         x = [0.3]
         for _ in range(60):
             x.append(0.1 + 0.95 * x[-1])
-        fit = ols_ar1(np.array(x))
-        assert fit.intercept == pytest.approx(0.1, abs=1e-9)
-        assert fit.slope == pytest.approx(0.95, abs=1e-9)
-        assert fit.residual_sd < 1e-9
+        intercept, slope, sd = ols_ar1(np.array(x))
+        assert intercept == pytest.approx(0.1, abs=1e-9)
+        assert slope == pytest.approx(0.95, abs=1e-9)
+        assert sd < 1e-9
 
     def test_white_noise_slope_near_zero(self):
         rng = np.random.default_rng(42)
-        fit = ols_ar1(rng.normal(size=4000))
-        assert abs(fit.slope) < 0.1
+        _, slope, _ = ols_ar1(rng.normal(size=4000))
+        assert abs(slope) < 0.1
 
     def test_rows_variant_matches_scalar(self):
+        # each row agrees with numpy's polyfit and a directly computed residual sd
         rng = np.random.default_rng(3)
         series = rng.normal(size=(4, 25)).cumsum(axis=1)
         i0, s0, sd0 = ols_ar1_rows(series)
         for r in range(4):
-            fit = ols_ar1(series[r])
-            assert i0[r] == pytest.approx(fit.intercept)
-            assert s0[r] == pytest.approx(fit.slope)
-            assert sd0[r] == pytest.approx(fit.residual_sd)
+            x, y = series[r, :-1], series[r, 1:]
+            slope, intercept = np.polyfit(x, y, 1)
+            resid = y - (intercept + slope * x)
+            assert i0[r] == pytest.approx(intercept)
+            assert s0[r] == pytest.approx(slope)
+            assert sd0[r] == pytest.approx(np.sqrt(resid @ resid / (x.size - 2)))
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):

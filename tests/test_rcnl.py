@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,13 @@ class TestJson:
         np.testing.assert_array_equal(clone.base.shares, mkt.base.shares)
         np.testing.assert_array_equal(clone.nest_of, mkt.nest_of)
         np.testing.assert_array_equal(clone.rho, mkt.rho)
+
+    def test_rejects_other_schema_version(self):
+        mkt, _ = tiny_nested(seed=31)
+        doc = json.loads(nested_market_to_json(mkt))
+        doc["schema_version"] = 99
+        with pytest.raises(ValueError, match="schema_version"):
+            nested_market_from_json(json.dumps(doc))
 
 
 class TestValidation:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,6 +287,17 @@ class TestJsonFixtures:
         np.testing.assert_array_equal(clone.mu, mkt.mu)
         np.testing.assert_array_equal(clone.weights, mkt.weights)
         assert clone.outside_share == mkt.outside_share
+
+    @pytest.mark.parametrize("version", [99, None, "1", True])
+    def test_rejects_other_schema_versions(self, version):
+        mkt, _ = small_market(53)
+        doc = json.loads(market_to_json(mkt))
+        if version is None:
+            del doc["schema_version"]
+        else:
+            doc["schema_version"] = version
+        with pytest.raises(ValueError, match="schema_version"):
+            market_from_json(json.dumps(doc))
 
 
 class TestMarketValidation:
