@@ -9,7 +9,7 @@ from .accel import (AccelConfig, FixedPointMap, SolveOutcome, anderson_combine,
                     anderson_weights, solve, spectral_alpha, spectral_update,
                     squarem_update)
 from .dynamic import (DurableMarket, DurableSolution, IvsGrid, IvsState,
-                      bellman_residual, dynamic_dist, ivs_solve,
+                      bellman_residual, ivs_solve,
                       pf_forward_pass, pf_solve, pf_value_update,
                       traditional_joint_solve, traditional_nested_solve)
 from .numerics import (Quadrature, chebyshev_eval_rows, chebyshev_fit_matrix,

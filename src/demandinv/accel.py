@@ -92,26 +92,25 @@ def _supnorm(v: np.ndarray) -> float:
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
-def spectral_alpha(s, y, rule: str = "S3", cap: float | None = None,
-                   fallback: float = 1.0) -> float:
+def spectral_alpha(s, y, rule: str = "S3", cap: float | None = None) -> float:
     """Step size from the last step s = x_n - x_{n-1} and residual change y.
 
     S1 = -s'y/y'y, S2 = -s's/s'y, S3 = ||s||/||y||, S3prime = sgn(s'y)||s||/||y||.
-    Degenerate denominators fall back to ``fallback`` (the unit step by
-    default). ``cap`` is an upper bound, applied when given.
+    Degenerate denominators give the unit step 1. ``cap`` is an upper bound,
+    applied when given.
     """
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         yy = float(y @ y)
         if yy == 0.0:
-            return fallback
+            return 1.0
         if rule == "S1":
             alpha = -float(s @ y) / yy
         elif rule == "S2":
             sy = float(s @ y)
             if sy == 0.0:
-                return fallback
+                return 1.0
             alpha = -float(s @ s) / sy
         elif rule == "S3":
             alpha = float(np.linalg.norm(s) / np.linalg.norm(y))
@@ -120,7 +119,7 @@ def spectral_alpha(s, y, rule: str = "S3", cap: float | None = None,
         else:
             raise ValueError(f"unknown step size rule {rule!r}")
     if not np.isfinite(alpha):
-        return fallback
+        return 1.0
     if cap is not None:
         alpha = min(alpha, cap)
     return alpha

@@ -44,9 +44,9 @@ class AlgorithmSpec:
         if self.mapping.startswith("kalouptsidi"):
             base = self.mapping
         elif self.mapping == "joint":
-            base = f"Vdelta-({int(self.gamma)}) (joint)"
+            base = f"Vdelta-({self.gamma:g}) (joint)"
         else:
-            base = f"{self.mapping}-({int(self.gamma)})"
+            base = f"{self.mapping}-({self.gamma:g})"
         if self.method == "plain":
             return base
         tag = self.method if self.step_rule == "S3" or self.method == "anderson" \
@@ -74,6 +74,10 @@ class ExperimentConfig:
             if algo.mapping not in solvers:
                 raise ValueError(f"mapping {algo.mapping!r} is not one of {sorted(solvers)} "
                                  f"for suite {self.suite!r}")
+            if algo.mapping in ("delta", "V", "IV") and solvers[algo.mapping] in _BY_NAME \
+                    and algo.gamma not in (0.0, 1.0):  # the dynamic solvers take any gamma
+                raise ValueError(f"mapping {algo.mapping!r} of suite {self.suite!r} "
+                                 f"exists for gamma 0 and 1, not {algo.gamma}")
             _accel_cfg(self, algo)  # rejects a bad method, step rule, tolerance or cap
 
 
@@ -173,10 +177,10 @@ def _grid(mappings, gammas=(0.0, 1.0), methods=("plain", "anderson", "spectral",
                  for m in mappings for g in gammas for meth in methods)
 
 
-_STATIC = dict.fromkeys(("delta", "V", "kalouptsidi_mixed", "kalouptsidi_tilde"),
-                        _by_name(solve_inner))
+_BY_NAME = (_by_name(solve_inner), _by_name(rcnl_solve_inner))
+_STATIC = dict.fromkeys(("delta", "V", "kalouptsidi_mixed", "kalouptsidi_tilde"), _BY_NAME[0])
 _STATIC_DIST = _dist_at_finite(dist_metric)
-_NESTED = dict.fromkeys(("delta", "IV"), _by_name(rcnl_solve_inner))
+_NESTED = dict.fromkeys(("delta", "IV"), _BY_NAME[1])
 _J250 = _drawn(gen_static_market, StaticDgpParams(n_products=250))
 
 
@@ -246,7 +250,10 @@ def config_from_json(text: str) -> ExperimentConfig:
     _unknown(doc, ("suite", "algorithms") + _INT_KEYS + _FLOAT_KEYS, "config")
     if "suite" not in doc:
         raise ValueError("config needs a suite")
-    overrides = {k: int(doc[k]) for k in _INT_KEYS if k in doc}
+    overrides = {k: doc[k] for k in _INT_KEYS if k in doc}
+    bad = [k for k, v in overrides.items() if type(v) is not int]
+    if bad:
+        raise ValueError(f"config keys {bad} must be integers")
     overrides.update({k: float(doc[k]) for k in _FLOAT_KEYS if k in doc})
     if "algorithms" in doc:
         overrides["algorithms"] = [_algorithm_from_json(a) for a in doc["algorithms"]]

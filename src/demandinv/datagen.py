@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import ndtri
 
-from .dynamic import DurableMarket, DurableSolution, _conditional_shares, _dist, _v_next
+from .dynamic import DurableMarket, DurableSolution, _conditional_shares, _v_next
+from .numerics import log_share_gap
 from .rcnl import NestedMarket, nested_shares
 from .static_rcl import StaticMarket, logit_shares
 
@@ -252,8 +253,8 @@ def gen_dynamic_market(p: DynamicDgpParams, rng) -> DynamicInstance:
 
     market = DurableMarket(shares=shares, outside_shares=outside, mu=mu,
                            weights=np.full(I, 1.0 / I), beta=beta)
-    truth = DurableSolution(value=V, delta=delta, pr0=pr0, ccp=ccp,
-                            dist=_dist(_conditional_shares(ccp, pr0, market.weights), market))
+    truth = DurableSolution(value=V, delta=delta, pr0=pr0, ccp=ccp, dist=log_share_gap(
+        np.log(market.shares), _conditional_shares(ccp, pr0, market.weights)))
     return DynamicInstance(market=market, delta_true=delta, value_true=V,
                            theta_true=np.asarray(p.sd_coefs, dtype=float),
                            X=X, nodes=nodes, solution_true=truth, redraws=redraws)

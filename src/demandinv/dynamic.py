@@ -26,8 +26,8 @@ import numpy as np
 
 from .accel import AccelConfig, FixedPointMap, solve
 from .numerics import (chebyshev_eval_rows, chebyshev_fit_matrix, chebyshev_nodes,
-                       gauss_hermite, ols_ar1_rows)
-from .static_rcl import SCHEMA_VERSION, parse_fixture
+                       gauss_hermite, log_share_gap, logsumexp, ols_ar1_rows)
+from .static_rcl import SCHEMA_VERSION, check_market_data, parse_fixture
 
 # Active fractions are floored at a tiny positive value: off the solution,
 # 1 - sum_j ccp can dip below zero for extreme heterogeneity draws, which
@@ -64,11 +64,10 @@ class DurableMarket:
             raise ValueError("weights must have one entry per type")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
-        if np.max(np.abs(shares.sum(axis=0) + outside - 1.0)) > 1e-12:
-            raise ValueError("per-period shares + outside share must sum to 1")
+        check_market_data(shares, outside, mu, weights)
         pr0 = (np.ones(I) if self.pr0_init is None
                else np.asarray(self.pr0_init, dtype=float))
-        if pr0.shape != (I,) or np.any(pr0 < 0) or np.any(pr0 > 1):
+        if pr0.shape != (I,) or not np.all((pr0 >= 0) & (pr0 <= 1)):
             raise ValueError("pr0_init must be I fractions in [0, 1]")
         for name, arr in (("shares", shares), ("outside_shares", outside),
                           ("mu", mu), ("weights", weights), ("pr0_init", pr0)):
@@ -160,13 +159,18 @@ def pf_forward_pass(V, mkt: DurableMarket):
     return delta, ccp, pr0
 
 
-def _outside_hat(V: np.ndarray, mkt: DurableMarket, pr0: np.ndarray) -> np.ndarray:
-    """Model conditional outside share per period, active-weighted."""
-    b = mkt.weights[:, None] * pr0
-    vn = _v_next(V)
-    with np.errstate(over="ignore"):
-        num = (b * np.exp(mkt.beta * vn - V)).sum(axis=0)
-    return num / b.sum(axis=0)
+def _backup(V: np.ndarray, ev_next: np.ndarray, omega: np.ndarray, gamma: float,
+            pr0: np.ndarray, mkt: DurableMarket) -> np.ndarray:
+    """log(exp(beta*EV') + exp(omega) * (s0_hat/S0)^gamma) for next-period
+    (expected) values EV' and purchase inclusive values omega, both (I, T); the
+    model outside share s0_hat weights exp(beta*EV' - V) by w * pr0."""
+    bev = mkt.beta * ev_next
+    if gamma != 0.0:
+        b = mkt.weights[:, None] * pr0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            s0_hat = (b * np.exp(bev - V)).sum(axis=0) / b.sum(axis=0)
+            omega = omega + gamma * (np.log(s0_hat) - mkt._logS0_t)[None, :]
+    return np.logaddexp(bev, omega)
 
 
 def pf_value_update(V, delta, gamma: float, mkt: DurableMarket, pr0=None) -> np.ndarray:
@@ -177,22 +181,14 @@ def pf_value_update(V, delta, gamma: float, mkt: DurableMarket, pr0=None) -> np.
     """
     V = np.asarray(V, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    omega = _omega_from_delta(delta, mkt)
-    if gamma != 0.0:
-        if pr0 is None:
-            pr0 = _pr0_from(delta, V, mkt)
-        s0_hat = _outside_hat(V, mkt, pr0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            corr = gamma * (np.log(s0_hat) - mkt._logS0_t)
-        omega = omega + corr[None, :]
-    return np.logaddexp(mkt.beta * _v_next(V), omega)
+    if gamma != 0.0 and pr0 is None:
+        pr0 = _pr0_from(delta, V, mkt)
+    return _backup(V, _v_next(V), _omega_from_delta(delta, mkt), gamma, pr0, mkt)
 
 
 def _omega_from_delta(delta: np.ndarray, mkt: DurableMarket) -> np.ndarray:
     """log sum_j exp(delta_jt + mu_ijt), shape (I, T)."""
-    u = delta.T[:, None, :] + mkt._mu_t  # (T, I, J)
-    m = u.max(axis=2)
-    return (m + np.log(np.exp(u - m[:, :, None]).sum(axis=2))).T
+    return logsumexp(delta.T[:, None, :] + mkt._mu_t, 2).T  # (T, I, J) -> (I, T)
 
 
 def _pr0_from(delta: np.ndarray, V: np.ndarray, mkt: DurableMarket) -> np.ndarray:
@@ -221,18 +217,6 @@ def _shares_at(delta: np.ndarray, V: np.ndarray, mkt: DurableMarket):
     return pr0, ccp, _conditional_shares(ccp, pr0, mkt.weights)
 
 
-def _dist(s: np.ndarray, mkt: DurableMarket) -> float:
-    """sup |log S - log s| for model conditional shares s (J, T)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.max(np.abs(np.log(mkt.shares) - np.log(s))))
-
-
-def dynamic_dist(delta, V, mkt: DurableMarket) -> float:
-    """sup |log S_jt - log s_jt(delta, V)| over products and periods."""
-    _, _, s = _shares_at(np.asarray(delta, dtype=float), np.asarray(V, dtype=float), mkt)
-    return _dist(s, mkt)
-
-
 def _delta_update(delta: np.ndarray, V: np.ndarray, gamma: float, phi: float,
                   mkt: DurableMarket) -> np.ndarray:
     """delta + phi*(log S - log s) - gamma*(log S0 - log s0) at (delta, V)."""
@@ -247,7 +231,8 @@ def _delta_update(delta: np.ndarray, V: np.ndarray, gamma: float, phi: float,
 
 def _solution(delta: np.ndarray, V: np.ndarray, mkt: DurableMarket) -> DurableSolution:
     pr0, ccp, s = _shares_at(delta, V, mkt)
-    return DurableSolution(value=V, delta=delta, pr0=pr0, ccp=ccp, dist=_dist(s, mkt))
+    return DurableSolution(value=V, delta=delta, pr0=pr0, ccp=ccp,
+                           dist=log_share_gap(np.log(mkt.shares), s))
 
 
 def bellman_residual(sol: DurableSolution, mkt: DurableMarket) -> float:
@@ -275,11 +260,7 @@ def pf_solve(mkt: DurableMarket, gamma: float, cfg: AccelConfig):
     def evaluate(x):
         V = x.reshape(shape)
         _, omega, pr0 = _forward(V, mkt)
-        if gamma != 0.0:
-            s0_hat = _outside_hat(V, mkt, pr0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                omega = omega + gamma * (np.log(s0_hat) - mkt._logS0_t)[None, :]
-        return np.logaddexp(mkt.beta * _v_next(V), omega).ravel()
+        return _backup(V, _v_next(V), omega, gamma, pr0, mkt).ravel()
 
     fp = FixedPointMap(evaluate, I * T, block_partition=_time_blocks(I, T))
     outcome = solve(fp, np.zeros(I * T), cfg)
@@ -399,12 +380,7 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
         e_data = expectations(v_grid, theta0, theta1, sd, omega)  # (I, T)
         e_grid = expectations(v_grid, theta0, theta1, sd,
                               np.broadcast_to(nodes, (I, N)))
-        b = mkt.weights[:, None] * pr0
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            s0_hat = (b * np.exp(mkt.beta * e_data - v_data)).sum(axis=0) / b.sum(axis=0)
-            omega_c = omega + gamma * (np.log(s0_hat) - mkt._logS0_t)[None, :] \
-                if gamma != 0.0 else omega
-        v_data_next = np.logaddexp(mkt.beta * e_data, omega_c)
+        v_data_next = _backup(v_data, e_data, omega, gamma, pr0, mkt)
         v_grid_next = np.logaddexp(mkt.beta * e_grid, nodes[None, :])
         return np.concatenate([v_data_next.ravel(), v_grid_next.ravel()])
 

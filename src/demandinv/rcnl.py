@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accel import AccelConfig, FixedPointMap, solve
-from .static_rcl import StaticMarket, market_doc, market_from_doc, parse_fixture
+from .numerics import log_share_gap, logsumexp
+from .static_rcl import StaticMarket, market_doc, market_from_doc, outside_logit, parse_fixture
 
 RCNL_MAPPINGS = ("delta0", "delta1", "IV0", "IV1")
 
@@ -61,33 +62,23 @@ def _iv_kernel(delta, mu, groups, rho) -> np.ndarray:
     iv = np.empty((mu.shape[0], len(groups)))
     for g, idx in enumerate(groups):
         z = (delta[idx][None, :] + mu[:, idx]) / (1.0 - rho[g])
-        m = z.max(axis=1)
-        iv[:, g] = (1.0 - rho[g]) * (m + np.log(np.exp(z - m[:, None]).sum(axis=1)))
+        iv[:, g] = (1.0 - rho[g]) * logsumexp(z, 1)
     return iv
-
-
-def _top_level(iv: np.ndarray):
-    """Outside and nest probabilities from the nest inclusive values."""
-    a = np.maximum(iv.max(axis=1), 0.0)
-    e = np.exp(iv - a[:, None])
-    denom = np.exp(-a) + e.sum(axis=1)
-    s_i0 = np.exp(-a) / denom
-    s_inest = e / denom[:, None]
-    return s_i0, s_inest
 
 
 def nested_shares(delta, mu, weights, groups, rho):
     """Nested-logit shares from raw arrays: (s_j, s_g, s_0, per-type IV)."""
     delta = np.asarray(delta, dtype=float)
     iv = _iv_kernel(delta, mu, groups, rho)
-    s_i0, s_inest = _top_level(iv)
+    _, e, e0, denom = outside_logit(iv)
+    s_inest = e / denom[:, None]  # per-type nest probabilities
     s_ij = np.empty_like(mu)
     for g, idx in enumerate(groups):
         z = (delta[idx][None, :] + mu[:, idx] - iv[:, [g]]) / (1.0 - rho[g])
         s_ij[:, idx] = np.exp(z) * s_inest[:, [g]]
     s_j = weights @ s_ij
     s_g = np.array([s_j[idx].sum() for idx in groups])
-    s_0 = float(weights @ s_i0)
+    s_0 = float(weights @ (e0 / denom))
     return s_j, s_g, s_0, iv
 
 
@@ -120,15 +111,13 @@ def rcnl_iota_IV_to_delta(iv, gamma: float, mkt: NestedMarket) -> np.ndarray:
     """Analytic delta given per-type nest inclusive values."""
     iv = np.asarray(iv, dtype=float)
     base = mkt.base
-    a = np.maximum(iv.max(axis=1), 0.0)
-    lse_top = a + np.log(np.exp(-a) + np.exp(iv - a[:, None]).sum(axis=1))
+    a, _, _, denom = outside_logit(iv)
+    lse_top = a + np.log(denom)
     rho_j = mkt.rho[mkt.nest_of]
     iv_j = iv[:, mkt.nest_of]  # (I, J)
     # z_ij = mu/(1-rho) - IV*(1/(1-rho) - 1) - lse_top
     z = (base.mu - iv_j) / (1.0 - rho_j)[None, :] + iv_j - lse_top[:, None]
-    m = z.max(axis=0)
-    log_denom = m + np.log((base.weights[:, None] * np.exp(z - m[None, :])).sum(axis=0))
-    delta = (1.0 - rho_j) * (base.log_shares - log_denom)
+    delta = (1.0 - rho_j) * (base.log_shares - logsumexp(z, 0, base.weights))
     if gamma != 0.0:
         s_inest = base.weights @ (np.exp(iv - lse_top[:, None]))
         s_0_hat = float(base.weights @ np.exp(-lse_top))
@@ -144,10 +133,7 @@ def rcnl_phi_IV(iv, gamma: float, mkt: NestedMarket) -> np.ndarray:
 
 
 def rcnl_dist_metric(delta, mkt: NestedMarket) -> float:
-    s_j, _, _, _ = rcnl_shares(np.asarray(delta, dtype=float), mkt)
-    with np.errstate(divide="ignore"):
-        gap = mkt.base.log_shares - np.log(s_j)
-    return float(np.max(np.abs(gap)))
+    return log_share_gap(mkt.base.log_shares, rcnl_shares(delta, mkt)[0])
 
 
 def rcnl_initial_delta(mkt: NestedMarket) -> np.ndarray:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accel import AccelConfig, FixedPointMap, solve
+from .numerics import log_share_gap, logsumexp
 
 SCHEMA_VERSION = 1
 
@@ -49,12 +50,7 @@ class StaticMarket:
             raise ValueError("mu must be I x J")
         if weights.shape != (mu.shape[0],):
             raise ValueError("weights must have one entry per consumer type")
-        if not (np.all(shares > 0) and self.outside_share > 0):
-            raise ValueError("all shares must be strictly positive")
-        if abs(shares.sum() + self.outside_share - 1.0) > 1e-12:
-            raise ValueError("shares + outside_share must sum to 1")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
+        check_market_data(shares, self.outside_share, mu, weights)
         for arr in (shares, mu, weights):
             arr.flags.writeable = False
         object.__setattr__(self, "log_shares", np.log(shares))
@@ -69,24 +65,34 @@ class StaticMarket:
         return self.weights.size
 
 
-def _wlse_over_types(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """log(sum_i w_i exp(z_ij)) for z of shape (I, J)."""
-    m = z.max(axis=0)
-    return m + np.log((w[:, None] * np.exp(z - m[None, :])).sum(axis=0))
+def check_market_data(shares, outside, mu, weights) -> None:
+    """Checks shared by every market: shares positive and adding up to 1 with
+    the outside share (in every period), mu finite, weights a distribution."""
+    if not (np.all(shares > 0) and np.all(outside > 0)):
+        raise ValueError("all shares must be strictly positive")
+    if np.max(np.abs(shares.sum(axis=0) + outside - 1.0)) > 1e-12:
+        raise ValueError("shares + outside share must sum to 1")
+    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):  # NaN fails
+        raise ValueError("weights must be non-negative and sum to 1")
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("mu must be finite")
 
 
-def logit_shares(delta, mu, weights):
-    """Mixed-logit shares from raw arrays: (s_j, s_0, per-type s_ij).
-
-    Each type's logit is computed with a max shift that includes the outside
-    option's zero utility, so large mu or delta never overflow.
-    """
-    delta = np.asarray(delta, dtype=float)
-    u = delta[None, :] + mu
+def outside_logit(u: np.ndarray):
+    """Each row's logit of utilities u (I, K) against an outside option at 0:
+    (shift a, exp(u - a), exp(-a), denominator exp(-a) + sum_k exp(u - a)).
+    a includes the outside utility 0, so nothing overflows."""
     a = np.maximum(u.max(axis=1), 0.0)
     e = np.exp(u - a[:, None])
     e0 = np.exp(-a)
-    denom = e0 + e.sum(axis=1)
+    return a, e, e0, e0 + e.sum(axis=1)
+
+
+def logit_shares(delta, mu, weights):
+    """Mixed-logit shares from raw arrays: (s_j, s_0, per-type s_ij)."""
+    delta = np.asarray(delta, dtype=float)
+    u = delta[None, :] + mu
+    _, e, e0, denom = outside_logit(u)
     s_ij = e / denom[:, None]
     s_i0 = e0 / denom
     s_j = weights @ s_ij
@@ -112,19 +118,17 @@ def phi_delta(delta, gamma: float, mkt: StaticMarket) -> np.ndarray:
 
 def iota_delta_to_V(delta, mkt: StaticMarket) -> np.ndarray:
     """Per-type inclusive value V_i = log(1 + sum_j exp(delta_j + mu_ij))."""
-    delta = np.asarray(delta, dtype=float)
-    u = delta[None, :] + mkt.mu
-    a = np.maximum(u.max(axis=1), 0.0)
-    return a + np.log(np.exp(-a) + np.exp(u - a[:, None]).sum(axis=1))
+    u = np.asarray(delta, dtype=float)[None, :] + mkt.mu  # outlives the exps, as in logsumexp
+    a, _, _, denom = outside_logit(u)
+    return a + np.log(denom)
 
 
 def iota_V_to_delta(V, gamma: float, mkt: StaticMarket) -> np.ndarray:
     """Analytic delta given inclusive values, with the gamma outside correction."""
     V = np.asarray(V, dtype=float)
-    log_denom = _wlse_over_types(mkt.mu - V[:, None], mkt.weights)
-    delta = mkt.log_shares - log_denom
+    delta = mkt.log_shares - logsumexp(mkt.mu - V[:, None], 0, mkt.weights)
     if gamma != 0.0:
-        log_s0_hat = _wlse_over_types((-V)[:, None], mkt.weights)[0]
+        log_s0_hat = logsumexp((-V)[:, None], 0, mkt.weights)[0]
         delta = delta - gamma * (mkt.log_outside - log_s0_hat)
     return delta
 
@@ -135,10 +139,7 @@ def phi_V(V, gamma: float, mkt: StaticMarket) -> np.ndarray:
 
 def dist_metric(delta, mkt: StaticMarket) -> float:
     """sup_j |log S_j - log s_j(delta)|; the post-convergence audit metric."""
-    s_j, _, _ = predict_shares(np.asarray(delta, dtype=float), mkt)
-    with np.errstate(divide="ignore"):
-        gap = mkt.log_shares - np.log(s_j)
-    return float(np.max(np.abs(gap)))
+    return log_share_gap(mkt.log_shares, predict_shares(delta, mkt)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +167,10 @@ def _kalouptsidi_rhs(r_full: np.ndarray, mkt: StaticMarket) -> np.ndarray:
 def kalouptsidi_F(r, mkt: StaticMarket) -> np.ndarray:
     """The original mapping: head types via the share sum, last via adding up."""
     r = np.asarray(r, dtype=float)
-    I = mkt.n_types
     rhs = _kalouptsidi_rhs(r, mkt)
     head = r[:-1] + np.log(mkt.weights[:-1]) - rhs[:-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        tail = np.log(mkt.outside_share - np.exp(head).sum()) if I > 1 \
-            else np.log(mkt.outside_share)
+        tail = np.log(mkt.outside_share - np.exp(head).sum())  # log S_0 with one type
     return np.concatenate([head, [tail]])
 
 
@@ -187,17 +186,12 @@ def kalouptsidi_Ftilde(r_tilde, mkt: StaticMarket) -> np.ndarray:
 
 def _r_from_r_tilde(rt: np.ndarray, mkt: StaticMarket) -> np.ndarray:
     r_full = np.concatenate([rt, [0.0]])
-    c = r_full.max()
-    lse = c + np.log(np.exp(r_full - c).sum())
-    return r_full + mkt.log_outside - lse
+    return r_full + mkt.log_outside - logsumexp(r_full, 0)
 
 
 def kalouptsidi_delta_from_r(r, mkt: StaticMarket) -> np.ndarray:
     """delta_j = log S_j - log(sum_i exp(mu_ij + r_i))."""
-    r = np.asarray(r, dtype=float)
-    z = mkt.mu + r[:, None]
-    m = z.max(axis=0)
-    return mkt.log_shares - (m + np.log(np.exp(z - m[None, :]).sum(axis=0)))
+    return mkt.log_shares - logsumexp(mkt.mu + np.asarray(r, dtype=float)[:, None], 0)
 
 
 def kalouptsidi_mixed_solve(mkt: StaticMarket, cfg: AccelConfig):

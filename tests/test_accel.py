@@ -118,8 +118,7 @@ class TestSpectralAlpha:
         assert spectral_alpha(s, y, "S3", cap=10.0) == pytest.approx(10.0)
 
     def test_degenerate_y_falls_back(self):
-        assert spectral_alpha(np.array([1.0]), np.array([0.0]), "S3",
-                              fallback=0.7) == 0.7
+        assert spectral_alpha(np.array([1.0]), np.array([0.0]), "S3") == 1.0
 
 
 class TestSpectralUpdate:

@@ -175,11 +175,28 @@ class TestConfig:
          "algorithms": [{"mapping": "delta", "method": "spectral", "step_rule": "S4"}]},
         {"suite": "static_j25", "algorithms": [{"mapping": "IV"}]},
         {"suite": "dynamic_pf", "algorithms": [{"mapping": "delta"}]},
+        {"suite": "large_hetero", "algorithms": [{"mapping": "delta", "gamma": 0.5}]},
+        {"suite": "static_j25", "algorithms": [{"mapping": "V", "gamma": 2}]},
+        {"suite": "rcnl", "algorithms": [{"mapping": "IV", "gamma": 0.5}]},
+        {"suite": "static_j25", "replications": 2.7},
+        {"suite": "static_j25", "replications": True},
+        {"suite": "static_j25", "master_seed": 1.5},
+        {"suite": "static_j25", "max_evaluations": "100"},
     ], ids=["unknown-key", "out_dir", "unknown-algorithm-key", "bad-method",
-            "bad-step-rule", "mapping-of-another-suite", "static-mapping-on-dynamic"])
+            "bad-step-rule", "mapping-of-another-suite", "static-mapping-on-dynamic",
+            "static-delta-gamma-half", "static-V-gamma-two", "rcnl-IV-gamma-half",
+            "float-replications", "bool-replications", "float-seed", "string-cap"])
     def test_rejects_at_parse_time(self, doc):
         with pytest.raises(ValueError):
             config_from_json(json.dumps(doc))
+
+    def test_dynamic_gammas_keep_distinct_labels(self):
+        doc = {"suite": "dynamic_pf", "algorithms": [{"mapping": m, "gamma": g}
+                                                     for m in ("V", "joint")
+                                                     for g in (0, 0.5, 1)]}
+        labels = [a.label for a in config_from_json(json.dumps(doc)).algorithms]
+        assert labels == ["V-(0)", "V-(0.5)", "V-(1)", "Vdelta-(0) (joint)",
+                          "Vdelta-(0.5) (joint)", "Vdelta-(1) (joint)"]
 
 
 def _labels(bases, tags):

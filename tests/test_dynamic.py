@@ -333,6 +333,24 @@ class TestJson:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("build", [
+        lambda: StaticMarket([0.5], 0.5, [[np.nan]], [1.0]),
+        lambda: StaticMarket([0.5], 0.5, [[np.inf]], [1.0]),
+        lambda: StaticMarket([0.5], 0.5, np.zeros((2, 1)), [1.5, -0.5]),
+        lambda: StaticMarket([0.5], 0.5, np.zeros((2, 1)), [np.nan, 1.0]),
+        lambda: DurableMarket([[1.2], [-0.3]], [0.1], np.zeros((1, 2, 1)), [1.0], 0.9),
+        lambda: DurableMarket([[0.3]], [0.7], np.zeros((2, 1, 1)), [1.5, 1.5], 0.9),
+        lambda: DurableMarket([[0.3]], [0.7], np.zeros((2, 1, 1)), [1.5, -0.5], 0.9),
+        lambda: DurableMarket([[0.3]], [0.7], np.full((1, 1, 1), np.nan), [1.0], 0.9),
+        lambda: DurableMarket([[0.3]], [0.7], np.zeros((1, 1, 1)), [1.0], 0.9,
+                              pr0_init=[np.nan]),
+    ], ids=["static-nan-mu", "static-inf-mu", "static-negative-weight", "static-nan-weight",
+            "durable-negative-share", "durable-weights-sum-3", "durable-negative-weight",
+            "durable-nan-mu", "durable-nan-pr0"])
+    def test_market_constructors_reject_bad_data(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_rejects_bad_period_sums(self):
         with pytest.raises(ValueError):
             DurableMarket(np.full((1, 2), 0.3), np.array([0.5, 0.7]),

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandinv.numerics import (chebyshev_eval_rows, chebyshev_fit_matrix,
-                                chebyshev_nodes, gauss_hermite, ls_minnorm,
-                                ols_ar1_rows)
+                                chebyshev_nodes, gauss_hermite, log_share_gap,
+                                logsumexp, ls_minnorm, ols_ar1_rows)
 
 
 def chebyshev_fit(values):
@@ -23,6 +23,40 @@ def chebyshev_eval(coeffs, x, lo, hi):
 def ols_ar1(series):
     """(intercept, slope, residual sd) of one series: a single row of ols_ar1_rows."""
     return tuple(v[0] for v in ols_ar1_rows(np.asarray(series, dtype=float)[None, :]))
+
+
+class TestLogsumexp:
+    @pytest.mark.parametrize("shape, axis", [((5,), 0), ((4, 3), 0), ((4, 3), 1),
+                                             ((4, 3, 2), 0), ((4, 3, 2), 1),
+                                             ((4, 3, 2), 2)])
+    def test_matches_naive_form(self, shape, axis):
+        z = np.random.default_rng(0).normal(size=shape)
+        np.testing.assert_allclose(logsumexp(z, axis), np.log(np.exp(z).sum(axis=axis)),
+                                   rtol=1e-14)
+
+    def test_weights_run_along_the_first_axis(self):
+        rng = np.random.default_rng(1)
+        z = rng.normal(size=(4, 3))
+        w = rng.random(4)
+        np.testing.assert_allclose(logsumexp(z, 0, w),
+                                   np.log((w[:, None] * np.exp(z)).sum(axis=0)), rtol=1e-14)
+        np.testing.assert_allclose(logsumexp(z, 1, w), np.log(w) + logsumexp(z, 1),
+                                   rtol=1e-14)
+
+    def test_finite_where_the_naive_form_overflows(self):
+        z = np.random.default_rng(2).normal(size=(4, 3))
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(np.log(np.exp(z + 1e3).sum(axis=0))))
+        np.testing.assert_allclose(logsumexp(z + 1e3, 0), logsumexp(z, 0) + 1e3,
+                                   rtol=1e-14)
+        np.testing.assert_allclose(logsumexp(z - 1e3, 1), logsumexp(z, 1) - 1e3,
+                                   rtol=1e-14)
+
+    def test_log_share_gap(self):
+        s = np.array([0.2, 0.3])
+        assert log_share_gap(np.log(s), s) == 0.0
+        assert log_share_gap(np.log(s), s * np.array([1.0, np.e])) == pytest.approx(1.0)
+        assert log_share_gap(np.log(s), np.array([0.2, 0.0])) == np.inf
 
 
 class TestLsMinnorm:

@@ -12,8 +12,8 @@ from demandinv.static_rcl import (StaticMarket, dist_metric, initial_delta,
                                   iota_V_to_delta, iota_delta_to_V,
                                   kalouptsidi_F, kalouptsidi_delta_from_r,
                                   logit_shares, market_from_json,
-                                  market_to_json, phi_V, phi_delta,
-                                  predict_shares, solve_inner)
+                                  market_to_json, outside_logit, phi_V,
+                                  phi_delta, predict_shares, solve_inner)
 
 from oracles import naive_shares, newton_invert
 
@@ -70,7 +70,9 @@ class TestPredictShares:
         d = rng.normal(size=int(J)) * 3
         s_j, s_0, s_ij = predict_shares(d, mkt)
         assert abs(s_j.sum() + s_0 - 1.0) < 1e-14
-        rows = s_ij.sum(axis=1) + (1.0 - s_ij.sum(axis=1))
+        _, e, e0, denom = outside_logit(d[None, :] + mkt.mu)
+        np.testing.assert_allclose(s_ij, e / denom[:, None], rtol=0, atol=0)
+        rows = s_ij.sum(axis=1) + e0 / denom  # inside plus outside, per type
         np.testing.assert_allclose(rows, 1.0, atol=1e-14)
         assert np.all(s_ij > 0) and np.all(s_ij < 1)
 
@@ -78,6 +80,12 @@ class TestPredictShares:
         mkt = StaticMarket([0.6], 0.4, np.array([[800.0]]), [1.0])
         s_j, s_0, _ = predict_shares(np.array([10.0]), mkt)
         assert np.isfinite(s_j).all() and s_j[0] == pytest.approx(1.0)
+        u = np.array([[810.0, 809.0], [-900.0, -901.0]])
+        a, e, e0, denom = outside_logit(u)
+        np.testing.assert_array_equal(a, [810.0, 0.0])
+        np.testing.assert_allclose((e.sum(axis=1) + e0) / denom, 1.0, atol=1e-15)
+        np.testing.assert_allclose(a + np.log(denom),
+                                   [810.0 + np.log1p(np.exp(-1.0)), 0.0], atol=1e-12)
 
 
 class TestPhiDelta:
