@@ -16,6 +16,8 @@ field of :class:`SolveOutcome` counts every application of the mapping
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -50,9 +52,37 @@ class FixedPointMap:
                 raise ValueError("block_partition must be disjoint and exhaustive")
 
 
-@dataclass
+def checked_int(name: str, value, minimum: int) -> int:
+    """value if it is an integer (not a bool) >= minimum; ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, not {value!r}")
+    return int(value)
+
+
+def checked_real(name: str, value, within: Callable[[float], bool], rule: str) -> float:
+    """value as a float if it is a real (not a bool) for which within holds;
+    ValueError naming the rule otherwise. NaN lies in no range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not within(float(value)):
+        raise ValueError(f"{name} must be {rule}, not {value!r}")
+    return float(value)
+
+
+def checked_tolerance(name: str, value) -> float:
+    return checked_real(name, value, lambda v: 0.0 < v < math.inf, "a finite positive real")
+
+
+def checked_name(name: str, value, choices) -> str:
+    """value if it is one of the string choices; ValueError otherwise."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(f"unknown {name} {value!r}; known: {list(choices)}")
+    return value
+
+
+@dataclass(frozen=True)
 class AccelConfig:
-    """Solver configuration.
+    """Solver configuration, checked once at construction; change it with
+    dataclasses.replace.
 
     tolerance is a sup-norm criterion on Phi(x) - x, which for plain
     iteration coincides with the change between successive iterates.
@@ -66,16 +96,15 @@ class AccelConfig:
     use_blocks: bool = False
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.step_size_rule not in STEP_RULES:
-            raise ValueError(f"unknown step size rule {self.step_size_rule!r}")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_evaluations < 1:
-            raise ValueError("max_evaluations must be >= 1")
-        if self.anderson_memory < 1:
-            raise ValueError("anderson_memory must be >= 1")
+        checked_name("method", self.method, METHODS)
+        checked_name("step size rule", self.step_size_rule, STEP_RULES)
+        object.__setattr__(self, "tolerance", checked_tolerance("tolerance", self.tolerance))
+        object.__setattr__(self, "max_evaluations",
+                           checked_int("max_evaluations", self.max_evaluations, 1))
+        object.__setattr__(self, "anderson_memory",
+                           checked_int("anderson_memory", self.anderson_memory, 1))
+        if not isinstance(self.use_blocks, bool):
+            raise ValueError(f"use_blocks must be a bool, not {self.use_blocks!r}")
 
 
 @dataclass

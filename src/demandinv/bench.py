@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .accel import AccelConfig
+from .accel import (METHODS, STEP_RULES, AccelConfig, checked_int, checked_name,
+                    checked_real, checked_tolerance)
 from .datagen import (DynamicDgpParams, SeededRng, StaticDgpParams, draw_theta,
                       gen_dynamic_market, gen_nested_market, gen_static_market,
                       large_heterogeneity_market)
@@ -39,6 +40,14 @@ class AlgorithmSpec:
     method: str = "plain"
     step_rule: str = "S3"
 
+    def __post_init__(self):
+        if not isinstance(self.mapping, str):
+            raise ValueError(f"mapping must be a string, not {self.mapping!r}")
+        object.__setattr__(self, "gamma", checked_real(
+            "gamma", self.gamma, lambda g: 0.0 <= g <= 1.0, "a real in [0, 1]"))
+        checked_name("method", self.method, METHODS)
+        checked_name("step rule", self.step_rule, STEP_RULES)
+
     @property
     def label(self) -> str:
         if self.mapping.startswith("kalouptsidi"):
@@ -54,10 +63,13 @@ class AlgorithmSpec:
         return f"{base}+{tag}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One suite's run, checked once at construction; change it with
+    dataclasses.replace."""
+
     suite: str
-    algorithms: list[AlgorithmSpec]
+    algorithms: tuple[AlgorithmSpec, ...]
     replications: int
     master_seed: int
     tolerance: float
@@ -65,11 +77,15 @@ class ExperimentConfig:
     dist_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.suite not in SUITES:
-            raise ValueError(f"unknown suite {self.suite!r}")
-        if self.replications < 1 or not self.algorithms:
-            raise ValueError("need replications >= 1 and a non-empty algorithm list")
-        solvers = _SUITE_TABLE[self.suite].solvers
+        solvers = _SUITE_TABLE[checked_name("suite", self.suite, SUITES)].solvers
+        if not (isinstance(self.algorithms, (list, tuple)) and self.algorithms
+                and all(isinstance(a, AlgorithmSpec) for a in self.algorithms)):
+            raise ValueError("algorithms must be a non-empty sequence of AlgorithmSpec")
+        object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        for name, minimum in (("replications", 1), ("master_seed", 0), ("max_evaluations", 1)):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), minimum))
+        for name in ("tolerance", "dist_tol"):
+            object.__setattr__(self, name, checked_tolerance(name, getattr(self, name)))
         for algo in self.algorithms:
             if algo.mapping not in solvers:
                 raise ValueError(f"mapping {algo.mapping!r} is not one of {sorted(solvers)} "
@@ -78,7 +94,6 @@ class ExperimentConfig:
                     and algo.gamma not in (0.0, 1.0):  # the dynamic solvers take any gamma
                 raise ValueError(f"mapping {algo.mapping!r} of suite {self.suite!r} "
                                  f"exists for gamma 0 and 1, not {algo.gamma}")
-            _accel_cfg(self, algo)  # rejects a bad method, step rule, tolerance or cap
 
 
 @dataclass(frozen=True)
@@ -217,46 +232,41 @@ SUITES = tuple(_SUITE_TABLE)
 
 def default_config(suite: str) -> ExperimentConfig:
     """Table-note defaults per suite: tolerances, caps, algorithm grids."""
-    if suite not in _SUITE_TABLE:
-        raise ValueError(f"unknown suite {suite!r}")
-    s = _SUITE_TABLE[suite]
-    return ExperimentConfig(suite, list(s.algorithms), s.replications, s.master_seed,
+    s = _SUITE_TABLE[checked_name("suite", suite, SUITES)]
+    return ExperimentConfig(suite, s.algorithms, s.replications, s.master_seed,
                             s.tolerance, s.max_evaluations)
 
 
-_INT_KEYS = ("replications", "master_seed", "max_evaluations")
-_FLOAT_KEYS = ("tolerance", "dist_tol")
+_CONFIG_KEYS = ("suite", "algorithms", "replications", "master_seed", "tolerance",
+                "max_evaluations", "dist_tol")
 _ALGORITHM_KEYS = ("mapping", "gamma", "method", "step_rule")
 
 
-def _unknown(keys, known, where):
-    extra = sorted(set(keys) - set(known))
+def _json_object(doc, keys, where) -> dict:
+    """doc if it is a JSON object with only the given keys; ValueError otherwise."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, not {doc!r}")
+    extra = sorted(set(doc) - set(keys))
     if extra:
-        raise ValueError(f"unknown {where} keys {extra}; known: {sorted(known)}")
-
-
-def _algorithm_from_json(a: dict) -> AlgorithmSpec:
-    _unknown(a, _ALGORITHM_KEYS, "algorithm")
-    if "mapping" not in a:
-        raise ValueError("every algorithm needs a mapping")
-    return AlgorithmSpec(a["mapping"], float(a.get("gamma", 1.0)),
-                         a.get("method", "plain"), a.get("step_rule", "S3"))
+        raise ValueError(f"unknown {where} keys {extra}; known: {sorted(keys)}")
+    return doc
 
 
 def config_from_json(text: str) -> ExperimentConfig:
-    """A suite's defaults with the document's overrides; ValueError on unknown
-    keys, or on a mapping, method or step rule the suite cannot run."""
-    doc = json.loads(text)
-    _unknown(doc, ("suite", "algorithms") + _INT_KEYS + _FLOAT_KEYS, "config")
+    """A suite's defaults with the document's overrides. Only the shape and
+    the keys are checked here; the values go unchanged to the constructors,
+    which raise ValueError on anything they cannot run."""
+    doc = _json_object(json.loads(text), _CONFIG_KEYS, "config")
     if "suite" not in doc:
         raise ValueError("config needs a suite")
-    overrides = {k: doc[k] for k in _INT_KEYS if k in doc}
-    bad = [k for k, v in overrides.items() if type(v) is not int]
-    if bad:
-        raise ValueError(f"config keys {bad} must be integers")
-    overrides.update({k: float(doc[k]) for k in _FLOAT_KEYS if k in doc})
+    overrides = {k: v for k, v in doc.items() if k != "suite"}
     if "algorithms" in doc:
-        overrides["algorithms"] = [_algorithm_from_json(a) for a in doc["algorithms"]]
+        if not isinstance(doc["algorithms"], list):
+            raise ValueError("algorithms must be a JSON list")
+        algos = [_json_object(a, _ALGORITHM_KEYS, "algorithm") for a in doc["algorithms"]]
+        if not all("mapping" in a for a in algos):
+            raise ValueError("every algorithm needs a mapping")
+        overrides["algorithms"] = tuple(AlgorithmSpec(**a) for a in algos)
     return replace(default_config(doc["suite"]), **overrides)
 
 

@@ -37,14 +37,6 @@ class SeededRng:
         return np.random.default_rng(seq)
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, SeededRng):
-        return rng.generator()
-    return SeededRng(int(rng)).generator()
-
-
 def normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard normals via the inverse CDF (portable across ports)."""
     u = np.clip(rng.random(shape), 1e-300, 1.0 - 1e-16)
@@ -93,8 +85,10 @@ class StaticInstance:
 
     def with_theta(self, theta) -> StaticMarket:
         """Market with candidate-theta deviations, same shares and nodes."""
-        mu = (self.nodes * np.asarray(theta, dtype=float)) @ self.X.T
-        return replace(self.market, mu=mu)
+        return replace(self.market, mu=self._mu(theta))
+
+    def _mu(self, theta) -> np.ndarray:
+        return (self.nodes * np.asarray(theta, dtype=float)) @ self.X.T
 
 
 def _static_draw(p: StaticDgpParams, rng: np.random.Generator):
@@ -111,61 +105,58 @@ def _static_draw(p: StaticDgpParams, rng: np.random.Generator):
     return X, delta, nodes, mu
 
 
-def gen_static_market(p: StaticDgpParams, rng) -> StaticInstance:
-    """One static replication: market data at the true parameters.
-
-    Degenerate draws (any share below 1e-300) are redrawn from the same
-    stream; the attempt count is recorded on the instance.
-    """
-    g = _as_rng(rng)
+def _draw_market(p: StaticDgpParams, rng: np.random.Generator, shares):
+    """Static draws with the market data at the true parameters, where
+    shares(delta, mu, weights) -> (s_j, s_0). Degenerate draws (any share
+    below 1e-300) are redrawn from the same stream.
+    Returns (StaticMarket, X, delta, nodes, redraws)."""
+    weights = np.full(p.n_draws, 1.0 / p.n_draws)
     redraws = 0
     while True:
-        X, delta, nodes, mu = _static_draw(p, g)
-        s_j, s_0, _ = logit_shares(delta, mu, np.full(p.n_draws, 1.0 / p.n_draws))
+        X, delta, nodes, mu = _static_draw(p, rng)
+        s_j, s_0 = shares(delta, mu, weights)
         if s_0 > _SHARE_FLOOR and np.all(s_j > _SHARE_FLOOR):
             break
         redraws += 1
-    weights = np.full(p.n_draws, 1.0 / p.n_draws)
     market = StaticMarket(shares=s_j, outside_share=1.0 - s_j.sum(), mu=mu,
                           weights=weights)
+    return market, X, delta, nodes, redraws
+
+
+def gen_static_market(p: StaticDgpParams, rng: np.random.Generator) -> StaticInstance:
+    """One static replication: market data at the true parameters; the
+    redraw count is recorded on the instance."""
+    market, X, delta, nodes, redraws = _draw_market(
+        p, rng, lambda delta, mu, w: logit_shares(delta, mu, w)[:2])
     return StaticInstance(market=market, delta_true=delta,
                           theta_true=np.asarray(p.sd_coefs, dtype=float),
                           X=X, nodes=nodes, redraws=redraws)
 
 
 @dataclass(frozen=True)
-class NestedInstance:
+class NestedInstance(StaticInstance):
     market: NestedMarket
-    delta_true: np.ndarray
-    theta_true: np.ndarray
-    X: np.ndarray
-    nodes: np.ndarray
-    redraws: int = 0
 
     def with_theta(self, theta) -> NestedMarket:
-        mu = (self.nodes * np.asarray(theta, dtype=float)) @ self.X.T
-        return replace(self.market, base=replace(self.market.base, mu=mu))
+        return replace(self.market, base=replace(self.market.base, mu=self._mu(theta)))
 
 
-def gen_nested_market(p: StaticDgpParams, rng, n_nests: int = 3,
-                      products_per_nest: int = 25, rho: float = 0.5) -> NestedInstance:
-    """Static DGP plus a nest layout; observed shares from the nested model."""
-    if p.n_products != n_nests * products_per_nest:
-        p = replace(p, n_products=n_nests * products_per_nest)
-    g = _as_rng(rng)
-    nest_of = np.repeat(np.arange(n_nests), products_per_nest)
-    groups = tuple(np.flatnonzero(nest_of == k) for k in range(n_nests))
-    rho_vec = np.full(n_nests, float(rho))
-    weights = np.full(p.n_draws, 1.0 / p.n_draws)
-    redraws = 0
-    while True:
-        X, delta, nodes, mu = _static_draw(p, g)
-        s_j, s_g, s_0, _ = nested_shares(delta, mu, weights, groups, rho_vec)
-        if s_0 > _SHARE_FLOOR and np.all(s_j > _SHARE_FLOOR):
-            break
-        redraws += 1
-    base = StaticMarket(shares=s_j, outside_share=1.0 - s_j.sum(), mu=mu,
-                        weights=weights)
+def gen_nested_market(p: StaticDgpParams, rng: np.random.Generator,
+                      rho: float = 0.5) -> NestedInstance:
+    """Static DGP in three equal nests, products 0..J/3-1 in the first, with a
+    common rho; observed shares from the nested model. ValueError unless
+    p.n_products is divisible by 3."""
+    if p.n_products % 3:
+        raise ValueError(f"n_products must be divisible by 3, not {p.n_products}")
+    nest_of = np.repeat(np.arange(3), p.n_products // 3)
+    groups = tuple(np.flatnonzero(nest_of == k) for k in range(3))
+    rho_vec = np.full(3, float(rho))
+
+    def shares(delta, mu, weights):
+        s_j, _, s_0, _ = nested_shares(delta, mu, weights, groups, rho_vec)
+        return s_j, s_0
+
+    base, X, delta, nodes, redraws = _draw_market(p, rng, shares)
     market = NestedMarket(base=base, nest_of=nest_of, rho=rho_vec)
     return NestedInstance(market=market, delta_true=delta,
                           theta_true=np.asarray(p.sd_coefs, dtype=float),
@@ -200,22 +191,21 @@ def _terminal_value(beta: float, omega_T: np.ndarray) -> np.ndarray:
     return v
 
 
-def gen_dynamic_market(p: DynamicDgpParams, rng) -> DynamicInstance:
+def gen_dynamic_market(p: DynamicDgpParams, rng: np.random.Generator) -> DynamicInstance:
     """One durable-goods replication with the exact truth recorded.
 
     The true value function is solved by backward induction with the
     stationary terminal condition; observed shares are the implied
     conditional-on-active shares, so the inner-loop solution exists exactly.
     """
-    g = _as_rng(rng)
     J, I, T, beta = p.n_products, p.n_draws, p.horizon, p.beta
     redraws = 0
     while True:
-        chi = normal(g, (T, J, 3)) * p.chi_sd
-        xi = normal(g, (T, J))
-        w_shock = normal(g, (T, J)) * p.w_shock_sd
-        u = normal(g, (T, J)) * p.u_shock_sd
-        eta = normal(g, (T, J)) * p.z_shock_sd
+        chi = normal(rng, (T, J, 3)) * p.chi_sd
+        xi = normal(rng, (T, J))
+        w_shock = normal(rng, (T, J)) * p.w_shock_sd
+        u = normal(rng, (T, J)) * p.u_shock_sd
+        eta = normal(rng, (T, J)) * p.z_shock_sd
         z = np.empty((T, J))
         z_prev = np.full(J, p.z_init)
         for t in range(T):
@@ -227,7 +217,7 @@ def gen_dynamic_market(p: DynamicDgpParams, rng) -> DynamicInstance:
                  + gxi * xi - cross @ np.asarray(p.price_cross) + u)
         X = np.concatenate([np.ones((T, J, 1)), chi, -price[:, :, None]], axis=2)
         delta = (X @ np.asarray(p.mean_coefs, dtype=float) + xi).T  # (J, T)
-        nodes = normal(g, (I, 5))
+        nodes = normal(rng, (I, 5))
         mu = np.einsum("ik,tjk->ijt", nodes * np.asarray(p.sd_coefs, dtype=float), X)
 
         # true values: terminal stationarity, then backward induction
@@ -260,11 +250,10 @@ def gen_dynamic_market(p: DynamicDgpParams, rng) -> DynamicInstance:
                            X=X, nodes=nodes, solution_true=truth, redraws=redraws)
 
 
-def draw_theta(theta_true, rng) -> np.ndarray:
+def draw_theta(theta_true, rng: np.random.Generator) -> np.ndarray:
     """Candidate nonlinear parameters, componentwise U[0, 2*theta_true]."""
-    g = _as_rng(rng)
     theta_true = np.asarray(theta_true, dtype=float)
-    return g.random(theta_true.shape) * 2.0 * theta_true
+    return rng.random(theta_true.shape) * 2.0 * theta_true
 
 
 def large_heterogeneity_market() -> tuple[StaticMarket, np.ndarray]:

@@ -69,6 +69,8 @@ class DurableMarket:
                else np.asarray(self.pr0_init, dtype=float))
         if pr0.shape != (I,) or not np.all((pr0 >= 0) & (pr0 <= 1)):
             raise ValueError("pr0_init must be I fractions in [0, 1]")
+        if not weights @ pr0 > 0:
+            raise ValueError("some type must be active in the first period")
         for name, arr in (("shares", shares), ("outside_shares", outside),
                           ("mu", mu), ("weights", weights), ("pr0_init", pr0)):
             arr.flags.writeable = False

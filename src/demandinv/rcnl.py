@@ -41,7 +41,7 @@ class NestedMarket:
             rho = np.full(n_nests, float(rho))
         if rho.shape != (n_nests,):
             raise ValueError("rho must be scalar or one value per nest")
-        if np.any(rho < 0) or np.any(rho >= 1):
+        if not np.all((rho >= 0) & (rho < 1)):  # NaN fails
             raise ValueError("rho must lie in [0, 1)")
         object.__setattr__(self, "nest_of", nest_of)
         object.__setattr__(self, "rho", rho)

@@ -42,6 +42,8 @@ class StaticMarket:
         shares = np.asarray(self.shares, dtype=float)
         mu = np.asarray(self.mu, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
+        if shares.ndim != 1 or np.ndim(self.outside_share) != 0:
+            raise ValueError("shares must be a vector and outside_share a scalar")
         object.__setattr__(self, "shares", shares)
         object.__setattr__(self, "outside_share", float(self.outside_share))
         object.__setattr__(self, "mu", mu)

@@ -4,6 +4,8 @@ Run with ``pytest -s tests/test_acceptance.py`` to see every line; the
 dynamic criteria dominate the runtime (several minutes).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -198,8 +200,8 @@ def test_criterion_6_step_size_rules(static_j25_rows, static_j250_rows):
     s3_ok &= all(rows250[lab].conv_pct == 100.0
                  for lab in rows250 if "spectral" in lab or "squarem" in lab)
 
-    cfg = default_config("stepsize_sweep")
-    cfg.algorithms = [AlgorithmSpec("delta", 1.0, "spectral", "S1")]
+    cfg = replace(default_config("stepsize_sweep"),
+                  algorithms=[AlgorithmSpec("delta", 1.0, "spectral", "S1")])
     s1_rows = rows_by_label(run_suite(cfg))
     s1_conv = s1_rows["delta-(1)+spectral[S1]"].conv_pct
     s1_ok = s1_conv < 100.0
@@ -222,9 +224,9 @@ def test_criterion_6_step_size_rules(static_j25_rows, static_j250_rows):
 
 
 def test_criterion_7_rcnl():
-    cfg = default_config("rcnl")
-    cfg.algorithms = [AlgorithmSpec("delta", 0.0), AlgorithmSpec("delta", 1.0),
-                      AlgorithmSpec("IV", 1.0)]
+    cfg = replace(default_config("rcnl"),
+                  algorithms=[AlgorithmSpec("delta", 0.0), AlgorithmSpec("delta", 1.0),
+                              AlgorithmSpec("IV", 1.0)])
     rows = rows_by_label(run_suite(cfg))
     conv_ok = (rows["delta-(1)"].conv_pct == 100.0
                and rows["IV-(1)"].conv_pct == 100.0

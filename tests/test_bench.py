@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demandinv.accel import AccelConfig
 from demandinv.bench import (AlgorithmSpec, ExperimentConfig, RunRecord,
                              config_from_json, default_config, nearest_rank,
                              read_records, render, run_suite, summarize,
@@ -15,11 +17,9 @@ from demandinv.cli import main as cli_main
 
 
 def tiny_config(suite="static_j25", reps=2):
-    cfg = default_config(suite)
-    cfg.replications = reps
-    cfg.algorithms = [AlgorithmSpec("delta", 1.0, "plain"),
-                      AlgorithmSpec("delta", 1.0, "anderson")]
-    return cfg
+    return dataclasses.replace(default_config(suite), replications=reps,
+                               algorithms=[AlgorithmSpec("delta", 1.0, "plain"),
+                                           AlgorithmSpec("delta", 1.0, "anderson")])
 
 
 class TestQuantiles:
@@ -125,9 +125,9 @@ class TestRunSuite:
         assert labels == {"delta-(1)", "delta-(1)+anderson"}
 
     def test_large_hetero_suite_rows(self):
-        cfg = default_config("large_hetero")
-        cfg.algorithms = [AlgorithmSpec("delta", 1.0, "plain"),
-                          AlgorithmSpec("delta", 1.0, "spectral")]
+        cfg = dataclasses.replace(default_config("large_hetero"),
+                                  algorithms=[AlgorithmSpec("delta", 1.0, "plain"),
+                                              AlgorithmSpec("delta", 1.0, "spectral")])
         rows = summarize(run_suite(cfg), dist_tol=cfg.dist_tol)
         by_label = {r.algorithm: r for r in rows}
         assert by_label["delta-(1)"].conv_pct == 0.0
@@ -135,9 +135,8 @@ class TestRunSuite:
         assert by_label["delta-(1)+spectral"].dist_below_pct == 100.0
 
     def test_dynamic_suite_smoke(self):
-        cfg = default_config("dynamic_pf")
-        cfg.replications = 1
-        cfg.algorithms = [AlgorithmSpec("V", 1.0, "anderson")]
+        cfg = dataclasses.replace(default_config("dynamic_pf"), replications=1,
+                                  algorithms=[AlgorithmSpec("V", 1.0, "anderson")])
         recs = run_suite(cfg)
         assert len(recs) == 1
         assert recs[0].converged
@@ -182,13 +181,49 @@ class TestConfig:
         {"suite": "static_j25", "replications": True},
         {"suite": "static_j25", "master_seed": 1.5},
         {"suite": "static_j25", "max_evaluations": "100"},
+        5,
+        {"suite": [1]},
+        {"suite": "static_j25", "algorithms": 5},
+        {"suite": "static_j25", "algorithms": [{"mapping": ["delta"]}]},
+        {"suite": "static_j25", "tolerance": True},
+        {"suite": "static_j25", "tolerance": float("inf")},
+        {"suite": "static_j25", "dist_tol": "1e-3"},
+        {"suite": "static_j25", "algorithms": [{"mapping": "delta", "gamma": "1"}]},
+        {"suite": "dynamic_pf", "algorithms": [{"mapping": "V", "gamma": 7}]},
     ], ids=["unknown-key", "out_dir", "unknown-algorithm-key", "bad-method",
             "bad-step-rule", "mapping-of-another-suite", "static-mapping-on-dynamic",
             "static-delta-gamma-half", "static-V-gamma-two", "rcnl-IV-gamma-half",
-            "float-replications", "bool-replications", "float-seed", "string-cap"])
+            "float-replications", "bool-replications", "float-seed", "string-cap",
+            "top-level-number", "list-suite", "number-algorithms", "list-mapping",
+            "bool-tolerance", "infinite-tolerance", "string-dist-tol", "string-gamma",
+            "dynamic-V-gamma-seven"])
     def test_rejects_at_parse_time(self, doc):
         with pytest.raises(ValueError):
             config_from_json(json.dumps(doc))
+
+    def test_configs_are_frozen(self):
+        cfg = default_config("static_j25")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.algorithms = [AlgorithmSpec("delta", 0.5, "spectral")]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            AccelConfig().tolerance = 1.0
+        assert isinstance(cfg.algorithms, tuple)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ExperimentConfig("static_j25", [AlgorithmSpec("delta")], 2.7, 0, 1e-13, 10),
+        lambda: AccelConfig(max_evaluations=2.5),
+        lambda: AccelConfig(tolerance=True),
+        lambda: AccelConfig(tolerance=float("inf")),
+    ], ids=["float-replications", "float-cap", "bool-tolerance", "infinite-tolerance"])
+    def test_python_api_rejects_what_json_rejects(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_integers_become_floats_where_the_field_is_a_float(self):
+        cfg = ExperimentConfig("static_j25", [AlgorithmSpec("V", 0, "squarem")], 1, 0, 1, 10, 1)
+        assert type(cfg.tolerance) is float and type(cfg.dist_tol) is float
+        assert type(cfg.algorithms[0].gamma) is float
+        assert cfg.algorithms[0].label == "V-(0)+squarem"
 
     def test_dynamic_gammas_keep_distinct_labels(self):
         doc = {"suite": "dynamic_pf", "algorithms": [{"mapping": m, "gamma": g}
@@ -282,4 +317,12 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg_path),
                          "--out", str(tmp_path / "out")]) == 2
         assert "replication" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_config_exits_2_with_a_message(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"suite": "static_j25", "algorithms": 5}))
+        assert cli_main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert "algorithms must be a JSON list" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -92,6 +92,18 @@ class TestNestedDgp:
         total = inst.market.nest_shares.sum() + inst.market.base.outside_share
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_layout_follows_n_products(self):
+        inst = gen_nested_market(StaticDgpParams(n_products=12, n_draws=10),
+                                 SeededRng(8, 2).generator())
+        assert inst.market.base.n_products == 12
+        np.testing.assert_array_equal(inst.market.nest_of, np.repeat(np.arange(3), 4))
+
+    @pytest.mark.parametrize("n_products", [100, 25, 1])
+    def test_rejects_n_products_not_divisible_by_3(self, n_products):
+        with pytest.raises(ValueError, match="divisible by 3"):
+            gen_nested_market(StaticDgpParams(n_products=n_products),
+                              SeededRng(8, 0).generator())
+
 
 class TestDynamicDgp:
     def test_reproducible_bit_exact(self):

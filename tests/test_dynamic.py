@@ -2,16 +2,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demandinv.accel import AccelConfig
 from demandinv.datagen import (DynamicDgpParams, SeededRng, draw_theta,
                                gen_dynamic_market)
 from demandinv.dynamic import (DurableMarket, IvsGrid, bellman_residual,
                                durable_market_from_json, durable_market_to_json,
-                               ivs_solve, pf_forward_pass, pf_solve,
-                               pf_value_update, traditional_joint_solve,
+                               initial_delta_myopic, ivs_solve, pf_forward_pass,
+                               pf_solve, pf_value_update, traditional_joint_solve,
                                traditional_nested_solve)
-from demandinv.static_rcl import StaticMarket, iota_V_to_delta, logit_shares
+from demandinv.rcnl import NestedMarket, rcnl_initial_delta, rcnl_phi_delta
+from demandinv.static_rcl import (StaticMarket, initial_delta, iota_V_to_delta,
+                                  logit_shares, phi_delta)
 
 
 def desk_instance(rep=0, horizon=12, n_products=4, n_draws=6, beta=0.9):
@@ -344,12 +348,29 @@ class TestValidation:
         lambda: DurableMarket([[0.3]], [0.7], np.full((1, 1, 1), np.nan), [1.0], 0.9),
         lambda: DurableMarket([[0.3]], [0.7], np.zeros((1, 1, 1)), [1.0], 0.9,
                               pr0_init=[np.nan]),
+        lambda: NestedMarket(StaticMarket([0.5], 0.5, np.zeros((1, 1)), [1.0]), [0], np.nan),
     ], ids=["static-nan-mu", "static-inf-mu", "static-negative-weight", "static-nan-weight",
             "durable-negative-share", "durable-weights-sum-3", "durable-negative-weight",
-            "durable-nan-mu", "durable-nan-pr0"])
+            "durable-nan-mu", "durable-nan-pr0", "nested-nan-rho"])
     def test_market_constructors_reject_bad_data(self, build):
         with pytest.raises(ValueError):
             build()
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_constructors_reject_or_build_finite_markets(self, data):
+        """Every draw of constructor inputs, valid or spoiled, either raises
+        ValueError or builds a market whose start point and first mapping
+        evaluation are finite."""
+        kind = data.draw(st.sampled_from(["static", "nested", "durable"]))
+        build, start, evaluate = _MARKET_KINDS[kind](data.draw)
+        try:
+            mkt = build()
+        except ValueError:
+            return
+        x0 = start(mkt)
+        assert np.all(np.isfinite(x0))
+        assert np.all(np.isfinite(evaluate(x0, mkt)))
 
     def test_rejects_bad_period_sums(self):
         with pytest.raises(ValueError):
@@ -360,3 +381,71 @@ class TestValidation:
         with pytest.raises(ValueError):
             DurableMarket(np.full((1, 1), 0.3), np.array([0.7]),
                           np.zeros((1, 1, 1)), [1.0], 1.0)
+
+
+# Inputs for the market constructors: valid data, then maybe one entry
+# replaced by a special value or one axis made one longer or shorter.
+_SPECIAL = (np.nan, np.inf, -np.inf, 0.0, -1.0, 1.0)
+
+
+def _spoil(draw, valid, specials=_SPECIAL):
+    arr = np.array(valid)
+    how = draw(st.sampled_from(["keep", "value", "shape"]))
+    if how == "value" and arr.size:
+        arr.flat[draw(st.integers(0, arr.size - 1))] = draw(st.sampled_from(specials))
+    elif how == "shape":
+        if arr.ndim == 0:
+            return np.array([arr, arr])
+        axis = draw(st.integers(0, arr.ndim - 1))
+        n = arr.shape[axis] + draw(st.sampled_from([-1, 1]))
+        arr = np.resize(np.moveaxis(arr, axis, -1), arr.shape[:axis] + arr.shape[axis + 1:]
+                        + (max(n, 0),))
+        arr = np.moveaxis(arr, -1, axis)
+    return arr
+
+
+def _simplex(draw, n):
+    """n positive entries summing to 1 (up to rounding)."""
+    x = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    return x / x.sum()
+
+
+def _static_inputs(draw):
+    I, J = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    s = _simplex(draw, J + 1)
+    mu = np.array(draw(st.lists(st.floats(-5, 5), min_size=I * J, max_size=I * J)))
+    return (_spoil(draw, s[:J]), _spoil(draw, s[J]),
+            _spoil(draw, mu.reshape(I, J)), _spoil(draw, _simplex(draw, I)))
+
+
+def _static(draw):
+    args = _static_inputs(draw)
+    return (lambda: StaticMarket(*args), initial_delta,
+            lambda x, mkt: phi_delta(x, 1.0, mkt))
+
+
+def _nested(draw):
+    args = _static_inputs(draw)
+    J = np.asarray(args[0]).size
+    n_nests = draw(st.integers(1, max(J, 1)))
+    nest_of = _spoil(draw, np.arange(J) % n_nests, specials=(-1, 0, n_nests))
+    rho = _spoil(draw, np.full(draw(st.sampled_from([(), (n_nests,)])),
+                               draw(st.floats(0.0, 0.95))))
+    return (lambda: NestedMarket(StaticMarket(*args), nest_of, rho), rcnl_initial_delta,
+            lambda x, mkt: rcnl_phi_delta(x, 1.0, mkt))
+
+
+def _durable(draw):
+    I, J, T = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    s = np.column_stack([_simplex(draw, J + 1) for _ in range(T)])
+    n = I * J * T
+    mu = np.array(draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n))).reshape(I, J, T)
+    pr0 = (None if draw(st.booleans()) else _spoil(draw, np.array(
+        draw(st.lists(st.floats(0.0, 1.0), min_size=I, max_size=I)))))
+    args = (_spoil(draw, s[:J]), _spoil(draw, s[J]), _spoil(draw, mu),
+            _spoil(draw, _simplex(draw, I)), _spoil(draw, np.float64(draw(st.floats(0.0, 0.99)))))
+    return (lambda: DurableMarket(*args, pr0_init=pr0), initial_delta_myopic,
+            lambda x, mkt: pf_value_update(np.zeros((mkt.n_types, mkt.horizon)), x, 1.0, mkt))
+
+
+_MARKET_KINDS = {"static": _static, "nested": _nested, "durable": _durable}
