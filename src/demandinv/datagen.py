@@ -17,10 +17,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import ndtri
 
-from .dynamic import DurableMarket, DurableSolution, _conditional_shares, _v_next
+from .dynamic import DurableMarket, DurableSolution, _v_next
 from .numerics import log_share_gap
 from .rcnl import NestedMarket, nested_shares
-from .static_rcl import StaticMarket, logit_shares
+from .static_rcl import StaticMarket, outside_logit
 
 _SHARE_FLOOR = 1e-300
 
@@ -105,6 +105,13 @@ def _static_draw(p: StaticDgpParams, rng: np.random.Generator):
     return X, delta, nodes, mu
 
 
+def _true_shares(delta, mu, weights):
+    """(s_j, s_0) of the static model at the truth, in log space and
+    independent of the exp-space share kernels that solve it."""
+    _, e, e0, denom = outside_logit(delta[None, :] + mu)
+    return weights @ (e / denom[:, None]), float(weights @ (e0 / denom))
+
+
 def _draw_market(p: StaticDgpParams, rng: np.random.Generator, shares):
     """Static draws with the market data at the true parameters, where
     shares(delta, mu, weights) -> (s_j, s_0). Degenerate draws (any share
@@ -126,8 +133,7 @@ def _draw_market(p: StaticDgpParams, rng: np.random.Generator, shares):
 def gen_static_market(p: StaticDgpParams, rng: np.random.Generator) -> StaticInstance:
     """One static replication: market data at the true parameters; the
     redraw count is recorded on the instance."""
-    market, X, delta, nodes, redraws = _draw_market(
-        p, rng, lambda delta, mu, w: logit_shares(delta, mu, w)[:2])
+    market, X, delta, nodes, redraws = _draw_market(p, rng, _true_shares)
     return StaticInstance(market=market, delta_true=delta,
                           theta_true=np.asarray(p.sd_coefs, dtype=float),
                           X=X, nodes=nodes, redraws=redraws)
@@ -189,6 +195,12 @@ def _terminal_value(beta: float, omega_T: np.ndarray) -> np.ndarray:
             return v_new
         v = v_new
     return v
+
+
+def _conditional_shares(ccp: np.ndarray, pr0: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Shares (J, T) among the active consumers w_i * pr0_it."""
+    b = weights[:, None] * pr0  # (I, T)
+    return np.einsum("it,ijt->jt", b, ccp) / b.sum(axis=0)[None, :]
 
 
 def gen_dynamic_market(p: DynamicDgpParams, rng: np.random.Generator) -> DynamicInstance:
@@ -265,7 +277,7 @@ def large_heterogeneity_market() -> tuple[StaticMarket, np.ndarray]:
     delta = np.array([0.0, -1.0])
     mu = np.array([[10.0, 0.0], [0.0, 10.0]])
     weights = np.array([0.1, 0.9])
-    s_j, s_0, _ = logit_shares(delta, mu, weights)
+    s_j, s_0 = _true_shares(delta, mu, weights)
     market = StaticMarket(shares=s_j, outside_share=1.0 - s_j.sum(), mu=mu,
                           weights=weights)
     return market, delta

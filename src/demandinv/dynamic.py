@@ -20,14 +20,15 @@ Algorithms:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .accel import AccelConfig, FixedPointMap, solve
 from .numerics import (chebyshev_eval_rows, chebyshev_fit_matrix, chebyshev_nodes,
-                       gauss_hermite, log_share_gap, logsumexp, ols_ar1_rows)
-from .static_rcl import SCHEMA_VERSION, check_market_data, parse_fixture
+                       gauss_hermite, log_share_gap, ols_ar1_rows)
+from .static_rcl import SCHEMA_VERSION, check_market_data, exp_mu, numeric_array, parse_fixture
 
 # Active fractions are floored at a tiny positive value: off the solution,
 # 1 - sum_j ccp can dip below zero for extreme heterogeneity draws, which
@@ -51,10 +52,10 @@ class DurableMarket:
     pr0_init: np.ndarray | None = None
 
     def __post_init__(self):
-        shares = np.asarray(self.shares, dtype=float)
-        outside = np.asarray(self.outside_shares, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        shares = numeric_array("shares", self.shares)
+        outside = numeric_array("outside_shares", self.outside_shares)
+        mu = numeric_array("mu", self.mu)
+        weights = numeric_array("weights", self.weights)
         if mu.ndim != 3:
             raise ValueError("mu must be I x J x T")
         I, J, T = mu.shape
@@ -62,11 +63,12 @@ class DurableMarket:
             raise ValueError("shares must be J x T and outside_shares length T")
         if weights.shape != (I,):
             raise ValueError("weights must have one entry per type")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError("beta must lie in [0, 1)")
+        beta = numeric_array("beta", self.beta)
+        if beta.ndim != 0 or not 0.0 <= beta < 1.0:  # NaN fails
+            raise ValueError(f"beta must be a real in [0, 1), not {self.beta!r}")
         check_market_data(shares, outside, mu, weights)
         pr0 = (np.ones(I) if self.pr0_init is None
-               else np.asarray(self.pr0_init, dtype=float))
+               else numeric_array("pr0_init", self.pr0_init))
         if pr0.shape != (I,) or not np.all((pr0 >= 0) & (pr0 <= 1)):
             raise ValueError("pr0_init must be I fractions in [0, 1]")
         if not weights @ pr0 > 0:
@@ -75,9 +77,8 @@ class DurableMarket:
                           ("mu", mu), ("weights", weights), ("pr0_init", pr0)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "beta", float(self.beta))
-        # time-major views for the hot loops
-        object.__setattr__(self, "_mu_t", np.ascontiguousarray(mu.transpose(2, 0, 1)))
+        object.__setattr__(self, "beta", float(beta))
+        # time-major logs for the hot loops
         object.__setattr__(self, "_logS_t", np.log(shares.T))
         object.__setattr__(self, "_logS0_t", np.log(outside))
 
@@ -122,43 +123,79 @@ def _v_next(V: np.ndarray) -> np.ndarray:
     return np.concatenate([V[:, 1:], V[:, -1:]], axis=1)
 
 
-def _forward(V: np.ndarray, mkt: DurableMarket):
+def _exp_mu_t(mkt: DurableMarket):
+    """exp_mu of mu in time-major order: a (T, I) and E (T, I, J)."""
+    return exp_mu(np.ascontiguousarray(mkt.mu.transpose(2, 0, 1)))
+
+
+def _omega_from_delta(delta: np.ndarray, em) -> np.ndarray:
+    """Purchase inclusive values log sum_j exp(delta_jt + mu_ijt), shape (I, T):
+    per period, one matrix-vector product of E_t with exp(delta_t - max delta_t).
+    The forward pass computes the same one period at a time."""
+    a, E = em
+    c = delta.max(axis=0)
+    rowsum = (E @ np.exp(delta - c).T[:, :, None])[:, :, 0]  # (T, I)
+    return (c[:, None] + a + np.log(rowsum)).T
+
+
+def _pr0_path(omega: np.ndarray, V: np.ndarray, mkt: DurableMarket) -> np.ndarray:
+    """Ownership path of the purchase probabilities exp(omega - V), (I, T)."""
+    pr0 = np.empty_like(V)
+    pr0[:, 0] = mkt.pr0_init
+    with np.errstate(over="ignore", invalid="ignore"):
+        buy = np.exp(omega - V)
+        for t in range(mkt.horizon - 1):
+            pr0[:, t + 1] = np.maximum(pr0[:, t] * (1.0 - buy[:, t]), PR0_FLOOR)
+    return pr0
+
+
+def _forward(V: np.ndarray, mkt: DurableMarket, em):
     """Alg-step 1: sequential delta recovery and ownership propagation.
 
     Returns (delta (J,T), omega (I,T), pr0 (I,T)). omega is each type's
-    purchase inclusive value log sum_j exp(delta + mu).
+    purchase inclusive value log sum_j exp(delta + mu). Each period takes two
+    matrix-vector products over its E: delta_t = log S_t - log sum_i
+    bn_i exp(mu_ij - V_i), shifted by cb_t = max_i (a_i - V_i), then omega_t.
     """
-    I, J, T = mkt.n_types, mkt.n_products, mkt.horizon
+    a, E = em
     w = mkt.weights
-    delta = np.empty((J, T))
-    omega = np.empty((I, T))
-    pr0 = np.empty((I, T))
-    pr0[:, 0] = mkt.pr0_init
+    T = mkt.horizon
+    z = a - V.T  # (T, I)
+    cb = z.max(axis=1)
+    ez = np.exp(z - cb[:, None])
+    delta = np.empty((T, mkt.n_products))
+    omega = np.empty_like(z)
+    pr0 = np.empty_like(z)
+    pr0[0] = mkt.pr0_init
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for t in range(T):
-            b = w * pr0[:, t]
-            bn = b / b.sum()
-            z = mkt._mu_t[t] - V[:, t][:, None]  # (I, J)
-            m = z.max(axis=0)
-            sm = (bn[:, None] * np.exp(z - m[None, :])).sum(axis=0)
-            d_t = mkt._logS_t[t] - m - np.log(sm)
-            delta[:, t] = d_t
-            q = d_t[None, :] + z  # log ccp
-            qm = q.max(axis=1)
-            sq = np.exp(q - qm[:, None]).sum(axis=1)
-            omega[:, t] = V[:, t] + qm + np.log(sq)
+            b = w * pr0[t]
+            d_t = mkt._logS_t[t] - (cb[t] - math.log(b.sum())) - np.log((b * ez[t]) @ E[t])
+            delta[t] = d_t
+            c = d_t.max()
+            omega[t] = (c + a[t]) + np.log(E[t] @ np.exp(d_t - c))
             if t + 1 < T:
-                buy = np.exp(qm + np.log(sq))
-                pr0[:, t + 1] = np.maximum(pr0[:, t] * (1.0 - buy), PR0_FLOOR)
-    return delta, omega, pr0
+                buy = np.exp(omega[t] - V[:, t])
+                pr0[t + 1] = np.maximum(pr0[t] * (1.0 - buy), PR0_FLOOR)
+    return delta.T, omega.T, pr0.T
+
+
+def _ccp(delta: np.ndarray, V: np.ndarray, em) -> np.ndarray:
+    """Choice probabilities exp(delta_jt + mu_ijt - V_it), shape (I, J, T)."""
+    a, E = em
+    c = delta.max(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ey = np.exp(c[:, None] + a - V.T)  # (T, I)
+        ccp = E * ey[:, :, None] * np.exp(delta - c).T[:, None, :]
+    return ccp.transpose(1, 2, 0)
 
 
 def pf_forward_pass(V, mkt: DurableMarket):
     """Public forward pass: (delta (J,T), ccp (I,J,T), pr0 (I,T)) at V."""
     V = np.asarray(V, dtype=float)
-    delta = _forward(V, mkt)[0]
-    pr0, ccp, _ = _shares_at(delta, V, mkt)
-    return delta, ccp, pr0
+    em = _exp_mu_t(mkt)
+    delta, _, pr0 = _forward(V, mkt, em)
+    return delta, _ccp(delta, V, em), pr0
 
 
 def _backup(V: np.ndarray, ev_next: np.ndarray, omega: np.ndarray, gamma: float,
@@ -182,47 +219,34 @@ def pf_value_update(V, delta, gamma: float, mkt: DurableMarket, pr0=None) -> np.
             * (s0t_hat/S0t)^gamma), with V_{T+1} = V_T.
     """
     V = np.asarray(V, dtype=float)
-    delta = np.asarray(delta, dtype=float)
+    omega = _omega_from_delta(np.asarray(delta, dtype=float), _exp_mu_t(mkt))
     if gamma != 0.0 and pr0 is None:
-        pr0 = _pr0_from(delta, V, mkt)
-    return _backup(V, _v_next(V), _omega_from_delta(delta, mkt), gamma, pr0, mkt)
+        pr0 = _pr0_path(omega, V, mkt)
+    return _backup(V, _v_next(V), omega, gamma, pr0, mkt)
 
 
-def _omega_from_delta(delta: np.ndarray, mkt: DurableMarket) -> np.ndarray:
-    """log sum_j exp(delta_jt + mu_ijt), shape (I, T)."""
-    return logsumexp(delta.T[:, None, :] + mkt._mu_t, 2).T  # (T, I, J) -> (I, T)
+def _shares_at(delta: np.ndarray, V: np.ndarray, omega: np.ndarray, mkt: DurableMarket,
+               em):
+    """(pr0 (I,T), conditional shares (J,T)) implied by (delta, V), given
+    omega = _omega_from_delta(delta, em): per period, one matrix-vector
+    product over E of the active weights times exp(c + a - V), shifted by
+    its max m, with c = max_j delta."""
+    a, E = em
+    pr0 = _pr0_path(omega, V, mkt)
+    b = mkt.weights[:, None] * pr0
+    c = delta.max(axis=0)
+    y = c[:, None] + a - V.T  # (T, I): log ccp_ijt - log(E_tij exp(delta_jt - c_t))
+    m = y.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bw = (b / b.sum(axis=0)).T * np.exp(y - m)
+        s = np.exp(delta - c + m.T) * (bw[:, None, :] @ E)[:, 0, :].T
+    return pr0, s
 
 
-def _pr0_from(delta: np.ndarray, V: np.ndarray, mkt: DurableMarket) -> np.ndarray:
-    """Ownership path implied by the choice probabilities of (delta, V)."""
-    I, T = mkt.n_types, mkt.horizon
-    pr0 = np.empty((I, T))
-    pr0[:, 0] = mkt.pr0_init
-    with np.errstate(over="ignore"):
-        for t in range(T - 1):
-            q = delta[:, t][None, :] + mkt._mu_t[t] - V[:, t][:, None]
-            buy = np.exp(q).sum(axis=1)
-            pr0[:, t + 1] = np.maximum(pr0[:, t] * (1.0 - buy), PR0_FLOOR)
-    return pr0
-
-
-def _conditional_shares(ccp: np.ndarray, pr0: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    b = weights[:, None] * pr0  # (I, T)
-    return np.einsum("it,ijt->jt", b, ccp) / b.sum(axis=0)[None, :]
-
-
-def _shares_at(delta: np.ndarray, V: np.ndarray, mkt: DurableMarket):
-    """(pr0 (I,T), ccp (I,J,T), conditional shares (J,T)) implied by (delta, V)."""
-    pr0 = _pr0_from(delta, V, mkt)
-    with np.errstate(over="ignore"):
-        ccp = np.exp(delta[None, :, :] + mkt.mu - V[:, None, :])
-    return pr0, ccp, _conditional_shares(ccp, pr0, mkt.weights)
-
-
-def _delta_update(delta: np.ndarray, V: np.ndarray, gamma: float, phi: float,
-                  mkt: DurableMarket) -> np.ndarray:
+def _delta_update(delta: np.ndarray, V: np.ndarray, omega: np.ndarray, gamma: float,
+                  phi: float, mkt: DurableMarket, em) -> np.ndarray:
     """delta + phi*(log S - log s) - gamma*(log S0 - log s0) at (delta, V)."""
-    _, _, s = _shares_at(delta, V, mkt)
+    _, s = _shares_at(delta, V, omega, mkt, em)
     with np.errstate(divide="ignore", invalid="ignore"):
         d_next = delta + phi * (np.log(mkt.shares) - np.log(s))
         if gamma != 0.0:
@@ -231,9 +255,9 @@ def _delta_update(delta: np.ndarray, V: np.ndarray, gamma: float, phi: float,
     return d_next
 
 
-def _solution(delta: np.ndarray, V: np.ndarray, mkt: DurableMarket) -> DurableSolution:
-    pr0, ccp, s = _shares_at(delta, V, mkt)
-    return DurableSolution(value=V, delta=delta, pr0=pr0, ccp=ccp,
+def _solution(delta: np.ndarray, V: np.ndarray, mkt: DurableMarket, em) -> DurableSolution:
+    pr0, s = _shares_at(delta, V, _omega_from_delta(delta, em), mkt, em)
+    return DurableSolution(value=V, delta=delta, pr0=pr0, ccp=_ccp(delta, V, em),
                            dist=log_share_gap(np.log(mkt.shares), s))
 
 
@@ -258,16 +282,17 @@ def pf_solve(mkt: DurableMarket, gamma: float, cfg: AccelConfig):
     """
     I, T = mkt.n_types, mkt.horizon
     shape = (I, T)
+    em = _exp_mu_t(mkt)
 
     def evaluate(x):
         V = x.reshape(shape)
-        _, omega, pr0 = _forward(V, mkt)
+        _, omega, pr0 = _forward(V, mkt, em)
         return _backup(V, _v_next(V), omega, gamma, pr0, mkt).ravel()
 
     fp = FixedPointMap(evaluate, I * T, block_partition=_time_blocks(I, T))
     outcome = solve(fp, np.zeros(I * T), cfg)
     V = outcome.point.reshape(shape)
-    return _solution(_forward(V, mkt)[0], V, mkt), outcome
+    return _solution(_forward(V, mkt, em)[0], V, mkt, em), outcome
 
 
 def initial_delta_myopic(mkt: DurableMarket) -> np.ndarray:
@@ -285,18 +310,21 @@ def traditional_joint_solve(mkt: DurableMarket, gamma: float, phi: float,
     """
     I, J, T = mkt.n_types, mkt.n_products, mkt.horizon
     nd = J * T
+    em = _exp_mu_t(mkt)
 
     def evaluate(x):
         delta = x[:nd].reshape(J, T)
         V = x[nd:].reshape(I, T)
-        d_next = _delta_update(delta, V, gamma, phi, mkt)
-        v_next = np.logaddexp(mkt.beta * _v_next(V), _omega_from_delta(delta, mkt))
+        omega = _omega_from_delta(delta, em)
+        d_next = _delta_update(delta, V, omega, gamma, phi, mkt, em)
+        v_next = np.logaddexp(mkt.beta * _v_next(V), omega)
         return np.concatenate([d_next.ravel(), v_next.ravel()])
 
     x0 = np.concatenate([initial_delta_myopic(mkt).ravel(), np.zeros(I * T)])
     fp = FixedPointMap(evaluate, nd + I * T)
     outcome = solve(fp, x0, cfg)
-    sol = _solution(outcome.point[:nd].reshape(J, T), outcome.point[nd:].reshape(I, T), mkt)
+    sol = _solution(outcome.point[:nd].reshape(J, T), outcome.point[nd:].reshape(I, T),
+                    mkt, em)
     return sol, outcome
 
 
@@ -309,11 +337,10 @@ def traditional_nested_solve(mkt: DurableMarket, gamma: float, phi: float,
     The outer evaluation count in the outcome counts delta-map applications.
     """
     I, J, T = mkt.n_types, mkt.n_products, mkt.horizon
+    em = _exp_mu_t(mkt)
     state = {"V": np.zeros((I, T)), "psi_evals": 0}
 
-    def inner_solve(delta):
-        omega = _omega_from_delta(delta, mkt)
-
+    def inner_solve(omega):
         def backup(x):
             V = x.reshape(I, T)
             return np.logaddexp(mkt.beta * _v_next(V), omega).ravel()
@@ -326,12 +353,13 @@ def traditional_nested_solve(mkt: DurableMarket, gamma: float, phi: float,
 
     def outer_evaluate(x):
         delta = x.reshape(J, T)
-        state["V"] = inner_solve(delta)
-        return _delta_update(delta, state["V"], gamma, phi, mkt).ravel()
+        omega = _omega_from_delta(delta, em)
+        state["V"] = inner_solve(omega)
+        return _delta_update(delta, state["V"], omega, gamma, phi, mkt, em).ravel()
 
     fp = FixedPointMap(outer_evaluate, J * T)
     outcome = solve(fp, initial_delta_myopic(mkt).ravel(), outer_cfg)
-    sol = _solution(outcome.point.reshape(J, T), state["V"], mkt)
+    sol = _solution(outcome.point.reshape(J, T), state["V"], mkt, em)
     return sol, outcome, state["psi_evals"]
 
 
@@ -363,6 +391,7 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
     ghx = quad.nodes * np.sqrt(2.0)
     ghw = quad.weights / np.sqrt(np.pi)
     nd = I * T
+    em = _exp_mu_t(mkt)
 
     def expectations(v_grid, theta0, theta1, sd, points):
         """E[V(omega')|omega] at per-type points (I, M) via quadrature."""
@@ -375,7 +404,7 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
     def evaluate(x):
         v_data = x[:nd].reshape(I, T)
         v_grid = x[nd:].reshape(I, N)
-        _, omega, pr0 = _forward(v_data, mkt)
+        _, omega, pr0 = _forward(v_data, mkt, em)
         if not np.all(np.isfinite(omega)):
             return np.full_like(x, np.nan)
         theta0, theta1, sd = ols_ar1_rows(omega)
@@ -390,12 +419,12 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
     outcome = solve(fp, np.zeros(nd + I * N), cfg)
     v_data = outcome.point[:nd].reshape(I, T)
     v_grid = outcome.point[nd:].reshape(I, N)
-    delta, omega, _ = _forward(v_data, mkt)
+    delta, omega, _ = _forward(v_data, mkt, em)
     theta0, theta1, sd = ols_ar1_rows(omega)
     state = IvsState(grid=nodes, v_data=v_data, v_grid=v_grid,
                      ar1_intercept=theta0, ar1_slope=theta1, ar1_sd=sd,
                      gh_order=grid.gh_order)
-    return replace(_solution(delta, v_data, mkt), ivs=state), outcome
+    return replace(_solution(delta, v_data, mkt, em), ivs=state), outcome
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +448,13 @@ def durable_market_to_json(mkt: DurableMarket) -> str:
 
 
 def durable_market_from_json(text: str) -> DurableMarket:
+    """The market of a fixture; DurableMarket checks every value."""
     doc = parse_fixture(text)
-    shares = np.array(doc["shares"], dtype=float).T
-    mu = np.stack([np.array(m, dtype=float) for m in doc["mu"]], axis=2)
     return DurableMarket(
-        shares=shares,
-        outside_shares=np.array(doc["outside_shares"], dtype=float),
-        mu=mu,
-        weights=np.array(doc["weights"], dtype=float),
-        beta=float(doc["beta"]),
-        pr0_init=np.array(doc["pr0_init"], dtype=float),
+        shares=numeric_array("shares", doc["shares"]).T,
+        outside_shares=doc["outside_shares"],
+        mu=np.moveaxis(numeric_array("mu", doc["mu"]), 0, 2),  # t-major in the file
+        weights=doc["weights"],
+        beta=doc["beta"],
+        pr0_init=doc["pr0_init"],
     )

@@ -16,7 +16,8 @@ import numpy as np
 
 from .accel import AccelConfig, FixedPointMap, solve
 from .numerics import log_share_gap, logsumexp
-from .static_rcl import StaticMarket, market_doc, market_from_doc, outside_logit, parse_fixture
+from .static_rcl import (StaticMarket, check_mu_span, exp_mu, market_doc, market_from_doc,
+                         numeric_array, parse_fixture)
 
 RCNL_MAPPINGS = ("delta0", "delta1", "IV0", "IV1")
 
@@ -30,24 +31,31 @@ class NestedMarket:
     rho: np.ndarray
 
     def __post_init__(self):
-        nest_of = np.asarray(self.nest_of, dtype=int)
+        nest_of = np.asarray(self.nest_of)
+        if nest_of.dtype.kind not in "iu":
+            raise ValueError(f"nest ids must be integers, not {nest_of.dtype}")
         if nest_of.shape != (self.base.n_products,):
             raise ValueError("nest_of must assign every product to a nest")
+        nest_of = nest_of.astype(int)
         n_nests = int(nest_of.max()) + 1
         if sorted(set(nest_of.tolist())) != list(range(n_nests)):
             raise ValueError("nest ids must be 0..G-1 with every nest non-empty")
-        rho = np.asarray(self.rho, dtype=float)
+        rho = numeric_array("rho", self.rho)
         if rho.ndim == 0:
             rho = np.full(n_nests, float(rho))
         if rho.shape != (n_nests,):
             raise ValueError("rho must be scalar or one value per nest")
         if not np.all((rho >= 0) & (rho < 1)):  # NaN fails
             raise ValueError("rho must lie in [0, 1)")
+        groups = tuple(np.flatnonzero(nest_of == g) for g in range(n_nests))
+        mu = self.base.mu
+        for g, idx in enumerate(groups):  # the kernels take exp of mu / (1 - rho) per nest
+            check_mu_span(np.ptp(mu[:, idx], axis=1) / (1.0 - rho[g]),
+                          f"mu / (1 - rho) in nest {g}")
         object.__setattr__(self, "nest_of", nest_of)
         object.__setattr__(self, "rho", rho)
         nest_of.flags.writeable = False
         rho.flags.writeable = False
-        groups = tuple(np.flatnonzero(nest_of == g) for g in range(n_nests))
         object.__setattr__(self, "groups", groups)  # product indices of each nest
         object.__setattr__(self, "nest_shares",
                            np.array([self.base.shares[g].sum() for g in groups]))
@@ -57,42 +65,68 @@ class NestedMarket:
         return self.rho.size
 
 
-def _iv_kernel(delta, mu, groups, rho) -> np.ndarray:
-    """IV_ig = (1-rho_g) * log sum_{j in g} exp((delta_j + mu_ij)/(1-rho_g))."""
-    iv = np.empty((mu.shape[0], len(groups)))
+def nest_exp_mu(mu, groups, rho):
+    """exp_mu of each nest's scaled deviations mu[:, g] / (1 - rho_g)."""
+    return tuple(exp_mu(mu[:, idx] / (1.0 - rho[g])) for g, idx in enumerate(groups))
+
+
+def _within(delta, groups, rho, em):
+    """Nest inclusive values IV_ig = (1-rho_g) * log sum_{j in g}
+    exp((delta_j + mu_ij)/(1-rho_g)), nest-major (G, I), and per nest
+    (ed, rowsum): the within-nest probabilities are ed_j * E_ij / rowsum_i."""
+    ivT = np.empty((len(groups), em[0][0].size))
+    parts = []
     for g, idx in enumerate(groups):
-        z = (delta[idx][None, :] + mu[:, idx]) / (1.0 - rho[g])
-        iv[:, g] = (1.0 - rho[g]) * logsumexp(z, 1)
-    return iv
+        a, E = em[g]
+        x = delta[idx] / (1.0 - rho[g])
+        c = x.max()
+        ed = np.exp(x - c)
+        rowsum = E @ ed
+        ivT[g] = (1.0 - rho[g]) * (c + a + np.log(rowsum))
+        parts.append((ed, rowsum))
+    return ivT, parts
 
 
-def nested_shares(delta, mu, weights, groups, rho):
+def _nest_logit(ivT):
+    """Each type's logit of its nest inclusive values (G, I) against the
+    outside option at 0: (nest probabilities (G, I), outside probabilities,
+    log of the denominator), shifted by max(max_g IV_ig, 0)."""
+    k = np.maximum(ivT.max(axis=0), 0.0)
+    e = np.exp(ivT - k)
+    e0 = np.exp(-k)
+    denom = e0 + e.sum(axis=0)
+    return e / denom, e0 / denom, k + np.log(denom)
+
+
+def nested_shares(delta, mu, weights, groups, rho, em=None):
     """Nested-logit shares from raw arrays: (s_j, s_g, s_0, per-type IV)."""
     delta = np.asarray(delta, dtype=float)
-    iv = _iv_kernel(delta, mu, groups, rho)
-    _, e, e0, denom = outside_logit(iv)
-    s_inest = e / denom[:, None]  # per-type nest probabilities
-    s_ij = np.empty_like(mu)
+    em = em or nest_exp_mu(mu, groups, rho)
+    ivT, parts = _within(delta, groups, rho, em)
+    p_nest, p0, _ = _nest_logit(ivT)
+    s_j = np.empty(delta.size)
     for g, idx in enumerate(groups):
-        z = (delta[idx][None, :] + mu[:, idx] - iv[:, [g]]) / (1.0 - rho[g])
-        s_ij[:, idx] = np.exp(z) * s_inest[:, [g]]
-    s_j = weights @ s_ij
+        ed, rowsum = parts[g]
+        s_j[idx] = ed * ((weights * p_nest[g] / rowsum) @ em[g][1])
     s_g = np.array([s_j[idx].sum() for idx in groups])
-    s_0 = float(weights @ (e0 / denom))
-    return s_j, s_g, s_0, iv
+    return s_j, s_g, float(weights @ p0), ivT.T
 
 
-def rcnl_shares(delta, mkt: NestedMarket):
+def rcnl_shares(delta, mkt: NestedMarket, em=None):
     """Nested model shares: (s_j, s_g, s_0, per-type IV matrix)."""
-    return nested_shares(delta, mkt.base.mu, mkt.base.weights, mkt.groups, mkt.rho)
+    return nested_shares(delta, mkt.base.mu, mkt.base.weights, mkt.groups, mkt.rho, em)
 
 
-def rcnl_phi_delta(delta, gamma: float, mkt: NestedMarket) -> np.ndarray:
+def _em(mkt: NestedMarket, em):
+    return em or nest_exp_mu(mkt.base.mu, mkt.groups, mkt.rho)
+
+
+def rcnl_phi_delta(delta, gamma: float, mkt: NestedMarket, em=None) -> np.ndarray:
     """delta + (1-rho)(logS_j - log s_j) + gamma*rho*(logS_g - log s_g)
     - gamma*(logS_0 - log s_0), with each product's own nest terms."""
     delta = np.asarray(delta, dtype=float)
     base = mkt.base
-    s_j, s_g, s_0, _ = rcnl_shares(delta, mkt)
+    s_j, s_g, s_0, _ = rcnl_shares(delta, mkt, em)
     rho_j = mkt.rho[mkt.nest_of]
     with np.errstate(divide="ignore"):
         out = delta + (1.0 - rho_j) * (base.log_shares - np.log(s_j))
@@ -103,33 +137,45 @@ def rcnl_phi_delta(delta, gamma: float, mkt: NestedMarket) -> np.ndarray:
     return out
 
 
-def rcnl_iota_delta_to_IV(delta, mkt: NestedMarket) -> np.ndarray:
-    return _iv_kernel(np.asarray(delta, dtype=float), mkt.base.mu, mkt.groups, mkt.rho)
+def rcnl_iota_delta_to_IV(delta, mkt: NestedMarket, em=None) -> np.ndarray:
+    return _within(np.asarray(delta, dtype=float), mkt.groups, mkt.rho, _em(mkt, em))[0].T
 
 
-def rcnl_iota_IV_to_delta(iv, gamma: float, mkt: NestedMarket) -> np.ndarray:
-    """Analytic delta given per-type nest inclusive values."""
+def rcnl_iota_IV_to_delta(iv, gamma: float, mkt: NestedMarket, em=None) -> np.ndarray:
+    """Analytic delta given per-type nest inclusive values.
+
+    For j in nest g, delta_j = (1-rho_g) (log S_j - log sum_i w_i exp(z_ij))
+    with z_ij = mu_ij/(1-rho_g) - IV_ig rho_g/(1-rho_g) - log(1 + sum_h
+    exp(IV_ih)), one matrix-vector product over each nest's E.
+    """
     iv = np.asarray(iv, dtype=float)
     base = mkt.base
-    a, _, _, denom = outside_logit(iv)
-    lse_top = a + np.log(denom)
-    rho_j = mkt.rho[mkt.nest_of]
-    iv_j = iv[:, mkt.nest_of]  # (I, J)
-    # z_ij = mu/(1-rho) - IV*(1/(1-rho) - 1) - lse_top
-    z = (base.mu - iv_j) / (1.0 - rho_j)[None, :] + iv_j - lse_top[:, None]
-    delta = (1.0 - rho_j) * (base.log_shares - logsumexp(z, 0, base.weights))
+    em = _em(mkt, em)
+    ivT = np.ascontiguousarray(iv.T)
+    lse_top = _nest_logit(ivT)[2]
+    delta = np.empty(base.n_products)
+    with np.errstate(divide="ignore"):
+        for g, idx in enumerate(mkt.groups):
+            a, E = em[g]
+            rho = mkt.rho[g]
+            y = a - ivT[g] * (rho / (1.0 - rho)) - lse_top
+            cb = y.max()
+            lse = cb + np.log((base.weights * np.exp(y - cb)) @ E)
+            delta[idx] = (1.0 - rho) * (base.log_shares[idx] - lse)
     if gamma != 0.0:
-        s_inest = base.weights @ (np.exp(iv - lse_top[:, None]))
-        s_0_hat = float(base.weights @ np.exp(-lse_top))
-        with np.errstate(divide="ignore"):
-            gap_g = np.log(mkt.nest_shares) - np.log(s_inest)
-            delta = delta + gamma * rho_j * gap_g[mkt.nest_of]
-            delta = delta - gamma * (base.log_outside - np.log(s_0_hat))
+        # model nest and outside shares in logs: at large IV the outside
+        # probabilities exp(-lse_top) underflow, their logs do not
+        rho_j = mkt.rho[mkt.nest_of]
+        gap_g = np.log(mkt.nest_shares) - logsumexp((ivT - lse_top).T, 0, base.weights)
+        delta = delta + gamma * rho_j * gap_g[mkt.nest_of]
+        log_s0 = logsumexp((-lse_top)[:, None], 0, base.weights)[0]
+        delta = delta - gamma * (base.log_outside - log_s0)
     return delta
 
 
-def rcnl_phi_IV(iv, gamma: float, mkt: NestedMarket) -> np.ndarray:
-    return rcnl_iota_delta_to_IV(rcnl_iota_IV_to_delta(iv, gamma, mkt), mkt)
+def rcnl_phi_IV(iv, gamma: float, mkt: NestedMarket, em=None) -> np.ndarray:
+    em = _em(mkt, em)
+    return rcnl_iota_delta_to_IV(rcnl_iota_IV_to_delta(iv, gamma, mkt, em), mkt, em)
 
 
 def rcnl_dist_metric(delta, mkt: NestedMarket) -> float:
@@ -150,17 +196,18 @@ def rcnl_solve_inner(mkt: NestedMarket, mapping: str, cfg: AccelConfig):
         raise ValueError(f"unknown mapping {mapping!r}")
     gamma = 1.0 if mapping.endswith("1") else 0.0
     base = mkt.base
+    em = nest_exp_mu(base.mu, mkt.groups, mkt.rho)
     if mapping.startswith("delta"):
-        fp = FixedPointMap(lambda d: rcnl_phi_delta(d, gamma, mkt), base.n_products)
+        fp = FixedPointMap(lambda d: rcnl_phi_delta(d, gamma, mkt, em), base.n_products)
         outcome = solve(fp, rcnl_initial_delta(mkt), cfg)
         return outcome.point, outcome
     shape = (base.n_types, mkt.n_nests)
     fp = FixedPointMap(
-        lambda v: rcnl_phi_IV(v.reshape(shape), gamma, mkt).ravel(),
+        lambda v: rcnl_phi_IV(v.reshape(shape), gamma, mkt, em).ravel(),
         base.n_types * mkt.n_nests,
     )
     outcome = solve(fp, np.zeros(shape).ravel(), cfg)
-    delta = rcnl_iota_IV_to_delta(outcome.point.reshape(shape), gamma, mkt)
+    delta = rcnl_iota_IV_to_delta(outcome.point.reshape(shape), gamma, mkt, em)
     return delta, outcome
 
 
@@ -171,5 +218,4 @@ def nested_market_to_json(mkt: NestedMarket) -> str:
 
 def nested_market_from_json(text: str) -> NestedMarket:
     doc = parse_fixture(text)
-    return NestedMarket(base=market_from_doc(doc), nest_of=np.array(doc["nest_of"], dtype=int),
-                        rho=np.array(doc["rho"], dtype=float))
+    return NestedMarket(base=market_from_doc(doc), nest_of=doc["nest_of"], rho=doc["rho"])

@@ -39,13 +39,14 @@ class StaticMarket:
     weights: np.ndarray
 
     def __post_init__(self):
-        shares = np.asarray(self.shares, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if shares.ndim != 1 or np.ndim(self.outside_share) != 0:
+        shares = numeric_array("shares", self.shares)
+        outside = numeric_array("outside_share", self.outside_share)
+        mu = numeric_array("mu", self.mu)
+        weights = numeric_array("weights", self.weights)
+        if shares.ndim != 1 or outside.ndim != 0:
             raise ValueError("shares must be a vector and outside_share a scalar")
         object.__setattr__(self, "shares", shares)
-        object.__setattr__(self, "outside_share", float(self.outside_share))
+        object.__setattr__(self, "outside_share", float(outside))
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "weights", weights)
         if mu.ndim != 2 or mu.shape[1] != shares.size:
@@ -67,39 +68,94 @@ class StaticMarket:
         return self.weights.size
 
 
+def numeric_array(name: str, value) -> np.ndarray:
+    """value as a float array; ValueError unless it holds numbers (strings,
+    booleans and objects are rejected, not converted)."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be numeric, not {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
+# The share kernels factor exp(mu_ij) = exp(a_i) * E_ij with a_i = max_j mu_ij
+# (see exp_mu). E_ij >= exp(-span_i) must stay a normal double (exp(-708) is
+# the smallest), so a consumer type's mu may span at most this much.
+MU_SPAN_LIMIT = 700.0
+
+
+def check_mu_span(span, what: str = "mu") -> None:
+    """ValueError if any per-type span of mu exceeds MU_SPAN_LIMIT."""
+    if not np.all(span <= MU_SPAN_LIMIT):
+        raise ValueError(f"{what} spans {np.max(span):.6g} across one consumer type's "
+                         f"products; exp-space shares need at most {MU_SPAN_LIMIT:g}")
+
+
 def check_market_data(shares, outside, mu, weights) -> None:
     """Checks shared by every market: shares positive and adding up to 1 with
-    the outside share (in every period), mu finite, weights a distribution."""
+    the outside share (in every period), weights a distribution, and mu finite
+    and within MU_SPAN_LIMIT for every type (in every period; products lie
+    on axis 1)."""
     if not (np.all(shares > 0) and np.all(outside > 0)):
         raise ValueError("all shares must be strictly positive")
     if np.max(np.abs(shares.sum(axis=0) + outside - 1.0)) > 1e-12:
         raise ValueError("shares + outside share must sum to 1")
     if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):  # NaN fails
         raise ValueError("weights must be non-negative and sum to 1")
-    if not np.all(np.isfinite(mu)):
+    if mu.size == 0:
+        raise ValueError("a market needs at least one product and one consumer type")
+    with np.errstate(invalid="ignore"):
+        span = np.ptp(mu, axis=1)
+    if not np.all(np.isfinite(span)):  # a span is finite exactly when its mu are
         raise ValueError("mu must be finite")
+    check_mu_span(span)
 
 
-def outside_logit(u: np.ndarray):
-    """Each row's logit of utilities u (I, K) against an outside option at 0:
-    (shift a, exp(u - a), exp(-a), denominator exp(-a) + sum_k exp(u - a)).
-    a includes the outside utility 0, so nothing overflows."""
-    a = np.maximum(u.max(axis=1), 0.0)
-    e = np.exp(u - a[:, None])
-    e0 = np.exp(-a)
-    return a, e, e0, e0 + e.sum(axis=1)
+# ---------------------------------------------------------------------------
+# Exp-space kernels. The mappings take an optional ``em``, the market's
+# exp_mu(mu): the solvers build it once per solve and pass it, and a direct
+# call builds it. The result is the same either way. The value-space mapping
+# (iota_delta_to_V, iota_V_to_delta, phi_V) stays in log space: see
+# outside_logit.
+
+
+def exp_mu(mu: np.ndarray):
+    """(a, E) with a = max of mu over its last axis (products) and
+    E = exp(mu - a), so that exp(mu) = exp(a) * E with every E in (0, 1]."""
+    a = mu.max(axis=-1)
+    return a, np.exp(mu - a[..., None])
+
+
+def _logit(delta, a, E):
+    """Each type's logit of utilities u_ij = delta_j + mu_ij against an
+    outside option at 0, with mu_ij = a_i + log E_ij.
+
+    Returns (ed, eb, e0, denom): type i's inside terms exp(u_ij - k_i) are
+    eb_i * E_ij * ed_j with ed = exp(delta - max delta), its outside term is
+    e0_i = exp(-k_i), and denom_i sums them. The shift is k_i = max(max delta
+    + a_i, 0), so every exp argument is <= 0.
+    """
+    c = delta.max()
+    ed = np.exp(delta - c)
+    b = a + c
+    k = np.maximum(b, 0.0)
+    eb = np.exp(b - k)
+    e0 = np.exp(-k)
+    return ed, eb, e0, e0 + eb * (E @ ed)
+
+
+def _shares(delta, weights, a, E):
+    """(s_j, s_0): mixed-logit shares, two matrix-vector products over E."""
+    ed, eb, e0, denom = _logit(delta, a, E)
+    wd = weights / denom
+    return ed * ((wd * eb) @ E), float(wd @ e0)
 
 
 def logit_shares(delta, mu, weights):
     """Mixed-logit shares from raw arrays: (s_j, s_0, per-type s_ij)."""
     delta = np.asarray(delta, dtype=float)
-    u = delta[None, :] + mu
-    _, e, e0, denom = outside_logit(u)
-    s_ij = e / denom[:, None]
-    s_i0 = e0 / denom
-    s_j = weights @ s_ij
-    s_0 = float(weights @ s_i0)
-    return s_j, s_0, s_ij
+    a, E = exp_mu(mu)
+    ed, eb, _, denom = _logit(delta, a, E)
+    return (*_shares(delta, weights, a, E), (eb / denom)[:, None] * E * ed)
 
 
 def predict_shares(delta, mkt: StaticMarket):
@@ -107,15 +163,32 @@ def predict_shares(delta, mkt: StaticMarket):
     return logit_shares(delta, mkt.mu, mkt.weights)
 
 
-def phi_delta(delta, gamma: float, mkt: StaticMarket) -> np.ndarray:
+def phi_delta(delta, gamma: float, mkt: StaticMarket, em=None) -> np.ndarray:
     """delta + (log S - log s(delta)) - gamma * (log S0 - log s0(delta))."""
     delta = np.asarray(delta, dtype=float)
-    s_j, s_0, _ = predict_shares(delta, mkt)
+    s_j, s_0 = _shares(delta, mkt.weights, *(em or exp_mu(mkt.mu)))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = delta + (mkt.log_shares - np.log(s_j))
         if gamma != 0.0:
             out = out - gamma * (mkt.log_outside - np.log(s_0))
     return out
+
+
+def outside_logit(u: np.ndarray):
+    """Each row's logit of utilities u (I, K) against an outside option at 0,
+    in log space: (shift a, exp(u - a), exp(-a), denominator exp(-a) +
+    sum_k exp(u - a)). a includes the outside utility 0, so nothing overflows.
+
+    The value-space mapping and the static DGPs' market data keep this
+    log-space form, bit for bit as before the exp-space kernels: Anderson on
+    V0 drifts along a nearly flat direction, so its last bits decide where it
+    ends, and the benchmark's known-defect check pins one such drift (seed 102,
+    replication 15 of the two-type markets) to the market it was found on.
+    """
+    a = np.maximum(u.max(axis=1), 0.0)
+    e = np.exp(u - a[:, None])
+    e0 = np.exp(-a)
+    return a, e, e0, e0 + e.sum(axis=1)
 
 
 def iota_delta_to_V(delta, mkt: StaticMarket) -> np.ndarray:
@@ -141,48 +214,51 @@ def phi_V(V, gamma: float, mkt: StaticMarket) -> np.ndarray:
 
 def dist_metric(delta, mkt: StaticMarket) -> float:
     """sup_j |log S_j - log s_j(delta)|; the post-convergence audit metric."""
-    return log_share_gap(mkt.log_shares, predict_shares(delta, mkt)[0])
+    s_j = _shares(np.asarray(delta, dtype=float), mkt.weights, *exp_mu(mkt.mu))[0]
+    return log_share_gap(mkt.log_shares, s_j)
 
 
 # ---------------------------------------------------------------------------
 # Kalouptsidi (2012) per-type mappings on r_i = log(w_i * s_i0)
 
 
-def _kalouptsidi_rhs(r_full: np.ndarray, mkt: StaticMarket) -> np.ndarray:
-    """log of the bracketed share sum in F_i, for every type i.
+def _type_product_weights(r_full, a, E):
+    """(ey, cb, col): ey = exp(a + r - cb) with cb = max(a + r), and
+    col_j = sum_i ey_i E_ij, so sum_i exp(mu_ij + r_i) = exp(cb) * col_j."""
+    y = a + r_full
+    cb = y.max()
+    ey = np.exp(y - cb)
+    return ey, cb, ey @ E
 
-    All ratios are scale invariant, so a max shift on mu_ij + r_i (per
-    product) and on r (for the outside term) is exact.
-    """
-    z = mkt.mu + r_full[:, None]  # (I, J)
-    m = z.max(axis=0)
-    ez = np.exp(z - m[None, :])
-    ratio = ez / ez.sum(axis=0)[None, :]  # exp(mu+r)/sum_i exp(mu+r)
-    c0 = r_full.max()
-    er = np.exp(r_full - c0)
-    ratio0 = er / er.sum()
-    inner = ratio @ mkt.shares + mkt.outside_share * ratio0
+
+def _kalouptsidi_rhs(r_full: np.ndarray, mkt: StaticMarket, em) -> np.ndarray:
+    """log of the bracketed share sum in F_i, for every type i:
+    log(sum_j S_j exp(mu_ij + r_i) / sum_k exp(mu_kj + r_k) + S_0 softmax(r)_i)."""
+    a, E = em
+    ey, _, col = _type_product_weights(r_full, a, E)
+    er = np.exp(r_full - r_full.max())
+    inner = ey * (E @ (mkt.shares / col)) + mkt.outside_share * (er / er.sum())
     with np.errstate(divide="ignore"):
         return np.log(inner)
 
 
-def kalouptsidi_F(r, mkt: StaticMarket) -> np.ndarray:
+def kalouptsidi_F(r, mkt: StaticMarket, em=None) -> np.ndarray:
     """The original mapping: head types via the share sum, last via adding up."""
     r = np.asarray(r, dtype=float)
-    rhs = _kalouptsidi_rhs(r, mkt)
+    rhs = _kalouptsidi_rhs(r, mkt, em or exp_mu(mkt.mu))
     head = r[:-1] + np.log(mkt.weights[:-1]) - rhs[:-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         tail = np.log(mkt.outside_share - np.exp(head).sum())  # log S_0 with one type
     return np.concatenate([head, [tail]])
 
 
-def kalouptsidi_Ftilde(r_tilde, mkt: StaticMarket) -> np.ndarray:
+def kalouptsidi_Ftilde(r_tilde, mkt: StaticMarket, em=None) -> np.ndarray:
     """Normalized variant on r_tilde = r - r_I (last type pinned at 0)."""
     rt = np.asarray(r_tilde, dtype=float)
     if mkt.n_types < 2:
         raise ValueError("the normalized mapping needs at least two types")
     r_full = np.concatenate([rt, [0.0]])
-    rhs = _kalouptsidi_rhs(r_full, mkt)
+    rhs = _kalouptsidi_rhs(r_full, mkt, em or exp_mu(mkt.mu))
     return rt + np.log(mkt.weights[:-1]) - rhs[:-1]
 
 
@@ -191,9 +267,11 @@ def _r_from_r_tilde(rt: np.ndarray, mkt: StaticMarket) -> np.ndarray:
     return r_full + mkt.log_outside - logsumexp(r_full, 0)
 
 
-def kalouptsidi_delta_from_r(r, mkt: StaticMarket) -> np.ndarray:
+def kalouptsidi_delta_from_r(r, mkt: StaticMarket, em=None) -> np.ndarray:
     """delta_j = log S_j - log(sum_i exp(mu_ij + r_i))."""
-    return mkt.log_shares - logsumexp(mkt.mu + np.asarray(r, dtype=float)[:, None], 0)
+    a, E = em or exp_mu(mkt.mu)
+    _, cb, col = _type_product_weights(np.asarray(r, dtype=float), a, E)
+    return mkt.log_shares - cb - np.log(col)
 
 
 def kalouptsidi_mixed_solve(mkt: StaticMarket, cfg: AccelConfig):
@@ -205,29 +283,31 @@ def kalouptsidi_mixed_solve(mkt: StaticMarket, cfg: AccelConfig):
     Re-checking every iteration instead makes the two branches thrash in a
     slow cycle. With one type F is the constant log S_0 and never latches.
     """
+    em = exp_mu(mkt.mu)
     latched = False
 
     def mixed_map(r):
         nonlocal latched
         if not latched:
-            out = kalouptsidi_F(r, mkt)
+            out = kalouptsidi_F(r, mkt, em)
             if np.all(np.isfinite(out)):
                 return out
             latched = True
-        rt_next = kalouptsidi_Ftilde(r[:-1] - r[-1], mkt)
+        rt_next = kalouptsidi_Ftilde(r[:-1] - r[-1], mkt, em)
         return _r_from_r_tilde(rt_next, mkt)
 
     fp = FixedPointMap(mixed_map, mkt.n_types)
     outcome = solve(fp, np.log(mkt.weights), cfg)  # V = 0 start
-    delta = kalouptsidi_delta_from_r(outcome.point, mkt)
+    delta = kalouptsidi_delta_from_r(outcome.point, mkt, em)
     return delta, outcome
 
 
 def _kalouptsidi_tilde_solve(mkt: StaticMarket, cfg: AccelConfig):
-    fp = FixedPointMap(lambda rt: kalouptsidi_Ftilde(rt, mkt), mkt.n_types - 1)
+    em = exp_mu(mkt.mu)
+    fp = FixedPointMap(lambda rt: kalouptsidi_Ftilde(rt, mkt, em), mkt.n_types - 1)
     r0 = np.log(mkt.weights)
     outcome = solve(fp, r0[:-1] - r0[-1], cfg)
-    delta = kalouptsidi_delta_from_r(_r_from_r_tilde(outcome.point, mkt), mkt)
+    delta = kalouptsidi_delta_from_r(_r_from_r_tilde(outcome.point, mkt), mkt, em)
     return delta, outcome
 
 
@@ -254,7 +334,8 @@ def solve_inner(mkt: StaticMarket, mapping: str, cfg: AccelConfig):
         return _kalouptsidi_tilde_solve(mkt, cfg)
     gamma = 1.0 if mapping.endswith("1") else 0.0
     if mapping.startswith("delta"):
-        fp = FixedPointMap(lambda d: phi_delta(d, gamma, mkt), mkt.n_products)
+        em = exp_mu(mkt.mu)
+        fp = FixedPointMap(lambda d: phi_delta(d, gamma, mkt, em), mkt.n_products)
         outcome = solve(fp, initial_delta(mkt), cfg)
         return outcome.point, outcome
     fp = FixedPointMap(lambda v: phi_V(v, gamma, mkt), mkt.n_types)
@@ -292,12 +373,9 @@ def parse_fixture(text: str) -> dict:
 
 
 def market_from_doc(doc: dict) -> StaticMarket:
-    return StaticMarket(
-        shares=np.array(doc["shares"], dtype=float),
-        outside_share=float(doc["outside_share"]),
-        mu=np.array(doc["mu"], dtype=float),
-        weights=np.array(doc["weights"], dtype=float),
-    )
+    """The market of a fixture object; StaticMarket checks every value."""
+    return StaticMarket(shares=doc["shares"], outside_share=doc["outside_share"],
+                        mu=doc["mu"], weights=doc["weights"])
 
 
 def market_from_json(text: str) -> StaticMarket:

@@ -349,9 +349,27 @@ class TestValidation:
         lambda: DurableMarket([[0.3]], [0.7], np.zeros((1, 1, 1)), [1.0], 0.9,
                               pr0_init=[np.nan]),
         lambda: NestedMarket(StaticMarket([0.5], 0.5, np.zeros((1, 1)), [1.0]), [0], np.nan),
+        lambda: StaticMarket(["0.3", "0.3"], "0.4", np.zeros((1, 2)), ["1.0"]),
+        lambda: StaticMarket([0.5], 0.5, np.zeros((1, 1)), [True]),
+        lambda: DurableMarket([[0.3]], [0.7], np.zeros((1, 1, 1)), [1.0], "0.5"),
+        lambda: DurableMarket([[0.3]], [0.7], np.zeros((1, 1, 1)), [1.0], [0.5]),
+        lambda: DurableMarket([[0.3]], ["0.7"], np.zeros((1, 1, 1)), [1.0], 0.5),
+        lambda: NestedMarket(StaticMarket([0.3, 0.3], 0.4, np.zeros((1, 2)), [1.0]),
+                             [0.7, 1.2], 0.5),
+        lambda: NestedMarket(StaticMarket([0.3, 0.3], 0.4, np.zeros((1, 2)), [1.0]),
+                             [0, 1], "0.5"),
+        lambda: StaticMarket([0.3, 0.3], 0.4, [[0.0, 0.0], [-350.0, 351.0]], [0.5, 0.5]),
+        lambda: DurableMarket([[0.3, 0.3], [0.3, 0.3]], [0.4, 0.4],
+                              [[[0.0, 0.0], [0.0, 701.0]]], [1.0], 0.5),
+        lambda: NestedMarket(StaticMarket([0.3, 0.3], 0.4, [[0.0, 360.0]], [1.0]),
+                             [0, 0], 0.5),
     ], ids=["static-nan-mu", "static-inf-mu", "static-negative-weight", "static-nan-weight",
             "durable-negative-share", "durable-weights-sum-3", "durable-negative-weight",
-            "durable-nan-mu", "durable-nan-pr0", "nested-nan-rho"])
+            "durable-nan-mu", "durable-nan-pr0", "nested-nan-rho",
+            "static-string-data", "static-bool-weights", "durable-string-beta",
+            "durable-vector-beta", "durable-string-outside", "nested-fractional-ids",
+            "nested-string-rho", "static-mu-span-701", "durable-mu-span-701-in-period-2",
+            "nested-mu-span-720-over-1-minus-rho"])
     def test_market_constructors_reject_bad_data(self, build):
         with pytest.raises(ValueError):
             build()
@@ -376,6 +394,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             DurableMarket(np.full((1, 2), 0.3), np.array([0.5, 0.7]),
                           np.zeros((1, 1, 2)), [1.0], 0.9)
+
+    def test_spans_up_to_the_limit_build(self):
+        StaticMarket([0.3, 0.3], 0.4, [[0.0, 0.0], [-350.0, 350.0]], [0.5, 0.5])
+        NestedMarket(StaticMarket([0.3, 0.3], 0.4, [[0.0, 360.0]], [1.0]), [0, 1], 0.5)
+        NestedMarket(StaticMarket([0.3, 0.3], 0.4, [[0.0, 340.0]], [1.0]), [0, 0], 0.5)
+
+    def test_fixture_with_a_string_beta_is_rejected(self):
+        inst, _ = desk_instance(horizon=3)
+        doc = json.loads(durable_market_to_json(inst.market))
+        doc["beta"] = "0.5"
+        with pytest.raises(ValueError, match="beta"):
+            durable_market_from_json(json.dumps(doc))
 
     def test_rejects_beta_out_of_range(self):
         with pytest.raises(ValueError):
@@ -410,12 +440,24 @@ def _simplex(draw, n):
     return x / x.sum()
 
 
+def _scaled(draw, mu):
+    """mu as drawn, or scaled so that its per-type spans may pass
+    MU_SPAN_LIMIT (700), centred on 0 per type and period so that an accepted
+    market's utilities stay within +-350 of the outside option's."""
+    scale = draw(st.sampled_from([1.0, 100.0, 300.0]))
+    if scale == 1.0 or mu.size == 0:
+        return mu
+    mid = 0.5 * (mu.max(axis=1, keepdims=True) + mu.min(axis=1, keepdims=True))
+    return (mu - mid) * scale
+
+
 def _static_inputs(draw):
     I, J = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     s = _simplex(draw, J + 1)
-    mu = np.array(draw(st.lists(st.floats(-5, 5), min_size=I * J, max_size=I * J)))
+    mu = _scaled(draw, np.array(draw(st.lists(st.floats(-5, 5), min_size=I * J,
+                                               max_size=I * J))).reshape(I, J))
     return (_spoil(draw, s[:J]), _spoil(draw, s[J]),
-            _spoil(draw, mu.reshape(I, J)), _spoil(draw, _simplex(draw, I)))
+            _spoil(draw, mu), _spoil(draw, _simplex(draw, I)))
 
 
 def _static(draw):
@@ -439,7 +481,8 @@ def _durable(draw):
     I, J, T = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     s = np.column_stack([_simplex(draw, J + 1) for _ in range(T)])
     n = I * J * T
-    mu = np.array(draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n))).reshape(I, J, T)
+    mu = _scaled(draw, np.array(draw(st.lists(st.floats(-3, 3), min_size=n,
+                                               max_size=n))).reshape(I, J, T))
     pr0 = (None if draw(st.booleans()) else _spoil(draw, np.array(
         draw(st.lists(st.floats(0.0, 1.0), min_size=I, max_size=I)))))
     args = (_spoil(draw, s[:J]), _spoil(draw, s[J]), _spoil(draw, mu),

@@ -70,9 +70,8 @@ class TestPredictShares:
         d = rng.normal(size=int(J)) * 3
         s_j, s_0, s_ij = predict_shares(d, mkt)
         assert abs(s_j.sum() + s_0 - 1.0) < 1e-14
-        _, e, e0, denom = outside_logit(d[None, :] + mkt.mu)
-        np.testing.assert_allclose(s_ij, e / denom[:, None], rtol=0, atol=0)
-        rows = s_ij.sum(axis=1) + e0 / denom  # inside plus outside, per type
+        np.testing.assert_allclose(s_j, mkt.weights @ s_ij, rtol=1e-14)
+        rows = s_ij.sum(axis=1) + np.exp(-iota_delta_to_V(d, mkt))  # inside plus outside
         np.testing.assert_allclose(rows, 1.0, atol=1e-14)
         assert np.all(s_ij > 0) and np.all(s_ij < 1)
 
@@ -80,12 +79,20 @@ class TestPredictShares:
         mkt = StaticMarket([0.6], 0.4, np.array([[800.0]]), [1.0])
         s_j, s_0, _ = predict_shares(np.array([10.0]), mkt)
         assert np.isfinite(s_j).all() and s_j[0] == pytest.approx(1.0)
-        u = np.array([[810.0, 809.0], [-900.0, -901.0]])
-        a, e, e0, denom = outside_logit(u)
+        # utilities (810, 809) for one type and (-900, -901) for the other
+        mkt = StaticMarket([0.3, 0.3], 0.4, np.array([[800.0, 799.0], [-910.0, -911.0]]),
+                           [0.5, 0.5])
+        d = np.array([10.0, 10.0])
+        _, s_0, s_ij = predict_shares(d, mkt)
+        np.testing.assert_allclose(s_ij[0], [1.0 / (1.0 + np.exp(-1.0)),
+                                             np.exp(-1.0) / (1.0 + np.exp(-1.0))], rtol=1e-15)
+        np.testing.assert_array_equal(s_ij[1], 0.0)
+        assert s_0 == 0.5
+        np.testing.assert_allclose(iota_delta_to_V(d, mkt),
+                                   [810.0 + np.log1p(np.exp(-1.0)), 0.0], atol=1e-12)
+        a, e, e0, denom = outside_logit(d[None, :] + mkt.mu)
         np.testing.assert_array_equal(a, [810.0, 0.0])
         np.testing.assert_allclose((e.sum(axis=1) + e0) / denom, 1.0, atol=1e-15)
-        np.testing.assert_allclose(a + np.log(denom),
-                                   [810.0 + np.log1p(np.exp(-1.0)), 0.0], atol=1e-12)
 
 
 class TestPhiDelta:
