@@ -6,8 +6,8 @@ seeded benchmark harness.
 """
 
 from .accel import (AccelConfig, FixedPointMap, SolveOutcome, anderson_combine,
-                    anderson_weights, solve, spectral_alpha, spectral_update,
-                    squarem_update)
+                    anderson_weights, block_step_sizes, solve, spectral_alpha,
+                    spectral_update, squarem_update)
 from .dynamic import (DurableMarket, DurableSolution, IvsGrid, IvsState,
                       bellman_residual, ivs_solve,
                       pf_forward_pass, pf_solve, pf_value_update,

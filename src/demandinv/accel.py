@@ -38,7 +38,8 @@ class FixedPointMap:
     """A mapping x -> Phi(x) on R^dimension.
 
     ``block_partition``, when given, lists disjoint index groups covering
-    0..dimension-1; spectral/SQUAREM then use one step size per group.
+    0..dimension-1; spectral/SQUAREM then use one step size per group, all
+    taken in one vectorised pass (:func:`block_step_sizes`).
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -121,63 +122,61 @@ def _supnorm(v: np.ndarray) -> float:
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
-def spectral_alpha(s, y, rule: str = "S3", cap: float | None = None) -> float:
-    """Step size from the last step s = x_n - x_{n-1} and residual change y.
+def _step_rule(ss, sy, yy, rule: str):
+    """The step size rule on the sums s's, s'y and y'y, numpy scalars or
+    arrays with one entry per block: (alpha, unit), where unit marks the
+    entries that take the unit step 1 instead.
 
     S1 = -s'y/y'y, S2 = -s's/s'y, S3 = ||s||/||y||, S3prime = sgn(s'y)||s||/||y||.
-    Degenerate denominators give the unit step 1. ``cap`` is an upper bound,
-    applied when given.
+    A zero y'y and a non-finite ratio (S2's zero s'y among them) take the
+    unit step. Elementwise operations only, which run on numpy scalars
+    without array overhead; the caller silences floating-point warnings.
     """
+    if rule == "S1":
+        alpha = -sy / yy
+    elif rule == "S2":
+        alpha = -ss / sy
+    elif rule == "S3":
+        alpha = np.sqrt(ss) / np.sqrt(yy)
+    elif rule == "S3prime":
+        alpha = np.sign(sy) * np.sqrt(ss) / np.sqrt(yy)
+    else:
+        raise ValueError(f"unknown step size rule {rule!r}")
+    unit = (yy == 0.0) | (alpha - alpha != 0.0)  # alpha - alpha is NaN unless finite
+    return alpha, unit
+
+
+def spectral_alpha(s, y, rule: str = "S3") -> float:
+    """Step size from the last step s = x_n - x_{n-1} and residual change y."""
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        yy = float(y @ y)
-        if yy == 0.0:
-            return 1.0
-        if rule == "S1":
-            alpha = -float(s @ y) / yy
-        elif rule == "S2":
-            sy = float(s @ y)
-            if sy == 0.0:
-                return 1.0
-            alpha = -float(s @ s) / sy
-        elif rule == "S3":
-            alpha = float(np.linalg.norm(s) / np.linalg.norm(y))
-        elif rule == "S3prime":
-            alpha = float(np.sign(s @ y) * np.linalg.norm(s) / np.linalg.norm(y))
-        else:
-            raise ValueError(f"unknown step size rule {rule!r}")
-    if not np.isfinite(alpha):
-        return 1.0
-    if cap is not None:
-        alpha = min(alpha, cap)
-    return alpha
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        alpha, unit = _step_rule(s @ s, s @ y, y @ y, rule)
+    return 1.0 if unit else float(alpha)
 
 
-def spectral_update(x, F, alpha, blocks=None) -> np.ndarray:
-    """x + alpha*F, with per-block alphas when ``blocks`` is given."""
-    x = np.asarray(x, dtype=float)
-    F = np.asarray(F, dtype=float)
-    if blocks is None:
-        return x + alpha * F
-    out = x.copy()
-    for group, a in zip(blocks, alpha):
-        out[group] = x[group] + a * F[group]
-    return out
+def block_step_sizes(s, y, labels: np.ndarray, rule: str = "S3") -> np.ndarray:
+    """spectral_alpha of each block, capped at DEFAULT_BLOCK_STEP_CAP; labels[i]
+    is coordinate i's block, and block b's step size is entry b."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sums = (np.bincount(labels, weights=u * v) for u, v in ((s, s), (s, y), (y, y)))
+        alpha, unit = _step_rule(*sums, rule)
+    return np.minimum(np.where(unit, 1.0, alpha), DEFAULT_BLOCK_STEP_CAP)
 
 
-def squarem_update(x, phix, phi2x, alpha, blocks=None) -> np.ndarray:
-    """x + 2*alpha*s + alpha^2*y with s = Phi(x)-x, y = Phi2(x)-2Phi(x)+x."""
+def spectral_update(x, F, alpha) -> np.ndarray:
+    """x + alpha*F; alpha is a scalar or one step size per coordinate."""
+    return np.asarray(x, dtype=float) + alpha * np.asarray(F, dtype=float)
+
+
+def squarem_update(x, phix, phi2x, alpha) -> np.ndarray:
+    """x + 2*alpha*s + alpha^2*y with s = Phi(x)-x, y = Phi2(x)-2Phi(x)+x; alpha
+    is a scalar or one step size per coordinate."""
     x = np.asarray(x, dtype=float)
     s = np.asarray(phix, dtype=float) - x
     y = np.asarray(phi2x, dtype=float) - 2.0 * np.asarray(phix, dtype=float) + x
-    if blocks is None:
-        # a numpy scalar squares like a Python float but overflows to inf, not an error
-        return x + 2.0 * alpha * s + np.float64(alpha) ** 2 * y
-    out = np.empty_like(x)
-    for group, a in zip(blocks, alpha):
-        out[group] = x[group] + 2.0 * a * s[group] + a**2 * y[group]
-    return out
+    # a numpy scalar squares like a Python float but overflows to inf, not an error
+    return x + 2.0 * alpha * s + np.float64(alpha) ** 2 * y
 
 
 def anderson_weights(residual_history: Sequence[np.ndarray], m_n: int) -> np.ndarray:
@@ -230,13 +229,16 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
         raise ValueError(f"x0 must have shape ({fp_map.dimension},)")
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
-    blocks = fp_map.block_partition if cfg.use_blocks else None
+    labels = None  # with blocks: each coordinate's block, for one step size per block
+    if cfg.use_blocks and fp_map.block_partition is not None:
+        labels = np.empty(fp_map.dimension, dtype=np.intp)
+        for b, group in enumerate(fp_map.block_partition):
+            labels[group] = b
 
     def alpha_from(s, y):
-        if blocks is None:
+        if labels is None:
             return spectral_alpha(s, y, rule=cfg.step_size_rule)
-        return np.array([spectral_alpha(s[g], y[g], rule=cfg.step_size_rule,
-                                        cap=DEFAULT_BLOCK_STEP_CAP) for g in blocks])
+        return block_step_sizes(s, y, labels, rule=cfg.step_size_rule)[labels]
 
     evals = 0
     r = np.inf
@@ -284,19 +286,16 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
                     g_hist.pop(0)
                 x_next = anderson_combine(f_hist, g_hist, len(f_hist) - 1)
             elif cfg.method == "spectral":
-                if x_prev is None:
-                    alpha = 1.0 if blocks is None else np.ones(len(blocks))
-                else:
-                    alpha = alpha_from(x - x_prev, F - F_prev)
+                alpha = 1.0 if x_prev is None else alpha_from(x - x_prev, F - F_prev)
                 x_prev, F_prev = x, F
-                x_next = spectral_update(x, F, alpha, blocks=blocks)
+                x_next = spectral_update(x, F, alpha)
             else:
                 y = g2 - 2.0 * g + x
                 # degenerate curvature: alpha = 1 reproduces the exact two-step Phi^2(x)
-                if blocks is None and float(y @ y) == 0.0:
+                if labels is None and float(y @ y) == 0.0:
                     x_next = g2
                 else:
-                    x_next = squarem_update(x, g, g2, alpha_from(F, y), blocks=blocks)
+                    x_next = squarem_update(x, g, g2, alpha_from(F, y))
         if not np.all(np.isfinite(x_next)):
             return finish(last_image, "non_finite", np.inf)
         x = x_next

@@ -20,7 +20,6 @@ Algorithms:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -78,8 +77,8 @@ class DurableMarket:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "beta", float(beta))
-        # time-major logs for the hot loops
-        object.__setattr__(self, "_logS_t", np.log(shares.T))
+        # time-major shares for the forward pass
+        object.__setattr__(self, "_S_t", np.ascontiguousarray(shares.T))
         object.__setattr__(self, "_logS0_t", np.log(outside))
 
     @property
@@ -140,22 +139,27 @@ def _omega_from_delta(delta: np.ndarray, em) -> np.ndarray:
 
 def _pr0_path(omega: np.ndarray, V: np.ndarray, mkt: DurableMarket) -> np.ndarray:
     """Ownership path of the purchase probabilities exp(omega - V), (I, T)."""
-    pr0 = np.empty_like(V)
-    pr0[:, 0] = mkt.pr0_init
     with np.errstate(over="ignore", invalid="ignore"):
-        buy = np.exp(omega - V)
+        keep = np.ascontiguousarray((1.0 - np.exp(omega - V)).T)  # (T, I)
+        pr0 = np.empty_like(keep)
+        pr0[0] = mkt.pr0_init
         for t in range(mkt.horizon - 1):
-            pr0[:, t + 1] = np.maximum(pr0[:, t] * (1.0 - buy[:, t]), PR0_FLOOR)
-    return pr0
+            pr0[t + 1] = np.maximum(pr0[t] * keep[t], PR0_FLOOR)
+    return pr0.T.copy()  # C order: the callers' sums over types keep their bits
 
 
 def _forward(V: np.ndarray, mkt: DurableMarket, em):
-    """Alg-step 1: sequential delta recovery and ownership propagation.
+    """Alg-step 1: delta recovery and ownership propagation at V.
 
     Returns (delta (J,T), omega (I,T), pr0 (I,T)). omega is each type's
-    purchase inclusive value log sum_j exp(delta + mu). Each period takes two
-    matrix-vector products over its E: delta_t = log S_t - log sum_i
-    bn_i exp(mu_ij - V_i), shifted by cb_t = max_i (a_i - V_i), then omega_t.
+    purchase inclusive value log sum_j exp(delta + mu). Only the ownership
+    path is sequential, so the loop over periods carries only pr0. With
+    cb_t = max_i (a_i - V_i) and ez_t = exp(a_t - V_t - cb_t), period t takes
+    r_t = (w.pr0_t) S_t / ((w pr0_t ez_t) @ E_t), which is exp(delta_t + cb_t),
+    then the purchase probabilities buy_t = ez_t * (E_t @ r_t) and
+    pr0_{t+1} = max(pr0_t - pr0_t buy_t, PR0_FLOOR): three products over E_t
+    and no exp or log. delta = log r - cb and omega = _omega_from_delta(delta)
+    then take every period at once.
     """
     a, E = em
     w = mkt.weights
@@ -163,21 +167,19 @@ def _forward(V: np.ndarray, mkt: DurableMarket, em):
     z = a - V.T  # (T, I)
     cb = z.max(axis=1)
     ez = np.exp(z - cb[:, None])
-    delta = np.empty((T, mkt.n_products))
-    omega = np.empty_like(z)
+    wez = w * ez
+    S = mkt._S_t
+    r = np.empty((T, mkt.n_products))
     pr0 = np.empty_like(z)
-    pr0[0] = mkt.pr0_init
+    pr0[0] = p = mkt.pr0_init
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for t in range(T):
-            b = w * pr0[t]
-            d_t = mkt._logS_t[t] - (cb[t] - math.log(b.sum())) - np.log((b * ez[t]) @ E[t])
-            delta[t] = d_t
-            c = d_t.max()
-            omega[t] = (c + a[t]) + np.log(E[t] @ np.exp(d_t - c))
+            r[t] = S[t] * (w @ p) / ((p * wez[t]) @ E[t])
             if t + 1 < T:
-                buy = np.exp(omega[t] - V[:, t])
-                pr0[t + 1] = np.maximum(pr0[t] * (1.0 - buy), PR0_FLOOR)
-    return delta.T, omega.T, pr0.T
+                p = pr0[t + 1] = np.maximum(p - p * (ez[t] * (E[t] @ r[t])), PR0_FLOOR)
+        delta = (np.log(r) - cb[:, None]).T
+        omega = _omega_from_delta(delta, em)
+    return delta, omega, pr0.T
 
 
 def _ccp(delta: np.ndarray, V: np.ndarray, em) -> np.ndarray:
@@ -276,9 +278,11 @@ def _time_blocks(I: int, T: int) -> tuple[np.ndarray, ...]:
 def pf_solve(mkt: DurableMarket, gamma: float, cfg: AccelConfig):
     """Perfect-foresight value-function algorithm: iterate V only.
 
-    Each evaluation runs the forward delta/ownership pass and one corrected
-    value backup. cfg.use_blocks turns on one spectral/SQUAREM step size
-    per period, each capped at accel.DEFAULT_BLOCK_STEP_CAP (10).
+    Each evaluation runs the forward pass (a loop over periods that carries
+    only pr0; delta and omega then come for all periods at once) and one
+    corrected value backup. cfg.use_blocks turns on one spectral/SQUAREM step
+    size per period, each capped at accel.DEFAULT_BLOCK_STEP_CAP (10); the
+    solver takes them all in one vectorised pass (accel.block_step_sizes).
     """
     I, T = mkt.n_types, mkt.horizon
     shape = (I, T)
@@ -392,6 +396,7 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
     ghw = quad.weights / np.sqrt(np.pi)
     nd = I * T
     em = _exp_mu_t(mkt)
+    grid_points = np.broadcast_to(nodes, (I, N))
 
     def expectations(v_grid, theta0, theta1, sd, points):
         """E[V(omega')|omega] at per-type points (I, M) via quadrature."""
@@ -408,9 +413,10 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
         if not np.all(np.isfinite(omega)):
             return np.full_like(x, np.nan)
         theta0, theta1, sd = ols_ar1_rows(omega)
-        e_data = expectations(v_grid, theta0, theta1, sd, omega)  # (I, T)
-        e_grid = expectations(v_grid, theta0, theta1, sd,
-                              np.broadcast_to(nodes, (I, N)))
+        # at the data points and the grid nodes in one call: (I, T + N)
+        e = expectations(v_grid, theta0, theta1, sd,
+                         np.concatenate([omega, grid_points], axis=1))
+        e_data, e_grid = e[:, :T], e[:, T:]
         v_data_next = _backup(v_data, e_data, omega, gamma, pr0, mkt)
         v_grid_next = np.logaddexp(mkt.beta * e_grid, nodes[None, :])
         return np.concatenate([v_data_next.ravel(), v_grid_next.ravel()])

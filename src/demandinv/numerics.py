@@ -87,12 +87,13 @@ def chebyshev_eval_rows(coeffs, x, lo: float, hi: float) -> np.ndarray:
     c = np.asarray(coeffs, dtype=float)
     xa = np.clip(np.asarray(x, dtype=float), lo, hi)
     z = (2.0 * xa - (lo + hi)) / (hi - lo)
+    z2 = 2.0 * z
     n = c.shape[1]
     extra = (None,) * (z.ndim - 1)
     b1 = np.zeros_like(z)
     b2 = np.zeros_like(z)
     for m in range(n - 1, 0, -1):
-        b1, b2 = c[:, m][(slice(None),) + extra] + 2.0 * z * b1 - b2, b1
+        b1, b2 = c[:, m][(slice(None),) + extra] + z2 * b1 - b2, b1
     return c[:, 0][(slice(None),) + extra] + z * b1 - b2
 
 

@@ -126,14 +126,17 @@ def rcnl_phi_delta(delta, gamma: float, mkt: NestedMarket, em=None) -> np.ndarra
     - gamma*(logS_0 - log s_0), with each product's own nest terms."""
     delta = np.asarray(delta, dtype=float)
     base = mkt.base
-    s_j, s_g, s_0, _ = rcnl_shares(delta, mkt, em)
+    s_j, s_g, s_0, iv = rcnl_shares(delta, mkt, em)
     rho_j = mkt.rho[mkt.nest_of]
     with np.errstate(divide="ignore"):
         out = delta + (1.0 - rho_j) * (base.log_shares - np.log(s_j))
         if gamma != 0.0:
             gap_g = np.log(mkt.nest_shares) - np.log(s_g)
             out = out + gamma * rho_j * gap_g[mkt.nest_of]
-            out = out - gamma * (base.log_outside - np.log(s_0))
+            # s_0 underflows at large IV, its log does not (as in rcnl_iota_IV_to_delta)
+            log_s0 = (np.log(s_0) if s_0 != 0.0 else
+                      logsumexp((-_nest_logit(iv.T)[2])[:, None], 0, base.weights)[0])
+            out = out - gamma * (base.log_outside - log_s0)
     return out
 
 

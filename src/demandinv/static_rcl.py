@@ -170,7 +170,11 @@ def phi_delta(delta, gamma: float, mkt: StaticMarket, em=None) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = delta + (mkt.log_shares - np.log(s_j))
         if gamma != 0.0:
-            out = out - gamma * (mkt.log_outside - np.log(s_0))
+            # s_0 underflows when every type's utilities sit ~745 above the
+            # outside option; log s_0 = log sum_i w_i exp(-V_i) does not
+            log_s0 = (np.log(s_0) if s_0 != 0.0 else
+                      logsumexp((-iota_delta_to_V(delta, mkt))[:, None], 0, mkt.weights)[0])
+            out = out - gamma * (mkt.log_outside - log_s0)
     return out
 
 

@@ -136,11 +136,21 @@ def log_shares(delta, mu, weights):
     return weights @ (e / denom[:, None]), float(weights @ (e0 / denom))
 
 
+def log_outside_share(u, weights):
+    """log s_0 of the logits of utilities u (I, K), in logs: it stays finite
+    where s_0 itself underflows."""
+    a, _, _, denom = log_outside_logit(u)
+    return lse((-(a + np.log(denom)))[:, None], 0, weights)[0]
+
+
 def log_phi_delta(delta, gamma, mkt):
-    s_j, s_0 = log_shares(delta, mkt.mu, mkt.weights)
+    s_j, _ = log_shares(delta, mkt.mu, mkt.weights)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = delta + (mkt.log_shares - np.log(s_j))
-        return out - gamma * (mkt.log_outside - np.log(s_0)) if gamma else out
+        if not gamma:
+            return out
+        return out - gamma * (mkt.log_outside
+                              - log_outside_share(delta[None, :] + mkt.mu, mkt.weights))
 
 
 def log_iota_delta_to_V(delta, mu):
@@ -177,7 +187,7 @@ def log_nested_shares(delta, mu, weights, groups, rho):
 
 def log_rcnl_phi_delta(delta, gamma, mkt):
     base = mkt.base
-    s_j, s_0, _ = log_nested_shares(delta, base.mu, base.weights, mkt.groups, mkt.rho)
+    s_j, _, iv = log_nested_shares(delta, base.mu, base.weights, mkt.groups, mkt.rho)
     s_g = np.array([s_j[idx].sum() for idx in mkt.groups])
     rho_j = mkt.rho[mkt.nest_of]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -186,7 +196,7 @@ def log_rcnl_phi_delta(delta, gamma, mkt):
             return out
         gap_g = np.log(mkt.nest_shares) - np.log(s_g)
         return (out + gamma * rho_j * gap_g[mkt.nest_of]
-                - gamma * (base.log_outside - np.log(s_0)))
+                - gamma * (base.log_outside - log_outside_share(iv, base.weights)))
 
 
 def log_rcnl_iota_IV_to_delta(iv, gamma, mkt):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demandinv.accel import (AccelConfig, FixedPointMap, anderson_combine,
-                             anderson_weights, solve, spectral_alpha,
-                             spectral_update, squarem_update)
+from demandinv.accel import (DEFAULT_BLOCK_STEP_CAP, AccelConfig, FixedPointMap,
+                             anderson_combine, anderson_weights, block_step_sizes, solve,
+                             spectral_alpha, spectral_update, squarem_update)
 
 
 def affine_map(A, b):
@@ -113,12 +113,21 @@ class TestSpectralAlpha:
         assert spectral_alpha(s, y, "S1") == pytest.approx(0.0)
 
     def test_cap(self):
-        s = np.array([37.0])
-        y = np.array([1.0])
-        assert spectral_alpha(s, y, "S3", cap=10.0) == pytest.approx(10.0)
+        # only block step sizes are capped
+        s = np.array([37.0, 1.0])
+        y = np.array([1.0, 1.0])
+        assert spectral_alpha(s[:1], y[:1], "S3") == pytest.approx(37.0)
+        np.testing.assert_array_equal(block_step_sizes(s, y, np.array([0, 1]), "S3"),
+                                      [DEFAULT_BLOCK_STEP_CAP, 1.0])
 
     def test_degenerate_y_falls_back(self):
         assert spectral_alpha(np.array([1.0]), np.array([0.0]), "S3") == 1.0
+
+    @pytest.mark.parametrize("rule", ["S1", "S2", "S3", "S3prime"])
+    def test_underflowing_y_falls_back(self, rule):
+        # y'y underflows to 0 while s'y = 1e-320 does not: S2's ratio is a
+        # finite -1e20, yet y'y = 0 still means the unit step
+        assert spectral_alpha(np.array([1e-150]), np.array([1e-170]), rule) == 1.0
 
 
 class TestSpectralUpdate:
@@ -134,8 +143,8 @@ class TestSpectralUpdate:
     def test_blockwise_scaling(self):
         x = np.zeros(4)
         F = np.array([1.0, 1.0, 2.0, 2.0])
-        blocks = (np.array([0, 1]), np.array([2, 3]))
-        got = spectral_update(x, F, np.array([2.0, 0.5]), blocks=blocks)
+        labels = np.array([0, 0, 1, 1])
+        got = spectral_update(x, F, np.array([2.0, 0.5])[labels])
         np.testing.assert_array_equal(got, [2.0, 2.0, 1.0, 1.0])
 
 
@@ -410,3 +419,86 @@ class TestTerminationContract:
         # the last outer iterate, whose step the budget cut short
         assert np.array_equal(out.point, inputs[n - 1])
         assert len(out.residual_history) == (n + 1) // 2
+
+
+# Three blocks of two coordinates each, interleaved as the per-period blocks
+# of a flattened (I, T) state are: block b holds coordinates b and b + 3.
+# Each scenario gives (s, y) per block as (first image step, second minus
+# first). Dyadic values keep every sum exact, so the order in which a block
+# is summed cannot move a bit.
+_BLOCKS = (np.array([0, 3]), np.array([1, 4]), np.array([2, 5]))
+_BIG = 2.0 ** 700  # s's and y'y overflow to inf: every rule's ratio is non-finite
+_BLOCK_SCENARIOS = {
+    "generic": [((1.5, -0.25), (0.75, 2.0)), ((-3.0, 0.5), (1.25, -1.5)),
+                ((0.125, 4.0), (-2.0, -1.0))],
+    "unit-step-and-orthogonal": [((1.0, -2.0), (0.0, 0.0)), ((2.0, 1.0), (1.0, -2.0)),
+                                 ((1.5, -0.25), (0.75, 2.0))],
+    "overflow-and-cap": [((_BIG, _BIG), (_BIG, -3.0 * _BIG)), ((37.0, 74.0), (-1.0, -2.0)),
+                         ((-3.0, 0.5), (1.25, -1.5))],
+}
+
+
+def _block_vectors(scenario):
+    s, y = np.empty(6), np.empty(6)
+    for group, (s_b, y_b) in zip(_BLOCKS, _BLOCK_SCENARIOS[scenario]):
+        s[group], y[group] = s_b, y_b
+    return s, y
+
+
+def _per_block_alphas(s, y, rule):
+    """The per-block definition: each block's own spectral_alpha, capped."""
+    return [min(spectral_alpha(s[g], y[g], rule), DEFAULT_BLOCK_STEP_CAP) for g in _BLOCKS]
+
+
+class TestBlockStepSizes:
+    @staticmethod
+    def third_input(steps, x0, method, rule):
+        """The point solve evaluates third on the scripted map Phi(x) = x + steps[k]."""
+        inputs = []
+
+        def evaluate(x):
+            inputs.append(np.array(x, copy=True))
+            return x + steps[len(inputs) - 1]
+        fp = FixedPointMap(evaluate, 6, block_partition=_BLOCKS)
+        cfg = AccelConfig(method=method, step_size_rule=rule, use_blocks=True,
+                          max_evaluations=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve(fp, x0, cfg)
+        return inputs[2]
+
+    @pytest.mark.parametrize("scenario", sorted(_BLOCK_SCENARIOS))
+    @pytest.mark.parametrize("rule", ["S1", "S2", "S3", "S3prime"])
+    def test_spectral_matches_a_per_block_loop(self, scenario, rule):
+        # from x0 = -s the first (unit) step lands on 0 exactly; the solver's
+        # s and y are then the scenario's, and the third point is alpha * F
+        # with F = s + y, the second residual
+        s, y = _block_vectors(scenario)
+        F = s + y
+        x2 = self.third_input([s, F, np.zeros(6)], -s, "spectral", rule)
+        for group, alpha in zip(_BLOCKS, _per_block_alphas(s, y, rule)):
+            np.testing.assert_allclose(x2[group] / F[group], alpha, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(x2[group], alpha * F[group], rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("scenario", sorted(_BLOCK_SCENARIOS))
+    @pytest.mark.parametrize("rule", ["S1", "S2", "S3", "S3prime"])
+    def test_squarem_matches_a_per_block_loop(self, scenario, rule):
+        # from x0 = 0 the images are s and 2s + y: s = Phi(x) - x and
+        # y = Phi2(x) - 2 Phi(x) + x are exactly the scenario's vectors
+        s, y = _block_vectors(scenario)
+        x_next = self.third_input([s, s + y, np.zeros(6)], np.zeros(6), "squarem", rule)
+        for group, alpha in zip(_BLOCKS, _per_block_alphas(s, y, rule)):
+            np.testing.assert_allclose(x_next[group],
+                                       2.0 * alpha * s[group] + alpha ** 2 * y[group],
+                                       rtol=1e-15, atol=0)
+
+    def test_the_scenarios_reach_every_fallback_and_the_cap(self):
+        s, y = _block_vectors("unit-step-and-orthogonal")
+        assert _per_block_alphas(s, y, "S3")[0] == 1.0  # y = 0
+        assert _per_block_alphas(s, y, "S2")[1] == 1.0  # s'y = 0
+        s, y = _block_vectors("overflow-and-cap")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert all(_per_block_alphas(s, y, rule)[0] == 1.0
+                       for rule in ("S1", "S2", "S3", "S3prime"))
+        assert _per_block_alphas(s, y, "S1")[1] == DEFAULT_BLOCK_STEP_CAP
+        assert spectral_alpha(s[_BLOCKS[1]], y[_BLOCKS[1]], "S1") == pytest.approx(37.0)

@@ -111,6 +111,22 @@ def test_static_value_mapping_at_drifted_values():
     assert_agree(quiet(static_rcl.phi_V, V, 0.0, mkt), oracles.log_phi_V(V, 0.0, mkt))
 
 
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+def test_delta_mappings_keep_log_s0_when_s0_underflows(gamma):
+    # every utility ~900 above the outside option: s_0 ~ exp(-900) underflows
+    # to 0 on the first evaluation, log s_0 does not
+    mkt = StaticMarket([0.6], 0.4, [[900.0]], [1.0])
+    delta = static_rcl.initial_delta(mkt)
+    assert quiet(static_rcl.predict_shares, delta, mkt)[1] == 0.0
+    assert_agree(quiet(static_rcl.phi_delta, delta, gamma, mkt),
+                 oracles.log_phi_delta(delta, gamma, mkt))
+    nested = NestedMarket(mkt, [0], 0.5)
+    delta = rcnl.rcnl_initial_delta(nested)
+    assert quiet(rcnl.rcnl_shares, delta, nested)[2] == 0.0
+    assert_agree(quiet(rcnl.rcnl_phi_delta, delta, gamma, nested),
+                 oracles.log_rcnl_phi_delta(delta, gamma, nested))
+
+
 def _random_nested(seed, span=None):
     """A random nested market; with span, one nest with rho = 0.5 whose
     mu / (1 - rho) spans 2 * span."""
@@ -177,8 +193,16 @@ def _random_durable(seed, span):
     return mkt, rng.random((I, T)) * 5.0
 
 
+def _durable_at_the_floor():
+    """dynamic_t50's true V shifted by N(0, 5) per type: hundreds of the
+    ownership fractions end at PR0_FLOOR, which a uniform shift never does."""
+    mkt, V = _dgp_durable(50)
+    return mkt, V + np.random.default_rng(0).normal(0.0, 5.0, size=(mkt.n_types, 1))
+
+
 DURABLE_CASES = {
     "dynamic_t50": lambda: _dgp_durable(50),
+    "dynamic_t50 V+N(0,5) per type": _durable_at_the_floor,
     "dynamic_t50 V+800": lambda: (lambda m, v: (m, v + 800.0))(*_dgp_durable(50)),
     "dynamic_t50 V-800": lambda: (lambda m, v: (m, v - 800.0))(*_dgp_durable(50)),
     "random": lambda: _random_durable(5, 6.0),
@@ -203,3 +227,9 @@ def test_durable_kernels_match_the_log_space_reference(case):
     pr0_at, s = quiet(dynamic._shares_at, delta, V, omega, mkt, em)
     assert_agree(pr0_at, o_pr0, rtol=rtol)
     assert_agree(s, oracles.log_durable_shares(delta, V, o_pr0, mkt), rtol=rtol)
+
+
+def test_the_floor_case_reaches_the_floor():
+    mkt, V = _durable_at_the_floor()
+    _, _, pr0 = quiet(dynamic.pf_forward_pass, V, mkt)
+    assert np.sum(pr0 == dynamic.PR0_FLOOR) > 100
