@@ -37,20 +37,23 @@ DEFAULT_BLOCK_STEP_CAP = 10.0
 class FixedPointMap:
     """A mapping x -> Phi(x) on R^dimension.
 
-    ``block_partition``, when given, lists disjoint index groups covering
-    0..dimension-1; spectral/SQUAREM then use one step size per group, all
-    taken in one vectorised pass (:func:`block_step_sizes`).
+    ``block_labels``, when given, holds one non-negative integer block label
+    per coordinate; with cfg.use_blocks, spectral/SQUAREM then use one step
+    size per block, all taken in one vectorised pass (:func:`block_step_sizes`).
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     dimension: int
-    block_partition: tuple[np.ndarray, ...] | None = None
+    block_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.block_partition is not None:
-            idx = np.concatenate([np.asarray(g) for g in self.block_partition])
-            if sorted(idx.tolist()) != list(range(self.dimension)):
-                raise ValueError("block_partition must be disjoint and exhaustive")
+        if self.block_labels is not None:
+            labels = self.block_labels
+            if not isinstance(labels, np.ndarray) or labels.shape != (self.dimension,) \
+                    or labels.dtype.kind not in "iu" or not np.can_cast(labels.dtype, np.intp) \
+                    or np.any(labels < 0):
+                raise ValueError(f"block_labels must be an array of {self.dimension} "
+                                 f"non-negative integers, one per coordinate")
 
 
 def checked_int(name: str, value, minimum: int) -> int:
@@ -179,18 +182,18 @@ def squarem_update(x, phix, phi2x, alpha) -> np.ndarray:
     return x + 2.0 * alpha * s + np.float64(alpha) ** 2 * y
 
 
-def anderson_weights(residual_history: Sequence[np.ndarray], m_n: int) -> np.ndarray:
-    """Combination weights for the newest m_n+1 residuals, oldest first.
+def anderson_weights(residuals: Sequence[np.ndarray]) -> np.ndarray:
+    """Combination weights for the given residuals, oldest first.
 
     Solves the unconstrained least squares in the residual differences and
     maps back to weights that sum to one. Near-collinear histories are
     handled by the minimum-norm solution, never rejected.
     """
+    m_n = len(residuals) - 1
     if m_n == 0:
         return np.array([1.0])
-    fs = list(residual_history[-(m_n + 1):])
-    F = np.stack([fs[k + 1] - fs[k] for k in range(m_n)], axis=1)
-    gamma = ls_minnorm(F, fs[-1])
+    F = np.stack([residuals[k + 1] - residuals[k] for k in range(m_n)], axis=1)
+    gamma = ls_minnorm(F, residuals[-1])
     w = np.empty(m_n + 1)
     w[0] = gamma[0]
     for k in range(1, m_n):
@@ -199,19 +202,14 @@ def anderson_weights(residual_history: Sequence[np.ndarray], m_n: int) -> np.nda
     return w
 
 
-def anderson_combine(residual_history: Sequence[np.ndarray],
-                     point_history: Sequence[np.ndarray],
-                     m_n: int) -> np.ndarray:
-    """Combined next iterate from the newest m_n+1 mapped points.
-
-    ``point_history`` holds the mapped images Phi(x) aligned with
-    ``residual_history``; with m_n = 0 this degenerates to plain iteration.
-    """
-    w = anderson_weights(residual_history, m_n)
-    pts = list(point_history[-(m_n + 1):])
-    out = w[0] * pts[0]
+def anderson_combine(residuals: Sequence[np.ndarray],
+                     images: Sequence[np.ndarray]) -> np.ndarray:
+    """The next iterate: the images Phi(x) combined with the weights of their
+    aligned residuals; a single residual gives plain iteration."""
+    w = anderson_weights(residuals)
+    out = w[0] * images[0]
     for k in range(1, len(w)):
-        out = out + w[k] * pts[k]
+        out = out + w[k] * images[k]
     return out
 
 
@@ -229,11 +227,7 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
         raise ValueError(f"x0 must have shape ({fp_map.dimension},)")
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
-    labels = None  # with blocks: each coordinate's block, for one step size per block
-    if cfg.use_blocks and fp_map.block_partition is not None:
-        labels = np.empty(fp_map.dimension, dtype=np.intp)
-        for b, group in enumerate(fp_map.block_partition):
-            labels[group] = b
+    labels = fp_map.block_labels if cfg.use_blocks else None
 
     def alpha_from(s, y):
         if labels is None:
@@ -278,13 +272,13 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
         # an overflowing step ends the solve as non_finite below, without warnings
         with np.errstate(over="ignore", invalid="ignore"):
             if cfg.method == "anderson":
-                # the first combination has m_n = 0: a plain step
+                # the first combination has one residual: a plain step
                 f_hist.append(F)
                 g_hist.append(g)
                 if len(f_hist) > cfg.anderson_memory + 1:
                     f_hist.pop(0)
                     g_hist.pop(0)
-                x_next = anderson_combine(f_hist, g_hist, len(f_hist) - 1)
+                x_next = anderson_combine(f_hist, g_hist)
             elif cfg.method == "spectral":
                 alpha = 1.0 if x_prev is None else alpha_from(x - x_prev, F - F_prev)
                 x_prev, F_prev = x, F

@@ -13,7 +13,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -26,10 +26,6 @@ from .datagen import (DynamicDgpParams, SeededRng, StaticDgpParams, draw_theta,
 from .dynamic import IvsGrid, ivs_solve, pf_solve, traditional_joint_solve
 from .rcnl import rcnl_dist_metric, rcnl_solve_inner
 from .static_rcl import dist_metric, solve_inner
-
-RECORD_FIELDS = ("suite", "replication", "algorithm", "evaluations",
-                 "converged", "termination", "dist", "wall_ms")
-
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
@@ -86,7 +82,11 @@ class ExperimentConfig:
             object.__setattr__(self, name, checked_int(name, getattr(self, name), minimum))
         for name in ("tolerance", "dist_tol"):
             object.__setattr__(self, name, checked_tolerance(name, getattr(self, name)))
+        labels = set()
         for algo in self.algorithms:
+            if algo.label in labels:  # summarize groups records by label
+                raise ValueError(f"two algorithms share the label {algo.label!r}")
+            labels.add(algo.label)
             if algo.mapping not in solvers:
                 raise ValueError(f"mapping {algo.mapping!r} is not one of {sorted(solvers)} "
                                  f"for suite {self.suite!r}")
@@ -106,6 +106,9 @@ class RunRecord:
     termination: str
     dist: float
     wall_ms: float
+
+
+RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
 
 
 @dataclass(frozen=True)
@@ -237,9 +240,8 @@ def default_config(suite: str) -> ExperimentConfig:
                             s.tolerance, s.max_evaluations)
 
 
-_CONFIG_KEYS = ("suite", "algorithms", "replications", "master_seed", "tolerance",
-                "max_evaluations", "dist_tol")
-_ALGORITHM_KEYS = ("mapping", "gamma", "method", "step_rule")
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+_ALGORITHM_KEYS = tuple(f.name for f in fields(AlgorithmSpec))
 
 
 def _json_object(doc, keys, where) -> dict:
@@ -331,9 +333,7 @@ def summarize(records, dist_tol: float = 1e-12) -> list[SummaryRow]:
 # ---------------------------------------------------------------------------
 # Rendering and record IO
 
-_SUMMARY_COLUMNS = ("algorithm", "mean_evals", "min_evals", "p25_evals",
-                    "median_evals", "p75_evals", "max_evals", "conv_pct",
-                    "mean_log10_dist", "dist_below_pct", "mean_wall_ms")
+_SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
 
 
 def _format_cell(col: str, value) -> str:
@@ -379,7 +379,11 @@ def write_records(records, path) -> None:
 def read_records(path) -> list[RunRecord]:
     records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [f for f in RECORD_FIELDS if f not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} has no columns {missing}")
+        for row in reader:
             records.append(RunRecord(
                 suite=row["suite"], replication=int(row["replication"]),
                 algorithm=row["algorithm"], evaluations=int(row["evaluations"]),

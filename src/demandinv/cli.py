@@ -29,7 +29,7 @@ def _cmd_run(args) -> int:
                    else [default_config(suite) for suite in args.suite])
         if args.replications is not None:
             configs = [replace(cfg, replications=args.replications) for cfg in configs]
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         print(f"bench run: {err}", file=sys.stderr)
         return 2
     for cfg in configs:
@@ -47,7 +47,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    records = read_records(args.infile)
+    try:
+        records = read_records(args.infile)
+    except (OSError, ValueError) as err:
+        print(f"bench summarize: {err}", file=sys.stderr)
+        return 2
     rows = summarize(records, dist_tol=args.dist_tol)
     print(render(rows, args.format), end="")
     return 0

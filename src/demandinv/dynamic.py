@@ -270,11 +270,6 @@ def bellman_residual(sol: DurableSolution, mkt: DurableMarket) -> float:
     return float(np.max(np.abs(resid)))
 
 
-def _time_blocks(I: int, T: int) -> tuple[np.ndarray, ...]:
-    """Index groups of the flattened (I, T) state, one group per period."""
-    return tuple(np.arange(I) * T + t for t in range(T))
-
-
 def pf_solve(mkt: DurableMarket, gamma: float, cfg: AccelConfig):
     """Perfect-foresight value-function algorithm: iterate V only.
 
@@ -293,7 +288,8 @@ def pf_solve(mkt: DurableMarket, gamma: float, cfg: AccelConfig):
         _, omega, pr0 = _forward(V, mkt, em)
         return _backup(V, _v_next(V), omega, gamma, pr0, mkt).ravel()
 
-    fp = FixedPointMap(evaluate, I * T, block_partition=_time_blocks(I, T))
+    # coordinate i * T + t of the flattened (I, T) state is in period t's block
+    fp = FixedPointMap(evaluate, I * T, block_labels=np.tile(np.arange(T), I))
     outcome = solve(fp, np.zeros(I * T), cfg)
     V = outcome.point.reshape(shape)
     return _solution(_forward(V, mkt, em)[0], V, mkt, em), outcome
@@ -455,7 +451,7 @@ def durable_market_to_json(mkt: DurableMarket) -> str:
 
 def durable_market_from_json(text: str) -> DurableMarket:
     """The market of a fixture; DurableMarket checks every value."""
-    doc = parse_fixture(text)
+    doc = parse_fixture(text, ("shares", "outside_shares", "mu", "weights", "beta", "pr0_init"))
     return DurableMarket(
         shares=numeric_array("shares", doc["shares"]).T,
         outside_shares=doc["outside_shares"],

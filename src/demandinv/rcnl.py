@@ -16,8 +16,8 @@ import numpy as np
 
 from .accel import AccelConfig, FixedPointMap, solve
 from .numerics import log_share_gap, logsumexp
-from .static_rcl import (StaticMarket, check_mu_span, exp_mu, market_doc, market_from_doc,
-                         numeric_array, parse_fixture)
+from .static_rcl import (MARKET_KEYS, StaticMarket, check_mu_span, exp_mu, market_doc,
+                         market_from_doc, numeric_array, outside_logit, parse_fixture)
 
 RCNL_MAPPINGS = ("delta0", "delta1", "IV0", "IV1")
 
@@ -87,29 +87,18 @@ def _within(delta, groups, rho, em):
     return ivT, parts
 
 
-def _nest_logit(ivT):
-    """Each type's logit of its nest inclusive values (G, I) against the
-    outside option at 0: (nest probabilities (G, I), outside probabilities,
-    log of the denominator), shifted by max(max_g IV_ig, 0)."""
-    k = np.maximum(ivT.max(axis=0), 0.0)
-    e = np.exp(ivT - k)
-    e0 = np.exp(-k)
-    denom = e0 + e.sum(axis=0)
-    return e / denom, e0 / denom, k + np.log(denom)
-
-
 def nested_shares(delta, mu, weights, groups, rho, em=None):
     """Nested-logit shares from raw arrays: (s_j, s_g, s_0, per-type IV)."""
     delta = np.asarray(delta, dtype=float)
     em = em or nest_exp_mu(mu, groups, rho)
     ivT, parts = _within(delta, groups, rho, em)
-    p_nest, p0, _ = _nest_logit(ivT)
+    _, e, e0, denom = outside_logit(ivT.T)  # the nest level, (I, G)
     s_j = np.empty(delta.size)
     for g, idx in enumerate(groups):
         ed, rowsum = parts[g]
-        s_j[idx] = ed * ((weights * p_nest[g] / rowsum) @ em[g][1])
+        s_j[idx] = ed * ((weights * (e[:, g] / denom) / rowsum) @ em[g][1])
     s_g = np.array([s_j[idx].sum() for idx in groups])
-    return s_j, s_g, float(weights @ p0), ivT.T
+    return s_j, s_g, float(weights @ (e0 / denom)), ivT.T
 
 
 def rcnl_shares(delta, mkt: NestedMarket, em=None):
@@ -134,8 +123,10 @@ def rcnl_phi_delta(delta, gamma: float, mkt: NestedMarket, em=None) -> np.ndarra
             gap_g = np.log(mkt.nest_shares) - np.log(s_g)
             out = out + gamma * rho_j * gap_g[mkt.nest_of]
             # s_0 underflows at large IV, its log does not (as in rcnl_iota_IV_to_delta)
-            log_s0 = (np.log(s_0) if s_0 != 0.0 else
-                      logsumexp((-_nest_logit(iv.T)[2])[:, None], 0, base.weights)[0])
+            log_s0 = np.log(s_0)
+            if s_0 == 0.0:
+                a, _, _, denom = outside_logit(iv)
+                log_s0 = logsumexp((-(a + np.log(denom)))[:, None], 0, base.weights)[0]
             out = out - gamma * (base.log_outside - log_s0)
     return out
 
@@ -155,7 +146,8 @@ def rcnl_iota_IV_to_delta(iv, gamma: float, mkt: NestedMarket, em=None) -> np.nd
     base = mkt.base
     em = _em(mkt, em)
     ivT = np.ascontiguousarray(iv.T)
-    lse_top = _nest_logit(ivT)[2]
+    a_top, _, _, denom = outside_logit(ivT.T)
+    lse_top = a_top + np.log(denom)
     delta = np.empty(base.n_products)
     with np.errstate(divide="ignore"):
         for g, idx in enumerate(mkt.groups):
@@ -220,5 +212,5 @@ def nested_market_to_json(mkt: NestedMarket) -> str:
 
 
 def nested_market_from_json(text: str) -> NestedMarket:
-    doc = parse_fixture(text)
+    doc = parse_fixture(text, MARKET_KEYS + ("nest_of", "rho"))
     return NestedMarket(base=market_from_doc(doc), nest_of=doc["nest_of"], rho=doc["rho"])

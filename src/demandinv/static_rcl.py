@@ -367,20 +367,26 @@ def market_to_json(mkt: StaticMarket) -> str:
     return json.dumps(market_doc(mkt))
 
 
-def parse_fixture(text: str) -> dict:
-    """The JSON object of a market fixture; other schema versions are rejected."""
+def parse_fixture(text: str, keys) -> dict:
+    """The JSON object of a market fixture that has every one of the keys its
+    loader reads; other schema versions and missing keys are rejected."""
     doc = json.loads(text)
     version = doc.get("schema_version") if isinstance(doc, dict) else None
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"fixture schema_version {version!r} is not {SCHEMA_VERSION}")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ValueError(f"fixture is missing the keys {missing}")
     return doc
+
+
+MARKET_KEYS = ("shares", "outside_share", "mu", "weights")  # read by market_from_doc
 
 
 def market_from_doc(doc: dict) -> StaticMarket:
     """The market of a fixture object; StaticMarket checks every value."""
-    return StaticMarket(shares=doc["shares"], outside_share=doc["outside_share"],
-                        mu=doc["mu"], weights=doc["weights"])
+    return StaticMarket(**{k: doc[k] for k in MARKET_KEYS})
 
 
 def market_from_json(text: str) -> StaticMarket:
-    return market_from_doc(parse_fixture(text))
+    return market_from_doc(parse_fixture(text, MARKET_KEYS))

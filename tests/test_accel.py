@@ -72,19 +72,19 @@ class TestAnderson:
     def test_combine_m0_degenerates_to_plain(self):
         f = [np.array([0.3, -0.2])]
         g = [np.array([1.0, 2.0])]
-        np.testing.assert_array_equal(anderson_combine(f, g, 0), g[0])
+        np.testing.assert_array_equal(anderson_combine(f, g), g[0])
 
     def test_zero_residual_dominates(self):
         f = [np.array([1.0, 0.0]), np.array([0.0, 0.0])]
         g = [np.array([5.0, 5.0]), np.array([7.0, 7.0])]
-        w = anderson_weights(f, 1)
+        w = anderson_weights(f)
         np.testing.assert_allclose(w, [0.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(anderson_combine(f, g, 1), g[1], atol=1e-13)
+        np.testing.assert_allclose(anderson_combine(f, g), g[1], atol=1e-13)
 
     def test_near_singular_history_never_aborts(self):
         f = [np.array([1.0, 1.0]), np.array([1.0, 1.0]), np.array([1.0, 1.0])]
         g = [np.array([0.0, 0.0])] * 3
-        w = anderson_weights(f, 2)  # duplicate residuals: rank-deficient
+        w = anderson_weights(f)  # duplicate residuals: rank-deficient
         assert np.isfinite(w).all()
         assert abs(w.sum() - 1.0) < 1e-12
 
@@ -93,7 +93,7 @@ class TestAnderson:
     def test_weights_sum_to_one(self, m_n, dim, seed):
         rng = np.random.default_rng(seed)
         f = [rng.normal(size=dim) for _ in range(m_n + 1)]
-        w = anderson_weights(f, m_n)
+        w = anderson_weights(f)
         assert abs(w.sum() - 1.0) < 1e-12
 
 
@@ -263,12 +263,14 @@ class TestEvaluationCounting:
         assert out.evaluations == len(calls)
 
 
-def test_block_partition_validation():
-    with pytest.raises(ValueError):
-        FixedPointMap(lambda x: x, 3, block_partition=(np.array([0, 1]),))
-    with pytest.raises(ValueError):
-        FixedPointMap(lambda x: x, 2, block_partition=(np.array([0, 1]),
-                                                       np.array([1])))
+def test_block_labels_validation():
+    FixedPointMap(lambda x: x, 3, block_labels=np.array([0, 1, 0]))
+    for labels in (np.array([0, 1]),                        # wrong length
+                   np.array([0.0, 1.0, 0.0]),               # not integers
+                   np.array([0, -1, 1]),                    # negative
+                   (np.array([0, 2]), np.array([1]))):      # an index partition
+        with pytest.raises(ValueError, match="block_labels"):
+            FixedPointMap(lambda x: x, 3, block_labels=labels)
 
 
 def test_config_validation():
@@ -426,7 +428,8 @@ class TestTerminationContract:
 # Each scenario gives (s, y) per block as (first image step, second minus
 # first). Dyadic values keep every sum exact, so the order in which a block
 # is summed cannot move a bit.
-_BLOCKS = (np.array([0, 3]), np.array([1, 4]), np.array([2, 5]))
+_BLOCKS = np.tile(np.arange(3), 2)  # each coordinate's block label
+_GROUPS = tuple(np.flatnonzero(_BLOCKS == b) for b in range(3))
 _BIG = 2.0 ** 700  # s's and y'y overflow to inf: every rule's ratio is non-finite
 _BLOCK_SCENARIOS = {
     "generic": [((1.5, -0.25), (0.75, 2.0)), ((-3.0, 0.5), (1.25, -1.5)),
@@ -440,14 +443,14 @@ _BLOCK_SCENARIOS = {
 
 def _block_vectors(scenario):
     s, y = np.empty(6), np.empty(6)
-    for group, (s_b, y_b) in zip(_BLOCKS, _BLOCK_SCENARIOS[scenario]):
+    for group, (s_b, y_b) in zip(_GROUPS, _BLOCK_SCENARIOS[scenario]):
         s[group], y[group] = s_b, y_b
     return s, y
 
 
 def _per_block_alphas(s, y, rule):
     """The per-block definition: each block's own spectral_alpha, capped."""
-    return [min(spectral_alpha(s[g], y[g], rule), DEFAULT_BLOCK_STEP_CAP) for g in _BLOCKS]
+    return [min(spectral_alpha(s[g], y[g], rule), DEFAULT_BLOCK_STEP_CAP) for g in _GROUPS]
 
 
 class TestBlockStepSizes:
@@ -459,7 +462,7 @@ class TestBlockStepSizes:
         def evaluate(x):
             inputs.append(np.array(x, copy=True))
             return x + steps[len(inputs) - 1]
-        fp = FixedPointMap(evaluate, 6, block_partition=_BLOCKS)
+        fp = FixedPointMap(evaluate, 6, block_labels=_BLOCKS)
         cfg = AccelConfig(method=method, step_size_rule=rule, use_blocks=True,
                           max_evaluations=3)
         with warnings.catch_warnings():
@@ -476,7 +479,7 @@ class TestBlockStepSizes:
         s, y = _block_vectors(scenario)
         F = s + y
         x2 = self.third_input([s, F, np.zeros(6)], -s, "spectral", rule)
-        for group, alpha in zip(_BLOCKS, _per_block_alphas(s, y, rule)):
+        for group, alpha in zip(_GROUPS, _per_block_alphas(s, y, rule)):
             np.testing.assert_allclose(x2[group] / F[group], alpha, rtol=1e-15, atol=0)
             np.testing.assert_allclose(x2[group], alpha * F[group], rtol=1e-15, atol=0)
 
@@ -487,7 +490,7 @@ class TestBlockStepSizes:
         # y = Phi2(x) - 2 Phi(x) + x are exactly the scenario's vectors
         s, y = _block_vectors(scenario)
         x_next = self.third_input([s, s + y, np.zeros(6)], np.zeros(6), "squarem", rule)
-        for group, alpha in zip(_BLOCKS, _per_block_alphas(s, y, rule)):
+        for group, alpha in zip(_GROUPS, _per_block_alphas(s, y, rule)):
             np.testing.assert_allclose(x_next[group],
                                        2.0 * alpha * s[group] + alpha ** 2 * y[group],
                                        rtol=1e-15, atol=0)
@@ -501,4 +504,4 @@ class TestBlockStepSizes:
             assert all(_per_block_alphas(s, y, rule)[0] == 1.0
                        for rule in ("S1", "S2", "S3", "S3prime"))
         assert _per_block_alphas(s, y, "S1")[1] == DEFAULT_BLOCK_STEP_CAP
-        assert spectral_alpha(s[_BLOCKS[1]], y[_BLOCKS[1]], "S1") == pytest.approx(37.0)
+        assert spectral_alpha(s[_GROUPS[1]], y[_GROUPS[1]], "S1") == pytest.approx(37.0)

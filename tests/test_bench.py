@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,16 @@ class TestConfig:
         assert type(cfg.algorithms[0].gamma) is float
         assert cfg.algorithms[0].label == "V-(0)+squarem"
 
+    @pytest.mark.parametrize("algorithms,label", [
+        ((AlgorithmSpec("kalouptsidi_mixed", 0.0), AlgorithmSpec("kalouptsidi_mixed", 1.0)),
+         "kalouptsidi_mixed"),
+        ((AlgorithmSpec("delta"), AlgorithmSpec("V"), AlgorithmSpec("delta")), "delta-(1)"),
+    ], ids=["family-without-gamma", "identical-entries"])
+    def test_rejects_repeated_labels(self, algorithms, label):
+        # summarize would merge the two into one row
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            dataclasses.replace(default_config("static_2types"), algorithms=algorithms)
+
     def test_dynamic_gammas_keep_distinct_labels(self):
         doc = {"suite": "dynamic_pf", "algorithms": [{"mapping": m, "gamma": g}
                                                      for m in ("V", "joint")
@@ -318,6 +329,22 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 2
         assert "replication" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["run", "--config"], ["summarize", "--in"]],
+                             ids=["run", "summarize"])
+    def test_missing_input_file_exits_2_with_a_message(self, tmp_path, capsys, argv):
+        missing = tmp_path / "missing.json"
+        assert cli_main([*argv, str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bench {argv[0]}: ") and str(missing) in err
+
+    def test_records_without_a_column_exit_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "records.csv"
+        path.write_text("suite,replication,evaluations,converged,termination,dist,wall_ms\n"
+                        "static_j25,0,12,1,converged,1e-14,0.5\n")
+        assert cli_main(["summarize", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bench summarize: ") and "'algorithm'" in err
 
     def test_malformed_config_exits_2_with_a_message(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -335,6 +335,15 @@ class TestJson:
         with pytest.raises(ValueError, match="schema_version"):
             durable_market_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("key", ["shares", "outside_shares", "mu", "weights", "beta",
+                                     "pr0_init"])
+    def test_rejects_a_missing_key(self, key):
+        inst, _ = desk_instance(14, horizon=4, n_products=2, n_draws=3)
+        doc = json.loads(durable_market_to_json(inst.market))
+        del doc[key]
+        with pytest.raises(ValueError, match=f"missing the keys \\['{key}'\\]"):
+            durable_market_from_json(json.dumps(doc))
+
 
 class TestValidation:
     @pytest.mark.parametrize("build", [

@@ -177,6 +177,14 @@ class TestJson:
         with pytest.raises(ValueError, match="schema_version"):
             nested_market_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("key", ["nest_of", "rho", "mu"])
+    def test_rejects_a_missing_key(self, key):
+        mkt, _ = tiny_nested(seed=31)
+        doc = json.loads(nested_market_to_json(mkt))
+        del doc[key]
+        with pytest.raises(ValueError, match=f"missing the keys \\['{key}'\\]"):
+            nested_market_from_json(json.dumps(doc))
+
 
 class TestValidation:
     def test_rejects_rho_out_of_range(self):

@@ -314,6 +314,14 @@ class TestJsonFixtures:
         with pytest.raises(ValueError, match="schema_version"):
             market_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("key", ["shares", "outside_share", "mu", "weights"])
+    def test_rejects_a_missing_key(self, key):
+        mkt, _ = small_market(53)
+        doc = json.loads(market_to_json(mkt))
+        del doc[key]
+        with pytest.raises(ValueError, match=f"missing the keys \\['{key}'\\]"):
+            market_from_json(json.dumps(doc))
+
 
 class TestMarketValidation:
     def test_rejects_bad_share_sum(self):
