@@ -6,11 +6,9 @@ seeded benchmark harness.
 """
 
 from .accel import (AccelConfig, FixedPointMap, SolveOutcome, anderson_combine,
-                    anderson_weights, block_step_sizes, solve, spectral_alpha,
-                    spectral_update, squarem_update)
+                    anderson_weights, block_step_sizes, solve, spectral_alpha)
 from .dynamic import (DurableMarket, DurableSolution, IvsGrid, IvsState,
-                      bellman_residual, ivs_solve,
-                      pf_forward_pass, pf_solve, pf_value_update,
+                      bellman_residual, ivs_solve, pf_solve, pf_value_update,
                       traditional_joint_solve, traditional_nested_solve)
 from .numerics import (Quadrature, chebyshev_eval_rows, chebyshev_fit_matrix,
                        chebyshev_nodes, gauss_hermite, ls_minnorm, ols_ar1_rows)

@@ -35,7 +35,7 @@ DEFAULT_BLOCK_STEP_CAP = 10.0
 
 @dataclass(frozen=True)
 class FixedPointMap:
-    """A mapping x -> Phi(x) on R^dimension.
+    """A mapping x -> Phi(x); :func:`solve` takes its size from the start point.
 
     ``block_labels``, when given, holds one non-negative integer block label
     per coordinate; with cfg.use_blocks, spectral/SQUAREM then use one step
@@ -43,17 +43,16 @@ class FixedPointMap:
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
-    dimension: int
     block_labels: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.block_labels is not None:
-            labels = self.block_labels
-            if not isinstance(labels, np.ndarray) or labels.shape != (self.dimension,) \
-                    or labels.dtype.kind not in "iu" or not np.can_cast(labels.dtype, np.intp) \
-                    or np.any(labels < 0):
-                raise ValueError(f"block_labels must be an array of {self.dimension} "
-                                 f"non-negative integers, one per coordinate")
+        labels = self.block_labels
+        if labels is not None and (
+                not isinstance(labels, np.ndarray) or labels.ndim != 1
+                or labels.dtype.kind not in "iu" or not np.can_cast(labels.dtype, np.intp)
+                or np.any(labels < 0)):
+            raise ValueError("block_labels must be a 1-d array of non-negative integers, "
+                             "one per coordinate")
 
 
 def checked_int(name: str, value, minimum: int) -> int:
@@ -167,21 +166,6 @@ def block_step_sizes(s, y, labels: np.ndarray, rule: str = "S3") -> np.ndarray:
     return np.minimum(np.where(unit, 1.0, alpha), DEFAULT_BLOCK_STEP_CAP)
 
 
-def spectral_update(x, F, alpha) -> np.ndarray:
-    """x + alpha*F; alpha is a scalar or one step size per coordinate."""
-    return np.asarray(x, dtype=float) + alpha * np.asarray(F, dtype=float)
-
-
-def squarem_update(x, phix, phi2x, alpha) -> np.ndarray:
-    """x + 2*alpha*s + alpha^2*y with s = Phi(x)-x, y = Phi2(x)-2Phi(x)+x; alpha
-    is a scalar or one step size per coordinate."""
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(phix, dtype=float) - x
-    y = np.asarray(phi2x, dtype=float) - 2.0 * np.asarray(phix, dtype=float) + x
-    # a numpy scalar squares like a Python float but overflows to inf, not an error
-    return x + 2.0 * alpha * s + np.float64(alpha) ** 2 * y
-
-
 def anderson_weights(residuals: Sequence[np.ndarray]) -> np.ndarray:
     """Combination weights for the given residuals, oldest first.
 
@@ -223,10 +207,11 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
     the next iterate.
     """
     x = np.asarray(x0, dtype=float)
-    if x.shape != (fp_map.dimension,):
-        raise ValueError(f"x0 must have shape ({fp_map.dimension},)")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x0 must be finite")
+    if x.ndim != 1 or not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be a finite vector")
+    if fp_map.block_labels is not None and fp_map.block_labels.shape != x.shape:
+        raise ValueError(f"block_labels has {fp_map.block_labels.size} labels for "
+                         f"{x.size} coordinates")
     labels = fp_map.block_labels if cfg.use_blocks else None
 
     def alpha_from(s, y):
@@ -282,14 +267,17 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
             elif cfg.method == "spectral":
                 alpha = 1.0 if x_prev is None else alpha_from(x - x_prev, F - F_prev)
                 x_prev, F_prev = x, F
-                x_next = spectral_update(x, F, alpha)
+                x_next = x + alpha * F
             else:
                 y = g2 - 2.0 * g + x
                 # degenerate curvature: alpha = 1 reproduces the exact two-step Phi^2(x)
                 if labels is None and float(y @ y) == 0.0:
                     x_next = g2
                 else:
-                    x_next = squarem_update(x, g, g2, alpha_from(F, y))
+                    # x + 2 alpha s + alpha^2 y with s = F; a numpy scalar squares
+                    # like a Python float but overflows to inf, not an error
+                    alpha = alpha_from(F, y)
+                    x_next = x + 2.0 * alpha * F + np.float64(alpha) ** 2 * y
         if not np.all(np.isfinite(x_next)):
             return finish(last_image, "non_finite", np.inf)
         x = x_next

@@ -109,6 +109,7 @@ class RunRecord:
 
 
 RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
+_TERMINATIONS = ("converged", "max_evaluations", "non_finite")  # of accel.SolveOutcome
 
 
 @dataclass(frozen=True)
@@ -377,16 +378,29 @@ def write_records(records, path) -> None:
 
 
 def read_records(path) -> list[RunRecord]:
+    """The records of a records.csv; ValueError naming the line of a row that
+    does not match the header or holds a value no run writes."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = [f for f in RECORD_FIELDS if f not in (reader.fieldnames or ())]
+        header = reader.fieldnames or ()
+        missing = [f for f in RECORD_FIELDS if f not in header]
         if missing:
             raise ValueError(f"{path} has no columns {missing}")
         for row in reader:
-            records.append(RunRecord(
-                suite=row["suite"], replication=int(row["replication"]),
-                algorithm=row["algorithm"], evaluations=int(row["evaluations"]),
-                converged=bool(int(row["converged"])), termination=row["termination"],
-                dist=float(row["dist"]), wall_ms=float(row["wall_ms"])))
+            try:
+                extra, short = row.pop(None, []), sum(v is None for v in row.values())
+                if extra or short:
+                    raise ValueError(f"{len(header) + len(extra) - short} cells for "
+                                     f"{len(header)} columns")
+                if row["converged"] not in ("0", "1"):
+                    raise ValueError(f"converged must be 0 or 1, not {row['converged']!r}")
+                records.append(RunRecord(
+                    suite=row["suite"], replication=int(row["replication"]),
+                    algorithm=row["algorithm"], evaluations=int(row["evaluations"]),
+                    converged=row["converged"] == "1",
+                    termination=checked_name("termination", row["termination"], _TERMINATIONS),
+                    dist=float(row["dist"]), wall_ms=float(row["wall_ms"])))
+            except ValueError as err:
+                raise ValueError(f"{path} line {reader.line_num}: {err}") from None
     return records

@@ -16,6 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .accel import checked_tolerance
 from .bench import (SUITES, config_from_json, default_config, read_records,
                     render, run_suite, summarize, write_records)
 
@@ -29,14 +30,15 @@ def _cmd_run(args) -> int:
                    else [default_config(suite) for suite in args.suite])
         if args.replications is not None:
             configs = [replace(cfg, replications=args.replications) for cfg in configs]
+        outs = [Path(args.out) / cfg.suite for cfg in configs]
+        for out in outs:  # before the first solve, so a bad --out costs no run
+            out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as err:
         print(f"bench run: {err}", file=sys.stderr)
         return 2
-    for cfg in configs:
+    for cfg, out in zip(configs, outs):
         records = run_suite(cfg)
         rows = summarize(records, dist_tol=cfg.dist_tol)
-        out = Path(args.out) / cfg.suite
-        out.mkdir(parents=True, exist_ok=True)
         write_records(records, out / "records.csv")
         (out / "summary.csv").write_text(render(rows, "csv"))
         (out / "summary.md").write_text(render(rows, "md"))
@@ -48,11 +50,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_summarize(args) -> int:
     try:
+        dist_tol = checked_tolerance("--dist-tol", args.dist_tol)
         records = read_records(args.infile)
     except (OSError, ValueError) as err:
         print(f"bench summarize: {err}", file=sys.stderr)
         return 2
-    rows = summarize(records, dist_tol=args.dist_tol)
+    rows = summarize(records, dist_tol=dist_tol)
     print(render(rows, args.format), end="")
     return 0
 

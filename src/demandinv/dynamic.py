@@ -11,7 +11,7 @@ Algorithms:
   analytically from V each iteration, so only V is solved for.
 * :func:`traditional_joint_solve` - joint (delta, V) updates in one loop.
 * :func:`traditional_nested_solve` - inner value iteration per outer delta
-  update, with optional hot starts.
+  update, each started from the previous one's values.
 * :func:`ivs_solve` - inclusive-value-sufficiency variant: a scalar state
   per type follows a fitted AR(1); expectations use Gauss-Hermite
   quadrature over a Chebyshev interpolant of V.
@@ -109,6 +109,15 @@ class IvsState:
 
 @dataclass
 class DurableSolution:
+    """A durable-goods solve's point with its ownership path and ccps.
+
+    dist audits the shares only. pf_solve and ivs_solve recover delta from V
+    so that the shares match, so their dist is at rounding level (~4e-15) at
+    any finite V, converged or not. bellman_residual audits a pf_solve; an
+    ivs_solve's V solves the approximate IVS Bellman equation, which only
+    the solve's own residual audits.
+    """
+
     value: np.ndarray  # (I, T)
     delta: np.ndarray  # (J, T)
     pr0: np.ndarray    # (I, T)
@@ -192,14 +201,6 @@ def _ccp(delta: np.ndarray, V: np.ndarray, em) -> np.ndarray:
     return ccp.transpose(1, 2, 0)
 
 
-def pf_forward_pass(V, mkt: DurableMarket):
-    """Public forward pass: (delta (J,T), ccp (I,J,T), pr0 (I,T)) at V."""
-    V = np.asarray(V, dtype=float)
-    em = _exp_mu_t(mkt)
-    delta, _, pr0 = _forward(V, mkt, em)
-    return delta, _ccp(delta, V, em), pr0
-
-
 def _backup(V: np.ndarray, ev_next: np.ndarray, omega: np.ndarray, gamma: float,
             pr0: np.ndarray, mkt: DurableMarket) -> np.ndarray:
     """log(exp(beta*EV') + exp(omega) * (s0_hat/S0)^gamma) for next-period
@@ -214,7 +215,7 @@ def _backup(V: np.ndarray, ev_next: np.ndarray, omega: np.ndarray, gamma: float,
     return np.logaddexp(bev, omega)
 
 
-def pf_value_update(V, delta, gamma: float, mkt: DurableMarket, pr0=None) -> np.ndarray:
+def pf_value_update(V, delta, gamma: float, mkt: DurableMarket) -> np.ndarray:
     """One Bellman-style backup with the outside-share correction.
 
     V'_it = log(exp(beta*V_{i,t+1}) + sum_j exp(delta_jt + mu_ijt)
@@ -222,8 +223,7 @@ def pf_value_update(V, delta, gamma: float, mkt: DurableMarket, pr0=None) -> np.
     """
     V = np.asarray(V, dtype=float)
     omega = _omega_from_delta(np.asarray(delta, dtype=float), _exp_mu_t(mkt))
-    if gamma != 0.0 and pr0 is None:
-        pr0 = _pr0_path(omega, V, mkt)
+    pr0 = _pr0_path(omega, V, mkt) if gamma != 0.0 else None
     return _backup(V, _v_next(V), omega, gamma, pr0, mkt)
 
 
@@ -257,8 +257,9 @@ def _delta_update(delta: np.ndarray, V: np.ndarray, omega: np.ndarray, gamma: fl
     return d_next
 
 
-def _solution(delta: np.ndarray, V: np.ndarray, mkt: DurableMarket, em) -> DurableSolution:
-    pr0, s = _shares_at(delta, V, _omega_from_delta(delta, em), mkt, em)
+def _solution(delta: np.ndarray, V: np.ndarray, omega: np.ndarray, mkt: DurableMarket,
+              em) -> DurableSolution:
+    pr0, s = _shares_at(delta, V, omega, mkt, em)
     return DurableSolution(value=V, delta=delta, pr0=pr0, ccp=_ccp(delta, V, em),
                            dist=log_share_gap(np.log(mkt.shares), s))
 
@@ -289,10 +290,11 @@ def pf_solve(mkt: DurableMarket, gamma: float, cfg: AccelConfig):
         return _backup(V, _v_next(V), omega, gamma, pr0, mkt).ravel()
 
     # coordinate i * T + t of the flattened (I, T) state is in period t's block
-    fp = FixedPointMap(evaluate, I * T, block_labels=np.tile(np.arange(T), I))
+    fp = FixedPointMap(evaluate, block_labels=np.tile(np.arange(T), I))
     outcome = solve(fp, np.zeros(I * T), cfg)
     V = outcome.point.reshape(shape)
-    return _solution(_forward(V, mkt, em)[0], V, mkt, em), outcome
+    delta, omega, _ = _forward(V, mkt, em)
+    return _solution(delta, V, omega, mkt, em), outcome
 
 
 def initial_delta_myopic(mkt: DurableMarket) -> np.ndarray:
@@ -321,46 +323,42 @@ def traditional_joint_solve(mkt: DurableMarket, gamma: float, phi: float,
         return np.concatenate([d_next.ravel(), v_next.ravel()])
 
     x0 = np.concatenate([initial_delta_myopic(mkt).ravel(), np.zeros(I * T)])
-    fp = FixedPointMap(evaluate, nd + I * T)
-    outcome = solve(fp, x0, cfg)
-    sol = _solution(outcome.point[:nd].reshape(J, T), outcome.point[nd:].reshape(I, T),
+    outcome = solve(FixedPointMap(evaluate), x0, cfg)
+    delta = outcome.point[:nd].reshape(J, T)
+    sol = _solution(delta, outcome.point[nd:].reshape(I, T), _omega_from_delta(delta, em),
                     mkt, em)
     return sol, outcome
 
 
 def traditional_nested_solve(mkt: DurableMarket, gamma: float, phi: float,
-                             inner_cfg: AccelConfig, outer_cfg: AccelConfig,
-                             hot_start: bool = True):
-    """Nested loops: solve V to tolerance for each outer delta update.
+                             inner_cfg: AccelConfig, outer_cfg: AccelConfig):
+    """Nested loops: solve V to tolerance for each outer delta update, starting
+    each inner solve from the previous one's V.
 
     Returns (solution, outer outcome, total inner value-backup evaluations).
     The outer evaluation count in the outcome counts delta-map applications.
     """
     I, J, T = mkt.n_types, mkt.n_products, mkt.horizon
     em = _exp_mu_t(mkt)
-    state = {"V": np.zeros((I, T)), "psi_evals": 0}
-
-    def inner_solve(omega):
-        def backup(x):
-            V = x.reshape(I, T)
-            return np.logaddexp(mkt.beta * _v_next(V), omega).ravel()
-
-        v0 = state["V"] if hot_start else np.zeros((I, T))
-        fp = FixedPointMap(backup, I * T)
-        res = solve(fp, v0.ravel(), inner_cfg)
-        state["psi_evals"] += res.evaluations
-        return res.point.reshape(I, T)
+    V = np.zeros((I, T))
+    psi_evals = 0
 
     def outer_evaluate(x):
+        nonlocal V, psi_evals
         delta = x.reshape(J, T)
         omega = _omega_from_delta(delta, em)
-        state["V"] = inner_solve(omega)
-        return _delta_update(delta, state["V"], omega, gamma, phi, mkt, em).ravel()
 
-    fp = FixedPointMap(outer_evaluate, J * T)
-    outcome = solve(fp, initial_delta_myopic(mkt).ravel(), outer_cfg)
-    sol = _solution(outcome.point.reshape(J, T), state["V"], mkt, em)
-    return sol, outcome, state["psi_evals"]
+        def backup(v):
+            return np.logaddexp(mkt.beta * _v_next(v.reshape(I, T)), omega).ravel()
+
+        inner = solve(FixedPointMap(backup), V.ravel(), inner_cfg)
+        psi_evals += inner.evaluations
+        V = inner.point.reshape(I, T)
+        return _delta_update(delta, V, omega, gamma, phi, mkt, em).ravel()
+
+    outcome = solve(FixedPointMap(outer_evaluate), initial_delta_myopic(mkt).ravel(), outer_cfg)
+    delta = outcome.point.reshape(J, T)
+    return _solution(delta, V, _omega_from_delta(delta, em), mkt, em), outcome, psi_evals
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +415,7 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
         v_grid_next = np.logaddexp(mkt.beta * e_grid, nodes[None, :])
         return np.concatenate([v_data_next.ravel(), v_grid_next.ravel()])
 
-    fp = FixedPointMap(evaluate, nd + I * N)
-    outcome = solve(fp, np.zeros(nd + I * N), cfg)
+    outcome = solve(FixedPointMap(evaluate), np.zeros(nd + I * N), cfg)
     v_data = outcome.point[:nd].reshape(I, T)
     v_grid = outcome.point[nd:].reshape(I, N)
     delta, omega, _ = _forward(v_data, mkt, em)
@@ -426,7 +423,7 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
     state = IvsState(grid=nodes, v_data=v_data, v_grid=v_grid,
                      ar1_intercept=theta0, ar1_slope=theta1, ar1_sd=sd,
                      gh_order=grid.gh_order)
-    return replace(_solution(delta, v_data, mkt, em), ivs=state), outcome
+    return replace(_solution(delta, v_data, omega, mkt, em), ivs=state), outcome
 
 
 # ---------------------------------------------------------------------------

@@ -193,14 +193,11 @@ def rcnl_solve_inner(mkt: NestedMarket, mapping: str, cfg: AccelConfig):
     base = mkt.base
     em = nest_exp_mu(base.mu, mkt.groups, mkt.rho)
     if mapping.startswith("delta"):
-        fp = FixedPointMap(lambda d: rcnl_phi_delta(d, gamma, mkt, em), base.n_products)
+        fp = FixedPointMap(lambda d: rcnl_phi_delta(d, gamma, mkt, em))
         outcome = solve(fp, rcnl_initial_delta(mkt), cfg)
         return outcome.point, outcome
     shape = (base.n_types, mkt.n_nests)
-    fp = FixedPointMap(
-        lambda v: rcnl_phi_IV(v.reshape(shape), gamma, mkt, em).ravel(),
-        base.n_types * mkt.n_nests,
-    )
+    fp = FixedPointMap(lambda v: rcnl_phi_IV(v.reshape(shape), gamma, mkt, em).ravel())
     outcome = solve(fp, np.zeros(shape).ravel(), cfg)
     delta = rcnl_iota_IV_to_delta(outcome.point.reshape(shape), gamma, mkt, em)
     return delta, outcome

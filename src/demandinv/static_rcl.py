@@ -300,7 +300,7 @@ def kalouptsidi_mixed_solve(mkt: StaticMarket, cfg: AccelConfig):
         rt_next = kalouptsidi_Ftilde(r[:-1] - r[-1], mkt, em)
         return _r_from_r_tilde(rt_next, mkt)
 
-    fp = FixedPointMap(mixed_map, mkt.n_types)
+    fp = FixedPointMap(mixed_map)
     outcome = solve(fp, np.log(mkt.weights), cfg)  # V = 0 start
     delta = kalouptsidi_delta_from_r(outcome.point, mkt, em)
     return delta, outcome
@@ -308,7 +308,7 @@ def kalouptsidi_mixed_solve(mkt: StaticMarket, cfg: AccelConfig):
 
 def _kalouptsidi_tilde_solve(mkt: StaticMarket, cfg: AccelConfig):
     em = exp_mu(mkt.mu)
-    fp = FixedPointMap(lambda rt: kalouptsidi_Ftilde(rt, mkt, em), mkt.n_types - 1)
+    fp = FixedPointMap(lambda rt: kalouptsidi_Ftilde(rt, mkt, em))
     r0 = np.log(mkt.weights)
     outcome = solve(fp, r0[:-1] - r0[-1], cfg)
     delta = kalouptsidi_delta_from_r(_r_from_r_tilde(outcome.point, mkt), mkt, em)
@@ -339,10 +339,10 @@ def solve_inner(mkt: StaticMarket, mapping: str, cfg: AccelConfig):
     gamma = 1.0 if mapping.endswith("1") else 0.0
     if mapping.startswith("delta"):
         em = exp_mu(mkt.mu)
-        fp = FixedPointMap(lambda d: phi_delta(d, gamma, mkt, em), mkt.n_products)
+        fp = FixedPointMap(lambda d: phi_delta(d, gamma, mkt, em))
         outcome = solve(fp, initial_delta(mkt), cfg)
         return outcome.point, outcome
-    fp = FixedPointMap(lambda v: phi_V(v, gamma, mkt), mkt.n_types)
+    fp = FixedPointMap(lambda v: phi_V(v, gamma, mkt))
     outcome = solve(fp, np.zeros(mkt.n_types), cfg)
     delta = iota_V_to_delta(outcome.point, gamma, mkt)
     return delta, outcome

@@ -7,15 +7,31 @@ from hypothesis import strategies as st
 
 from demandinv.accel import (DEFAULT_BLOCK_STEP_CAP, AccelConfig, FixedPointMap,
                              anderson_combine, anderson_weights, block_step_sizes, solve,
-                             spectral_alpha, spectral_update, squarem_update)
+                             spectral_alpha)
 
 
 def affine_map(A, b):
-    return FixedPointMap(lambda x: A @ x + b, b.size)
+    return FixedPointMap(lambda x: A @ x + b)
 
 
 def scalar_map(a, b):
-    return FixedPointMap(lambda x: a * x + b, 1)
+    return FixedPointMap(lambda x: a * x + b)
+
+
+def recording_map(phi, block_labels=None):
+    """A map that records every point it is evaluated at."""
+    inputs = []
+
+    def evaluate(x):
+        inputs.append(np.array(x, copy=True))
+        return phi(x)
+    return FixedPointMap(evaluate, block_labels), inputs
+
+
+def scripted_map(steps, block_labels=None):
+    """Phi(x) = x + steps[k] on the k-th call, recording every x."""
+    calls = iter(steps)
+    return recording_map(lambda x: x + next(calls), block_labels)
 
 
 class TestSolvePlain:
@@ -34,7 +50,7 @@ class TestSolvePlain:
         assert out.evaluations == 10
 
     def test_non_finite_detection(self):
-        fp = FixedPointMap(lambda x: x * np.inf, 1)
+        fp = FixedPointMap(lambda x: x * np.inf)
         out = solve(fp, np.array([1.0]), AccelConfig(max_evaluations=50))
         assert out.termination == "non_finite"
         assert not out.converged
@@ -130,52 +146,73 @@ class TestSpectralAlpha:
         assert spectral_alpha(np.array([1e-150]), np.array([1e-170]), rule) == 1.0
 
 
+def after_a_first_step(step, phi):
+    """x + step on the first call and phi(x) after: solve's first spectral
+    step s is then step, and y is phi's residual minus step."""
+    calls = []
+
+    def evaluate(x):
+        calls.append(1)
+        return x + step if len(calls) == 1 else phi(x)
+    return evaluate
+
+
 class TestSpectralUpdate:
     def test_alpha_one_is_plain_step(self):
+        # the first spectral step is the unit step x + F
         x = np.array([1.0, 2.0])
         F = np.array([0.5, -0.5])
-        np.testing.assert_array_equal(spectral_update(x, F, 1.0), x + F)
+        fp, inputs = scripted_map([F, F])
+        solve(fp, x, AccelConfig(method="spectral", max_evaluations=2))
+        np.testing.assert_array_equal(inputs[1], x + F)
 
     def test_alpha_zero_is_identity(self):
-        x = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(spectral_update(x, np.array([3.0, 4.0]), 0.0), x)
+        # rule S1 on the orthogonal s = (1, 0), y = (0, 2) gives alpha = 0
+        steps = [np.array([1.0, 0.0]), np.array([1.0, 2.0]), np.zeros(2)]
+        fp, inputs = scripted_map(steps)
+        solve(fp, np.array([1.0, 2.0]),
+              AccelConfig(method="spectral", step_size_rule="S1", max_evaluations=3))
+        np.testing.assert_array_equal(inputs[2], inputs[1])
 
     def test_blockwise_scaling(self):
-        x = np.zeros(4)
-        F = np.array([1.0, 1.0, 2.0, 2.0])
-        labels = np.array([0, 0, 1, 1])
-        got = spectral_update(x, F, np.array([2.0, 0.5])[labels])
-        np.testing.assert_array_equal(got, [2.0, 2.0, 1.0, 1.0])
+        # S3 block steps |s_b| / |y_b|: 2 on coordinates 0-1, 0.5 on 2-3
+        s = np.ones(4)
+        y = np.array([-0.5, -0.5, -2.0, -2.0])
+        fp, inputs = scripted_map([s, s + y, np.zeros(4)], np.array([0, 0, 1, 1]))
+        solve(fp, np.zeros(4), AccelConfig(method="spectral", use_blocks=True,
+                                           max_evaluations=3))
+        np.testing.assert_allclose(inputs[2], [2.0, 2.0, 0.5, 0.5], rtol=1e-15)
 
 
 class TestSquarem:
     def test_scalar_linear_exact(self):
         # Phi(x) = 0.5x from x=1: s=-0.5, y=0.25, alpha=2, update = 0 exactly
-        x = np.array([1.0])
-        phix = np.array([0.5])
-        phi2x = np.array([0.25])
-        s = phix - x
-        y = phi2x - 2 * phix + x
-        alpha = spectral_alpha(s, y, "S3")
-        assert alpha == pytest.approx(2.0)
-        np.testing.assert_allclose(squarem_update(x, phix, phi2x, alpha), [0.0],
-                                   atol=1e-15)
+        fp, inputs = recording_map(lambda x: 0.5 * x)
+        out = solve(fp, np.array([1.0]), AccelConfig(method="squarem"))
+        x, phix, phi2x = inputs[0], inputs[1], 0.5 * inputs[1]
+        assert spectral_alpha(phix - x, phi2x - 2 * phix + x, "S3") == pytest.approx(2.0)
+        np.testing.assert_allclose(inputs[2], [0.0], atol=1e-15)
+        assert out.converged and out.evaluations == 3
 
     def test_alpha_one_is_two_step(self):
+        # |s| = |y| makes S3's alpha 1, and x + 2s + y is Phi(Phi(x))
         x = np.array([1.0, 0.0])
-        phix = np.array([0.7, 0.1])
-        phi2x = np.array([0.55, 0.17])
-        np.testing.assert_allclose(squarem_update(x, phix, phi2x, 1.0), phi2x,
-                                   atol=1e-15)
+        steps = [np.array([1.0, 0.0]), np.array([1.0, 1.0]), np.zeros(2)]
+        fp, inputs = scripted_map(steps)
+        solve(fp, x, AccelConfig(method="squarem", max_evaluations=3))
+        np.testing.assert_array_equal(inputs[2], x + steps[0] + steps[1])
 
     def test_alpha_zero_is_identity(self):
+        # rule S1 on the orthogonal s = (1, 0), y = (0, 2) gives alpha = 0
         x = np.array([1.0, 0.0])
-        np.testing.assert_array_equal(
-            squarem_update(x, np.array([2.0, 1.0]), np.array([3.0, 2.0]), 0.0), x)
+        steps = [np.array([1.0, 0.0]), np.array([1.0, 2.0]), np.zeros(2)]
+        fp, inputs = scripted_map(steps)
+        solve(fp, x, AccelConfig(method="squarem", step_size_rule="S1", max_evaluations=3))
+        np.testing.assert_array_equal(inputs[2], x)
 
     def test_evaluation_counting_two_per_step(self):
         calls = []
-        fp = FixedPointMap(lambda x: calls.append(1) or 0.5 * x, 1)
+        fp = FixedPointMap(lambda x: calls.append(1) or 0.5 * x)
         out = solve(fp, np.array([4.0]),
                     AccelConfig(method="squarem", tolerance=1e-13,
                                 max_evaluations=100))
@@ -191,12 +228,14 @@ class TestSquarem:
         b = rng.normal(size=dim)
         phi = lambda z: A @ z + b
         x = rng.normal(size=dim)
-        alpha = float(rng.uniform(-2, 2))
+        fp, inputs = recording_map(phi)
+        solve(fp, x, AccelConfig(method="squarem", step_size_rule="S3prime",
+                                 max_evaluations=3))
         phix = phi(x)
-        direct = squarem_update(x, phix, phi(phix), alpha)
+        alpha = spectral_alpha(phix - x, phi(phix) - 2.0 * phix + x, "S3prime")
         psi = lambda z: (1 - alpha) * z + alpha * phi(z)
         composed = (1 - alpha) * psi(x) + alpha * psi(phix)
-        np.testing.assert_allclose(direct, composed, atol=1e-10)
+        np.testing.assert_allclose(inputs[2], composed, atol=1e-10)
 
 
 class TestNegativeAlphaDivergence:
@@ -210,10 +249,15 @@ class TestNegativeAlphaDivergence:
         b = rng.normal(size=dim)
         x_star = np.linalg.solve(np.eye(dim) - A, b)
         x = x_star + rng.normal(size=dim)
-        alpha = -float(rng.uniform(0.01, 3.0))
-        F = A @ x + b - x
-        moved = spectral_update(x, F, alpha)
-        assert np.linalg.norm(moved - x_star) > np.linalg.norm(x - x_star)
+        a = float(rng.uniform(0.01, 3.0))
+        # s = k F and y = (1 - k) F give the S1 step -k / (1 - k) = -a
+        first = a / (1.0 + a) * (A @ x + b - x)
+        fp, inputs = recording_map(after_a_first_step(first, lambda z: A @ z + b))
+        solve(fp, x - first, AccelConfig(method="spectral", step_size_rule="S1",
+                                         max_evaluations=3))
+        F = A @ inputs[1] + b - inputs[1]
+        np.testing.assert_allclose(inputs[2], inputs[1] - a * F, rtol=1e-9, atol=1e-9)
+        assert np.linalg.norm(inputs[2] - x_star) > np.linalg.norm(inputs[1] - x_star)
 
     def test_crafted_negative_s1_step_grows_residual(self):
         # 2-d contraction; an s,y pair with s'y > 0 makes rule S1 negative
@@ -224,10 +268,13 @@ class TestNegativeAlphaDivergence:
         y = np.array([0.5, 1.0])
         alpha = spectral_alpha(s, y, "S1")
         assert alpha < 0
-        x = x_star + np.array([0.3, -0.2])
-        F = A @ x + b - x
-        stepped = spectral_update(x, F, alpha)
-        assert np.linalg.norm(stepped - x_star) > np.linalg.norm(x - x_star)
+        # from x1 - s, the first step s lands on x1, whose residual is s + y
+        x1 = x_star + np.linalg.solve(A - np.eye(2), s + y)
+        fp, inputs = recording_map(after_a_first_step(s, lambda z: A @ z + b))
+        solve(fp, x1 - s, AccelConfig(method="spectral", step_size_rule="S1",
+                                      max_evaluations=3))
+        np.testing.assert_allclose(inputs[2], x1 + alpha * (s + y), rtol=1e-12)
+        assert np.linalg.norm(inputs[2] - x_star) > np.linalg.norm(inputs[1] - x_star)
 
 
 class TestDeterminism:
@@ -248,7 +295,7 @@ class TestEvaluationCounting:
     @pytest.mark.parametrize("method,per_iter", [("plain", 1), ("spectral", 1)])
     def test_one_eval_per_iteration(self, method, per_iter):
         calls = []
-        fp = FixedPointMap(lambda x: calls.append(1) or 0.5 * x + 1.0, 1)
+        fp = FixedPointMap(lambda x: calls.append(1) or 0.5 * x + 1.0)
         out = solve(fp, np.array([0.0]),
                     AccelConfig(method=method, tolerance=1e-13, max_evaluations=500))
         assert out.evaluations == len(calls)
@@ -256,7 +303,7 @@ class TestEvaluationCounting:
 
     def test_anderson_one_eval_per_iteration(self):
         calls = []
-        fp = FixedPointMap(lambda x: calls.append(1) or 0.5 * x + 1.0, 1)
+        fp = FixedPointMap(lambda x: calls.append(1) or 0.5 * x + 1.0)
         out = solve(fp, np.array([0.0]),
                     AccelConfig(method="anderson", tolerance=1e-13,
                                 max_evaluations=500))
@@ -264,13 +311,22 @@ class TestEvaluationCounting:
 
 
 def test_block_labels_validation():
-    FixedPointMap(lambda x: x, 3, block_labels=np.array([0, 1, 0]))
-    for labels in (np.array([0, 1]),                        # wrong length
-                   np.array([0.0, 1.0, 0.0]),               # not integers
+    fp = FixedPointMap(lambda x: x, block_labels=np.array([0, 1, 0]))
+    for labels in (np.array([0.0, 1.0, 0.0]),               # not integers
                    np.array([0, -1, 1]),                    # negative
+                   np.array([[0, 1, 0]]),                   # not 1-d
                    (np.array([0, 2]), np.array([1]))):      # an index partition
         with pytest.raises(ValueError, match="block_labels"):
-            FixedPointMap(lambda x: x, 3, block_labels=labels)
+            FixedPointMap(lambda x: x, block_labels=labels)
+    # the length is checked against the start point
+    with pytest.raises(ValueError, match="block_labels has 3 labels for 2 coordinates"):
+        solve(fp, np.zeros(2), AccelConfig())
+
+
+def test_start_point_must_be_a_finite_vector():
+    for x0 in (np.zeros((2, 2)), np.array(1.0), np.array([0.0, np.nan])):
+        with pytest.raises(ValueError, match="x0 must be a finite vector"):
+            solve(FixedPointMap(lambda x: x), x0, AccelConfig())
 
 
 def test_config_validation():
@@ -286,26 +342,6 @@ def test_config_validation():
         AccelConfig(initial_alpha=2.0)
     with pytest.raises(TypeError):
         AccelConfig(step_cap=2.0)
-
-
-def recording_map(phi, dim):
-    """A map that records every point it is evaluated at."""
-    inputs = []
-
-    def evaluate(x):
-        inputs.append(np.array(x, copy=True))
-        return phi(x)
-    return FixedPointMap(evaluate, dim), inputs
-
-
-def scripted_map(steps):
-    """Phi(x) = x + steps[k] on the k-th call."""
-    calls = []
-
-    def evaluate(x):
-        calls.append(1)
-        return x + steps[len(calls) - 1]
-    return FixedPointMap(evaluate, len(steps[0]))
 
 
 # Two steps whose extrapolation overflows while both images stay finite:
@@ -336,7 +372,7 @@ class TestTerminationContract:
         def evaluate(x):
             calls.append(1)
             return phi(x) * (np.inf if len(calls) == 3 else 1.0)
-        fp, inputs = recording_map(evaluate, 4)
+        fp, inputs = recording_map(evaluate)
         out = solve(fp, np.zeros(4), AccelConfig(method=method, max_evaluations=50))
         assert out.termination == "non_finite"
         assert not out.converged
@@ -347,7 +383,7 @@ class TestTerminationContract:
     def test_non_finite_extrapolation_returns_last_image(self, method):
         steps = _OVERFLOW_STEPS[method]
         with np.errstate(over="ignore", invalid="ignore"):
-            out = solve(scripted_map(steps), np.zeros(steps[0].size),
+            out = solve(scripted_map(steps)[0], np.zeros(steps[0].size),
                         AccelConfig(method=method, max_evaluations=50))
         assert out.termination == "non_finite"
         assert not out.converged
@@ -362,7 +398,7 @@ class TestTerminationContract:
         def evaluate(x):
             calls.append(1)
             return phi(x) * (np.inf if len(calls) == 4 else 1.0)
-        fp, inputs = recording_map(evaluate, 4)
+        fp, inputs = recording_map(evaluate)
         out = solve(fp, np.zeros(4), AccelConfig(method="squarem", max_evaluations=50))
         assert out.termination == "non_finite"
         assert out.evaluations == 4
@@ -377,8 +413,8 @@ class TestTerminationContract:
         n = 6
         phi = self.slow_contraction()
         cfg = AccelConfig(method=method, tolerance=1e-15, max_evaluations=n)
-        out = solve(FixedPointMap(phi, 20), np.zeros(20), cfg)
-        fp, inputs = recording_map(phi, 20)
+        out = solve(FixedPointMap(phi), np.zeros(20), cfg)
+        fp, inputs = recording_map(phi)
         solve(fp, np.zeros(20), AccelConfig(method=method, tolerance=1e-15,
                                             max_evaluations=n + 1))
         assert out.termination == "max_evaluations"
@@ -394,7 +430,7 @@ class TestTerminationContract:
         steps = [np.array([1e150, 0.0]), np.array([1e150, 1e-100])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = solve(scripted_map(steps), np.zeros(2),
+            out = solve(scripted_map(steps)[0], np.zeros(2),
                         AccelConfig(method="squarem", max_evaluations=50))
         assert out.termination == "non_finite"
         assert out.evaluations == 2
@@ -405,7 +441,7 @@ class TestTerminationContract:
         steps = [np.array([1.0, 0.0]), np.array([1.0, 1e160]), np.array([np.inf, 0.0])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = solve(scripted_map(steps), np.zeros(2),
+            out = solve(scripted_map(steps)[0], np.zeros(2),
                         AccelConfig(method="squarem", max_evaluations=50))
         assert out.termination == "non_finite"
         assert out.evaluations == 3
@@ -413,7 +449,7 @@ class TestTerminationContract:
     def test_squarem_odd_budget_stops_at_exactly_that_count(self):
         n = 7
         phi = self.slow_contraction()
-        fp, inputs = recording_map(phi, 20)
+        fp, inputs = recording_map(phi)
         out = solve(fp, np.zeros(20), AccelConfig(method="squarem", tolerance=1e-15,
                                                   max_evaluations=n))
         assert out.termination == "max_evaluations"
@@ -457,16 +493,11 @@ class TestBlockStepSizes:
     @staticmethod
     def third_input(steps, x0, method, rule):
         """The point solve evaluates third on the scripted map Phi(x) = x + steps[k]."""
-        inputs = []
-
-        def evaluate(x):
-            inputs.append(np.array(x, copy=True))
-            return x + steps[len(inputs) - 1]
-        fp = FixedPointMap(evaluate, 6, block_labels=_BLOCKS)
         cfg = AccelConfig(method=method, step_size_rule=rule, use_blocks=True,
                           max_evaluations=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            fp, inputs = scripted_map(steps, _BLOCKS)
             solve(fp, x0, cfg)
         return inputs[2]
 

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demandinv import cli
 from demandinv.accel import AccelConfig
-from demandinv.bench import (AlgorithmSpec, ExperimentConfig, RunRecord,
+from demandinv.bench import (RECORD_FIELDS, AlgorithmSpec, ExperimentConfig, RunRecord,
                              config_from_json, default_config, nearest_rank,
                              read_records, render, run_suite, summarize,
                              write_records)
@@ -345,6 +346,38 @@ class TestCli:
         assert cli_main(["summarize", "--in", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("bench summarize: ") and "'algorithm'" in err
+
+    @pytest.mark.parametrize("row,message", [
+        ("static_j25,0,delta,12,1,converged,1e-14", "7 cells for 8 columns"),
+        ("static_j25,0,delta,12,1,converged,1e-14,0.5,9", "9 cells for 8 columns"),
+        ("static_j25,0,delta,12,7,converged,1e-14,0.5", "converged must be 0 or 1, not '7'"),
+        ("static_j25,0,delta,12,1,bogus,1e-14,0.5", "unknown termination 'bogus'"),
+    ], ids=["short-row", "long-row", "converged-7", "bogus-termination"])
+    def test_malformed_records_exit_2_naming_the_line(self, tmp_path, capsys, row, message):
+        path = tmp_path / "records.csv"
+        good = "static_j25,0,delta,12,1,converged,1e-14,0.5"
+        path.write_text(",".join(RECORD_FIELDS) + f"\n{good}\n{row}\n")
+        assert cli_main(["summarize", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bench summarize: {path} line 3: ") and message in err
+
+    @pytest.mark.parametrize("dist_tol", ["nan", "-5", "inf", "0"])
+    def test_bad_dist_tol_exits_2(self, tmp_path, capsys, dist_tol):
+        path = tmp_path / "records.csv"
+        write_records([RunRecord("static_j25", 0, "delta", 12, True, "converged", 1e-14, 0.5)],
+                      path)
+        assert cli_main(["summarize", "--in", str(path), "--dist-tol", dist_tol]) == 2
+        assert "--dist-tol must be a finite positive real" in capsys.readouterr().err
+
+    def test_unusable_out_exits_2_before_solving(self, tmp_path, capsys, monkeypatch):
+        def fail(cfg):
+            raise AssertionError("run_suite called")
+        monkeypatch.setattr(cli, "run_suite", fail)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli_main(["run", "--suite", "static_j25", "large_hetero",
+                         "--out", str(blocker / "out")]) == 2
+        assert capsys.readouterr().err.startswith("bench run: ")
 
     def test_malformed_config_exits_2_with_a_message(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demandinv import accel, dynamic
 from demandinv.accel import AccelConfig
 from demandinv.datagen import (DynamicDgpParams, SeededRng, draw_theta,
                                gen_dynamic_market)
 from demandinv.dynamic import (DurableMarket, IvsGrid, bellman_residual,
                                durable_market_from_json, durable_market_to_json,
-                               initial_delta_myopic, ivs_solve, pf_forward_pass,
-                               pf_solve, pf_value_update, traditional_joint_solve,
+                               initial_delta_myopic, ivs_solve, pf_solve,
+                               pf_value_update, traditional_joint_solve,
                                traditional_nested_solve)
 from demandinv.rcnl import NestedMarket, rcnl_initial_delta, rcnl_phi_delta
 from demandinv.static_rcl import (StaticMarket, initial_delta, iota_V_to_delta,
@@ -51,11 +52,17 @@ def static_like_market(seed=0, J=3, I=4, T=5):
     return mkt, deltas, pr0
 
 
+def forward(V, mkt):
+    """The forward pass at V: (delta (J,T), pr0 (I,T))."""
+    delta, _, pr0 = dynamic._forward(V, mkt, dynamic._exp_mu_t(mkt))
+    return delta, pr0
+
+
 class TestForwardPass:
     def test_beta0_single_period_is_static_iota(self):
         mkt, _, _ = static_like_market(T=1)
         V = np.zeros((mkt.n_types, 1))
-        delta, ccp, pr0 = pf_forward_pass(V, mkt)
+        delta, pr0 = forward(V, mkt)
         static = StaticMarket(mkt.shares[:, 0], mkt.outside_shares[0],
                               mkt.mu[:, :, 0], mkt.weights)
         np.testing.assert_allclose(delta[:, 0],
@@ -66,7 +73,7 @@ class TestForwardPass:
     def test_truth_reproduced(self):
         inst, _ = desk_instance()
         truth = inst.solution_true
-        delta, ccp, pr0 = pf_forward_pass(truth.value, inst.market)
+        delta, pr0 = forward(truth.value, inst.market)
         np.testing.assert_allclose(delta, truth.delta, atol=1e-9)
         np.testing.assert_allclose(pr0, truth.pr0, atol=1e-9)
 
@@ -91,10 +98,10 @@ class TestForwardPass:
         mkt = inst.with_theta(draw_theta(inst.theta_true, rng))
         V = np.zeros((mkt.n_types, mkt.horizon))
         for _ in range(5):
-            delta, ccp, pr0 = pf_forward_pass(V, mkt)
+            delta, pr0 = forward(V, mkt)
             assert np.all(np.diff(pr0, axis=1) <= 1e-15)
             assert np.all(pr0 >= 0)
-            V = pf_value_update(V, delta, 1.0, mkt, pr0=pr0)
+            V = pf_value_update(V, delta, 1.0, mkt)
 
 
 class TestValueUpdate:
@@ -107,15 +114,14 @@ class TestValueUpdate:
     def test_correction_vanishes_at_truth_gamma1(self):
         inst, _ = desk_instance(2)
         truth = inst.solution_true
-        out = pf_value_update(truth.value, truth.delta, 1.0, inst.market,
-                              pr0=truth.pr0)
+        out = pf_value_update(truth.value, truth.delta, 1.0, inst.market)
         np.testing.assert_allclose(out, truth.value, atol=1e-11)
 
     def test_beta0_homogeneous_static_one_shot(self):
         mkt, deltas, _ = static_like_market(seed=9, T=3)
         V0 = np.zeros((mkt.n_types, 3))
-        d, _, pr0 = pf_forward_pass(V0, mkt)
-        out = pf_value_update(V0, d, 1.0, mkt, pr0=pr0)
+        d, _ = forward(V0, mkt)
+        out = pf_value_update(V0, d, 1.0, mkt)
         # with beta = 0 the update equals the static corrected value map
         for t in range(3):
             static = StaticMarket(mkt.shares[:, t], mkt.outside_shares[t],
@@ -230,14 +236,23 @@ class TestTraditionalNested:
         assert psi > out_j.evaluations  # nested pays many inner backups
         assert np.max(np.abs(sol_n.delta - sol_j.delta)) < 1e-8
 
-    def test_hot_start_reduces_inner_work(self):
+    def test_hot_start_reduces_inner_work(self, monkeypatch):
+        # every inner solve starts from the last one's V; solved again from
+        # V = 0, the same inner maps take more backups
         inst, _ = desk_instance(11)
         inner = AccelConfig(tolerance=1e-12, max_evaluations=5000)
         outer = AccelConfig(tolerance=1e-12, max_evaluations=2000)
-        _, _, psi_hot = traditional_nested_solve(inst.market, 1.0, 1.0,
-                                                 inner, outer, hot_start=True)
-        _, _, psi_cold = traditional_nested_solve(inst.market, 1.0, 1.0,
-                                                  inner, outer, hot_start=False)
+        inner_maps = []
+
+        def recording_solve(fp, x0, cfg):
+            if cfg is inner:
+                inner_maps.append(fp)
+            return accel.solve(fp, x0, cfg)
+        monkeypatch.setattr(dynamic, "solve", recording_solve)
+        _, out, psi_hot = traditional_nested_solve(inst.market, 1.0, 1.0, inner, outer)
+        assert out.converged and len(inner_maps) == out.evaluations
+        psi_cold = sum(accel.solve(fp, np.zeros(inst.market.n_types * inst.market.horizon),
+                                   inner).evaluations for fp in inner_maps)
         assert psi_hot < psi_cold
 
     def test_beta0_outer_behaves_static(self):

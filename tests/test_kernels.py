@@ -213,17 +213,18 @@ DURABLE_CASES = {
 @pytest.mark.parametrize("case", sorted(DURABLE_CASES))
 def test_durable_kernels_match_the_log_space_reference(case):
     mkt, V = DURABLE_CASES[case]()
-    delta, ccp, pr0 = quiet(dynamic.pf_forward_pass, V, mkt)
+    em = dynamic._exp_mu_t(mkt)
+    delta, omega, pr0 = quiet(dynamic._forward, V, mkt, em)
     o_delta, o_omega, o_pr0 = oracles.log_durable_forward(V, mkt)
     size = max(np.max(np.abs(a)) for a in (mkt.mu, V, o_delta))
     rtol = max(RTOL, 8.0 * size * np.finfo(float).eps)
     assert_agree(delta, o_delta)
     assert_agree(pr0, o_pr0, rtol=rtol)
     with np.errstate(over="ignore"):
-        assert_agree(ccp, np.exp(o_delta[None, :, :] + mkt.mu - V[:, None, :]), rtol=rtol)
-    em = dynamic._exp_mu_t(mkt)
-    omega = quiet(dynamic._omega_from_delta, delta, em)
+        assert_agree(quiet(dynamic._ccp, delta, V, em),
+                     np.exp(o_delta[None, :, :] + mkt.mu - V[:, None, :]), rtol=rtol)
     assert_agree(omega, o_omega)
+    assert_agree(quiet(dynamic._omega_from_delta, delta, em), omega, rtol=0)
     pr0_at, s = quiet(dynamic._shares_at, delta, V, omega, mkt, em)
     assert_agree(pr0_at, o_pr0, rtol=rtol)
     assert_agree(s, oracles.log_durable_shares(delta, V, o_pr0, mkt), rtol=rtol)
@@ -231,5 +232,5 @@ def test_durable_kernels_match_the_log_space_reference(case):
 
 def test_the_floor_case_reaches_the_floor():
     mkt, V = _durable_at_the_floor()
-    _, _, pr0 = quiet(dynamic.pf_forward_pass, V, mkt)
+    _, _, pr0 = quiet(dynamic._forward, V, mkt, dynamic._exp_mu_t(mkt))
     assert np.sum(pr0 == dynamic.PR0_FLOOR) > 100
