@@ -6,18 +6,17 @@ seeded benchmark harness.
 """
 
 from .accel import (AccelConfig, FixedPointMap, SolveOutcome, anderson_combine,
-                    anderson_weights, block_step_sizes, solve, spectral_alpha)
+                    block_step_sizes, solve, spectral_alpha)
 from .dynamic import (DurableMarket, DurableSolution, IvsGrid, IvsState,
                       bellman_residual, ivs_solve, pf_solve, pf_value_update,
                       traditional_joint_solve, traditional_nested_solve)
-from .numerics import (Quadrature, chebyshev_eval_rows, chebyshev_fit_matrix,
-                       chebyshev_nodes, gauss_hermite, ls_minnorm, ols_ar1_rows)
+from .numerics import (chebyshev_eval_rows, chebyshev_fit_matrix, chebyshev_nodes,
+                       ls_minnorm, normal_quadrature, ols_ar1_rows)
 from .rcnl import (NestedMarket, rcnl_dist_metric, rcnl_iota_delta_to_IV,
                    rcnl_iota_IV_to_delta, rcnl_phi_delta, rcnl_phi_IV,
                    rcnl_shares, rcnl_solve_inner)
 from .static_rcl import (StaticMarket, dist_metric, iota_delta_to_V,
-                         iota_V_to_delta, kalouptsidi_F, kalouptsidi_Ftilde,
-                         kalouptsidi_mixed_solve, phi_V, phi_delta,
-                         predict_shares, solve_inner)
+                         iota_V_to_delta, kalouptsidi_F, kalouptsidi_Ftilde, phi_V,
+                         phi_delta, predict_shares, solve_inner)
 
 __version__ = "0.1.0"

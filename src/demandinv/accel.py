@@ -166,31 +166,18 @@ def block_step_sizes(s, y, labels: np.ndarray, rule: str = "S3") -> np.ndarray:
     return np.minimum(np.where(unit, 1.0, alpha), DEFAULT_BLOCK_STEP_CAP)
 
 
-def anderson_weights(residuals: Sequence[np.ndarray]) -> np.ndarray:
-    """Combination weights for the given residuals, oldest first.
-
-    Solves the unconstrained least squares in the residual differences and
-    maps back to weights that sum to one. Near-collinear histories are
-    handled by the minimum-norm solution, never rejected.
-    """
-    m_n = len(residuals) - 1
-    if m_n == 0:
-        return np.array([1.0])
-    F = np.stack([residuals[k + 1] - residuals[k] for k in range(m_n)], axis=1)
-    gamma = ls_minnorm(F, residuals[-1])
-    w = np.empty(m_n + 1)
-    w[0] = gamma[0]
-    for k in range(1, m_n):
-        w[k] = gamma[k] - gamma[k - 1]
-    w[m_n] = 1.0 - gamma[m_n - 1]
-    return w
-
-
 def anderson_combine(residuals: Sequence[np.ndarray],
                      images: Sequence[np.ndarray]) -> np.ndarray:
-    """The next iterate: the images Phi(x) combined with the weights of their
-    aligned residuals; a single residual gives plain iteration."""
-    w = anderson_weights(residuals)
+    """The next iterate: the images Phi(x) combined with weights that sum to
+    one, from the unconstrained least squares in the differences of their
+    aligned residuals (oldest first). Near-collinear histories take the
+    minimum-norm solution, never rejected; a single residual gives plain
+    iteration, images[0] itself."""
+    if len(residuals) == 1:
+        return images[0]
+    F = np.stack([residuals[k + 1] - residuals[k] for k in range(len(residuals) - 1)], axis=1)
+    gamma = ls_minnorm(F, residuals[-1])
+    w = np.diff(np.concatenate(([0.0], gamma, [1.0])))
     out = w[0] * images[0]
     for k in range(1, len(w)):
         out = out + w[k] * images[k]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Callable
@@ -293,13 +292,6 @@ def run_suite(cfg: ExperimentConfig) -> list[RunRecord]:
 # Aggregation
 
 
-def nearest_rank(sorted_values, pct: float) -> float:
-    """Nearest-rank percentile on an already-sorted sequence."""
-    n = len(sorted_values)
-    k = max(1, math.ceil(pct / 100.0 * n))
-    return float(sorted_values[k - 1])
-
-
 def summarize(records, dist_tol: float = 1e-12) -> list[SummaryRow]:
     """Per-algorithm statistics in first-seen order; order-invariant values."""
     grouped: dict[str, list[RunRecord]] = {}
@@ -308,7 +300,8 @@ def summarize(records, dist_tol: float = 1e-12) -> list[SummaryRow]:
     rows = []
     for label in dict.fromkeys(r.algorithm for r in records):
         recs = grouped[label]
-        evals = sorted(r.evaluations for r in recs)
+        evals = [r.evaluations for r in recs]
+        p25, median, p75 = np.percentile(evals, (25, 50, 75), method="inverted_cdf")
         dists = np.array([r.dist for r in recs], dtype=float)
         finite = np.isfinite(dists)
         if finite.all():
@@ -318,11 +311,11 @@ def summarize(records, dist_tol: float = 1e-12) -> list[SummaryRow]:
         rows.append(SummaryRow(
             algorithm=label,
             mean_evals=float(np.mean(evals)),
-            min_evals=float(evals[0]),
-            p25_evals=nearest_rank(evals, 25),
-            median_evals=nearest_rank(evals, 50),
-            p75_evals=nearest_rank(evals, 75),
-            max_evals=float(evals[-1]),
+            min_evals=float(min(evals)),
+            p25_evals=float(p25),
+            median_evals=float(median),
+            p75_evals=float(p75),
+            max_evals=float(max(evals)),
             conv_pct=100.0 * sum(r.converged for r in recs) / len(recs),
             mean_log10_dist=mean_log,
             dist_below_pct=100.0 * float(np.mean(finite & (dists < dist_tol))),
@@ -395,12 +388,23 @@ def read_records(path) -> list[RunRecord]:
                                      f"{len(header)} columns")
                 if row["converged"] not in ("0", "1"):
                     raise ValueError(f"converged must be 0 or 1, not {row['converged']!r}")
+                termination = checked_name("termination", row["termination"], _TERMINATIONS)
+                if (row["converged"] == "1") != (termination == "converged"):
+                    raise ValueError(f"converged {row['converged']} disagrees with "
+                                     f"termination {termination!r}")
                 records.append(RunRecord(
-                    suite=row["suite"], replication=int(row["replication"]),
-                    algorithm=row["algorithm"], evaluations=int(row["evaluations"]),
-                    converged=row["converged"] == "1",
-                    termination=checked_name("termination", row["termination"], _TERMINATIONS),
-                    dist=float(row["dist"]), wall_ms=float(row["wall_ms"])))
+                    suite=row["suite"],
+                    replication=checked_int("replication", int(row["replication"]), 0),
+                    algorithm=row["algorithm"],
+                    evaluations=checked_int("evaluations", int(row["evaluations"]), 0),
+                    converged=row["converged"] == "1", termination=termination,
+                    # runs write nan for the DIST of a non-finite point
+                    dist=checked_real("dist", float(row["dist"]),
+                                      lambda d: np.isnan(d) or 0.0 <= d < np.inf,
+                                      "a finite non-negative real or nan"),
+                    wall_ms=checked_real("wall_ms", float(row["wall_ms"]),
+                                         lambda t: 0.0 <= t < np.inf,
+                                         "a finite non-negative real")))
             except ValueError as err:
                 raise ValueError(f"{path} line {reader.line_num}: {err}") from None
     return records

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .dynamic import DurableMarket, DurableSolution, _v_next
-from .numerics import log_share_gap
+from .numerics import log_share_gap, logsumexp
 from .rcnl import NestedMarket, nested_shares
 from .static_rcl import StaticMarket, outside_logit
 
@@ -172,12 +172,10 @@ def gen_nested_market(p: StaticDgpParams, rng: np.random.Generator,
 @dataclass(frozen=True)
 class DynamicInstance:
     market: DurableMarket
-    delta_true: np.ndarray   # (J, T)
-    value_true: np.ndarray   # (I, T)
+    solution_true: DurableSolution = field(repr=False)  # delta (J, T), value (I, T)
     theta_true: np.ndarray
     X: np.ndarray            # (T, J, 5)
     nodes: np.ndarray        # (I, 5)
-    solution_true: DurableSolution | None = field(repr=False, default=None)
     redraws: int = 0
 
     def with_theta(self, theta) -> DurableMarket:
@@ -234,8 +232,7 @@ def gen_dynamic_market(p: DynamicDgpParams, rng: np.random.Generator) -> Dynamic
 
         # true values: terminal stationarity, then backward induction
         util = delta[None, :, :] + mu  # (I, J, T)
-        m = util.max(axis=1)
-        omega = m + np.log(np.exp(util - m[:, None, :]).sum(axis=1))  # (I, T)
+        omega = logsumexp(util, 1)  # (I, T)
         V = np.empty((I, T))
         V[:, T - 1] = _terminal_value(beta, omega[:, T - 1])
         for t in range(T - 2, -1, -1):
@@ -256,10 +253,10 @@ def gen_dynamic_market(p: DynamicDgpParams, rng: np.random.Generator) -> Dynamic
     market = DurableMarket(shares=shares, outside_shares=outside, mu=mu,
                            weights=np.full(I, 1.0 / I), beta=beta)
     truth = DurableSolution(value=V, delta=delta, pr0=pr0, ccp=ccp, dist=log_share_gap(
-        np.log(market.shares), _conditional_shares(ccp, pr0, market.weights)))
-    return DynamicInstance(market=market, delta_true=delta, value_true=V,
+        market.log_shares, _conditional_shares(ccp, pr0, market.weights)))
+    return DynamicInstance(market=market, solution_true=truth,
                            theta_true=np.asarray(p.sd_coefs, dtype=float),
-                           X=X, nodes=nodes, solution_true=truth, redraws=redraws)
+                           X=X, nodes=nodes, redraws=redraws)
 
 
 def draw_theta(theta_true, rng: np.random.Generator) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .accel import AccelConfig, FixedPointMap, solve
 from .numerics import (chebyshev_eval_rows, chebyshev_fit_matrix, chebyshev_nodes,
-                       gauss_hermite, log_share_gap, ols_ar1_rows)
+                       log_share_gap, normal_quadrature, ols_ar1_rows)
 from .static_rcl import SCHEMA_VERSION, check_market_data, exp_mu, numeric_array, parse_fixture
 
 # Active fractions are floored at a tiny positive value: off the solution,
@@ -40,7 +40,8 @@ class DurableMarket:
     """Time-indexed conditional shares, mu, weights, and the discount factor.
 
     shares: (J, T); outside_shares: (T,); mu: (I, J, T); weights: (I,);
-    pr0_init: (I,) initial non-owner fractions (defaults to ones).
+    pr0_init: (I,) initial non-owner fractions (defaults to ones). The
+    constructor adds their logs log_shares (J, T) and log_outside (T,).
     """
 
     shares: np.ndarray
@@ -79,7 +80,8 @@ class DurableMarket:
         object.__setattr__(self, "beta", float(beta))
         # time-major shares for the forward pass
         object.__setattr__(self, "_S_t", np.ascontiguousarray(shares.T))
-        object.__setattr__(self, "_logS0_t", np.log(outside))
+        object.__setattr__(self, "log_shares", np.log(shares))
+        object.__setattr__(self, "log_outside", np.log(outside))
 
     @property
     def horizon(self) -> int:
@@ -211,7 +213,7 @@ def _backup(V: np.ndarray, ev_next: np.ndarray, omega: np.ndarray, gamma: float,
         b = mkt.weights[:, None] * pr0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             s0_hat = (b * np.exp(bev - V)).sum(axis=0) / b.sum(axis=0)
-            omega = omega + gamma * (np.log(s0_hat) - mkt._logS0_t)[None, :]
+            omega = omega + gamma * (np.log(s0_hat) - mkt.log_outside)[None, :]
     return np.logaddexp(bev, omega)
 
 
@@ -250,10 +252,10 @@ def _delta_update(delta: np.ndarray, V: np.ndarray, omega: np.ndarray, gamma: fl
     """delta + phi*(log S - log s) - gamma*(log S0 - log s0) at (delta, V)."""
     _, s = _shares_at(delta, V, omega, mkt, em)
     with np.errstate(divide="ignore", invalid="ignore"):
-        d_next = delta + phi * (np.log(mkt.shares) - np.log(s))
+        d_next = delta + phi * (mkt.log_shares - np.log(s))
         if gamma != 0.0:
             s0 = 1.0 - s.sum(axis=0)
-            d_next = d_next - gamma * (np.log(mkt.outside_shares) - np.log(s0))[None, :]
+            d_next = d_next - gamma * (mkt.log_outside - np.log(s0))[None, :]
     return d_next
 
 
@@ -261,7 +263,7 @@ def _solution(delta: np.ndarray, V: np.ndarray, omega: np.ndarray, mkt: DurableM
               em) -> DurableSolution:
     pr0, s = _shares_at(delta, V, omega, mkt, em)
     return DurableSolution(value=V, delta=delta, pr0=pr0, ccp=_ccp(delta, V, em),
-                           dist=log_share_gap(np.log(mkt.shares), s))
+                           dist=log_share_gap(mkt.log_shares, s))
 
 
 def bellman_residual(sol: DurableSolution, mkt: DurableMarket) -> float:
@@ -299,7 +301,7 @@ def pf_solve(mkt: DurableMarket, gamma: float, cfg: AccelConfig):
 
 def initial_delta_myopic(mkt: DurableMarket) -> np.ndarray:
     """Per-period homogeneous logit inversion log S_jt - log S_0t."""
-    return np.log(mkt.shares) - np.log(mkt.outside_shares)[None, :]
+    return mkt.log_shares - mkt.log_outside[None, :]
 
 
 def traditional_joint_solve(mkt: DurableMarket, gamma: float, phi: float,
@@ -379,15 +381,17 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
     The state vector stacks V at the (moving) data points omega_it and V at
     the fixed Chebyshev grid; each evaluation refits the per-type AR(1) on
     the implied inclusive values and integrates the interpolated V with
-    Gauss-Hermite quadrature. Step sizes are scalar by design.
+    Gauss-Hermite quadrature. Step sizes are scalar by design. ValueError for
+    a horizon below 3, on which the AR(1) fit is not defined.
     """
     I, T = mkt.n_types, mkt.horizon
+    if T < 3:
+        raise ValueError(f"ivs_solve needs a horizon of at least 3 periods for the "
+                         f"AR(1) fit of the inclusive values, not {T}")
     N = grid.n_nodes
     nodes = chebyshev_nodes(N, grid.lo, grid.hi)
     fitmat = chebyshev_fit_matrix(N)
-    quad = gauss_hermite(grid.gh_order)
-    ghx = quad.nodes * np.sqrt(2.0)
-    ghw = quad.weights / np.sqrt(np.pi)
+    ghx, ghw = normal_quadrature(grid.gh_order)
     nd = I * T
     em = _exp_mu_t(mkt)
     grid_points = np.broadcast_to(nodes, (I, N))
@@ -447,9 +451,11 @@ def durable_market_to_json(mkt: DurableMarket) -> str:
 
 
 def durable_market_from_json(text: str) -> DurableMarket:
-    """The market of a fixture; DurableMarket checks every value."""
-    doc = parse_fixture(text, ("shares", "outside_shares", "mu", "weights", "beta", "pr0_init"))
-    return DurableMarket(
+    """The market of a fixture; DurableMarket checks every value, and T must
+    be the integer number of periods of its arrays."""
+    doc = parse_fixture(text, ("T", "shares", "outside_shares", "mu", "weights", "beta",
+                               "pr0_init"))
+    mkt = DurableMarket(
         shares=numeric_array("shares", doc["shares"]).T,
         outside_shares=doc["outside_shares"],
         mu=np.moveaxis(numeric_array("mu", doc["mu"]), 0, 2),  # t-major in the file
@@ -457,3 +463,6 @@ def durable_market_from_json(text: str) -> DurableMarket:
         beta=doc["beta"],
         pr0_init=doc["pr0_init"],
     )
+    if type(doc["T"]) is not int or doc["T"] != mkt.horizon:
+        raise ValueError(f"fixture T {doc['T']!r} is not its {mkt.horizon} periods")
+    return mkt

@@ -1,21 +1,13 @@
 """Numerical utilities shared by the solvers.
 
 The log-sum-exp and log-share-gap kernels of every model, minimum-norm least
-squares, Chebyshev nodes/interpolation, Gauss-Hermite quadrature, and
-row-wise AR(1) fitting. All functions are pure.
+squares, Chebyshev nodes/interpolation, Gauss-Hermite quadrature for a
+standard normal, and row-wise AR(1) fitting. All functions are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Quadrature:
-    nodes: np.ndarray
-    weights: np.ndarray
 
 
 def logsumexp(z: np.ndarray, axis: int, weights: np.ndarray | None = None) -> np.ndarray:
@@ -97,12 +89,13 @@ def chebyshev_eval_rows(coeffs, x, lo: float, hi: float) -> np.ndarray:
     return c[:, 0][(slice(None),) + extra] + z * b1 - b2
 
 
-def gauss_hermite(order: int) -> Quadrature:
-    """Physicists' Gauss-Hermite rule; weights sum to sqrt(pi)."""
+def normal_quadrature(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the order-point Gauss-Hermite rule for a standard
+    normal: E f(Z) ~ weights @ f(nodes), the weights summing to one."""
     if order < 1:
         raise ValueError("order must be >= 1")
     nodes, weights = np.polynomial.hermite.hermgauss(order)
-    return Quadrature(nodes=nodes, weights=weights)
+    return nodes * np.sqrt(2.0), weights / np.sqrt(np.pi)
 
 
 def ols_ar1_rows(series: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

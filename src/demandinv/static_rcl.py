@@ -278,7 +278,7 @@ def kalouptsidi_delta_from_r(r, mkt: StaticMarket, em=None) -> np.ndarray:
     return mkt.log_shares - cb - np.log(col)
 
 
-def kalouptsidi_mixed_solve(mkt: StaticMarket, cfg: AccelConfig):
+def _kalouptsidi_mixed_solve(mkt: StaticMarket, cfg: AccelConfig):
     """Solve for r with the mixed algorithm and recover delta.
 
     F is used by default; once F turns non-finite (its adding-up residual
@@ -333,7 +333,7 @@ def solve_inner(mkt: StaticMarket, mapping: str, cfg: AccelConfig):
     if mapping not in MAPPINGS:
         raise ValueError(f"unknown mapping {mapping!r}")
     if mapping == "kalouptsidi_mixed":
-        return kalouptsidi_mixed_solve(mkt, cfg)
+        return _kalouptsidi_mixed_solve(mkt, cfg)
     if mapping == "kalouptsidi_tilde":
         return _kalouptsidi_tilde_solve(mkt, cfg)
     gamma = 1.0 if mapping.endswith("1") else 0.0

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from demandinv import cli
 from demandinv.accel import AccelConfig
 from demandinv.bench import (RECORD_FIELDS, AlgorithmSpec, ExperimentConfig, RunRecord,
-                             config_from_json, default_config, nearest_rank,
-                             read_records, render, run_suite, summarize,
-                             write_records)
+                             config_from_json, default_config, read_records, render,
+                             run_suite, summarize, write_records)
 from demandinv.cli import main as cli_main
 
 
@@ -24,22 +23,24 @@ def tiny_config(suite="static_j25", reps=2):
                                            AlgorithmSpec("delta", 1.0, "anderson")])
 
 
+def quartiles(evals):
+    """(min, p25, median, p75, max) of summarize's row for these evaluation counts."""
+    row, = summarize([RunRecord("static_j25", r, "a", e, True, "converged", 1e-14, 1.0)
+                      for r, e in enumerate(evals)])
+    return row.min_evals, row.p25_evals, row.median_evals, row.p75_evals, row.max_evals
+
+
 class TestQuantiles:
     def test_table_row_example(self):
-        evals = sorted([5, 9, 14, 31, 630])
-        assert nearest_rank(evals, 50) == 14
-        assert evals[0] == 5 and evals[-1] == 630
-        assert nearest_rank(evals, 25) == 9
-        assert nearest_rank(evals, 75) == 31
+        assert quartiles([31, 5, 630, 14, 9]) == (5, 9, 14, 31, 630)
 
     @settings(deadline=None, max_examples=50)
-    @given(st.lists(st.integers(0, 5000), min_size=1, max_size=60),
-           st.sampled_from([25.0, 50.0, 75.0]))
-    def test_matches_sort_oracle(self, values, pct):
+    @given(st.lists(st.integers(0, 5000), min_size=1, max_size=60))
+    def test_matches_sort_oracle(self, values):
         import math
-        got = nearest_rank(sorted(values), pct)
-        expect = sorted(values)[max(1, math.ceil(pct / 100 * len(values))) - 1]
-        assert got == expect
+        ranked = sorted(values)
+        expect = [ranked[max(1, math.ceil(pct / 100 * len(values))) - 1] for pct in (25, 50, 75)]
+        assert quartiles(values) == (ranked[0], *expect, ranked[-1])
 
 
 class TestSummarize:
@@ -352,7 +353,21 @@ class TestCli:
         ("static_j25,0,delta,12,1,converged,1e-14,0.5,9", "9 cells for 8 columns"),
         ("static_j25,0,delta,12,7,converged,1e-14,0.5", "converged must be 0 or 1, not '7'"),
         ("static_j25,0,delta,12,1,bogus,1e-14,0.5", "unknown termination 'bogus'"),
-    ], ids=["short-row", "long-row", "converged-7", "bogus-termination"])
+        ("static_j25,-1,delta,12,1,converged,1e-14,0.5",
+         "replication must be an integer >= 0, not -1"),
+        ("static_j25,0,delta,-5,1,converged,1e-14,0.5",
+         "evaluations must be an integer >= 0, not -5"),
+        ("static_j25,0,delta,12,1,non_finite,nan,0.5",
+         "converged 1 disagrees with termination 'non_finite'"),
+        ("static_j25,0,delta,12,0,converged,1e-14,0.5",
+         "converged 0 disagrees with termination 'converged'"),
+        ("static_j25,0,delta,12,1,converged,-0.5,0.5",
+         "dist must be a finite non-negative real or nan, not -0.5"),
+        ("static_j25,0,delta,12,1,converged,1e-14,-2.0",
+         "wall_ms must be a finite non-negative real, not -2.0"),
+    ], ids=["short-row", "long-row", "converged-7", "bogus-termination",
+            "negative-replication", "negative-evaluations", "converged-but-non-finite",
+            "unconverged-but-converged", "negative-dist", "negative-wall-ms"])
     def test_malformed_records_exit_2_naming_the_line(self, tmp_path, capsys, row, message):
         path = tmp_path / "records.csv"
         good = "static_j25,0,delta,12,1,converged,1e-14,0.5"

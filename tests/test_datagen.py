@@ -111,7 +111,7 @@ class TestDynamicDgp:
         a = gen_dynamic_market(p, SeededRng(6, 0).generator())
         b = gen_dynamic_market(p, SeededRng(6, 0).generator())
         np.testing.assert_array_equal(a.market.shares, b.market.shares)
-        np.testing.assert_array_equal(a.value_true, b.value_true)
+        np.testing.assert_array_equal(a.solution_true.value, b.solution_true.value)
 
     def test_truth_self_consistency(self):
         p = DynamicDgpParams(n_products=5, n_draws=8, horizon=10)
@@ -127,7 +127,7 @@ class TestDynamicDgp:
         sol, out = pf_solve(inst.market, 1.0,
                             AccelConfig(tolerance=1e-13, max_evaluations=5000))
         assert out.converged
-        assert np.max(np.abs(sol.delta - inst.delta_true)) < 1e-9
+        assert np.max(np.abs(sol.delta - inst.solution_true.delta)) < 1e-9
 
     def test_per_period_normalization(self):
         p = DynamicDgpParams(n_products=5, n_draws=8, horizon=10)

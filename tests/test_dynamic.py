@@ -136,8 +136,8 @@ class TestValueUpdate:
     def test_monotone_in_delta(self):
         inst, _ = desk_instance(3)
         mkt = inst.market
-        V = inst.value_true + 0.1
-        delta = inst.delta_true.copy()
+        V = inst.solution_true.value + 0.1
+        delta = inst.solution_true.delta.copy()
         base = pf_value_update(V, delta, 0.0, mkt)
         delta[2, 5] += 1e-4
         bumped = pf_value_update(V, delta, 0.0, mkt)
@@ -151,7 +151,7 @@ class TestPfSolve:
         sol, out = pf_solve(inst.market, 1.0,
                             AccelConfig(tolerance=1e-13, max_evaluations=5000))
         assert out.converged
-        assert np.max(np.abs(sol.delta - inst.delta_true)) < 1e-9
+        assert np.max(np.abs(sol.delta - inst.solution_true.delta)) < 1e-9
         assert sol.dist < 1e-12
         assert bellman_residual(sol, inst.market) < 1e-10
 
@@ -315,20 +315,28 @@ class TestIvs:
         assert out.converged
         np.testing.assert_allclose(sol.delta, deltas, atol=1e-9)
 
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_short_horizons_are_rejected_by_ivs_and_solved_by_pf(self, horizon):
+        inst, _ = desk_instance(horizon=horizon)
+        cfg = AccelConfig(tolerance=1e-12, max_evaluations=2000)
+        with pytest.raises(ValueError, match=f"ivs_solve needs a horizon of at least 3 "
+                                             f"periods .*AR\\(1\\).*not {horizon}"):
+            ivs_solve(inst.market, 1.0, IvsGrid(), cfg)
+        assert pf_solve(inst.market, 1.0, cfg)[1].converged
+
     def test_noiseless_ar1_expectation_equals_direct_evaluation(self):
         # sigma -> 0: the quadrature collapses onto the deterministic next state
         from demandinv.numerics import (chebyshev_eval_rows, chebyshev_fit_matrix,
-                                        chebyshev_nodes, gauss_hermite)
+                                        chebyshev_nodes, normal_quadrature)
         lo, hi = -20.0, 10.0
         nodes = chebyshev_nodes(10, lo, hi)
         coefs = (chebyshev_fit_matrix(10) @ np.log(1 + np.exp(nodes)))[None, :]
-        quad = gauss_hermite(5)
+        gh_nodes, gh_weights = normal_quadrature(5)
         theta0, theta1, sd = 0.5, 0.9, 0.0
         omega = 2.3
         nxt = theta0 + theta1 * omega
-        args = nxt + np.sqrt(2) * sd * quad.nodes
-        expect = float(np.sum(quad.weights * chebyshev_eval_rows(coefs, args[None, :], lo, hi)[0])
-                       / np.sqrt(np.pi))
+        args = nxt + sd * gh_nodes
+        expect = float(np.sum(gh_weights * chebyshev_eval_rows(coefs, args[None, :], lo, hi)[0]))
         direct = float(chebyshev_eval_rows(coefs, np.array([nxt]), lo, hi)[0])
         assert expect == pytest.approx(direct, abs=1e-12)
 
@@ -350,7 +358,7 @@ class TestJson:
         with pytest.raises(ValueError, match="schema_version"):
             durable_market_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("key", ["shares", "outside_shares", "mu", "weights", "beta",
+    @pytest.mark.parametrize("key", ["T", "shares", "outside_shares", "mu", "weights", "beta",
                                      "pr0_init"])
     def test_rejects_a_missing_key(self, key):
         inst, _ = desk_instance(14, horizon=4, n_products=2, n_draws=3)
@@ -358,6 +366,20 @@ class TestJson:
         del doc[key]
         with pytest.raises(ValueError, match=f"missing the keys \\['{key}'\\]"):
             durable_market_from_json(json.dumps(doc))
+
+
+    @pytest.mark.parametrize("T", [3, 5, 4.0, "4", True, None])
+    def test_rejects_a_T_that_is_not_the_number_of_periods(self, T):
+        inst, _ = desk_instance(14, horizon=4, n_products=2, n_draws=3)
+        doc = json.loads(durable_market_to_json(inst.market))
+        doc["T"] = T
+        with pytest.raises(ValueError, match=f"fixture T {T!r} is not its 4 periods"):
+            durable_market_from_json(json.dumps(doc))
+
+    def test_log_shares_are_the_logs_of_the_shares(self):
+        mkt = desk_instance(horizon=4)[0].market
+        np.testing.assert_array_equal(mkt.log_shares, np.log(mkt.shares))
+        np.testing.assert_array_equal(mkt.log_outside, np.log(mkt.outside_shares))
 
 
 class TestValidation:

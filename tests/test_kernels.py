@@ -180,7 +180,7 @@ def test_nested_kernels_match_the_log_space_reference(case, gamma):
 def _dgp_durable(horizon):
     g = SeededRng(11, 0).generator()
     inst = gen_dynamic_market(DynamicDgpParams(horizon=horizon), g)
-    return inst.with_theta(draw_theta(inst.theta_true, g)), inst.value_true
+    return inst.with_theta(draw_theta(inst.theta_true, g)), inst.solution_true.value
 
 
 def _random_durable(seed, span):

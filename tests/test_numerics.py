@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandinv.numerics import (chebyshev_eval_rows, chebyshev_fit_matrix,
-                                chebyshev_nodes, gauss_hermite, log_share_gap,
-                                logsumexp, ls_minnorm, ols_ar1_rows)
+                                chebyshev_nodes, log_share_gap, logsumexp,
+                                ls_minnorm, normal_quadrature, ols_ar1_rows)
 
 
 def chebyshev_fit(values):
@@ -160,42 +160,44 @@ class TestChebyshev:
 
 
 class TestGaussHermite:
+    """normal_quadrature: the Gauss-Hermite rule for a standard normal."""
+
     def test_order_one(self):
-        q = gauss_hermite(1)
-        np.testing.assert_allclose(q.nodes, [0.0], atol=1e-15)
-        np.testing.assert_allclose(q.weights, [np.sqrt(np.pi)])
+        nodes, weights = normal_quadrature(1)
+        np.testing.assert_allclose(nodes, [0.0], atol=1e-15)
+        np.testing.assert_allclose(weights, [1.0])
 
     def test_order_two_nodes(self):
-        q = gauss_hermite(2)
-        np.testing.assert_allclose(sorted(q.nodes), [-1 / np.sqrt(2), 1 / np.sqrt(2)])
+        nodes, _ = normal_quadrature(2)
+        np.testing.assert_allclose(sorted(nodes), [-1.0, 1.0])
 
     def test_weights_sum_and_symmetry(self):
-        q = gauss_hermite(5)
-        assert q.weights.sum() == pytest.approx(np.sqrt(np.pi))
-        np.testing.assert_allclose(np.sort(q.nodes) + np.sort(q.nodes)[::-1], 0.0,
-                                   atol=1e-12)
+        nodes, weights = normal_quadrature(5)
+        assert weights.sum() == pytest.approx(1.0)
+        np.testing.assert_allclose(np.sort(nodes) + np.sort(nodes)[::-1], 0.0, atol=1e-12)
 
     def test_normal_variance_reproduced(self):
-        # E[x^2] for N(0, sigma^2) via change of variables x = sqrt(2) sigma t
-        q = gauss_hermite(5)
+        # E[x^2] for N(0, sigma^2) with x = sigma z
+        nodes, weights = normal_quadrature(5)
         for sigma in (0.5, 1.0, 2.7):
-            got = np.sum(q.weights * (np.sqrt(2) * sigma * q.nodes) ** 2) / np.sqrt(np.pi)
+            got = np.sum(weights * (sigma * nodes) ** 2)
             assert got == pytest.approx(sigma ** 2, rel=1e-12)
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(1, 8), st.integers(0, 10 ** 6))
     def test_polynomial_exactness_up_to_degree(self, order, seed):
-        # degree 2*order-1 polynomials integrate exactly against exp(-x^2)
+        # degree 2*order-1 polynomials integrate exactly against the standard normal
         rng = np.random.default_rng(seed)
         degree = 2 * order - 1
         coefs = rng.uniform(-1, 1, size=degree + 1)
-        q = gauss_hermite(order)
-        got = np.sum(q.weights * np.polyval(coefs, q.nodes))
-        # analytic moments of exp(-x^2): odd vanish, even are G((k+1)/2)
-        from math import gamma
-        exact = sum(c * gamma((k + 1) / 2) for k, c in
-                    enumerate(reversed(coefs)) if k % 2 == 0)
-        assert got == pytest.approx(exact, rel=1e-10, abs=1e-10)
+        nodes, weights = normal_quadrature(order)
+        got = np.sum(weights * np.polyval(coefs, nodes))
+        # standard normal moments: odd vanish, E z^k = (k-1)!! for even k
+        from math import prod
+        terms = [c * prod(range(k - 1, 0, -2)) for k, c in
+                 enumerate(reversed(coefs)) if k % 2 == 0]
+        scale = sum(abs(t) for t in terms)  # the moments grow to 13!! = 135135
+        assert got == pytest.approx(sum(terms), rel=1e-10, abs=1e-12 * scale)
 
 
 class TestAr1:

@@ -11,7 +11,11 @@ bytes, the evaluations, the termination, the final residual, the residual
 history and every field of the first return value (the delta vector, or the
 ``DurableSolution`` with its ``IvsState``), and for the nested solve the
 inner evaluation count. A suite record's hash covers every ``RunRecord``
-field but ``wall_ms``. ``--seed`` replaces every default master seed.
+field but ``wall_ms``. A ``truth`` line hashes one DGP design's market and
+its truth (``delta_true`` for the static and nested designs,
+``solution_true`` for the durable ones) at replication 0, and the nested
+solve's market and truth at the replication it draws. ``--seed`` replaces
+every default master seed.
 
 Run it from the repository root on two checkouts and ``diff`` the outputs;
 nothing is stored, so the script pins no bits of its own.
@@ -37,7 +41,8 @@ import workloads  # noqa: E402
 
 from demandinv.accel import AccelConfig  # noqa: E402
 from demandinv.bench import SUITES, default_config, run_suite  # noqa: E402
-from demandinv.datagen import DynamicDgpParams, SeededRng, gen_dynamic_market  # noqa: E402
+from demandinv.datagen import (DynamicDgpParams, SeededRng, StaticDgpParams,  # noqa: E402
+                               gen_dynamic_market, gen_nested_market, gen_static_market)
 from demandinv.dynamic import traditional_nested_solve  # noqa: E402
 
 
@@ -87,10 +92,36 @@ def suite_lines(seed):
             yield f"bench {suite} r{rec.replication} {rec.algorithm}", digest(kept)
 
 
+# key -> (generator, parameters, default master seed, replication, truth field)
+DESIGNS = {
+    "static_j25": (gen_static_market, StaticDgpParams(n_products=25), 9, 0, "delta_true"),
+    "static_j250": (gen_static_market, StaticDgpParams(n_products=250), 4, 0, "delta_true"),
+    "static_2types": (gen_static_market, StaticDgpParams(n_products=250, n_draws=2), 7, 0,
+                      "delta_true"),
+    "rcnl_j75": (gen_nested_market, StaticDgpParams(n_products=75), 7, 0, "delta_true"),
+    "dynamic_t50": (gen_dynamic_market, DynamicDgpParams(horizon=50), 11, 0, "solution_true"),
+    "dynamic_t25": (gen_dynamic_market, DynamicDgpParams(horizon=25), 11, 0, "solution_true"),
+    "nested_solve": (gen_dynamic_market,
+                     DynamicDgpParams(n_products=4, n_draws=6, horizon=12, beta=0.9), 99, 10,
+                     "solution_true"),
+}
+
+
+def instance(key, seed):
+    """(instance, its truth) of a design; seed, if given, replaces the master seed."""
+    gen, params, default_seed, rep, truth = DESIGNS[key]
+    inst = gen(params, SeededRng(default_seed if seed is None else seed, rep).generator())
+    return inst, getattr(inst, truth)
+
+
+def truth_lines(seed):
+    for key in DESIGNS:
+        inst, truth = instance(key, seed)
+        yield f"truth {key}", digest(inst.market, truth)
+
+
 def nested_lines(seed):
-    params = DynamicDgpParams(n_products=4, n_draws=6, horizon=12, beta=0.9)
-    rng = SeededRng(99 if seed is None else seed, 10).generator()
-    market = gen_dynamic_market(params, rng).market
+    market = instance("nested_solve", seed)[0].market
     for gamma in (0.0, 1.0):
         for method in ("plain", "anderson"):
             inner = AccelConfig(method=method, tolerance=1e-12, max_evaluations=5000)
@@ -102,10 +133,11 @@ def nested_lines(seed):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=None,
-                        help="master seed for every workload, suite and the nested market "
+                        help="master seed for every workload, suite and DGP design "
                              "(default: their own)")
     args = parser.parse_args(argv)
-    for lines in (workload_lines(args.seed), suite_lines(args.seed), nested_lines(args.seed)):
+    for lines in (workload_lines(args.seed), suite_lines(args.seed), nested_lines(args.seed),
+                  truth_lines(args.seed)):
         for key, value in lines:
             print(key, value, flush=True)
     return 0
