@@ -57,8 +57,10 @@ class NestedMarket:
         nest_of.flags.writeable = False
         rho.flags.writeable = False
         object.__setattr__(self, "groups", groups)  # product indices of each nest
-        object.__setattr__(self, "nest_shares",
-                           np.array([self.base.shares[g].sum() for g in groups]))
+        nest_shares = np.array([self.base.shares[g].sum() for g in groups])
+        object.__setattr__(self, "nest_shares", nest_shares)
+        object.__setattr__(self, "log_nest_shares", np.log(nest_shares))
+        object.__setattr__(self, "product_rho", rho[nest_of])  # each product's nest's rho
 
     @property
     def n_nests(self) -> int:
@@ -116,11 +118,11 @@ def rcnl_phi_delta(delta, gamma: float, mkt: NestedMarket, em=None) -> np.ndarra
     delta = np.asarray(delta, dtype=float)
     base = mkt.base
     s_j, s_g, s_0, iv = rcnl_shares(delta, mkt, em)
-    rho_j = mkt.rho[mkt.nest_of]
+    rho_j = mkt.product_rho
     with np.errstate(divide="ignore"):
         out = delta + (1.0 - rho_j) * (base.log_shares - np.log(s_j))
         if gamma != 0.0:
-            gap_g = np.log(mkt.nest_shares) - np.log(s_g)
+            gap_g = mkt.log_nest_shares - np.log(s_g)
             out = out + gamma * rho_j * gap_g[mkt.nest_of]
             # s_0 underflows at large IV, its log does not (as in rcnl_iota_IV_to_delta)
             log_s0 = np.log(s_0)
@@ -160,9 +162,8 @@ def rcnl_iota_IV_to_delta(iv, gamma: float, mkt: NestedMarket, em=None) -> np.nd
     if gamma != 0.0:
         # model nest and outside shares in logs: at large IV the outside
         # probabilities exp(-lse_top) underflow, their logs do not
-        rho_j = mkt.rho[mkt.nest_of]
-        gap_g = np.log(mkt.nest_shares) - logsumexp((ivT - lse_top).T, 0, base.weights)
-        delta = delta + gamma * rho_j * gap_g[mkt.nest_of]
+        gap_g = mkt.log_nest_shares - logsumexp((ivT - lse_top).T, 0, base.weights)
+        delta = delta + gamma * mkt.product_rho * gap_g[mkt.nest_of]
         log_s0 = logsumexp((-lse_top)[:, None], 0, base.weights)[0]
         delta = delta - gamma * (base.log_outside - log_s0)
     return delta
@@ -179,10 +180,9 @@ def rcnl_dist_metric(delta, mkt: NestedMarket) -> float:
 
 def rcnl_initial_delta(mkt: NestedMarket) -> np.ndarray:
     """Homogeneous nested-logit inversion (Berry closed form)."""
-    rho_j = mkt.rho[mkt.nest_of]
-    log_sg = np.log(mkt.nest_shares)
+    rho_j = mkt.product_rho
     return ((1.0 - rho_j) * mkt.base.log_shares
-            + rho_j * log_sg[mkt.nest_of] - mkt.base.log_outside)
+            + rho_j * mkt.log_nest_shares[mkt.nest_of] - mkt.base.log_outside)
 
 
 def rcnl_solve_inner(mkt: NestedMarket, mapping: str, cfg: AccelConfig):
