@@ -82,6 +82,20 @@ def checked_name(name: str, value, choices) -> str:
     return value
 
 
+def checked_object(name: str, value, keys, required=()) -> dict:
+    """value if it is a dict (a JSON object) whose keys are among keys and
+    include every required one; ValueError naming the unknown or missing keys."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, not {value!r}")
+    extra = sorted(set(value) - set(keys))
+    if extra:
+        raise ValueError(f"unknown {name} keys {extra}; known: {sorted(keys)}")
+    missing = [k for k in required if k not in value]
+    if missing:
+        raise ValueError(f"{name} is missing the keys {missing}")
+    return value
+
+
 @dataclass(frozen=True)
 class AccelConfig:
     """Solver configuration, checked once at construction; change it with

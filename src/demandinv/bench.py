@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .accel import (METHODS, STEP_RULES, AccelConfig, checked_int, checked_name,
-                    checked_real, checked_tolerance)
+                    checked_object, checked_real, checked_tolerance)
 from .datagen import (DynamicDgpParams, SeededRng, StaticDgpParams, draw_theta,
                       gen_dynamic_market, gen_nested_market, gen_static_market,
                       large_heterogeneity_market)
@@ -244,31 +244,18 @@ _CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 _ALGORITHM_KEYS = tuple(f.name for f in fields(AlgorithmSpec))
 
 
-def _json_object(doc, keys, where) -> dict:
-    """doc if it is a JSON object with only the given keys; ValueError otherwise."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object, not {doc!r}")
-    extra = sorted(set(doc) - set(keys))
-    if extra:
-        raise ValueError(f"unknown {where} keys {extra}; known: {sorted(keys)}")
-    return doc
-
-
 def config_from_json(text: str) -> ExperimentConfig:
     """A suite's defaults with the document's overrides. Only the shape and
     the keys are checked here; the values go unchanged to the constructors,
     which raise ValueError on anything they cannot run."""
-    doc = _json_object(json.loads(text), _CONFIG_KEYS, "config")
-    if "suite" not in doc:
-        raise ValueError("config needs a suite")
+    doc = checked_object("config", json.loads(text), _CONFIG_KEYS, ("suite",))
     overrides = {k: v for k, v in doc.items() if k != "suite"}
     if "algorithms" in doc:
         if not isinstance(doc["algorithms"], list):
             raise ValueError("algorithms must be a JSON list")
-        algos = [_json_object(a, _ALGORITHM_KEYS, "algorithm") for a in doc["algorithms"]]
-        if not all("mapping" in a for a in algos):
-            raise ValueError("every algorithm needs a mapping")
-        overrides["algorithms"] = tuple(AlgorithmSpec(**a) for a in algos)
+        overrides["algorithms"] = tuple(
+            AlgorithmSpec(**checked_object("algorithm", a, _ALGORITHM_KEYS, ("mapping",)))
+            for a in doc["algorithms"])
     return replace(default_config(doc["suite"]), **overrides)
 
 
@@ -351,7 +338,7 @@ def render(rows, fmt: str = "csv") -> str:
         writer.writerow(_SUMMARY_COLUMNS)
         writer.writerows(cells)
         return buf.getvalue()
-    if fmt in ("md", "markdown"):
+    if fmt == "md":
         lines = ["| " + " | ".join(_SUMMARY_COLUMNS) + " |",
                  "| " + " | ".join("---" for _ in _SUMMARY_COLUMNS) + " |"]
         lines += ["| " + " | ".join(row) + " |" for row in cells]

@@ -12,6 +12,7 @@ representable in every replication.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -185,13 +186,26 @@ class DynamicInstance:
 
 
 def _terminal_value(beta: float, omega_T: np.ndarray) -> np.ndarray:
-    """Fixed point of v = log(exp(beta v) + exp(omega)); modulus < beta."""
+    """Fixed point of v = log(exp(beta v) + exp(omega)), iterated from omega
+    until a step changes v by less than 1e-15. The map contracts with a
+    modulus below beta, so each change is below beta times the one before and
+    the cap is the step count that takes the first change below 1e-15 (at
+    beta 0 the second step changes nothing). ValueError if the last change is
+    still above rounding level."""
     v = omega_T.copy()
-    for _ in range(10000):
+    first = float(np.max(np.abs(np.logaddexp(beta * v, omega_T) - v)))
+    steps = 2
+    if 0.0 < beta < 1.0 and first >= 1e-15:
+        steps += int(math.log(1e-15 / first) / math.log(beta))
+    for _ in range(steps):
         v_new = np.logaddexp(beta * v, omega_T)
-        if np.max(np.abs(v_new - v)) < 1e-15:
+        change = np.max(np.abs(v_new - v))
+        if change < 1e-15:
             return v_new
         v = v_new
+    if not change <= 4.0 * np.spacing(np.max(np.abs(v))):
+        raise ValueError(f"the terminal value did not converge at beta {beta!r}: "
+                         f"its last step changed it by {change:.3g}")
     return v
 
 

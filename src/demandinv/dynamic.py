@@ -19,15 +19,15 @@ Algorithms:
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .accel import AccelConfig, FixedPointMap, solve
+from .accel import AccelConfig, FixedPointMap, checked_int, checked_real, solve
 from .numerics import (chebyshev_eval_rows, chebyshev_fit_matrix, chebyshev_nodes,
                        log_share_gap, normal_quadrature, ols_ar1_rows)
-from .static_rcl import SCHEMA_VERSION, check_market_data, exp_mu, numeric_array, parse_fixture
+from .static_rcl import check_market_data, exp_mu, numeric_array
 
 # Active fractions are floored at a tiny positive value: off the solution,
 # 1 - sum_j ccp can dip below zero for extreme heterogeneity draws, which
@@ -369,10 +369,24 @@ def traditional_nested_solve(mkt: DurableMarket, gamma: float, phi: float,
 
 @dataclass(frozen=True)
 class IvsGrid:
+    """The Chebyshev grid of n_nodes nodes on [lo, hi] and the Gauss-Hermite
+    order of the IVS expectations, checked once at construction."""
+
     n_nodes: int = 10
     lo: float = -20.0
     hi: float = 10.0
     gh_order: int = 5
+
+    def __post_init__(self):
+        for name in ("n_nodes", "gh_order"):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), 1))
+        # the interpolant maps x to (2x - lo - hi) / (hi - lo): 2x must be finite
+        rule = "of magnitude at most half the largest double"
+        lo = checked_real("lo", self.lo, lambda v: math.isfinite(2.0 * v), f"a real {rule}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", checked_real(
+            "hi", self.hi, lambda v: lo < v and math.isfinite(2.0 * v),
+            f"a real above lo = {lo!r} {rule}"))
 
 
 def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig):
@@ -428,41 +442,3 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
                      ar1_intercept=theta0, ar1_slope=theta1, ar1_sd=sd,
                      gh_order=grid.gh_order)
     return replace(_solution(delta, v_data, omega, mkt, em), ivs=state), outcome
-
-
-# ---------------------------------------------------------------------------
-# JSON fixtures
-
-
-def durable_market_to_json(mkt: DurableMarket) -> str:
-    T = mkt.horizon
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "T": T,
-        "beta": mkt.beta,
-        # t-major: one entry per period; shares conditional on active consumers
-        "shares": mkt.shares.T.tolist(),
-        "outside_shares": mkt.outside_shares.tolist(),
-        "mu": [mkt.mu[:, :, t].tolist() for t in range(T)],
-        "weights": mkt.weights.tolist(),
-        "pr0_init": mkt.pr0_init.tolist(),
-    }
-    return json.dumps(doc)
-
-
-def durable_market_from_json(text: str) -> DurableMarket:
-    """The market of a fixture; DurableMarket checks every value, and T must
-    be the integer number of periods of its arrays."""
-    doc = parse_fixture(text, ("T", "shares", "outside_shares", "mu", "weights", "beta",
-                               "pr0_init"))
-    mkt = DurableMarket(
-        shares=numeric_array("shares", doc["shares"]).T,
-        outside_shares=doc["outside_shares"],
-        mu=np.moveaxis(numeric_array("mu", doc["mu"]), 0, 2),  # t-major in the file
-        weights=doc["weights"],
-        beta=doc["beta"],
-        pr0_init=doc["pr0_init"],
-    )
-    if type(doc["T"]) is not int or doc["T"] != mkt.horizon:
-        raise ValueError(f"fixture T {doc['T']!r} is not its {mkt.horizon} periods")
-    return mkt

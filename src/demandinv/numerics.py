@@ -91,10 +91,14 @@ def chebyshev_eval_rows(coeffs, x, lo: float, hi: float) -> np.ndarray:
 
 def normal_quadrature(order: int) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, weights) of the order-point Gauss-Hermite rule for a standard
-    normal: E f(Z) ~ weights @ f(nodes), the weights summing to one."""
+    normal: E f(Z) ~ weights @ f(nodes), the weights summing to one. ValueError
+    for an order whose weights are not finite (from 372 on in double precision)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    with np.errstate(all="ignore"):  # from order 372 on, hermgauss divides by 0
+        nodes, weights = np.polynomial.hermite.hermgauss(order)
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(f"the order-{order} Gauss-Hermite weights are not finite")
     return nodes * np.sqrt(2.0), weights / np.sqrt(np.pi)
 
 

@@ -9,15 +9,13 @@ every operation collapses to its static counterpart.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .accel import AccelConfig, FixedPointMap, solve
 from .numerics import log_share_gap, logsumexp
-from .static_rcl import (MARKET_KEYS, StaticMarket, check_mu_span, exp_mu, market_doc,
-                         market_from_doc, numeric_array, outside_logit, parse_fixture)
+from .static_rcl import StaticMarket, check_mu_span, exp_mu, numeric_array, outside_logit
 
 RCNL_MAPPINGS = ("delta0", "delta1", "IV0", "IV1")
 
@@ -31,6 +29,8 @@ class NestedMarket:
     rho: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.base, StaticMarket):
+            raise ValueError(f"base must be a StaticMarket, not {type(self.base).__name__}")
         nest_of = np.asarray(self.nest_of)
         if nest_of.dtype.kind not in "iu":
             raise ValueError(f"nest ids must be integers, not {nest_of.dtype}")
@@ -201,13 +201,3 @@ def rcnl_solve_inner(mkt: NestedMarket, mapping: str, cfg: AccelConfig):
     outcome = solve(fp, np.zeros(shape).ravel(), cfg)
     delta = rcnl_iota_IV_to_delta(outcome.point.reshape(shape), gamma, mkt, em)
     return delta, outcome
-
-
-def nested_market_to_json(mkt: NestedMarket) -> str:
-    return json.dumps({**market_doc(mkt.base), "nest_of": mkt.nest_of.tolist(),
-                       "rho": mkt.rho.tolist()})
-
-
-def nested_market_from_json(text: str) -> NestedMarket:
-    doc = parse_fixture(text, MARKET_KEYS + ("nest_of", "rho"))
-    return NestedMarket(base=market_from_doc(doc), nest_of=doc["nest_of"], rho=doc["rho"])

@@ -16,7 +16,6 @@ which iterate on r_i = log(w_i * s_i0).
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import dataclass
@@ -25,8 +24,6 @@ import numpy as np
 
 from .accel import AccelConfig, FixedPointMap, solve
 from .numerics import log_share_gap, logsumexp
-
-SCHEMA_VERSION = 1
 
 MAPPINGS = ("delta0", "delta1", "V0", "V1", "kalouptsidi_mixed", "kalouptsidi_tilde")
 
@@ -43,7 +40,8 @@ class StaticMarket:
     def __post_init__(self):
         shares = numeric_array("shares", self.shares)
         outside = numeric_array("outside_share", self.outside_share)
-        mu = numeric_array("mu", self.mu)
+        # C order: numpy adds up mu in an order that depends on its layout
+        mu = np.ascontiguousarray(numeric_array("mu", self.mu))
         weights = numeric_array("weights", self.weights)
         if shares.ndim != 1 or outside.ndim != 0:
             raise ValueError("shares must be a vector and outside_share a scalar")
@@ -424,6 +422,9 @@ def solve_inner(mkt: StaticMarket, mapping: str, cfg: AccelConfig):
     """
     if mapping not in MAPPINGS:
         raise ValueError(f"unknown mapping {mapping!r}")
+    if mapping.startswith("kalouptsidi") and not np.all(mkt.weights > 0):
+        raise ValueError(f"mapping {mapping!r} iterates on log(w_i s_i0) and needs "
+                         f"every weight positive")
     if mapping == "kalouptsidi_mixed":
         return _kalouptsidi_mixed_solve(mkt, cfg)
     if mapping == "kalouptsidi_tilde":
@@ -438,47 +439,3 @@ def solve_inner(mkt: StaticMarket, mapping: str, cfg: AccelConfig):
     outcome = solve(fp, np.zeros(mkt.n_types), cfg)
     delta = iota_V_to_delta(outcome.point, gamma, mkt)
     return delta, outcome
-
-
-# ---------------------------------------------------------------------------
-# JSON fixtures
-
-
-def market_doc(mkt: StaticMarket) -> dict:
-    """The JSON object of a static market fixture; nested fixtures extend it."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "shares": mkt.shares.tolist(),
-        "outside_share": mkt.outside_share,
-        "mu": mkt.mu.tolist(),  # row-major, one row per consumer type
-        "weights": mkt.weights.tolist(),
-    }
-
-
-def market_to_json(mkt: StaticMarket) -> str:
-    return json.dumps(market_doc(mkt))
-
-
-def parse_fixture(text: str, keys) -> dict:
-    """The JSON object of a market fixture that has every one of the keys its
-    loader reads; other schema versions and missing keys are rejected."""
-    doc = json.loads(text)
-    version = doc.get("schema_version") if isinstance(doc, dict) else None
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise ValueError(f"fixture schema_version {version!r} is not {SCHEMA_VERSION}")
-    missing = [k for k in keys if k not in doc]
-    if missing:
-        raise ValueError(f"fixture is missing the keys {missing}")
-    return doc
-
-
-MARKET_KEYS = ("shares", "outside_share", "mu", "weights")  # read by market_from_doc
-
-
-def market_from_doc(doc: dict) -> StaticMarket:
-    """The market of a fixture object; StaticMarket checks every value."""
-    return StaticMarket(**{k: doc[k] for k in MARKET_KEYS})
-
-
-def market_from_json(text: str) -> StaticMarket:
-    return market_from_doc(parse_fixture(text, MARKET_KEYS))

@@ -98,6 +98,10 @@ class TestRender:
         md_cells = [c.strip() for c in md_lines[2].strip("|").split("|")]
         assert md_cells == csv_cells
 
+    def test_the_markdown_alias_is_gone(self):
+        with pytest.raises(ValueError, match="unknown format 'markdown'"):
+            render(self.make_rows(), "markdown")
+
 
 class TestRecordsIO:
     def test_round_trip(self, tmp_path):

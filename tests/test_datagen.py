@@ -5,7 +5,7 @@ from demandinv.accel import AccelConfig
 from demandinv.datagen import (DynamicDgpParams, SeededRng, StaticDgpParams,
                                draw_theta, gen_dynamic_market,
                                gen_nested_market, gen_static_market)
-from demandinv.dynamic import pf_solve
+from demandinv.dynamic import bellman_residual, pf_solve
 from demandinv.rcnl import rcnl_dist_metric
 from demandinv.static_rcl import dist_metric
 
@@ -128,6 +128,16 @@ class TestDynamicDgp:
                             AccelConfig(tolerance=1e-13, max_evaluations=5000))
         assert out.converged
         assert np.max(np.abs(sol.delta - inst.solution_true.delta)) < 1e-9
+
+    def test_truth_is_exact_at_beta_0999(self):
+        p = DynamicDgpParams(horizon=10, beta=0.999)
+        inst = gen_dynamic_market(p, SeededRng(11, 0).generator())
+        assert bellman_residual(inst.solution_true, inst.market) < 1e-12
+
+    def test_a_beta_without_a_terminal_fixed_point_is_rejected(self):
+        with pytest.raises(ValueError, match="terminal value did not converge at beta 1.0"):
+            gen_dynamic_market(DynamicDgpParams(horizon=3, beta=1.0),
+                               SeededRng(11, 0).generator())
 
     def test_per_period_normalization(self):
         p = DynamicDgpParams(n_products=5, n_draws=8, horizon=10)

@@ -9,8 +9,8 @@ from demandinv import accel, dynamic
 from demandinv.accel import AccelConfig
 from demandinv.datagen import (DynamicDgpParams, SeededRng, draw_theta,
                                gen_dynamic_market)
+from demandinv.fixtures import market_from_json, market_to_json
 from demandinv.dynamic import (DurableMarket, IvsGrid, bellman_residual,
-                               durable_market_from_json, durable_market_to_json,
                                initial_delta_myopic, ivs_solve, pf_solve,
                                pf_value_update, traditional_joint_solve,
                                traditional_nested_solve)
@@ -324,6 +324,28 @@ class TestIvs:
             ivs_solve(inst.market, 1.0, IvsGrid(), cfg)
         assert pf_solve(inst.market, 1.0, cfg)[1].converged
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_nodes=2.5), dict(n_nodes=True), dict(n_nodes=0), dict(gh_order=True),
+        dict(gh_order=0), dict(gh_order=5.0), dict(hi=np.inf), dict(lo=-np.inf),
+        dict(lo=np.nan), dict(lo=-1e308, hi=1e308), dict(lo=1e307, hi=1.5e308),
+        dict(lo=5.0, hi=5.0), dict(lo=1.0, hi=0.0), dict(hi="10"),
+    ], ids=["float-nodes", "bool-nodes", "zero-nodes", "bool-order", "zero-order",
+            "float-order", "infinite-hi", "infinite-lo", "nan-lo", "infinite-span",
+            "hi-above-half-max", "empty", "reversed", "string-hi"])
+    def test_grid_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            IvsGrid(**kwargs)
+
+    def test_grid_defaults(self):
+        assert IvsGrid() == IvsGrid(10, -20.0, 10.0, 5)
+        half = np.finfo(float).max / 2
+        assert IvsGrid(lo=-half, hi=half).hi == half
+
+    def test_a_quadrature_order_without_finite_weights_is_rejected(self):
+        inst, _ = desk_instance(horizon=4)
+        with pytest.raises(ValueError, match="order-400 Gauss-Hermite weights are not finite"):
+            ivs_solve(inst.market, 1.0, IvsGrid(gh_order=400), AccelConfig())
+
     def test_noiseless_ar1_expectation_equals_direct_evaluation(self):
         # sigma -> 0: the quadrature collapses onto the deterministic next state
         from demandinv.numerics import (chebyshev_eval_rows, chebyshev_fit_matrix,
@@ -345,7 +367,7 @@ class TestJson:
     def test_round_trip(self):
         inst, _ = desk_instance(14, horizon=4, n_products=2, n_draws=3)
         mkt = inst.market
-        clone = durable_market_from_json(durable_market_to_json(mkt))
+        clone = market_from_json(market_to_json(mkt))
         np.testing.assert_array_equal(clone.shares, mkt.shares)
         np.testing.assert_array_equal(clone.mu, mkt.mu)
         np.testing.assert_array_equal(clone.pr0_init, mkt.pr0_init)
@@ -353,28 +375,30 @@ class TestJson:
 
     def test_rejects_other_schema_version(self):
         inst, _ = desk_instance(14, horizon=4, n_products=2, n_draws=3)
-        doc = json.loads(durable_market_to_json(inst.market))
+        doc = json.loads(market_to_json(inst.market))
         doc["schema_version"] = 99
         with pytest.raises(ValueError, match="schema_version"):
-            durable_market_from_json(json.dumps(doc))
+            market_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("key", ["T", "shares", "outside_shares", "mu", "weights", "beta",
+    @pytest.mark.parametrize("key", ["shares", "outside_shares", "mu", "weights", "beta",
                                      "pr0_init"])
     def test_rejects_a_missing_key(self, key):
         inst, _ = desk_instance(14, horizon=4, n_products=2, n_draws=3)
-        doc = json.loads(durable_market_to_json(inst.market))
+        doc = json.loads(market_to_json(inst.market))
         del doc[key]
         with pytest.raises(ValueError, match=f"missing the keys \\['{key}'\\]"):
-            durable_market_from_json(json.dumps(doc))
+            market_from_json(json.dumps(doc))
 
 
     @pytest.mark.parametrize("T", [3, 5, 4.0, "4", True, None])
     def test_rejects_a_T_that_is_not_the_number_of_periods(self, T):
+        """Version-1 durable fixtures carried the horizon T; version 2 takes it
+        from mu alone, and any T key is unknown."""
         inst, _ = desk_instance(14, horizon=4, n_products=2, n_draws=3)
-        doc = json.loads(durable_market_to_json(inst.market))
+        doc = json.loads(market_to_json(inst.market))
         doc["T"] = T
-        with pytest.raises(ValueError, match=f"fixture T {T!r} is not its 4 periods"):
-            durable_market_from_json(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"unknown fixture keys \['T'\]"):
+            market_from_json(json.dumps(doc))
 
     def test_log_shares_are_the_logs_of_the_shares(self):
         mkt = desk_instance(horizon=4)[0].market
@@ -448,10 +472,10 @@ class TestValidation:
 
     def test_fixture_with_a_string_beta_is_rejected(self):
         inst, _ = desk_instance(horizon=3)
-        doc = json.loads(durable_market_to_json(inst.market))
+        doc = json.loads(market_to_json(inst.market))
         doc["beta"] = "0.5"
         with pytest.raises(ValueError, match="beta"):
-            durable_market_from_json(json.dumps(doc))
+            market_from_json(json.dumps(doc))
 
     def test_rejects_beta_out_of_range(self):
         with pytest.raises(ValueError):

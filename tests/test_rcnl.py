@@ -5,9 +5,8 @@ import pytest
 
 from demandinv.accel import AccelConfig
 from demandinv.datagen import SeededRng, StaticDgpParams, draw_theta, gen_nested_market
-from demandinv.rcnl import (NestedMarket, nested_market_from_json,
-                            nested_market_to_json, nested_shares,
-                            rcnl_dist_metric, rcnl_initial_delta,
+from demandinv.fixtures import market_from_json, market_to_json
+from demandinv.rcnl import (NestedMarket, nested_shares, rcnl_dist_metric, rcnl_initial_delta,
                             rcnl_iota_delta_to_IV, rcnl_phi_IV,
                             rcnl_phi_delta, rcnl_shares, rcnl_solve_inner)
 from demandinv.static_rcl import StaticMarket, logit_shares, phi_delta
@@ -165,25 +164,25 @@ class TestBenchmarkLayout:
 class TestJson:
     def test_round_trip(self):
         mkt, _ = tiny_nested(seed=31)
-        clone = nested_market_from_json(nested_market_to_json(mkt))
+        clone = market_from_json(market_to_json(mkt))
         np.testing.assert_array_equal(clone.base.shares, mkt.base.shares)
         np.testing.assert_array_equal(clone.nest_of, mkt.nest_of)
         np.testing.assert_array_equal(clone.rho, mkt.rho)
 
     def test_rejects_other_schema_version(self):
         mkt, _ = tiny_nested(seed=31)
-        doc = json.loads(nested_market_to_json(mkt))
+        doc = json.loads(market_to_json(mkt))
         doc["schema_version"] = 99
         with pytest.raises(ValueError, match="schema_version"):
-            nested_market_from_json(json.dumps(doc))
+            market_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("key", ["nest_of", "rho", "mu"])
     def test_rejects_a_missing_key(self, key):
         mkt, _ = tiny_nested(seed=31)
-        doc = json.loads(nested_market_to_json(mkt))
-        del doc[key]
+        doc = json.loads(market_to_json(mkt))
+        del (doc["base"] if key == "mu" else doc)[key]  # mu is a field of the base market
         with pytest.raises(ValueError, match=f"missing the keys \\['{key}'\\]"):
-            nested_market_from_json(json.dumps(doc))
+            market_from_json(json.dumps(doc))
 
 
 class TestValidation:

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from demandinv.accel import AccelConfig
 from demandinv.datagen import (SeededRng, StaticDgpParams, draw_theta,
                                gen_static_market, large_heterogeneity_market)
+from demandinv.fixtures import market_from_json, market_to_json
 from demandinv.static_rcl import (StaticMarket, dist_metric, initial_delta,
                                   iota_V_to_delta, iota_delta_to_V,
                                   kalouptsidi_F, kalouptsidi_delta_from_r,
-                                  logit_shares, market_from_json,
-                                  market_to_json, outside_logit, phi_V,
+                                  logit_shares, outside_logit, phi_V,
                                   phi_delta, predict_shares, solve_inner)
 
 from oracles import naive_shares, newton_invert
@@ -259,6 +259,26 @@ class TestKalouptsidi:
         g = SeededRng(7, rep).generator()
         inst = gen_static_market(StaticDgpParams(n_products=250, n_draws=2), g)
         return inst.with_theta(draw_theta(inst.theta_true, g))
+
+    def zero_weight_market(self):
+        """J=5 market whose last two of four consumer types have weight 0."""
+        rng = np.random.default_rng(0)
+        delta, mu = rng.normal(size=5), rng.normal(size=(4, 5))
+        w = np.array([0.5, 0.5, 0.0, 0.0])
+        s_j, _, _ = logit_shares(delta, mu, w)
+        return StaticMarket(s_j, 1.0 - s_j.sum(), mu, w)
+
+    @pytest.mark.parametrize("mapping", ["kalouptsidi_mixed", "kalouptsidi_tilde"])
+    def test_a_zero_weight_is_rejected(self, mapping):
+        with pytest.raises(ValueError, match=f"{mapping}.*needs every weight positive"):
+            solve_inner(self.zero_weight_market(), mapping, AccelConfig())
+
+    @pytest.mark.parametrize("mapping", ["delta1", "V0", "V1"])
+    def test_delta_and_V_solve_a_market_with_a_zero_weight(self, mapping):
+        mkt = self.zero_weight_market()
+        d, out = solve_inner(mkt, mapping, AccelConfig(method="anderson"))
+        assert out.converged
+        assert dist_metric(d, mkt) < 1e-12
 
     def test_fixed_point_at_truth(self):
         mkt = self.two_type_market()
