@@ -17,7 +17,7 @@ from .rcnl import (NestedMarket, rcnl_dist_metric, rcnl_iota_delta_to_IV,
                    rcnl_iota_IV_to_delta, rcnl_phi_delta, rcnl_phi_IV,
                    rcnl_shares, rcnl_solve_inner)
 from .static_rcl import (StaticMarket, dist_metric, iota_delta_to_V,
-                         iota_V_to_delta, kalouptsidi_F, kalouptsidi_Ftilde, phi_V,
-                         phi_delta, predict_shares, solve_inner)
+                         iota_V_to_delta, kalouptsidi_F, kalouptsidi_Ftilde, logit_shares,
+                         phi_V, phi_delta, solve_inner)
 
 __version__ = "0.1.0"

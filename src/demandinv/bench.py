@@ -167,12 +167,6 @@ def _drawn(gen, params):
     return market
 
 
-def _dist_at_finite(metric):
-    """DIST of a finite point; NaN marks a non-finite one."""
-    return lambda delta, market: (metric(delta, market) if np.all(np.isfinite(delta))
-                                  else float("nan"))
-
-
 @dataclass(frozen=True)
 class Suite:
     """A suite's table-note defaults and its replications: market(rng) draws the
@@ -197,7 +191,6 @@ def _grid(mappings, gammas=(0.0, 1.0), methods=("plain", "anderson", "spectral",
 
 _BY_NAME = (_by_name(solve_inner), _by_name(rcnl_solve_inner))
 _STATIC = dict.fromkeys(("delta", "V", "kalouptsidi_mixed", "kalouptsidi_tilde"), _BY_NAME[0])
-_STATIC_DIST = _dist_at_finite(dist_metric)
 _NESTED = dict.fromkeys(("delta", "IV"), _BY_NAME[1])
 _J250 = _drawn(gen_static_market, StaticDgpParams(n_products=250))
 
@@ -208,16 +201,16 @@ def _durable_dist(sol, _market):
 
 _SUITE_TABLE = {
     "static_j25": Suite(_drawn(gen_static_market, StaticDgpParams(n_products=25)),
-                        _STATIC, _STATIC_DIST, _grid(("delta", "V")), 50, 9),
-    "static_j250": Suite(_J250, _STATIC, _STATIC_DIST, _grid(("delta", "V")), 50, 4),
+                        _STATIC, dist_metric, _grid(("delta", "V")), 50, 9),
+    "static_j250": Suite(_J250, _STATIC, dist_metric, _grid(("delta", "V")), 50, 4),
     "static_2types": Suite(
         _drawn(gen_static_market, StaticDgpParams(n_products=250, n_draws=2)),
-        _STATIC, _STATIC_DIST,
+        _STATIC, dist_metric,
         _grid(("delta", "V")) + (AlgorithmSpec("kalouptsidi_mixed"),
                                  AlgorithmSpec("kalouptsidi_tilde")), 50, 7),
     "rcnl": Suite(_drawn(gen_nested_market, StaticDgpParams(n_products=75)),
-                  _NESTED, _dist_at_finite(rcnl_dist_metric), _grid(("delta", "IV")), 50, 7),
-    "large_hetero": Suite(lambda rng: large_heterogeneity_market()[0], _STATIC, _STATIC_DIST,
+                  _NESTED, rcnl_dist_metric, _grid(("delta", "IV")), 50, 7),
+    "large_hetero": Suite(lambda rng: large_heterogeneity_market()[0], _STATIC, dist_metric,
                           _grid(("delta", "V")), 1, 0, max_evaluations=2000),
     "dynamic_pf": Suite(_drawn(gen_dynamic_market, DynamicDgpParams(horizon=50)),
                         {"V": _pf, "joint": _joint}, _durable_dist,
@@ -225,7 +218,7 @@ _SUITE_TABLE = {
     "dynamic_ivs": Suite(_drawn(gen_dynamic_market, DynamicDgpParams(horizon=25)),
                          {"V": _ivs, "joint": _joint}, _durable_dist,
                          _grid(("V",)), 20, 11, 1e-12, 3000),
-    "stepsize_sweep": Suite(_J250, _STATIC, _STATIC_DIST,
+    "stepsize_sweep": Suite(_J250, _STATIC, dist_metric,
                             tuple(a for rule in ("S1", "S2", "S3prime")
                                   for a in _grid(("delta", "V"), methods=("spectral", "squarem"),
                                                  step_rule=rule)), 50, 7),

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import ndtri
 
+from .accel import checked_int, checked_real
 from .dynamic import DurableMarket, DurableSolution, _v_next
 from .numerics import log_share_gap, logsumexp
 from .rcnl import NestedMarket, nested_shares
@@ -44,8 +45,33 @@ def normal(rng: np.random.Generator, shape) -> np.ndarray:
     return ndtri(u)
 
 
+def _checked_reals(name, value, shape, sd=False):
+    """value as a float if shape is (), else as a tuple of shape[0] entries of
+    shape[1:]; ValueError unless every entry is a finite real (and >= 0 if sd)."""
+    if not shape:
+        if sd:
+            return checked_real(name, value, lambda v: 0.0 <= v < math.inf, "a finite real >= 0")
+        return checked_real(name, value, math.isfinite, "a finite real")
+    if not isinstance(value, (tuple, list, np.ndarray)) or len(value) != shape[0]:
+        raise ValueError(f"{name} must be a sequence of {shape[0]} entries, not {value!r}")
+    return tuple(_checked_reals(f"{name}[{k}]", v, shape[1:], sd) for k, v in enumerate(value))
+
+
+def _check_params(params, counts, reals, sds):
+    """Replace each field of the frozen params with its checked value: counts
+    are integers >= 1, reals maps each real field to its shape, and the
+    fields in sds are standard deviations (>= 0)."""
+    for name in counts:
+        object.__setattr__(params, name, checked_int(name, getattr(params, name), 1))
+    for name, shape in reals.items():
+        object.__setattr__(params, name,
+                           _checked_reals(name, getattr(params, name), shape, name in sds))
+
+
 @dataclass(frozen=True)
 class StaticDgpParams:
+    """The static DGP's design, checked once at construction."""
+
     n_products: int = 25
     n_draws: int = 1000
     mean_coefs: tuple = (0.0, 1.5, 1.5, 0.5, -3.0)
@@ -55,9 +81,17 @@ class StaticDgpParams:
     price_xi: float = 1.5
     price_shock_hi: float = 5.0
 
+    def __post_init__(self):
+        _check_params(self, ("n_products", "n_draws"),
+                      {"mean_coefs": (5,), "sd_coefs": (5,), "char_cov": (3, 3),
+                       "price_const": (), "price_xi": (), "price_shock_hi": ()},
+                      sds=("sd_coefs",))
+
 
 @dataclass(frozen=True)
 class DynamicDgpParams:
+    """The durable DGP's design, checked once at construction."""
+
     n_products: int = 25
     n_draws: int = 50
     horizon: int = 50
@@ -73,6 +107,15 @@ class DynamicDgpParams:
     z_shock_sd: float = 0.1
     w_shock_sd: float = 1.0
     u_shock_sd: float = 0.01
+
+    def __post_init__(self):
+        _check_params(self, ("n_products", "n_draws", "horizon"),
+                      {"mean_coefs": (5,), "sd_coefs": (5,), "chi_sd": (), "price_coefs": (7,),
+                       "price_cross": (3,), "z_init": (), "z_const": (), "z_rho": (),
+                       "z_shock_sd": (), "w_shock_sd": (), "u_shock_sd": ()},
+                      sds=("sd_coefs", "chi_sd", "z_shock_sd", "w_shock_sd", "u_shock_sd"))
+        object.__setattr__(self, "beta", checked_real(
+            "beta", self.beta, lambda b: 0.0 <= b < 1.0, "a real in [0, 1)"))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 from .accel import AccelConfig, FixedPointMap, checked_int, checked_real, solve
 from .numerics import (chebyshev_eval_rows, chebyshev_fit_matrix, chebyshev_nodes,
                        log_share_gap, normal_quadrature, ols_ar1_rows)
-from .static_rcl import check_market_data, exp_mu, numeric_array
+from .static_rcl import _freeze, check_market_data, exp_mu, numeric_array
 
 # Active fractions are floored at a tiny positive value: off the solution,
 # 1 - sum_j ccp can dip below zero for extreme heterogeneity draws, which
@@ -73,15 +73,10 @@ class DurableMarket:
             raise ValueError("pr0_init must be I fractions in [0, 1]")
         if not weights @ pr0 > 0:
             raise ValueError("some type must be active in the first period")
-        for name, arr in (("shares", shares), ("outside_shares", outside),
-                          ("mu", mu), ("weights", weights), ("pr0_init", pr0)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "beta", float(beta))
-        # time-major shares for the forward pass
-        object.__setattr__(self, "_S_t", np.ascontiguousarray(shares.T))
-        object.__setattr__(self, "log_shares", np.log(shares))
-        object.__setattr__(self, "log_outside", np.log(outside))
+        _freeze(self, shares=shares, outside_shares=outside, mu=mu, weights=weights,
+                pr0_init=pr0, beta=float(beta),
+                _S_t=np.ascontiguousarray(shares.T),  # time-major shares for the forward pass
+                log_shares=np.log(shares), log_outside=np.log(outside))
 
     @property
     def horizon(self) -> int:
@@ -413,10 +408,13 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
     def expectations(v_grid, theta0, theta1, sd, points):
         """E[V(omega')|omega] at per-type points (I, M) via quadrature."""
         coefs = v_grid @ fitmat.T  # (I, N)
-        args = (theta0[:, None, None] + theta1[:, None, None] * points[:, :, None]
-                + sd[:, None, None] * ghx[None, None, :])  # (I, M, Q)
-        vals = chebyshev_eval_rows(coefs, args, grid.lo, grid.hi)
-        return vals @ ghw
+        # on a wide grid a fitted slope above 1 times a node can overflow; the
+        # non-finite expectation then ends the solve as non_finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            args = (theta0[:, None, None] + theta1[:, None, None] * points[:, :, None]
+                    + sd[:, None, None] * ghx[None, None, :])  # (I, M, Q)
+            vals = chebyshev_eval_rows(coefs, args, grid.lo, grid.hi)
+            return vals @ ghw
 
     def evaluate(x):
         v_data = x[:nd].reshape(I, T)

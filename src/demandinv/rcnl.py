@@ -15,7 +15,8 @@ import numpy as np
 
 from .accel import AccelConfig, FixedPointMap, solve
 from .numerics import log_share_gap, logsumexp
-from .static_rcl import StaticMarket, check_mu_span, exp_mu, numeric_array, outside_logit
+from .static_rcl import (StaticMarket, _freeze, check_mu_span, exp_mu, numeric_array,
+                         outside_logit)
 
 RCNL_MAPPINGS = ("delta0", "delta1", "IV0", "IV1")
 
@@ -52,15 +53,11 @@ class NestedMarket:
         for g, idx in enumerate(groups):  # the kernels take exp of mu / (1 - rho) per nest
             check_mu_span(np.ptp(mu[:, idx], axis=1) / (1.0 - rho[g]),
                           f"mu / (1 - rho) in nest {g}")
-        object.__setattr__(self, "nest_of", nest_of)
-        object.__setattr__(self, "rho", rho)
-        nest_of.flags.writeable = False
-        rho.flags.writeable = False
-        object.__setattr__(self, "groups", groups)  # product indices of each nest
         nest_shares = np.array([self.base.shares[g].sum() for g in groups])
-        object.__setattr__(self, "nest_shares", nest_shares)
-        object.__setattr__(self, "log_nest_shares", np.log(nest_shares))
-        object.__setattr__(self, "product_rho", rho[nest_of])  # each product's nest's rho
+        _freeze(self, nest_of=nest_of, rho=rho,
+                groups=groups,  # product indices of each nest
+                nest_shares=nest_shares, log_nest_shares=np.log(nest_shares),
+                product_rho=rho[nest_of])  # each product's nest's rho
 
     @property
     def n_nests(self) -> int:
@@ -175,7 +172,14 @@ def rcnl_phi_IV(iv, gamma: float, mkt: NestedMarket, em=None) -> np.ndarray:
 
 
 def rcnl_dist_metric(delta, mkt: NestedMarket) -> float:
-    return log_share_gap(mkt.base.log_shares, rcnl_shares(delta, mkt)[0])
+    """sup_j |log S_j - log s_j(delta)| of the nested model; NaN if delta has
+    a non-finite entry."""
+    delta = np.asarray(delta, dtype=float)
+    if not np.all(np.isfinite(delta)):
+        return float("nan")
+    with np.errstate(over="ignore", invalid="ignore"):  # delta / (1 - rho) may overflow
+        s_j = rcnl_shares(delta, mkt)[0]
+    return log_share_gap(mkt.base.log_shares, s_j)
 
 
 def rcnl_initial_delta(mkt: NestedMarket) -> np.ndarray:

@@ -45,19 +45,14 @@ class StaticMarket:
         weights = numeric_array("weights", self.weights)
         if shares.ndim != 1 or outside.ndim != 0:
             raise ValueError("shares must be a vector and outside_share a scalar")
-        object.__setattr__(self, "shares", shares)
-        object.__setattr__(self, "outside_share", float(outside))
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "weights", weights)
         if mu.ndim != 2 or mu.shape[1] != shares.size:
             raise ValueError("mu must be I x J")
         if weights.shape != (mu.shape[0],):
             raise ValueError("weights must have one entry per consumer type")
-        check_market_data(shares, self.outside_share, mu, weights)
-        for arr in (shares, mu, weights):
-            arr.flags.writeable = False
-        object.__setattr__(self, "log_shares", np.log(shares))
-        object.__setattr__(self, "log_outside", float(np.log(self.outside_share)))
+        outside = float(outside)
+        check_market_data(shares, outside, mu, weights)
+        _freeze(self, shares=shares, outside_share=outside, mu=mu, weights=weights,
+                log_shares=np.log(shares), log_outside=float(np.log(outside)))
 
     @property
     def n_products(self) -> int:
@@ -66,6 +61,16 @@ class StaticMarket:
     @property
     def n_types(self) -> int:
         return self.weights.size
+
+
+def _freeze(market, **values) -> None:
+    """Set each value on the frozen dataclass market, and make every array
+    among them (members of a tuple included) read-only."""
+    for name, value in values.items():
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        object.__setattr__(market, name, value)
 
 
 def numeric_array(name: str, value) -> np.ndarray:
@@ -122,17 +127,20 @@ def exp_mu(mu: np.ndarray):
     """(a, E) with a = max of mu over its last axis (products) and
     E = exp(mu - a), so that exp(mu) = exp(a) * E with every E in (0, 1]."""
     a = mu.max(axis=-1)
-    return a, np.exp(mu - a[..., None])
+    E = mu - a[..., None]
+    np.exp(E, out=E)  # in place: one I x J temporary, not two
+    return a, E
 
 
 def _logit(delta, a, E):
     """Each type's logit of utilities u_ij = delta_j + mu_ij against an
     outside option at 0, with mu_ij = a_i + log E_ij.
 
-    Returns (ed, eb, e0, denom): type i's inside terms exp(u_ij - k_i) are
+    Returns (ed, eb, k, e0, denom): type i's inside terms exp(u_ij - k_i) are
     eb_i * E_ij * ed_j with ed = exp(delta - max delta), its outside term is
     e0_i = exp(-k_i), and denom_i sums them. The shift is k_i = max(max delta
-    + a_i, 0), so every exp argument is <= 0.
+    + a_i, 0), so every exp argument is <= 0, and type i's inclusive value is
+    V_i = k_i + log denom_i.
     """
     c = delta.max()
     ed = np.exp(delta - c)
@@ -140,40 +148,38 @@ def _logit(delta, a, E):
     k = np.maximum(b, 0.0)
     eb = np.exp(b - k)
     e0 = np.exp(-k)
-    return ed, eb, e0, e0 + eb * (E @ ed)
+    return ed, eb, k, e0, e0 + eb * (E @ ed)
 
 
 def _shares(delta, weights, a, E):
-    """(s_j, s_0): mixed-logit shares, two matrix-vector products over E."""
-    ed, eb, e0, denom = _logit(delta, a, E)
+    """(s_j, s_0, logit): mixed-logit shares, two matrix-vector products over
+    E, and the _logit terms they come from."""
+    logit = _logit(delta, a, E)
+    ed, eb, _, e0, denom = logit
     wd = weights / denom
-    return ed * ((wd * eb) @ E), float(wd @ e0)
+    return ed * ((wd * eb) @ E), float(wd @ e0), logit
 
 
 def logit_shares(delta, mu, weights):
-    """Mixed-logit shares from raw arrays: (s_j, s_0, per-type s_ij)."""
-    delta = np.asarray(delta, dtype=float)
+    """Mixed-logit shares from raw arrays: (s_j, s_0, per-type choice
+    probabilities s_ij)."""
     a, E = exp_mu(mu)
-    ed, eb, _, denom = _logit(delta, a, E)
-    return (*_shares(delta, weights, a, E), (eb / denom)[:, None] * E * ed)
-
-
-def predict_shares(delta, mkt: StaticMarket):
-    """Model shares at delta: (s_j, s_0, per-type choice probabilities s_ij)."""
-    return logit_shares(delta, mkt.mu, mkt.weights)
+    s_j, s_0, (ed, eb, _, _, denom) = _shares(np.asarray(delta, dtype=float), weights, a, E)
+    return s_j, s_0, (eb / denom)[:, None] * E * ed
 
 
 def phi_delta(delta, gamma: float, mkt: StaticMarket, em=None) -> np.ndarray:
     """delta + (log S - log s(delta)) - gamma * (log S0 - log s0(delta))."""
     delta = np.asarray(delta, dtype=float)
-    s_j, s_0 = _shares(delta, mkt.weights, *(em or exp_mu(mkt.mu)))
+    s_j, s_0, (_, _, k, _, denom) = _shares(delta, mkt.weights, *(em or exp_mu(mkt.mu)))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = delta + (mkt.log_shares - np.log(s_j))
         if gamma != 0.0:
             # s_0 underflows when every type's utilities sit ~745 above the
-            # outside option; log s_0 = log sum_i w_i exp(-V_i) does not
+            # outside option; log s_0 = log sum_i w_i exp(-V_i), with
+            # V_i = k_i + log denom_i, does not
             log_s0 = (np.log(s_0) if s_0 != 0.0 else
-                      logsumexp((-iota_delta_to_V(delta, mkt))[:, None], 0, mkt.weights)[0])
+                      logsumexp((-(k + np.log(denom)))[:, None], 0, mkt.weights)[0])
             out = out - gamma * (mkt.log_outside - log_s0)
     return out
 
@@ -307,31 +313,29 @@ def phi_V(V, gamma: float, mkt: StaticMarket) -> np.ndarray:
 
 
 def dist_metric(delta, mkt: StaticMarket) -> float:
-    """sup_j |log S_j - log s_j(delta)|; the post-convergence audit metric."""
-    s_j = _shares(np.asarray(delta, dtype=float), mkt.weights, *exp_mu(mkt.mu))[0]
+    """sup_j |log S_j - log s_j(delta)|; the post-convergence audit metric.
+    NaN if delta has a non-finite entry."""
+    delta = np.asarray(delta, dtype=float)
+    if not np.all(np.isfinite(delta)):
+        return float("nan")
+    with np.errstate(over="ignore", invalid="ignore"):  # entries may lie over 1.8e308 apart
+        s_j = _shares(delta, mkt.weights, *exp_mu(mkt.mu))[0]
     return log_share_gap(mkt.log_shares, s_j)
 
 
 # ---------------------------------------------------------------------------
-# Kalouptsidi (2012) per-type mappings on r_i = log(w_i * s_i0)
-
-
-def _type_product_weights(r_full, a, E):
-    """(ey, cb, col): ey = exp(a + r - cb) with cb = max(a + r), and
-    col_j = sum_i ey_i E_ij, so sum_i exp(mu_ij + r_i) = exp(cb) * col_j."""
-    y = a + r_full
-    cb = y.max()
-    ey = np.exp(y - cb)
-    return ey, cb, ey @ E
+# Kalouptsidi (2012) per-type mappings on r_i = log(w_i * s_i0). With
+# V_i = log w_i - r_i, iota_V_to_delta(V, 0) recovers delta from r.
 
 
 def _kalouptsidi_rhs(r_full: np.ndarray, mkt: StaticMarket, em) -> np.ndarray:
     """log of the bracketed share sum in F_i, for every type i:
     log(sum_j S_j exp(mu_ij + r_i) / sum_k exp(mu_kj + r_k) + S_0 softmax(r)_i)."""
     a, E = em
-    ey, _, col = _type_product_weights(r_full, a, E)
+    y = a + r_full
+    ey = np.exp(y - y.max())  # sum_i exp(mu_ij + r_i) = exp(max y) * (ey @ E)_j
     er = np.exp(r_full - r_full.max())
-    inner = ey * (E @ (mkt.shares / col)) + mkt.outside_share * (er / er.sum())
+    inner = ey * (E @ (mkt.shares / (ey @ E))) + mkt.outside_share * (er / er.sum())
     with np.errstate(divide="ignore"):
         return np.log(inner)
 
@@ -361,50 +365,6 @@ def _r_from_r_tilde(rt: np.ndarray, mkt: StaticMarket) -> np.ndarray:
     return r_full + mkt.log_outside - logsumexp(r_full, 0)
 
 
-def kalouptsidi_delta_from_r(r, mkt: StaticMarket, em=None) -> np.ndarray:
-    """delta_j = log S_j - log(sum_i exp(mu_ij + r_i))."""
-    a, E = em or exp_mu(mkt.mu)
-    _, cb, col = _type_product_weights(np.asarray(r, dtype=float), a, E)
-    return mkt.log_shares - cb - np.log(col)
-
-
-def _kalouptsidi_mixed_solve(mkt: StaticMarket, cfg: AccelConfig):
-    """Solve for r with the mixed algorithm and recover delta.
-
-    F is used by default; once F turns non-finite (its adding-up residual
-    S_0 - sum exp(F_i) goes non-positive, or a head entry is non-finite) the
-    solve latches onto the normalized mapping for all remaining iterations.
-    Re-checking every iteration instead makes the two branches thrash in a
-    slow cycle. With one type F is the constant log S_0 and never latches.
-    """
-    em = exp_mu(mkt.mu)
-    latched = False
-
-    def mixed_map(r):
-        nonlocal latched
-        if not latched:
-            out = kalouptsidi_F(r, mkt, em)
-            if np.all(np.isfinite(out)):
-                return out
-            latched = True
-        rt_next = kalouptsidi_Ftilde(r[:-1] - r[-1], mkt, em)
-        return _r_from_r_tilde(rt_next, mkt)
-
-    fp = FixedPointMap(mixed_map)
-    outcome = solve(fp, np.log(mkt.weights), cfg)  # V = 0 start
-    delta = kalouptsidi_delta_from_r(outcome.point, mkt, em)
-    return delta, outcome
-
-
-def _kalouptsidi_tilde_solve(mkt: StaticMarket, cfg: AccelConfig):
-    em = exp_mu(mkt.mu)
-    fp = FixedPointMap(lambda rt: kalouptsidi_Ftilde(rt, mkt, em))
-    r0 = np.log(mkt.weights)
-    outcome = solve(fp, r0[:-1] - r0[-1], cfg)
-    delta = kalouptsidi_delta_from_r(_r_from_r_tilde(outcome.point, mkt), mkt, em)
-    return delta, outcome
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -418,24 +378,45 @@ def solve_inner(mkt: StaticMarket, mapping: str, cfg: AccelConfig):
 
     mapping: delta0 | delta1 | V0 | V1 | kalouptsidi_mixed | kalouptsidi_tilde.
     Returns (delta, SolveOutcome); divergence is reported in the outcome,
-    never raised.
+    never raised. The Kalouptsidi mappings start at r = log w (V = 0).
     """
     if mapping not in MAPPINGS:
         raise ValueError(f"unknown mapping {mapping!r}")
     if mapping.startswith("kalouptsidi") and not np.all(mkt.weights > 0):
         raise ValueError(f"mapping {mapping!r} iterates on log(w_i s_i0) and needs "
                          f"every weight positive")
-    if mapping == "kalouptsidi_mixed":
-        return _kalouptsidi_mixed_solve(mkt, cfg)
-    if mapping == "kalouptsidi_tilde":
-        return _kalouptsidi_tilde_solve(mkt, cfg)
     gamma = 1.0 if mapping.endswith("1") else 0.0
+    if mapping.startswith("V"):
+        fp = FixedPointMap(lambda v: phi_V(v, gamma, mkt))
+        outcome = solve(fp, np.zeros(mkt.n_types), cfg)
+        return iota_V_to_delta(outcome.point, gamma, mkt), outcome
+    em = exp_mu(mkt.mu)
     if mapping.startswith("delta"):
-        em = exp_mu(mkt.mu)
         fp = FixedPointMap(lambda d: phi_delta(d, gamma, mkt, em))
         outcome = solve(fp, initial_delta(mkt), cfg)
         return outcome.point, outcome
-    fp = FixedPointMap(lambda v: phi_V(v, gamma, mkt))
-    outcome = solve(fp, np.zeros(mkt.n_types), cfg)
-    delta = iota_V_to_delta(outcome.point, gamma, mkt)
-    return delta, outcome
+    log_w = np.log(mkt.weights)
+    if mapping == "kalouptsidi_tilde":
+        fp = FixedPointMap(lambda rt: kalouptsidi_Ftilde(rt, mkt, em))
+        outcome = solve(fp, log_w[:-1] - log_w[-1], cfg)
+        r = _r_from_r_tilde(outcome.point, mkt)
+    else:
+        latched = False
+
+        def mixed_map(r):
+            """F until it turns non-finite (its adding-up residual S_0 - sum
+            exp(F_i) goes non-positive, or a head entry is non-finite), then
+            the normalized mapping for all remaining iterations. Re-checking
+            every iteration instead makes the two branches thrash in a slow
+            cycle. With one type F is the constant log S_0 and never latches."""
+            nonlocal latched
+            if not latched:
+                out = kalouptsidi_F(r, mkt, em)
+                if np.all(np.isfinite(out)):
+                    return out
+                latched = True
+            return _r_from_r_tilde(kalouptsidi_Ftilde(r[:-1] - r[-1], mkt, em), mkt)
+
+        outcome = solve(FixedPointMap(mixed_map), log_w, cfg)
+        r = outcome.point
+    return iota_V_to_delta(log_w - r, 0.0, mkt), outcome

@@ -21,7 +21,7 @@ from demandinv.rcnl import (rcnl_iota_delta_to_IV, rcnl_phi_IV,
                             rcnl_phi_delta, rcnl_shares)
 from demandinv.static_rcl import (StaticMarket, dist_metric, initial_delta,
                                   iota_delta_to_V, logit_shares, phi_V,
-                                  phi_delta, predict_shares, solve_inner)
+                                  phi_delta, solve_inner)
 
 from oracles import newton_invert
 
@@ -75,7 +75,7 @@ def test_criterion_1_large_heterogeneity_reproduction():
     import time
     t0 = time.perf_counter()
     mkt, delta = large_heterogeneity_market()
-    _, _, s_ij = predict_shares(delta, mkt)
+    _, _, s_ij = logit_shares(delta, mkt.mu, mkt.weights)
     s_i0 = 1.0 - s_ij.sum(axis=1)
     table = np.array([[0.9999, 0.0001], [0.0000, 0.9998], [0.0000, 0.0001]])
     got = np.vstack([s_ij.T, s_i0])

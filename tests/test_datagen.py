@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from demandinv.accel import AccelConfig
-from demandinv.datagen import (DynamicDgpParams, SeededRng, StaticDgpParams,
+from demandinv.datagen import (DynamicDgpParams, SeededRng, StaticDgpParams, _terminal_value,
                                draw_theta, gen_dynamic_market,
                                gen_nested_market, gen_static_market)
 from demandinv.dynamic import bellman_residual, pf_solve
@@ -135,15 +135,51 @@ class TestDynamicDgp:
         assert bellman_residual(inst.solution_true, inst.market) < 1e-12
 
     def test_a_beta_without_a_terminal_fixed_point_is_rejected(self):
+        # DynamicDgpParams rejects beta 1 (see TestParams); the terminal solve
+        # still checks that its iteration ended at rounding level
         with pytest.raises(ValueError, match="terminal value did not converge at beta 1.0"):
-            gen_dynamic_market(DynamicDgpParams(horizon=3, beta=1.0),
-                               SeededRng(11, 0).generator())
+            _terminal_value(1.0, np.zeros(3))
 
     def test_per_period_normalization(self):
         p = DynamicDgpParams(n_products=5, n_draws=8, horizon=10)
         inst = gen_dynamic_market(p, SeededRng(6, 3).generator())
         sums = inst.market.shares.sum(axis=0) + inst.market.outside_shares
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+
+
+class TestParams:
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_products=0), dict(n_products=2.5), dict(n_products=True), dict(n_draws=0),
+        dict(price_xi=np.nan), dict(price_const=np.inf), dict(price_shock_hi="5"),
+        dict(mean_coefs=(1.0, 2.0)), dict(mean_coefs=(0.0, 1.5, 1.5, 0.5, np.nan)),
+        dict(sd_coefs=(0.5, 0.5, 0.5, 0.5, -0.2)), dict(sd_coefs=0.5),
+        dict(char_cov=((1.0, 0.0), (0.0, 1.0))),
+        dict(char_cov=((1.0, 0.0, 0.0), (0.0, 1.0), (0.0, 0.0, 1.0))),
+    ], ids=["zero-products", "float-products", "bool-products", "zero-draws", "nan-price-xi",
+            "inf-price-const", "string-shock", "short-means", "nan-mean", "negative-sd",
+            "scalar-sds", "2x2-cov", "short-cov-row"])
+    def test_static_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            StaticDgpParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(beta=np.nan), dict(beta=1.0), dict(beta=-0.1), dict(beta=True),
+        dict(chi_sd=np.inf), dict(chi_sd=-0.5), dict(horizon=0), dict(horizon=3.0),
+        dict(n_draws=0), dict(n_products=0), dict(price_coefs=(1.0,) * 6),
+        dict(price_cross=(0.1, 0.1)), dict(z_rho=np.nan), dict(u_shock_sd=-0.01),
+        dict(sd_coefs=(0.0, 0.5, 0.5, 0.0, np.inf)),
+    ], ids=["nan-beta", "beta-1", "negative-beta", "bool-beta", "inf-chi-sd",
+            "negative-chi-sd", "zero-horizon", "float-horizon", "zero-draws", "zero-products",
+            "six-price-coefs", "two-price-cross", "nan-z-rho", "negative-u-sd", "inf-sd"])
+    def test_dynamic_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            DynamicDgpParams(**kwargs)
+
+    def test_defaults_are_kept_as_floats(self):
+        p = StaticDgpParams(mean_coefs=[0, 1, 1, 0, -3])
+        assert p.mean_coefs == (0.0, 1.0, 1.0, 0.0, -3.0)
+        assert StaticDgpParams().char_cov[0] == (1.0, -0.8, 0.3)
+        assert DynamicDgpParams().beta == 0.99
 
 
 class TestDrawTheta:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -340,6 +341,21 @@ class TestIvs:
         assert IvsGrid() == IvsGrid(10, -20.0, 10.0, 5)
         half = np.finfo(float).max / 2
         assert IvsGrid(lo=-half, hi=half).hi == half
+
+    @pytest.mark.parametrize("method", ["plain", "anderson"])
+    def test_a_wide_grid_ends_non_finite_without_a_warning(self, method):
+        # a fitted AR(1) slope above 1 times a node near max/2 overflows
+        rng = SeededRng(99, 0).generator()
+        inst = gen_dynamic_market(DynamicDgpParams(n_products=4, n_draws=6, horizon=4,
+                                                   beta=0.9), rng)
+        mkt = inst.with_theta(draw_theta(inst.theta_true, rng))
+        half = np.finfo(float).max / 2
+        cfg = AccelConfig(method=method, tolerance=1e-12, max_evaluations=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, out = ivs_solve(mkt, 1.0, IvsGrid(lo=-half, hi=half), cfg)
+        assert out.termination == "non_finite"
+        assert np.all(np.isfinite(out.point))
 
     def test_a_quadrature_order_without_finite_weights_is_rejected(self):
         inst, _ = desk_instance(horizon=4)

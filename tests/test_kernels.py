@@ -84,7 +84,7 @@ def test_static_kernels_match_the_log_space_reference(case, gamma):
     mkt = build()
     rng = np.random.default_rng(7)
     delta = static_rcl.initial_delta(mkt) + rng.normal(size=mkt.n_products) + shift
-    s_j, s_0, s_ij = quiet(static_rcl.predict_shares, delta, mkt)
+    s_j, s_0, s_ij = quiet(static_rcl.logit_shares, delta, mkt.mu, mkt.weights)
     o_j, o_0 = oracles.log_shares(delta, mkt.mu, mkt.weights)
     assert_agree(s_j, o_j, per_entry=True)
     assert_agree(s_0, o_0, per_entry=True)
@@ -98,7 +98,7 @@ def test_static_kernels_match_the_log_space_reference(case, gamma):
                  oracles.log_iota_V_to_delta(V, gamma, mkt))
     assert_agree(quiet(static_rcl.phi_V, V, gamma, mkt), oracles.log_phi_V(V, gamma, mkt))
     r = np.log(mkt.weights) - V
-    assert_agree(quiet(static_rcl.kalouptsidi_delta_from_r, r, mkt),
+    assert_agree(quiet(static_rcl.iota_V_to_delta, np.log(mkt.weights) - r, 0.0, mkt),
                  oracles.log_kalouptsidi_delta_from_r(r, mkt))
 
 
@@ -117,7 +117,7 @@ def test_delta_mappings_keep_log_s0_when_s0_underflows(gamma):
     # to 0 on the first evaluation, log s_0 does not
     mkt = StaticMarket([0.6], 0.4, [[900.0]], [1.0])
     delta = static_rcl.initial_delta(mkt)
-    assert quiet(static_rcl.predict_shares, delta, mkt)[1] == 0.0
+    assert quiet(static_rcl.logit_shares, delta, mkt.mu, mkt.weights)[1] == 0.0
     assert_agree(quiet(static_rcl.phi_delta, delta, gamma, mkt),
                  oracles.log_phi_delta(delta, gamma, mkt))
     nested = NestedMarket(mkt, [0], 0.5)

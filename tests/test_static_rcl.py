@@ -1,21 +1,26 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demandinv.accel import AccelConfig
-from demandinv.datagen import (SeededRng, StaticDgpParams, draw_theta,
-                               gen_static_market, large_heterogeneity_market)
+from demandinv.datagen import (DynamicDgpParams, SeededRng, StaticDgpParams, draw_theta,
+                               gen_dynamic_market, gen_static_market,
+                               large_heterogeneity_market)
 from demandinv.fixtures import market_from_json, market_to_json
+from demandinv.rcnl import NestedMarket, rcnl_dist_metric
 from demandinv.static_rcl import (StaticMarket, dist_metric, initial_delta,
                                   iota_V_to_delta, iota_delta_to_V,
-                                  kalouptsidi_F, kalouptsidi_delta_from_r,
-                                  logit_shares, outside_logit, phi_V,
-                                  phi_delta, predict_shares, solve_inner)
+                                  kalouptsidi_F, logit_shares, outside_logit,
+                                  phi_V, phi_delta, solve_inner)
 
 from oracles import naive_shares, newton_invert
+
+J5 = gen_static_market(StaticDgpParams(n_products=5, n_draws=7), np.random.default_rng(0)).market
+J5_NESTED = NestedMarket(J5, [0, 0, 1, 1, 2], 0.5)
 
 
 def small_market(seed=0, J=3, I=4, mu_scale=1.0):
@@ -37,13 +42,13 @@ def homogeneous_market(seed=1, J=5, I=6):
 class TestPredictShares:
     def test_symmetric_binary_logit(self):
         mkt = StaticMarket([0.5], 0.5, np.zeros((1, 1)), [1.0])
-        s_j, s_0, s_ij = predict_shares(np.zeros(1), mkt)
+        s_j, s_0, s_ij = logit_shares(np.zeros(1), mkt.mu, mkt.weights)
         assert s_j[0] == pytest.approx(0.5)
         assert s_0 == pytest.approx(0.5)
 
     def test_large_heterogeneity_ccp_table(self):
         mkt, delta = large_heterogeneity_market()
-        _, _, s_ij = predict_shares(delta, mkt)
+        _, _, s_ij = logit_shares(delta, mkt.mu, mkt.weights)
         s_i0 = 1.0 - s_ij.sum(axis=1)
         assert round(s_ij[0, 0], 4) == 0.9999
         assert round(s_ij[0, 1], 4) == 0.0
@@ -55,7 +60,7 @@ class TestPredictShares:
     def test_matches_naive_oracle(self):
         mkt, _ = small_market(3)
         d = np.random.default_rng(4).normal(size=3)
-        s_j, s_0, s_ij = predict_shares(d, mkt)
+        s_j, s_0, s_ij = logit_shares(d, mkt.mu, mkt.weights)
         o_j, o_0, o_ij = naive_shares(d, mkt.mu, mkt.weights)
         np.testing.assert_allclose(s_j, o_j, atol=1e-14)
         assert s_0 == pytest.approx(o_0, abs=1e-14)
@@ -68,7 +73,7 @@ class TestPredictShares:
         J, I = rng.integers(1, 8), rng.integers(1, 8)
         mkt, _ = small_market(seed, J=int(J), I=int(I), mu_scale=2.0)
         d = rng.normal(size=int(J)) * 3
-        s_j, s_0, s_ij = predict_shares(d, mkt)
+        s_j, s_0, s_ij = logit_shares(d, mkt.mu, mkt.weights)
         assert abs(s_j.sum() + s_0 - 1.0) < 1e-14
         np.testing.assert_allclose(s_j, mkt.weights @ s_ij, rtol=1e-14)
         rows = s_ij.sum(axis=1) + np.exp(-iota_delta_to_V(d, mkt))  # inside plus outside
@@ -77,13 +82,13 @@ class TestPredictShares:
 
     def test_overflow_guarded(self):
         mkt = StaticMarket([0.6], 0.4, np.array([[800.0]]), [1.0])
-        s_j, s_0, _ = predict_shares(np.array([10.0]), mkt)
+        s_j, s_0, _ = logit_shares(np.array([10.0]), mkt.mu, mkt.weights)
         assert np.isfinite(s_j).all() and s_j[0] == pytest.approx(1.0)
         # utilities (810, 809) for one type and (-900, -901) for the other
         mkt = StaticMarket([0.3, 0.3], 0.4, np.array([[800.0, 799.0], [-910.0, -911.0]]),
                            [0.5, 0.5])
         d = np.array([10.0, 10.0])
-        _, s_0, s_ij = predict_shares(d, mkt)
+        _, s_0, s_ij = logit_shares(d, mkt.mu, mkt.weights)
         np.testing.assert_allclose(s_ij[0], [1.0 / (1.0 + np.exp(-1.0)),
                                              np.exp(-1.0) / (1.0 + np.exp(-1.0))], rtol=1e-15)
         np.testing.assert_array_equal(s_ij[1], 0.0)
@@ -134,7 +139,7 @@ class TestIota:
         mkt, _ = small_market(13)
         d = np.random.default_rng(5).normal(size=3)
         V = iota_delta_to_V(d, mkt)
-        _, _, s_ij = predict_shares(d, mkt)
+        _, _, s_ij = logit_shares(d, mkt.mu, mkt.weights)
         s_i0 = 1.0 - s_ij.sum(axis=1)
         np.testing.assert_allclose(np.exp(-V), s_i0, atol=1e-13)
 
@@ -202,7 +207,7 @@ class TestContractionProperties:
             lhs = np.max(np.abs(phi_delta(d1, 1.0, mkt) - phi_delta(d2, 1.0, mkt)))
             c_est = 0.0
             for d in (d1, d2):
-                _, _, s_ij = predict_shares(d, mkt)
+                _, _, s_ij = logit_shares(d, mkt.mu, mkt.weights)
                 s_i0 = 1.0 - s_ij.sum(axis=1)
                 c_est = max(c_est, s_i0.max() - s_i0.min())
             assert lhs <= 2.0 * c_est * np.max(np.abs(d1 - d2)) + 1e-12
@@ -253,6 +258,37 @@ class TestDistMetric:
         expected = np.max(np.abs(np.log(mkt.shares) - np.log(s_j)))
         assert dist_metric(d, mkt) == pytest.approx(expected, abs=1e-13)
 
+    ENTRIES = (0.0, 1.0, 800.0, 5e3, 1e300, 1e308, np.inf)
+
+    @settings(deadline=None, max_examples=500)
+    @given(st.lists(st.sampled_from(ENTRIES + tuple(-x for x in ENTRIES[1:]) + (np.nan,)),
+                    min_size=5, max_size=5))
+    @example([np.inf, 0.0, 0.0, 0.0, 0.0])
+    @example([np.nan, 0.0, 0.0, 0.0, 0.0])
+    @example([-np.inf, 0.0, 0.0, 0.0, 0.0])
+    @example([1e308, 0.0, 0.0, 0.0, -1e308])
+    def test_never_warns_and_reads_nan_at_a_non_finite_delta(self, entries):
+        delta = np.array(entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dists = dist_metric(delta, J5), rcnl_dist_metric(delta, J5_NESTED)
+        if not np.all(np.isfinite(delta)):
+            assert np.isnan(dists).all()
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize("kind, name", [
+        ("static", "log_shares"), ("nested", "groups"), ("nested", "nest_shares"),
+        ("nested", "log_nest_shares"), ("nested", "product_rho"), ("durable", "log_shares"),
+        ("durable", "log_outside")])
+    def test_derived_arrays_reject_writes(self, kind, name):
+        durable = gen_dynamic_market(DynamicDgpParams(n_products=3, n_draws=4, horizon=4),
+                                     SeededRng(1, 0).generator()).market
+        value = getattr({"static": J5, "nested": J5_NESTED, "durable": durable}[kind], name)
+        for arr in value if isinstance(value, tuple) else (value,):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] += 1
+
 
 class TestKalouptsidi:
     def two_type_market(self, rep=0):
@@ -288,7 +324,8 @@ class TestKalouptsidi:
         V = iota_delta_to_V(d1, mkt)
         r = np.log(mkt.weights) - V
         np.testing.assert_allclose(kalouptsidi_F(r, mkt), r, atol=1e-10)
-        np.testing.assert_allclose(kalouptsidi_delta_from_r(r, mkt), d1, atol=1e-9)
+        np.testing.assert_allclose(iota_V_to_delta(np.log(mkt.weights) - r, 0.0, mkt), d1,
+                                   atol=1e-9)
 
     def test_mixed_agrees_with_delta1(self):
         mkt = self.two_type_market(1)

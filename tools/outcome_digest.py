@@ -1,5 +1,5 @@
-"""Print one ``key sha256`` line per solve, to check that a change keeps
-every solve outcome byte for byte.
+"""Print one ``key sha256 evals=N term=T`` line per solve, to check that a
+change keeps every solve outcome byte for byte.
 
     python tools/outcome_digest.py [--seed N] > digests.txt
 
@@ -14,8 +14,10 @@ inner evaluation count. A suite record's hash covers every ``RunRecord``
 field but ``wall_ms``. A ``truth`` line hashes one DGP design's market and
 its truth (``delta_true`` for the static and nested designs,
 ``solution_true`` for the durable ones) at replication 0, and the nested
-solve's market and truth at the replication it draws. ``--seed`` replaces
-every default master seed.
+solve's market and truth at the replication it draws. A solve line ends
+with its evaluations and termination in clear, so a changed line shows
+whether the outcome changed or only its bits. ``--seed`` replaces every
+default master seed.
 
 Run it from the repository root on two checkouts and ``diff`` the outputs;
 nothing is stored, so the script pins no bits of its own.
@@ -73,13 +75,20 @@ def digest(*objs) -> str:
     return h.hexdigest()
 
 
+def in_clear(hash_value, outcome) -> str:
+    """hash_value with the evaluations and termination of outcome (a
+    SolveOutcome or a RunRecord)."""
+    return f"{hash_value} evals={outcome.evaluations} term={outcome.termination}"
+
+
 def workload_lines(seed):
     for workload in workloads.WORKLOADS.values():
         markets = workloads.build_markets(workload, seed)
         for r in range(workload.replications):
             for solve in workload.grid:
                 result, outcome = workloads.call(solve, markets[solve.dgp, r])
-                yield f"{workload.name} r{r} {solve.label}", digest(result, outcome)
+                yield (f"{workload.name} r{r} {solve.label}",
+                       in_clear(digest(result, outcome), outcome))
 
 
 def suite_lines(seed):
@@ -89,7 +98,7 @@ def suite_lines(seed):
             cfg = replace(cfg, master_seed=seed)
         for rec in run_suite(cfg):
             kept = [getattr(rec, f.name) for f in fields(rec) if f.name != "wall_ms"]
-            yield f"bench {suite} r{rec.replication} {rec.algorithm}", digest(kept)
+            yield f"bench {suite} r{rec.replication} {rec.algorithm}", in_clear(digest(kept), rec)
 
 
 # key -> (generator, parameters, default master seed, replication, truth field)
@@ -127,7 +136,7 @@ def nested_lines(seed):
             inner = AccelConfig(method=method, tolerance=1e-12, max_evaluations=5000)
             outer = replace(inner, max_evaluations=2000)
             result = traditional_nested_solve(market, gamma, 1.0, inner, outer)
-            yield f"nested gamma{gamma:g} {method}", digest(*result)
+            yield f"nested gamma{gamma:g} {method}", in_clear(digest(*result), result[1])
 
 
 def main(argv=None) -> int:
