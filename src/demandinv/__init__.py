@@ -5,8 +5,7 @@ corrected mappings, plus Anderson/spectral/SQUAREM acceleration and a
 seeded benchmark harness.
 """
 
-from .accel import (AccelConfig, FixedPointMap, SolveOutcome, anderson_combine,
-                    block_step_sizes, solve, spectral_alpha)
+from .accel import AccelConfig, FixedPointMap, SolveOutcome, solve
 from .dynamic import (DurableMarket, DurableSolution, IvsGrid, IvsState,
                       bellman_residual, ivs_solve, pf_solve, pf_value_update,
                       traditional_joint_solve, traditional_nested_solve)

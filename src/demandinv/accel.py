@@ -4,8 +4,9 @@ Solves x = Phi(x) by plain iteration, Anderson acceleration, the spectral
 algorithm, or SQUAREM. The engine is agnostic about where the mapping comes
 from; the demand modules wrap their share/value mappings in a
 :class:`FixedPointMap` and hand it to :func:`solve`. One driver loop in
-:func:`solve` evaluates, checks finiteness, records the residual and tests
-for convergence for every method; only the step to the next iterate differs.
+:func:`solve` evaluates, records the residual, which doubles as the check
+that the image is finite, and tests for convergence for every method; only
+the step to the next iterate differs.
 The first spectral step, and every step whose step size degenerates, uses
 the unit step alpha = 1.
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -134,28 +136,26 @@ class SolveOutcome:
     residual_history: list[float] = field(default_factory=list)
 
 
-def _supnorm(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v))) if v.size else 0.0
-
-
-def _step_rule(ss, sy, yy, rule: str):
-    """The step size rule on the sums s's, s'y and y'y, numpy scalars or
-    arrays with one entry per block: (alpha, unit), where unit marks the
-    entries that take the unit step 1 instead.
+def _step_rule(s, y, rule: str, total):
+    """The step size rule on the last step s = x_n - x_{n-1} and residual
+    change y: (alpha, unit), where unit marks the entries that take the unit
+    step 1 instead. total(u, v) sums u * v, to a numpy scalar or to one entry
+    per block; the rule takes only the sums it reads.
 
     S1 = -s'y/y'y, S2 = -s's/s'y, S3 = ||s||/||y||, S3prime = sgn(s'y)||s||/||y||.
     A zero y'y and a non-finite ratio (S2's zero s'y among them) take the
     unit step. Elementwise operations only, which run on numpy scalars
     without array overhead; the caller silences floating-point warnings.
     """
+    yy = total(y, y)
     if rule == "S1":
-        alpha = -sy / yy
+        alpha = -total(s, y) / yy
     elif rule == "S2":
-        alpha = -ss / sy
+        alpha = -total(s, s) / total(s, y)
     elif rule == "S3":
-        alpha = np.sqrt(ss) / np.sqrt(yy)
+        alpha = np.sqrt(total(s, s)) / np.sqrt(yy)
     elif rule == "S3prime":
-        alpha = np.sign(sy) * np.sqrt(ss) / np.sqrt(yy)
+        alpha = np.sign(total(s, y)) * np.sqrt(total(s, s)) / np.sqrt(yy)
     else:
         raise ValueError(f"unknown step size rule {rule!r}")
     unit = (yy == 0.0) | (alpha - alpha != 0.0)  # alpha - alpha is NaN unless finite
@@ -167,7 +167,7 @@ def spectral_alpha(s, y, rule: str = "S3") -> float:
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        alpha, unit = _step_rule(s @ s, s @ y, y @ y, rule)
+        alpha, unit = _step_rule(s, y, rule, operator.matmul)
     return 1.0 if unit else float(alpha)
 
 
@@ -175,22 +175,22 @@ def block_step_sizes(s, y, labels: np.ndarray, rule: str = "S3") -> np.ndarray:
     """spectral_alpha of each block, capped at DEFAULT_BLOCK_STEP_CAP; labels[i]
     is coordinate i's block, and block b's step size is entry b."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        sums = (np.bincount(labels, weights=u * v) for u, v in ((s, s), (s, y), (y, y)))
-        alpha, unit = _step_rule(*sums, rule)
+        alpha, unit = _step_rule(s, y, rule,
+                                 lambda u, v: np.bincount(labels, weights=u * v))
     return np.minimum(np.where(unit, 1.0, alpha), DEFAULT_BLOCK_STEP_CAP)
 
 
-def anderson_combine(residuals: Sequence[np.ndarray],
+def anderson_combine(differences: Sequence[np.ndarray], residual: np.ndarray,
                      images: Sequence[np.ndarray]) -> np.ndarray:
-    """The next iterate: the images Phi(x) combined with weights that sum to
-    one, from the unconstrained least squares in the differences of their
-    aligned residuals (oldest first). Near-collinear histories take the
-    minimum-norm solution, never rejected; a single residual gives plain
+    """The next iterate: the images Phi(x) (oldest first) combined with
+    weights that sum to one, from the unconstrained least squares of the
+    newest residual on the differences of consecutive aligned residuals
+    (oldest first, one fewer than images). Near-collinear histories take the
+    minimum-norm solution, never rejected; no differences give plain
     iteration, images[0] itself."""
-    if len(residuals) == 1:
+    if not differences:
         return images[0]
-    F = np.stack([residuals[k + 1] - residuals[k] for k in range(len(residuals) - 1)], axis=1)
-    gamma = ls_minnorm(F, residuals[-1])
+    gamma = ls_minnorm(np.stack(differences, axis=1), residual)
     w = np.diff(np.concatenate(([0.0], gamma, [1.0])))
     out = w[0] * images[0]
     for k in range(1, len(w)):
@@ -208,7 +208,7 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
     the next iterate.
     """
     x = np.asarray(x0, dtype=float)
-    if x.ndim != 1 or not np.all(np.isfinite(x)):
+    if x.ndim != 1 or not np.isfinite(x).all():
         raise ValueError("x0 must be a finite vector")
     if fp_map.block_labels is not None and fp_map.block_labels.shape != x.shape:
         raise ValueError(f"block_labels has {fp_map.block_labels.size} labels for "
@@ -225,6 +225,7 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
     history: list[float] = []
     f_hist: list[np.ndarray] = []  # Anderson: newest residuals Phi(x) - x
     g_hist: list[np.ndarray] = []  # Anderson: the matching images Phi(x)
+    d_hist: list[np.ndarray] = []  # Anderson: f_hist[k + 1] - f_hist[k]
     x_prev = F_prev = None         # spectral: start and residual of the last step
 
     def finish(point, termination, residual):
@@ -236,10 +237,12 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
     while evals < cfg.max_evaluations:
         g = fp_map.evaluate(x)
         evals += 1
-        if not np.all(np.isfinite(g)):
-            return finish(x, "non_finite", np.inf)
         F = g - x
-        r = _supnorm(F)
+        # x is finite, so r is finite unless g is not or g - x overflowed
+        # (an empty x has r = 0)
+        r = float(np.abs(F).max(initial=0.0))
+        if not math.isfinite(r) and not np.isfinite(g).all():
+            return finish(x, "non_finite", np.inf)
         history.append(r)
         if r < cfg.tolerance:
             return finish(g, "converged", r)
@@ -252,19 +255,20 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
                 break
             g2 = fp_map.evaluate(g)
             evals += 1
-            if not np.all(np.isfinite(g2)):
+            if not np.isfinite(g2).all():
                 return finish(g, "non_finite", np.inf)
             last_image = g2
         # an overflowing step ends the solve as non_finite below, without warnings
         with np.errstate(over="ignore", invalid="ignore"):
             if cfg.method == "anderson":
-                # the first combination has one residual: a plain step
+                # the first combination has no differences: a plain step
+                if f_hist:
+                    d_hist.append(F - f_hist[-1])
                 f_hist.append(F)
                 g_hist.append(g)
                 if len(f_hist) > cfg.anderson_memory + 1:
-                    f_hist.pop(0)
-                    g_hist.pop(0)
-                x_next = anderson_combine(f_hist, g_hist)
+                    del f_hist[0], g_hist[0], d_hist[0]
+                x_next = anderson_combine(d_hist, F, g_hist)
             elif cfg.method == "spectral":
                 alpha = 1.0 if x_prev is None else alpha_from(x - x_prev, F - F_prev)
                 x_prev, F_prev = x, F
@@ -279,7 +283,7 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
                     # like a Python float but overflows to inf, not an error
                     alpha = alpha_from(F, y)
                     x_next = x + 2.0 * alpha * F + np.float64(alpha) ** 2 * y
-        if not np.all(np.isfinite(x_next)):
+        if not np.isfinite(x_next).all():
             return finish(last_image, "non_finite", np.inf)
         x = x_next
     return finish(x, "max_evaluations", r)

@@ -25,6 +25,12 @@ from .rcnl import NestedMarket, nested_shares
 from .static_rcl import StaticMarket, outside_logit
 
 _SHARE_FLOOR = 1e-300
+# Draws per market before a design is rejected; the default designs took no
+# redraw in 1200 sampled markets, so only extreme coefficients reach this.
+_MAX_DRAWS = 1000
+# Cap on the terminal-value step count, checked before iterating; the default
+# durable design's count is ~3.4e3 at beta 0.99 and ~3.4e5 at beta 0.9999.
+_MAX_TERMINAL_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -159,19 +165,24 @@ def _true_shares(delta, mu, weights):
 def _draw_market(p: StaticDgpParams, rng: np.random.Generator, shares):
     """Static draws with the market data at the true parameters, where
     shares(delta, mu, weights) -> (s_j, s_0). Degenerate draws (any share
-    below 1e-300) are redrawn from the same stream.
-    Returns (StaticMarket, X, delta, nodes, redraws)."""
+    below 1e-300) are redrawn from the same stream, at most _MAX_DRAWS in
+    all (ValueError then). Returns (StaticMarket, X, delta, nodes, redraws)."""
     weights = np.full(p.n_draws, 1.0 / p.n_draws)
-    redraws = 0
-    while True:
+    for redraws in range(_MAX_DRAWS):
         X, delta, nodes, mu = _static_draw(p, rng)
         s_j, s_0 = shares(delta, mu, weights)
         if s_0 > _SHARE_FLOOR and np.all(s_j > _SHARE_FLOOR):
             break
-        redraws += 1
+    else:
+        raise _degenerate(p)
     market = StaticMarket(shares=s_j, outside_share=1.0 - s_j.sum(), mu=mu,
                           weights=weights)
     return market, X, delta, nodes, redraws
+
+
+def _degenerate(p) -> ValueError:
+    return ValueError(f"every one of {_MAX_DRAWS} draws of {p!r} had a share at or "
+                      f"below {_SHARE_FLOOR}")
 
 
 def gen_static_market(p: StaticDgpParams, rng: np.random.Generator) -> StaticInstance:
@@ -233,13 +244,16 @@ def _terminal_value(beta: float, omega_T: np.ndarray) -> np.ndarray:
     until a step changes v by less than 1e-15. The map contracts with a
     modulus below beta, so each change is below beta times the one before and
     the cap is the step count that takes the first change below 1e-15 (at
-    beta 0 the second step changes nothing). ValueError if the last change is
-    still above rounding level."""
+    beta 0 the second step changes nothing). ValueError if that count exceeds
+    _MAX_TERMINAL_STEPS, or if the last change is still above rounding level."""
     v = omega_T.copy()
     first = float(np.max(np.abs(np.logaddexp(beta * v, omega_T) - v)))
     steps = 2
     if 0.0 < beta < 1.0 and first >= 1e-15:
         steps += int(math.log(1e-15 / first) / math.log(beta))
+    if steps > _MAX_TERMINAL_STEPS:
+        raise ValueError(f"beta {beta!r} needs {steps:.3g} steps to the terminal value, "
+                         f"more than the {_MAX_TERMINAL_STEPS:.0e} allowed")
     for _ in range(steps):
         v_new = np.logaddexp(beta * v, omega_T)
         change = np.max(np.abs(v_new - v))
@@ -264,10 +278,11 @@ def gen_dynamic_market(p: DynamicDgpParams, rng: np.random.Generator) -> Dynamic
     The true value function is solved by backward induction with the
     stationary terminal condition; observed shares are the implied
     conditional-on-active shares, so the inner-loop solution exists exactly.
+    Degenerate draws are redrawn as in the static DGP, at most _MAX_DRAWS in
+    all (ValueError then).
     """
     J, I, T, beta = p.n_products, p.n_draws, p.horizon, p.beta
-    redraws = 0
-    while True:
+    for redraws in range(_MAX_DRAWS):
         chi = normal(rng, (T, J, 3)) * p.chi_sd
         xi = normal(rng, (T, J))
         w_shock = normal(rng, (T, J)) * p.w_shock_sd
@@ -305,7 +320,8 @@ def gen_dynamic_market(p: DynamicDgpParams, rng: np.random.Generator) -> Dynamic
         outside = 1.0 - shares.sum(axis=0)
         if np.all(shares > _SHARE_FLOOR) and np.all(outside > _SHARE_FLOOR):
             break
-        redraws += 1
+    else:
+        raise _degenerate(p)
 
     market = DurableMarket(shares=shares, outside_shares=outside, mu=mu,
                            weights=np.full(I, 1.0 / I), beta=beta)

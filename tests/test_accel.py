@@ -88,19 +88,43 @@ class TestAnderson:
     def test_combine_m0_degenerates_to_plain(self):
         f = [np.array([0.3, -0.2])]
         g = [np.array([1.0, 2.0])]
-        np.testing.assert_array_equal(anderson_combine(f, g), g[0])
+        np.testing.assert_array_equal(anderson_combine([], f[0], g), g[0])
 
     def test_zero_residual_dominates(self):
         f = [np.array([1.0, 0.0]), np.array([0.0, 0.0])]
         g = [np.array([5.0, 5.0]), np.array([7.0, 7.0])]
         np.testing.assert_allclose(weights(f), [0.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(anderson_combine(f, g), g[1], atol=1e-13)
+        np.testing.assert_allclose(anderson_combine(differences(f), f[-1], g), g[1],
+                                   atol=1e-13)
 
     def test_near_singular_history_never_aborts(self):
         f = [np.array([1.0, 1.0]), np.array([1.0, 1.0]), np.array([1.0, 1.0])]
         w = weights(f)  # duplicate residuals: rank-deficient
         assert np.isfinite(w).all()
         assert abs(w.sum() - 1.0) < 1e-12
+
+    def test_kept_differences_match_differences_rebuilt_from_the_history(self):
+        # solve keeps one residual difference per iteration; a replay that
+        # rebuilds every difference from the window of residuals each time
+        # must evaluate the same points and end on the same point, bit for bit
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(20, 20))
+        A *= 0.95 / np.linalg.norm(A, 2)
+        b = rng.normal(size=20)
+
+        def phi(x):
+            return np.tanh(A @ x) + b
+        m, n = 2, 12
+        fp, inputs = recording_map(phi)
+        out = solve(fp, np.zeros(20), AccelConfig(method="anderson", anderson_memory=m,
+                                                  tolerance=1e-15, max_evaluations=n))
+        assert out.termination == "max_evaluations"
+        x, f, g = np.zeros(20), [], []
+        for k in range(n):
+            assert np.array_equal(x, inputs[k])
+            f, g = (f + [phi(x) - x])[-(m + 1):], (g + [phi(x)])[-(m + 1):]
+            x = anderson_combine(differences(f), f[-1], g)
+        assert np.array_equal(out.point, x)
 
     @settings(deadline=None, max_examples=50)
     @given(st.integers(1, 6), st.integers(2, 5), st.integers(0, 10 ** 6))
@@ -110,9 +134,15 @@ class TestAnderson:
         assert abs(weights(f).sum() - 1.0) < 1e-12
 
 
+def differences(residuals):
+    """The differences of consecutive residuals, oldest first, rebuilt from them."""
+    return [residuals[k + 1] - residuals[k] for k in range(len(residuals) - 1)]
+
+
 def weights(residuals):
     """anderson_combine's weights: unit vectors as images return them exactly."""
-    return anderson_combine(residuals, list(np.eye(len(residuals))))
+    return anderson_combine(differences(residuals), residuals[-1],
+                            list(np.eye(len(residuals))))
 
 
 class TestSpectralAlpha:
@@ -380,6 +410,38 @@ class TestTerminationContract:
         assert not out.converged
         assert out.evaluations == 3
         assert np.array_equal(out.point, inputs[2])
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "minus-inf"])
+    @pytest.mark.parametrize("method", ["plain", "anderson", "spectral", "squarem"])
+    def test_one_non_finite_entry_returns_evaluated_point(self, method, bad):
+        # the third image has one non-finite entry among finite ones, so its
+        # residual is non-finite; it is recorded in no residual history
+        phi = self.slow_contraction(4)
+        calls = []
+
+        def evaluate(x):
+            calls.append(1)
+            g = phi(x)
+            if len(calls) == 3:
+                g[1] = bad
+            return g
+        fp, inputs = recording_map(evaluate)
+        out = solve(fp, np.zeros(4), AccelConfig(method=method, max_evaluations=50))
+        assert out.termination == "non_finite"
+        assert out.evaluations == 3
+        assert np.array_equal(out.point, inputs[2])
+        per_record = 2 if method == "squarem" else 1
+        assert len(out.residual_history) == (out.evaluations - 1) // per_record
+
+    def test_a_finite_image_whose_residual_overflows_continues(self):
+        # Phi(x) = -x from -1e308: every image is finite, every residual
+        # overflows to inf, and the solve runs to its budget
+        with np.errstate(over="ignore"):
+            out = solve(FixedPointMap(lambda x: -x), np.array([-1e308, 0.0]),
+                        AccelConfig(max_evaluations=3))
+        assert out.termination == "max_evaluations"
+        assert out.residual_history == [np.inf] * 3
+        assert np.array_equal(out.point, [1e308, 0.0])  # the fourth iterate
 
     @pytest.mark.parametrize("method", sorted(_OVERFLOW_STEPS))
     def test_non_finite_extrapolation_returns_last_image(self, method):

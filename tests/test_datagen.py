@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from demandinv import datagen
 from demandinv.accel import AccelConfig
 from demandinv.datagen import (DynamicDgpParams, SeededRng, StaticDgpParams, _terminal_value,
                                draw_theta, gen_dynamic_market,
@@ -73,6 +74,12 @@ class TestStaticDgp:
         np.testing.assert_array_equal(mkt.shares, inst.market.shares)
         assert not np.array_equal(mkt.mu, inst.market.mu)
 
+    def test_a_design_without_a_valid_draw_is_rejected(self):
+        # every draw prices one product at ~1e300, so its share is 0
+        p = StaticDgpParams(n_products=5, n_draws=7, price_xi=1e300)
+        with pytest.raises(ValueError, match=r"1000 draws of .*price_xi=1e\+300"):
+            gen_static_market(p, np.random.default_rng(0))
+
 
 class TestNestedDgp:
     def test_mean_outside_share(self):
@@ -139,6 +146,20 @@ class TestDynamicDgp:
         # still checks that its iteration ended at rounding level
         with pytest.raises(ValueError, match="terminal value did not converge at beta 1.0"):
             _terminal_value(1.0, np.zeros(3))
+
+    def test_a_beta_too_close_to_1_is_rejected_before_iterating(self):
+        # the terminal value would need ~3e17 steps at beta = 1 - 2**-53
+        p = DynamicDgpParams(n_products=3, n_draws=4, horizon=3, beta=0.9999999999999999)
+        with pytest.raises(ValueError, match="beta 0.9999999999999999 needs"):
+            gen_dynamic_market(p, SeededRng(1, 0).generator())
+
+    def test_a_design_without_a_valid_draw_is_rejected(self, monkeypatch):
+        # an intercept of -800 puts every inside share below 1e-300
+        monkeypatch.setattr(datagen, "_MAX_DRAWS", 3)
+        p = DynamicDgpParams(n_products=3, n_draws=4, horizon=3,
+                             mean_coefs=(-800.0, 1.0, 1.0, 0.5, 2.0))
+        with pytest.raises(ValueError, match=r"3 draws of DynamicDgpParams\("):
+            gen_dynamic_market(p, SeededRng(1, 0).generator())
 
     def test_per_period_normalization(self):
         p = DynamicDgpParams(n_products=5, n_draws=8, horizon=10)
