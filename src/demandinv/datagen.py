@@ -31,6 +31,11 @@ _MAX_DRAWS = 1000
 # Cap on the terminal-value step count, checked before iterating; the default
 # durable design's count is ~3.4e3 at beta 0.99 and ~3.4e5 at beta 0.9999.
 _MAX_TERMINAL_STEPS = 10 ** 6
+# Durable values are positive (V = log(exp(beta V') + exp(omega)) > beta V'),
+# so every conditional share is below max_i exp(omega_it). A period whose
+# inclusive values all lie below this bound, the log of the share floor less
+# a margin for rounding, cannot clear the floor.
+_LOG_NO_SHARE = math.log(_SHARE_FLOOR) - 1.0
 
 
 @dataclass(frozen=True)
@@ -279,7 +284,8 @@ def gen_dynamic_market(p: DynamicDgpParams, rng: np.random.Generator) -> Dynamic
     stationary terminal condition; observed shares are the implied
     conditional-on-active shares, so the inner-loop solution exists exactly.
     Degenerate draws are redrawn as in the static DGP, at most _MAX_DRAWS in
-    all (ValueError then).
+    all (ValueError then); a draw with a period whose inclusive values all lie
+    below _LOG_NO_SHARE is redrawn before its values are solved.
     """
     J, I, T, beta = p.n_products, p.n_draws, p.horizon, p.beta
     for redraws in range(_MAX_DRAWS):
@@ -305,6 +311,8 @@ def gen_dynamic_market(p: DynamicDgpParams, rng: np.random.Generator) -> Dynamic
         # true values: terminal stationarity, then backward induction
         util = delta[None, :, :] + mu  # (I, J, T)
         omega = logsumexp(util, 1)  # (I, T)
+        if np.any(omega.max(axis=0) < _LOG_NO_SHARE):
+            continue  # before the terminal solve, which is slow on such omegas
         V = np.empty((I, T))
         V[:, T - 1] = _terminal_value(beta, omega[:, T - 1])
         for t in range(T - 2, -1, -1):

@@ -32,6 +32,8 @@ from .static_rcl import _freeze, check_market_data, exp_mu, numeric_array
 # Active fractions are floored at a tiny positive value: off the solution,
 # 1 - sum_j ccp can dip below zero for extreme heterogeneity draws, which
 # would poison the next period's weighted log-sum. Never binds at a solution.
+# The ownership paths apply it only where it binds, which is exact, not an
+# approximation: where no fraction lies below it, it changes nothing.
 PR0_FLOOR = 1e-12
 
 
@@ -144,13 +146,18 @@ def _omega_from_delta(delta: np.ndarray, em) -> np.ndarray:
 
 
 def _pr0_path(omega: np.ndarray, V: np.ndarray, mkt: DurableMarket) -> np.ndarray:
-    """Ownership path of the purchase probabilities exp(omega - V), (I, T)."""
+    """Ownership path of the purchase probabilities exp(omega - V), (I, T):
+    the running product (np.cumprod, in the loop's order) of pr0_init and the
+    keep rates 1 - exp(omega_t - V_t), or, where that lies below PR0_FLOOR or
+    is NaN, the loop that floors every period. Exact either way."""
     with np.errstate(over="ignore", invalid="ignore"):
-        keep = np.ascontiguousarray((1.0 - np.exp(omega - V)).T)  # (T, I)
-        pr0 = np.empty_like(keep)
-        pr0[0] = mkt.pr0_init
-        for t in range(mkt.horizon - 1):
-            pr0[t + 1] = np.maximum(pr0[t] * keep[t], PR0_FLOOR)
+        pr0 = np.vstack([mkt.pr0_init, 1.0 - np.exp(omega[:, :-1] - V[:, :-1]).T])  # (T, I)
+        if (mkt.pr0_init >= PR0_FLOOR).all():
+            path = np.cumprod(pr0, axis=0)
+            if (path[1:] >= PR0_FLOOR).all():  # NaN fails
+                return path.T.copy()
+        for p, p_next in zip(pr0, pr0[1:]):
+            np.maximum(p * p_next, PR0_FLOOR, out=p_next)
     return pr0.T.copy()  # C order: the callers' sums over types keep their bits
 
 
@@ -164,25 +171,40 @@ def _forward(V: np.ndarray, mkt: DurableMarket, em):
     r_t = (w.pr0_t) S_t / ((w pr0_t ez_t) @ E_t), which is exp(delta_t + cb_t),
     then the purchase probabilities buy_t = ez_t * (E_t @ r_t) and
     pr0_{t+1} = max(pr0_t - pr0_t buy_t, PR0_FLOOR): three products over E_t
-    and no exp or log. delta = log r - cb and omega = _omega_from_delta(delta)
-    then take every period at once.
+    and no exp or log, written in place. The periods run with the floor only
+    if pr0_init or the unfloored path lies below it or is NaN; the result is
+    the floored pass exactly. delta = log r - cb and omega =
+    _omega_from_delta(delta) then take every period at once.
     """
     a, E = em
     w = mkt.weights
-    T = mkt.horizon
+    S = mkt._S_t
     z = a - V.T  # (T, I)
     cb = z.max(axis=1)
     ez = np.exp(z - cb[:, None])
     wez = w * ez
-    S = mkt._S_t
-    r = np.empty((T, mkt.n_products))
+    r = np.empty((mkt.horizon, mkt.n_products))
     pr0 = np.empty_like(z)
-    pr0[0] = p = mkt.pr0_init
+    pr0[0] = mkt.pr0_init
+    buf = np.empty(mkt.n_types)
+
+    def periods(floor):  # r_t and pr0_{t+1} for t < T-1; returns pr0_{T-1}
+        p = pr0[0]
+        for S_t, wez_t, E_t, ez_t, r_t, p_next in zip(S, wez, E, ez, r, pr0[1:]):
+            np.multiply(S_t, w.dot(p), r_t)
+            np.divide(r_t, np.multiply(p, wez_t, buf).dot(E_t), r_t)
+            np.multiply(ez_t, E_t.dot(r_t, buf), buf)
+            p = np.subtract(p, np.multiply(p, buf, buf), p_next)
+            if floor:
+                np.maximum(p, PR0_FLOOR, out=p)
+        return p
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for t in range(T):
-            r[t] = S[t] * (w @ p) / ((p * wez[t]) @ E[t])
-            if t + 1 < T:
-                p = pr0[t + 1] = np.maximum(p - p * (ez[t] * (E[t] @ r[t])), PR0_FLOOR)
+        floor = not (mkt.pr0_init >= PR0_FLOOR).all()
+        p = periods(floor)
+        if not floor and not (pr0[1:] >= PR0_FLOOR).all():  # NaN fails
+            p = periods(True)
+        r[-1] = S[-1] * w.dot(p) / (p * wez[-1]).dot(E[-1])
         delta = (np.log(r) - cb[:, None]).T
         omega = _omega_from_delta(delta, em)
     return delta, omega, pr0.T

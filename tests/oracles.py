@@ -3,10 +3,14 @@
 Everything here deliberately avoids the library's solver paths: shares are
 computed with plain (unshifted) arithmetic on small well-scaled instances,
 and the root of S = s(delta) is found by a damped Newton iteration with an
-analytic Jacobian.
+analytic Jacobian. The durable loop references at the end are the library's
+per-period loops that floor every period; they share _omega_from_delta with
+the kernel they check.
 """
 
 import numpy as np
+
+from demandinv.dynamic import PR0_FLOOR, _omega_from_delta
 
 
 def naive_shares(delta, mu, weights):
@@ -245,3 +249,38 @@ def log_durable_shares(delta, V, pr0, mkt):
         ccp = np.exp(delta[None, :, :] + mkt.mu - V[:, None, :])
     b = mkt.weights[:, None] * pr0
     return np.einsum("it,ijt->jt", b, ccp) / b.sum(axis=0)[None, :]
+
+
+def loop_durable_forward(V, mkt, em):
+    """dynamic._forward as one loop over periods that floors every pr0_{t+1}:
+    the reference whose bits the kernel keeps."""
+    a, E = em
+    w = mkt.weights
+    T = mkt.horizon
+    z = a - V.T  # (T, I)
+    cb = z.max(axis=1)
+    ez = np.exp(z - cb[:, None])
+    wez = w * ez
+    S = np.ascontiguousarray(mkt.shares.T)
+    r = np.empty((T, mkt.n_products))
+    pr0 = np.empty_like(z)
+    pr0[0] = p = mkt.pr0_init
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for t in range(T):
+            r[t] = S[t] * (w @ p) / ((p * wez[t]) @ E[t])
+            if t + 1 < T:
+                p = pr0[t + 1] = np.maximum(p - p * (ez[t] * (E[t] @ r[t])), PR0_FLOOR)
+        delta = (np.log(r) - cb[:, None]).T
+        omega = _omega_from_delta(delta, em)
+    return delta, omega, pr0.T
+
+
+def loop_pr0_path(omega, V, mkt):
+    """dynamic._pr0_path as one loop over periods that floors every pr0_{t+1}."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        keep = np.ascontiguousarray((1.0 - np.exp(omega - V)).T)  # (T, I)
+        pr0 = np.empty_like(keep)
+        pr0[0] = mkt.pr0_init
+        for t in range(mkt.horizon - 1):
+            pr0[t + 1] = np.maximum(pr0[t] * keep[t], PR0_FLOOR)
+    return pr0.T.copy()

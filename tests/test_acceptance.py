@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from demandinv import accel, dynamic
 from demandinv.accel import AccelConfig
 from demandinv.bench import AlgorithmSpec, default_config, run_suite, summarize
 from demandinv.datagen import (DynamicDgpParams, SeededRng, StaticDgpParams,
@@ -299,10 +300,17 @@ def test_criterion_9_dynamic_perfect_foresight(dynamic_pf_results):
                   f"bellman<1e-10={bellman_ok}")
 
 
-def test_criterion_10_dynamic_ivs():
+def test_criterion_10_dynamic_ivs(monkeypatch):
     reps = 20
     evals = {"plain": [], "anderson": []}
     conv = {"plain": [], "anderson": []}
+    maps = []  # the IVS map of every solve, for the audit at its returned point
+
+    def recording_solve(fp, x0, cfg):
+        maps.append(fp)
+        return accel.solve(fp, x0, cfg)
+    monkeypatch.setattr(dynamic, "solve", recording_solve)
+    worst = 0.0
     for rep in range(reps):
         rng = SeededRng(11, rep).generator()
         inst = gen_dynamic_market(DynamicDgpParams(horizon=25), rng)
@@ -313,14 +321,21 @@ def test_criterion_10_dynamic_ivs():
             sol, o = ivs_solve(mkt, 1.0, IvsGrid(), cfg)
             evals[key].append(o.evaluations)
             conv[key].append(o.converged)
+            if o.converged:
+                x = o.point
+                worst = max(worst, float(np.max(np.abs(maps[-1].evaluate(x) - x))))
     and_conv = all(conv["anderson"])
     mean_and = np.mean(evals["anderson"])
     mean_plain = np.mean(evals["plain"])
     ratio_ok = mean_and <= 0.25 * mean_plain
-    ok = and_conv and ratio_ok
+    # the map's residual recomputed at each converged solve's returned point;
+    # the worst measured over seeds 11 and 7919 was 9.9e-13
+    audit_ok = worst < 1e-11
+    ok = and_conv and ratio_ok and audit_ok
     report(10, ok, f"anderson conv 100%={and_conv}, mean {mean_and:.0f} vs "
-                   f"plain {mean_plain:.0f} (ratio {mean_and / mean_plain:.2f}); "
-                   f"numerics invariants covered in test_numerics")
+                   f"plain {mean_plain:.0f} (ratio {mean_and / mean_plain:.2f}), "
+                   f"worst IVS residual at the returned point {worst:.1e}<1e-11="
+                   f"{audit_ok}; numerics invariants covered in test_numerics")
 
 
 def test_criterion_11_oracle_equivalence():

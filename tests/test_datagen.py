@@ -161,6 +161,19 @@ class TestDynamicDgp:
         with pytest.raises(ValueError, match=r"3 draws of DynamicDgpParams\("):
             gen_dynamic_market(p, SeededRng(1, 0).generator())
 
+    @pytest.mark.parametrize("design", [dict(z_init=1e300),
+                                        dict(mean_coefs=(-800.0, 1.0, 1.0, 0.5, 2.0))])
+    def test_draws_whose_inclusive_values_underflow_the_shares_skip_the_terminal_value(
+            self, design, monkeypatch):
+        # omega ~ -2e300 or ~ -800 in every period: the terminal value took
+        # ~70,000 steps per draw on the first, and no draw can clear 1e-300
+        def terminal_value(*_):
+            raise AssertionError("a draw without a valid share reached the terminal value")
+        monkeypatch.setattr(datagen, "_terminal_value", terminal_value)
+        p = DynamicDgpParams(n_products=3, n_draws=4, horizon=3, **design)
+        with pytest.raises(ValueError, match=r"1000 draws of DynamicDgpParams\("):
+            gen_dynamic_market(p, SeededRng(1, 0).generator())
+
     def test_per_period_normalization(self):
         p = DynamicDgpParams(n_products=5, n_draws=8, horizon=10)
         inst = gen_dynamic_market(p, SeededRng(6, 3).generator())

@@ -9,10 +9,13 @@ the largest entry too, and are exps of sums of mu, V and delta: where those
 reach a size M, each rounding of an exponent moves the result by M * eps
 relative in either kernel, so the durable cases allow max(1e-13, 8 M eps).
 The static value-space mapping stays in log space (see the README) and is
-held to the same references.
+held to the same references. The durable forward pass and ownership path,
+which skip the floor where it binds nowhere, must also equal bit for bit the
+loops in oracles.py that floor every period.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -228,6 +231,43 @@ def test_durable_kernels_match_the_log_space_reference(case):
     pr0_at, s = quiet(dynamic._shares_at, delta, V, omega, mkt, em)
     assert_agree(pr0_at, o_pr0, rtol=rtol)
     assert_agree(s, oracles.log_durable_shares(delta, V, o_pr0, mkt), rtol=rtol)
+
+
+def _durable_with_an_owner():
+    """dynamic_t50 where type 3 starts as an owner (pr0_init 0)."""
+    mkt, V = _dgp_durable(50)
+    pr0_init = np.ones(mkt.n_types)
+    pr0_init[3] = 0.0
+    return replace(mkt, pr0_init=pr0_init), V
+
+
+def _durable_with_a_nan():
+    mkt, V = _dgp_durable(50)
+    V = V.copy()
+    V[2, 7] = np.nan
+    return mkt, V
+
+
+LOOP_CASES = {**DURABLE_CASES, "pr0_init with a 0": _durable_with_an_owner,
+              "a NaN in V": _durable_with_a_nan}
+
+
+@pytest.mark.parametrize("case", sorted(LOOP_CASES))
+def test_durable_kernels_keep_the_bits_of_the_period_loops(case):
+    mkt, V = LOOP_CASES[case]()
+    em = dynamic._exp_mu_t(mkt)
+    forward = quiet(dynamic._forward, V, mkt, em)
+    for got, want in zip(forward, oracles.loop_durable_forward(V, mkt, em)):
+        np.testing.assert_array_equal(got, want)  # NaNs in the same entries
+    omega = forward[1]
+    pr0 = quiet(dynamic._pr0_path, omega, V, mkt)
+    np.testing.assert_array_equal(pr0, oracles.loop_pr0_path(omega, V, mkt))
+    if case == "pr0_init with a 0":
+        for path in (forward[2], pr0):
+            np.testing.assert_array_equal(path[:, 0], mkt.pr0_init)
+            assert np.all(path[3, 1:] == dynamic.PR0_FLOOR)
+    if case == "a NaN in V":
+        assert np.isnan(forward[0]).any() and np.isnan(pr0).any()
 
 
 def test_the_floor_case_reaches_the_floor():
