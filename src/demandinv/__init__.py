@@ -8,7 +8,7 @@ seeded benchmark harness.
 from .accel import AccelConfig, FixedPointMap, SolveOutcome, solve
 from .dynamic import (DurableMarket, DurableSolution, IvsGrid, IvsState,
                       bellman_residual, ivs_solve, pf_solve, pf_value_update,
-                      traditional_joint_solve, traditional_nested_solve)
+                      traditional_joint_solve)
 from .fixtures import market_from_json, market_to_json
 from .numerics import (chebyshev_eval_rows, chebyshev_fit_matrix, chebyshev_nodes,
                        ls_minnorm, normal_quadrature, ols_ar1_rows)

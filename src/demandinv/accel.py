@@ -223,10 +223,9 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
     evals = 0
     r = np.inf
     history: list[float] = []
-    f_hist: list[np.ndarray] = []  # Anderson: newest residuals Phi(x) - x
-    g_hist: list[np.ndarray] = []  # Anderson: the matching images Phi(x)
-    d_hist: list[np.ndarray] = []  # Anderson: f_hist[k + 1] - f_hist[k]
-    x_prev = F_prev = None         # spectral: start and residual of the last step
+    g_hist: list[np.ndarray] = []  # Anderson: newest images Phi(x)
+    d_hist: list[np.ndarray] = []  # Anderson: their consecutive residual differences
+    x_prev = F_prev = None         # start (spectral) and residual of the last step
 
     def finish(point, termination, residual):
         return SolveOutcome(point=np.asarray(point, dtype=float),
@@ -262,12 +261,12 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
         with np.errstate(over="ignore", invalid="ignore"):
             if cfg.method == "anderson":
                 # the first combination has no differences: a plain step
-                if f_hist:
-                    d_hist.append(F - f_hist[-1])
-                f_hist.append(F)
+                if F_prev is not None:
+                    d_hist.append(F - F_prev)
+                F_prev = F
                 g_hist.append(g)
-                if len(f_hist) > cfg.anderson_memory + 1:
-                    del f_hist[0], g_hist[0], d_hist[0]
+                if len(g_hist) > cfg.anderson_memory + 1:
+                    del g_hist[0], d_hist[0]
                 x_next = anderson_combine(d_hist, F, g_hist)
             elif cfg.method == "spectral":
                 alpha = 1.0 if x_prev is None else alpha_from(x - x_prev, F - F_prev)

@@ -245,13 +245,15 @@ class DynamicInstance:
 
 
 def _terminal_value(beta: float, omega_T: np.ndarray) -> np.ndarray:
-    """Fixed point of v = log(exp(beta v) + exp(omega)), iterated from omega
-    until a step changes v by less than 1e-15. The map contracts with a
-    modulus below beta, so each change is below beta times the one before and
-    the cap is the step count that takes the first change below 1e-15 (at
+    """Fixed point of v = log(exp(beta v) + exp(omega)), iterated until a step
+    changes v by less than 1e-15, from omega, or from 0 where omega lies below
+    _LOG_NO_SHARE: the fixed point there lies in (0, exp(omega) / (1 - beta)],
+    ~log(-omega / 1e-15) / (1 - beta) steps from omega. The map contracts with
+    a modulus below beta, so each change is below beta times the one before
+    and the cap is the step count that takes the first change below 1e-15 (at
     beta 0 the second step changes nothing). ValueError if that count exceeds
     _MAX_TERMINAL_STEPS, or if the last change is still above rounding level."""
-    v = omega_T.copy()
+    v = np.where(omega_T < _LOG_NO_SHARE, 0.0, omega_T)
     first = float(np.max(np.abs(np.logaddexp(beta * v, omega_T) - v)))
     steps = 2
     if 0.0 < beta < 1.0 and first >= 1e-15:
@@ -272,9 +274,10 @@ def _terminal_value(beta: float, omega_T: np.ndarray) -> np.ndarray:
 
 
 def _conditional_shares(ccp: np.ndarray, pr0: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Shares (J, T) among the active consumers w_i * pr0_it."""
+    """Shares (J, T) among the active consumers w_i * pr0_it, NaN where none is."""
     b = weights[:, None] * pr0  # (I, T)
-    return np.einsum("it,ijt->jt", b, ccp) / b.sum(axis=0)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.einsum("it,ijt->jt", b, ccp) / b.sum(axis=0)[None, :]
 
 
 def gen_dynamic_market(p: DynamicDgpParams, rng: np.random.Generator) -> DynamicInstance:

@@ -10,8 +10,6 @@ Algorithms:
 * :func:`pf_solve` - the value-function algorithm: delta is recovered
   analytically from V each iteration, so only V is solved for.
 * :func:`traditional_joint_solve` - joint (delta, V) updates in one loop.
-* :func:`traditional_nested_solve` - inner value iteration per outer delta
-  update, each started from the previous one's values.
 * :func:`ivs_solve` - inclusive-value-sufficiency variant: a scalar state
   per type follows a fitted AR(1); expectations use Gauss-Hermite
   quadrature over a Chebyshev interpolant of V.
@@ -347,37 +345,6 @@ def traditional_joint_solve(mkt: DurableMarket, gamma: float, phi: float,
     sol = _solution(delta, outcome.point[nd:].reshape(I, T), _omega_from_delta(delta, em),
                     mkt, em)
     return sol, outcome
-
-
-def traditional_nested_solve(mkt: DurableMarket, gamma: float, phi: float,
-                             inner_cfg: AccelConfig, outer_cfg: AccelConfig):
-    """Nested loops: solve V to tolerance for each outer delta update, starting
-    each inner solve from the previous one's V.
-
-    Returns (solution, outer outcome, total inner value-backup evaluations).
-    The outer evaluation count in the outcome counts delta-map applications.
-    """
-    I, J, T = mkt.n_types, mkt.n_products, mkt.horizon
-    em = _exp_mu_t(mkt)
-    V = np.zeros((I, T))
-    psi_evals = 0
-
-    def outer_evaluate(x):
-        nonlocal V, psi_evals
-        delta = x.reshape(J, T)
-        omega = _omega_from_delta(delta, em)
-
-        def backup(v):
-            return np.logaddexp(mkt.beta * _v_next(v.reshape(I, T)), omega).ravel()
-
-        inner = solve(FixedPointMap(backup), V.ravel(), inner_cfg)
-        psi_evals += inner.evaluations
-        V = inner.point.reshape(I, T)
-        return _delta_update(delta, V, omega, gamma, phi, mkt, em).ravel()
-
-    outcome = solve(FixedPointMap(outer_evaluate), initial_delta_myopic(mkt).ravel(), outer_cfg)
-    delta = outcome.point.reshape(J, T)
-    return _solution(delta, V, _omega_from_delta(delta, em), mkt, em), outcome, psi_evals
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,24 @@ class TestDynamicDgp:
         with pytest.raises(ValueError, match=r"1000 draws of DynamicDgpParams\("):
             gen_dynamic_market(p, SeededRng(1, 0).generator())
 
+    @pytest.mark.parametrize("x", [-30.0, 0.0, 2.5, 40.0])
+    def test_terminal_value_starts_at_0_where_omega_underflows_the_shares(self, x):
+        # a start at omega = -2e300 would take ~70,000 steps; from 0 the entry
+        # stays at 0, and the other entry keeps its bits
+        v = _terminal_value(0.99, np.array([-2e300, x]))
+        assert v[0] == 0.0
+        assert np.array_equal(v[1:], _terminal_value(0.99, np.array([x])))
+
+    def test_draws_where_only_some_types_underflow_are_rejected_quickly(self):
+        # some types' terminal inclusive values are ~ -1e300, so each draw
+        # passes the period check and reaches the terminal value; a period
+        # where every type has bought has no active consumer, and its shares
+        # divide 0 by 0 (a RuntimeWarning would be an error under pytest.ini)
+        p = DynamicDgpParams(n_products=3, n_draws=4, horizon=3, z_init=1e300,
+                             sd_coefs=(0.0, 0.5, 0.5, 0.0, 5.0))
+        with pytest.raises(ValueError, match=r"1000 draws of DynamicDgpParams\("):
+            gen_dynamic_market(p, SeededRng(1, 0).generator())
+
     def test_per_period_normalization(self):
         p = DynamicDgpParams(n_products=5, n_draws=8, horizon=10)
         inst = gen_dynamic_market(p, SeededRng(6, 3).generator())

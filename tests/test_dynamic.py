@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demandinv import accel, dynamic
+from demandinv import dynamic
 from demandinv.accel import AccelConfig
 from demandinv.datagen import (DynamicDgpParams, SeededRng, draw_theta,
                                gen_dynamic_market)
 from demandinv.fixtures import market_from_json, market_to_json
 from demandinv.dynamic import (DurableMarket, IvsGrid, bellman_residual,
                                initial_delta_myopic, ivs_solve, pf_solve,
-                               pf_value_update, traditional_joint_solve,
-                               traditional_nested_solve)
+                               pf_value_update, traditional_joint_solve)
 from demandinv.rcnl import NestedMarket, rcnl_initial_delta, rcnl_phi_delta
 from demandinv.static_rcl import (StaticMarket, initial_delta, iota_V_to_delta,
                                   logit_shares, phi_delta)
@@ -222,49 +221,6 @@ class TestTraditionalJoint:
         assert sol.dist < 1e-10
 
 
-class TestTraditionalNested:
-    def test_psi_evals_exceed_joint(self):
-        inst, _ = desk_instance(10)
-        inner = AccelConfig(tolerance=1e-12, max_evaluations=5000)
-        outer = AccelConfig(tolerance=1e-12, max_evaluations=2000)
-        sol_n, out_n, psi = traditional_nested_solve(inst.market, 1.0, 1.0,
-                                                     inner, outer)
-        assert out_n.converged
-        sol_j, out_j = traditional_joint_solve(
-            inst.market, 1.0, 1.0,
-            AccelConfig(tolerance=1e-12, max_evaluations=20000))
-        assert out_j.converged
-        assert psi > out_j.evaluations  # nested pays many inner backups
-        assert np.max(np.abs(sol_n.delta - sol_j.delta)) < 1e-8
-
-    def test_hot_start_reduces_inner_work(self, monkeypatch):
-        # every inner solve starts from the last one's V; solved again from
-        # V = 0, the same inner maps take more backups
-        inst, _ = desk_instance(11)
-        inner = AccelConfig(tolerance=1e-12, max_evaluations=5000)
-        outer = AccelConfig(tolerance=1e-12, max_evaluations=2000)
-        inner_maps = []
-
-        def recording_solve(fp, x0, cfg):
-            if cfg is inner:
-                inner_maps.append(fp)
-            return accel.solve(fp, x0, cfg)
-        monkeypatch.setattr(dynamic, "solve", recording_solve)
-        _, out, psi_hot = traditional_nested_solve(inst.market, 1.0, 1.0, inner, outer)
-        assert out.converged and len(inner_maps) == out.evaluations
-        psi_cold = sum(accel.solve(fp, np.zeros(inst.market.n_types * inst.market.horizon),
-                                   inner).evaluations for fp in inner_maps)
-        assert psi_hot < psi_cold
-
-    def test_beta0_outer_behaves_static(self):
-        mkt, deltas, _ = static_like_market(seed=33)
-        inner = AccelConfig(tolerance=1e-13, max_evaluations=100)
-        outer = AccelConfig(tolerance=1e-13, max_evaluations=2000)
-        sol, out, psi = traditional_nested_solve(mkt, 1.0, 1.0, inner, outer)
-        assert out.converged
-        np.testing.assert_allclose(sol.delta, deltas, atol=1e-9)
-
-
 class TestAlgorithmEquivalence:
     def test_three_families_coincide(self):
         inst, rng = desk_instance(12)
@@ -272,12 +228,8 @@ class TestAlgorithmEquivalence:
         cfg = AccelConfig(tolerance=1e-13, max_evaluations=20000)
         sol_v, out_v = pf_solve(mkt, 1.0, cfg)
         sol_j, out_j = traditional_joint_solve(mkt, 0.0, 1.0, cfg)
-        sol_n, out_n, _ = traditional_nested_solve(
-            mkt, 0.0, 1.0, AccelConfig(tolerance=1e-13, max_evaluations=5000),
-            AccelConfig(tolerance=1e-12, max_evaluations=3000))
-        assert out_v.converged and out_j.converged and out_n.converged
+        assert out_v.converged and out_j.converged
         assert np.max(np.abs(sol_v.delta - sol_j.delta)) < 1e-9
-        assert np.max(np.abs(sol_v.delta - sol_n.delta)) < 1e-8
 
 
 class TestBellmanResidual:
