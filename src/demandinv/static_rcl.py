@@ -16,8 +16,6 @@ which iterate on r_i = log(w_i * s_i0).
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,8 +117,8 @@ def check_market_data(shares, outside, mu, weights) -> None:
 # Exp-space kernels. The mappings take an optional ``em``, the market's
 # exp_mu(mu): the solvers build it once per solve and pass it, and a direct
 # call builds it. The result is the same either way. The value-space mapping
-# (iota_delta_to_V, iota_V_to_delta, phi_V) stays in log space and splits
-# large markets across threads: see "The value mapping" below.
+# (iota_delta_to_V, iota_V_to_delta, phi_V) works in exp space on large
+# markets only: see "The value mapping" below.
 
 
 def exp_mu(mu: np.ndarray):
@@ -190,7 +188,7 @@ def outside_logit(u: np.ndarray):
     sum_k exp(u - a)). a includes the outside utility 0, so nothing overflows.
 
     The RCNL top level and the static DGPs' market data use this form;
-    iota_delta_to_V does the same arithmetic in place, in parts.
+    iota_delta_to_V does the same arithmetic in place on a small market.
     """
     a = np.maximum(u.max(axis=1), 0.0)
     e = np.exp(u - a[:, None])
@@ -199,117 +197,57 @@ def outside_logit(u: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# The value mapping. iota_delta_to_V and iota_V_to_delta stay in log space,
-# bit for bit as before the exp-space kernels: Anderson on V0 drifts along a
-# nearly flat direction, so its last bits decide where it ends, and the
-# benchmark's known-defect check pins one such drift (seed 102, replication
-# 15 of the two-type markets) to the market it was found on.
-#
-# On a large market both kernels split their I x J work across threads (numpy
-# releases the GIL in its loops). iota_delta_to_V sums over products row by
-# row, and iota_V_to_delta over types column by column, so each part does the
-# whole array's operations, in the same order, on a block of rows (columns).
-# numpy sums each row on its own, and sums over axis 0 by adding the rows one
-# after another when there are two or more columns (one column it sums
-# pairwise), so the results are bit-identical for any number of parts.
+# The value mapping. On a market with at least _EXP_SPACE_MIN_SIZE entries in
+# mu, iota_delta_to_V is k + log denom from _logit, and iota_V_to_delta sums
+# w_i exp(a_i - V_i) E_ij over types with a matrix-vector product: no exp over
+# I x J. A smaller market stays in log space, bit for bit as before the
+# exp-space kernels: Anderson on V0 drifts along a nearly flat direction, so
+# its last bits decide where it ends, and the benchmark's known-defect check
+# pins one such drift (seed 102, replication 15 of the two-type markets) to
+# the market it was found on.
 
-_MIN_PART_SIZE = 1 << 16  # entries of mu per part: a smaller part gains less than a thread costs
-_pool = None  # the worker threads, created by the first call that splits
-_pool_lock = threading.Lock()
+# The log-space branch leaves with the benchmark change that drops that pin
+# (ROADMAP item 1); until then the cutoff keeps the small markets' bits.
+_EXP_SPACE_MIN_SIZE = 1 << 17
 
 
-def _forget_pool():
-    """A forked child has none of its parent's threads: it makes its own pool."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on (its affinity, where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _n_parts(n: int, size: int, min_len: int) -> int:
-    """How many parts split an axis of length n of an array of size entries:
-    at most one per CPU, each with at least _MIN_PART_SIZE entries and min_len
-    indices of the axis."""
-    n_parts = min(size // _MIN_PART_SIZE, n // min_len)
-    return min(n_parts, _cpus()) if n_parts > 1 else 1
-
-
-def _in_parts(part, mu: np.ndarray, axis: int, min_len: int = 1) -> np.ndarray:
-    """part(block), the result for one block of mu's rows (axis 0) or columns
-    (axis 1), for the blocks that split mu (see _n_parts), concatenated. The
-    caller's thread computes the first block and the module's pool the others.
-    Every block runs under the caller's numpy error state, and an exception of
-    any block is raised here once every block has finished."""
-    n_parts = 1 if mu.size < 2 * _MIN_PART_SIZE else _n_parts(mu.shape[axis], mu.size, min_len)
-    if n_parts == 1:
-        return part(mu)
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="demandinv")
-        pool = _pool
-    err, call = np.geterr(), np.geterrcall()
-
-    def worker(block):  # np.errstate is context-local: a pool thread has the defaults
-        with np.errstate(call=call, **err):
-            return part(block)
-
-    first, *rest = np.array_split(mu, n_parts, axis=axis)
-    futures = [pool.submit(worker, block) for block in rest]
-    try:
-        first = part(first)
-    finally:
-        for f in futures:  # wait for every block, also when the caller's own one raised
-            f.exception()
-    return np.concatenate([first] + [f.result() for f in futures])
-
-
-def iota_delta_to_V(delta, mkt: StaticMarket) -> np.ndarray:
+def iota_delta_to_V(delta, mkt: StaticMarket, em=None) -> np.ndarray:
     """Per-type inclusive value V_i = log(1 + sum_j exp(delta_j + mu_ij))."""
-    delta = np.asarray(delta, dtype=float)[None, :]
+    delta = np.asarray(delta, dtype=float)
+    if mkt.mu.size >= _EXP_SPACE_MIN_SIZE:
+        _, _, k, _, denom = _logit(delta, *(em or exp_mu(mkt.mu)))
+        return k + np.log(denom)
+    u = delta[None, :] + mkt.mu  # outside_logit's arithmetic, in place
+    a = np.maximum(u.max(axis=1), 0.0)
+    u -= a[:, None]
+    np.exp(u, out=u)
+    return a + np.log(np.exp(-a) + u.sum(axis=1))
 
-    def rows(mu):  # outside_logit's arithmetic, in place
-        u = delta + mu
-        a = np.maximum(u.max(axis=1), 0.0)
-        u -= a[:, None]
-        np.exp(u, out=u)
-        return a + np.log(np.exp(-a) + u.sum(axis=1))
 
-    return _in_parts(rows, mkt.mu, 0)
-
-
-def iota_V_to_delta(V, gamma: float, mkt: StaticMarket) -> np.ndarray:
+def iota_V_to_delta(V, gamma: float, mkt: StaticMarket, em=None) -> np.ndarray:
     """Analytic delta given inclusive values, with the gamma outside correction."""
     V = np.asarray(V, dtype=float)
-    Vc, w = V[:, None], mkt.weights[:, None]
-
-    def columns(mu):  # logsumexp(mu - V[:, None], 0, weights)'s arithmetic, in place
-        z = mu - Vc
+    if mkt.mu.size >= _EXP_SPACE_MIN_SIZE:
+        a, E = em or exp_mu(mkt.mu)
+        b = a - V
+        cb = b.max()
+        delta = mkt.log_shares - cb - np.log((mkt.weights * np.exp(b - cb)) @ E)
+    else:  # logsumexp(mu - V[:, None], 0, weights)'s arithmetic, in place
+        z = mkt.mu - V[:, None]
         m = z.max(axis=0)
         z -= m
         np.exp(z, out=z)
-        z *= w
-        return m + np.log(z.sum(axis=0))
-
-    delta = mkt.log_shares - _in_parts(columns, mkt.mu, 1, min_len=2)
+        z *= mkt.weights[:, None]
+        delta = mkt.log_shares - (m + np.log(z.sum(axis=0)))
     if gamma != 0.0:
         log_s0_hat = logsumexp((-V)[:, None], 0, mkt.weights)[0]
         delta = delta - gamma * (mkt.log_outside - log_s0_hat)
     return delta
 
 
-def phi_V(V, gamma: float, mkt: StaticMarket) -> np.ndarray:
-    return iota_delta_to_V(iota_V_to_delta(V, gamma, mkt), mkt)
+def phi_V(V, gamma: float, mkt: StaticMarket, em=None) -> np.ndarray:
+    em = em or exp_mu(mkt.mu)
+    return iota_delta_to_V(iota_V_to_delta(V, gamma, mkt, em), mkt, em)
 
 
 def dist_metric(delta, mkt: StaticMarket) -> float:
@@ -386,11 +324,11 @@ def solve_inner(mkt: StaticMarket, mapping: str, cfg: AccelConfig):
         raise ValueError(f"mapping {mapping!r} iterates on log(w_i s_i0) and needs "
                          f"every weight positive")
     gamma = 1.0 if mapping.endswith("1") else 0.0
-    if mapping.startswith("V"):
-        fp = FixedPointMap(lambda v: phi_V(v, gamma, mkt))
-        outcome = solve(fp, np.zeros(mkt.n_types), cfg)
-        return iota_V_to_delta(outcome.point, gamma, mkt), outcome
     em = exp_mu(mkt.mu)
+    if mapping.startswith("V"):
+        fp = FixedPointMap(lambda v: phi_V(v, gamma, mkt, em))
+        outcome = solve(fp, np.zeros(mkt.n_types), cfg)
+        return iota_V_to_delta(outcome.point, gamma, mkt, em), outcome
     if mapping.startswith("delta"):
         fp = FixedPointMap(lambda d: phi_delta(d, gamma, mkt, em))
         outcome = solve(fp, initial_delta(mkt), cfg)
@@ -419,4 +357,4 @@ def solve_inner(mkt: StaticMarket, mapping: str, cfg: AccelConfig):
 
         outcome = solve(FixedPointMap(mixed_map), log_w, cfg)
         r = outcome.point
-    return iota_V_to_delta(log_w - r, 0.0, mkt), outcome
+    return iota_V_to_delta(log_w - r, 0.0, mkt, em), outcome

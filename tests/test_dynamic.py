@@ -222,7 +222,7 @@ class TestTraditionalJoint:
 
 
 class TestAlgorithmEquivalence:
-    def test_three_families_coincide(self):
+    def test_pf_and_joint_coincide(self):
         inst, rng = desk_instance(12)
         mkt = inst.with_theta(draw_theta(inst.theta_true, rng))
         cfg = AccelConfig(tolerance=1e-13, max_evaluations=20000)

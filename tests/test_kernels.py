@@ -8,10 +8,12 @@ ownership paths, choice probabilities and shares are compared relative to
 the largest entry too, and are exps of sums of mu, V and delta: where those
 reach a size M, each rounding of an exponent moves the result by M * eps
 relative in either kernel, so the durable cases allow max(1e-13, 8 M eps).
-The static value-space mapping stays in log space (see the README) and is
-held to the same references. The durable forward pass and ownership path,
-which skip the floor where it binds nowhere, must also equal bit for bit the
-loops in oracles.py that floor every period.
+The static value-space mapping works in exp space on markets with at least
+2^17 entries in mu and in log space below (see the README); the static cases
+cover both sides of that cutoff and are held to the same references. The
+durable forward pass and ownership path, which skip the floor where it binds
+nowhere, must also equal bit for bit the loops in oracles.py that floor every
+period.
 """
 
 import warnings
@@ -52,10 +54,11 @@ def _simplex(rng, n):
     return x / x.sum()
 
 
-def _random_static(seed, span=None):
-    """A random static market; with span, every type's mu spans exactly that."""
+def _random_static(seed, span=None, shape=None):
+    """A random static market, I x J if shape is given; with span, every
+    type's mu spans exactly that."""
     rng = np.random.default_rng(seed)
-    I, J = int(rng.integers(1, 6)), int(rng.integers(2, 9))
+    I, J = shape or (int(rng.integers(1, 6)), int(rng.integers(2, 9)))
     mu = rng.normal(size=(I, J)) * 2.0
     if span is not None:
         mu = rng.random((I, J))
@@ -77,7 +80,21 @@ STATIC_CASES = {
     "delta+800": (lambda: _random_static(11)[0], 800.0),
     "delta-800": (lambda: _random_static(12)[0], -800.0),
     "span-near-limit": (lambda: _random_static(13, span=MU_SPAN_LIMIT - 10.0)[0], 0.0),
+    # at or above the value mapping's exp-space cutoff, and just below it
+    "static_j250+800": (_dgp_static, 800.0),
+    "static_j250-800": (_dgp_static, -800.0),
+    "span-near-limit-600x250": (
+        lambda: _random_static(14, span=MU_SPAN_LIMIT - 10.0, shape=(600, 250))[0], 0.0),
+    "below-cutoff-511x256": (lambda: _random_static(15, shape=(511, 256))[0], 0.0),
 }
+EXP_SPACE_CASES = {"static_j250", "static_j250+800", "static_j250-800",
+                   "span-near-limit-600x250"}
+
+
+def test_static_cases_cover_both_sides_of_the_exp_space_cutoff():
+    exp_space = {case for case, (build, _) in STATIC_CASES.items()
+                 if build().mu.size >= static_rcl._EXP_SPACE_MIN_SIZE}
+    assert exp_space == EXP_SPACE_CASES
 
 
 @pytest.mark.parametrize("case", sorted(STATIC_CASES))

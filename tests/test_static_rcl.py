@@ -1,4 +1,5 @@
 import json
+import threading
 import warnings
 
 import numpy as np
@@ -236,6 +237,18 @@ class TestSolveInner:
                              AccelConfig(tolerance=1e-13, max_evaluations=300))
         assert not out.converged
         assert out.termination == "max_evaluations"
+
+    def test_value_mapping_starts_no_thread(self):
+        # J=250, I=1000: large enough for the exp-space value mapping
+        rng = SeededRng(4, 0).generator()
+        inst = gen_static_market(StaticDgpParams(n_products=250), rng)
+        mkt = inst.with_theta(draw_theta(inst.theta_true, rng))
+        threads = threading.active_count()
+        d, out = solve_inner(mkt, "V1", AccelConfig(method="anderson", tolerance=1e-13,
+                                                     max_evaluations=200))
+        assert out.converged and dist_metric(d, mkt) < 1e-12
+        phi_V(np.zeros(mkt.n_types), 1.0, mkt)
+        assert threading.active_count() == threads
 
 
 class TestDistMetric:
