@@ -1,12 +1,12 @@
-"""The value mapping's kernels split across threads: bit-identical to one part.
+"""The value mapping's kernels read each part of mu alone, in the caller's thread.
 
-iota_delta_to_V splits mu by rows and iota_V_to_delta by columns once a market
-is large enough. These tests force the split on small markets by shrinking
-the minimum part size and fixing the CPU count, and compare every output with
-the one-part result bit for bit. They also check that the workers run under
-the caller's numpy error state, that their exceptions reach the caller, that
-a forked child computes without its parent's threads, and that small markets
-start no thread.
+Type i's inclusive value from iota_delta_to_V reads row i of mu, and product
+j's delta from iota_V_to_delta reads column j. On markets below the exp-space
+cutoff (log space) that holds bit for bit: these tests cut a market's rows or
+columns into parts, change mu outside one part, and compare that part of each
+output with the whole market's. They also check that the kernels run under the
+caller's numpy error state, that a forked child computes what its parent does,
+and that solving a market starts no thread.
 """
 
 import multiprocessing
@@ -20,21 +20,7 @@ from demandinv import static_rcl
 from demandinv.accel import AccelConfig
 from demandinv.datagen import (SeededRng, StaticDgpParams, draw_theta, gen_static_market,
                                large_heterogeneity_market)
-from demandinv.static_rcl import StaticMarket, iota_delta_to_V, iota_V_to_delta, phi_V
-
-
-@pytest.fixture
-def split(monkeypatch):
-    """split(cpus, min_part): how the kernels split from then on. The pool made
-    under these settings is shut down after the test."""
-    def set_split(cpus, min_part=1):
-        monkeypatch.setattr(static_rcl, "_cpus", lambda: cpus)
-        monkeypatch.setattr(static_rcl, "_MIN_PART_SIZE", min_part)
-
-    monkeypatch.setattr(static_rcl, "_pool", None)
-    yield set_split
-    if static_rcl._pool is not None:
-        static_rcl._pool.shutdown()
+from demandinv.static_rcl import StaticMarket, exp_mu, iota_delta_to_V, iota_V_to_delta, phi_V
 
 
 def random_market(I, J, seed=0):
@@ -45,103 +31,73 @@ def random_market(I, J, seed=0):
                         w / w.sum())
 
 
-def outputs(V, gamma, mkt):
-    delta = iota_V_to_delta(V, gamma, mkt)
-    return delta, iota_delta_to_V(delta, mkt), phi_V(V, gamma, mkt)
-
-
-@pytest.mark.parametrize("n, min_len", [(1, 1), (2, 2), (7, 1), (7, 2), (250, 2), (1001, 1)])
-@pytest.mark.parametrize("axis", [0, 1])
-@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-def test_blocks_cover_mu_with_at_least_min_len_each(split, n, min_len, axis, cpus):
-    split(cpus)
-    mu = np.arange(5.0 * n).reshape((n, 5) if axis == 0 else (5, n))
-    widths = []
-
-    def part(block):
-        widths.append(block.shape[axis])
-        return np.take(block, 0, axis=1 - axis)
-
-    first = np.arange(n) * (5 if axis == 0 else 1)  # mu's first column (axis 0) or row
-    assert np.array_equal(static_rcl._in_parts(part, mu, axis, min_len), first)
-    assert len(widths) == max(1, min(cpus, n // min_len))
-    assert min(widths) >= min(min_len, n)
+def with_mu(mkt, mu):
+    return StaticMarket(mkt.shares, mkt.outside_share, mu, mkt.weights)
 
 
 SHAPES = [(1, 9), (9, 1), (2, 2), (9, 5), (13, 2), (4, 250), (31, 17)]
 
 
 @pytest.mark.parametrize("I, J", SHAPES)
-@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("parts", [2, 3])
 @pytest.mark.parametrize("gamma", [0.0, 1.0])
 @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e3, 1.23e14])
-def test_split_kernels_equal_one_part_bit_for_bit(split, I, J, cpus, gamma, scale):
+def test_split_kernels_equal_one_part_bit_for_bit(I, J, parts, gamma, scale):
     mkt = random_market(I, J, seed=I * 100 + J)
+    assert mkt.mu.size < static_rcl._EXP_SPACE_MIN_SIZE
+    other = random_market(I, J, seed=I * 100 + J + 1).mu
     V = scale + np.random.default_rng(J).normal(size=I) * (1.0 if scale > 1e3 else scale)
-    split(1)
-    one = outputs(V, gamma, mkt)
-    split(cpus)
-    assert max(static_rcl._n_parts(I, I * J, 1), static_rcl._n_parts(J, I * J, 2)) > 1
-    for got, want in zip(outputs(V, gamma, mkt), one):
-        assert np.array_equal(got, want)
+    delta = iota_V_to_delta(V, gamma, mkt)
+    V2 = iota_delta_to_V(delta, mkt)
+    assert np.array_equal(phi_V(V, gamma, mkt, exp_mu(mkt.mu)), V2)
+    assert max(min(I, parts), min(J, parts)) > 1
+    for rows in np.array_split(np.arange(I), min(I, parts)):
+        mu = other.copy()
+        mu[rows] = mkt.mu[rows]
+        assert np.array_equal(iota_delta_to_V(delta, with_mu(mkt, mu))[rows], V2[rows])
+    for cols in np.array_split(np.arange(J), min(J, parts)):
+        mu = other.copy()
+        mu[:, cols] = mkt.mu[:, cols]
+        assert np.array_equal(iota_V_to_delta(V, gamma, with_mu(mkt, mu))[cols], delta[cols])
 
 
-@pytest.mark.parametrize("I, J, min_part", [(511, 256, 1 << 16), (512, 256, 1 << 16),
-                                            (8, 6, 25), (8, 6, 24)])
-@pytest.mark.parametrize("gamma", [0.0, 1.0])
-def test_sizes_at_the_threshold_equal_one_part(split, I, J, min_part, gamma):
-    mkt = random_market(I, J, seed=I + J)
-    V = np.random.default_rng(I).normal(size=I)
-    split(1)
-    one = outputs(V, gamma, mkt)
-    split(2, min_part)
-    assert static_rcl._n_parts(I, I * J, 1) == (2 if I * J >= 2 * min_part else 1)
-    for got, want in zip(outputs(V, gamma, mkt), one):
-        assert np.array_equal(got, want)
-
-
-def _underflow_case(kernel, worker_only):
-    """A call of one kernel, split in 2 parts, whose second part (a worker's)
-    underflows an exp when worker_only; the first part never does."""
+def _underflow_case(kernel, underflows):
+    """A call of one kernel whose exp underflows in rows 3-5 (kernel "rows",
+    iota_delta_to_V) or columns 2-3 (kernel "columns", iota_V_to_delta)
+    exactly when underflows."""
     mu = np.zeros((6, 4))
-    if kernel == "rows":  # rows 3-5 are the worker's: u = delta + mu spans 800 there
+    if kernel == "rows":  # u = delta + mu spans 800 in rows 3-5
         mu[3:, 0] = -700.0
-        mkt = random_market(6, 4)
-        mkt = StaticMarket(mkt.shares, mkt.outside_share, mu, mkt.weights)
-        delta = np.array([-100.0 if worker_only else 0.0, 0.0, 0.0, 0.0])
+        mkt = with_mu(random_market(6, 4), mu)
+        delta = np.array([-100.0 if underflows else 0.0, 0.0, 0.0, 0.0])
         return lambda: iota_delta_to_V(delta, mkt)
-    mu[1, 2:] = -700.0  # columns 2-3 are the worker's: mu - V spans 800 there
-    mkt = random_market(6, 4)
-    mkt = StaticMarket(mkt.shares, mkt.outside_share, mu, mkt.weights)
-    V = np.array([0.0, 100.0 if worker_only else 0.0, 0.0, 0.0, 0.0, 0.0])
+    mu[1, 2:] = -700.0  # mu - V spans 800 in columns 2-3
+    mkt = with_mu(random_market(6, 4), mu)
+    V = np.array([0.0, 100.0 if underflows else 0.0, 0.0, 0.0, 0.0, 0.0])
     return lambda: iota_V_to_delta(V, 1.0, mkt)
 
 
 @pytest.mark.parametrize("kernel", ["rows", "columns"])
 @pytest.mark.parametrize("underflows", [True, False])
-def test_workers_run_under_the_callers_error_state(split, kernel, underflows):
+def test_workers_run_under_the_callers_error_state(kernel, underflows):
     call = _underflow_case(kernel, underflows)
-    for cpus in (1, 2):
-        split(cpus)
-        with np.errstate(under="raise"):
-            if underflows:
-                with pytest.raises(FloatingPointError):
-                    call()
-            else:
+    with np.errstate(under="raise"):
+        if underflows:
+            with pytest.raises(FloatingPointError):
                 call()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            call()  # numpy's default ignores underflow, in the workers too
+        else:
+            call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call()  # numpy's default ignores underflow
 
 
-def test_workers_ignore_what_the_caller_ignores(split):
+def test_workers_ignore_what_the_caller_ignores():
     # V_i = -inf makes every column's max inf and inf - inf = NaN: "invalid"
     mkt = random_market(4, 6)
     V = np.array([0.0, -np.inf, 0.0, 0.0])
-    split(1)
     with np.errstate(invalid="ignore"):
         one = iota_V_to_delta(V, 0.0, mkt)
-    split(3)
     with warnings.catch_warnings(), np.errstate(invalid="ignore"):
         warnings.simplefilter("error")
         assert np.array_equal(iota_V_to_delta(V, 0.0, mkt), one, equal_nan=True)
@@ -149,32 +105,16 @@ def test_workers_ignore_what_the_caller_ignores(split):
         iota_V_to_delta(V, 0.0, mkt)
 
 
-def test_a_workers_exception_reaches_the_caller(split):
-    split(2)
-    seen = []
-
-    def part(block):
-        seen.append(block[0, 0])
-        if block[0, 0] > 0:
-            raise KeyError("worker block")
-        return block[:, 0]
-
-    with pytest.raises(KeyError, match="worker block"):
-        static_rcl._in_parts(part, np.arange(24.0).reshape(6, 4), 0)
-    assert sorted(seen) == [0.0, 12.0]  # the caller's block ran too
-
-
 def _child_phi_V(conn, V, mkt):
     conn.send(phi_V(V, 1.0, mkt).tobytes())
     conn.close()
 
 
-def test_a_forked_child_computes_without_its_parents_threads(split):
-    split(2, static_rcl._MIN_PART_SIZE)  # J=250, I=1000 splits in 2 parts
-    mkt = random_market(1000, 250, seed=5)
+def test_a_forked_child_computes_without_its_parents_threads():
+    mkt = random_market(1000, 250, seed=5)  # exp space: matrix-vector products
+    assert mkt.mu.size >= static_rcl._EXP_SPACE_MIN_SIZE
     V = np.random.default_rng(6).normal(size=1000)
-    want = phi_V(V, 1.0, mkt).tobytes()  # starts the parent's pool
-    assert static_rcl._pool is not None
+    want = phi_V(V, 1.0, mkt).tobytes()
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_child_phi_V, args=(send, V, mkt))
@@ -198,10 +138,9 @@ def _two_type_market():
 
 
 def test_small_markets_start_no_thread():
-    pool, threads = static_rcl._pool, threading.active_count()
+    threads = threading.active_count()
     cfg = AccelConfig(method="anderson", tolerance=1e-13, max_evaluations=200)
     for mkt in (_two_type_market(), large_heterogeneity_market()[0]):
         for mapping in ("V0", "V1", "delta1"):
             static_rcl.solve_inner(mkt, mapping, cfg)
-    assert static_rcl._pool is pool
     assert threading.active_count() == threads
