@@ -136,17 +136,19 @@ class SolveOutcome:
     residual_history: list[float] = field(default_factory=list)
 
 
-def _step_rule(s, y, rule: str, total):
+def _step_rule(s, y, rule: str, labels=None):
     """The step size rule on the last step s = x_n - x_{n-1} and residual
-    change y: (alpha, unit), where unit marks the entries that take the unit
-    step 1 instead. total(u, v) sums u * v, to a numpy scalar or to one entry
-    per block; the rule takes only the sums it reads.
+    change y: a float, or with labels (labels[i] is coordinate i's block) one
+    step size per block, capped at DEFAULT_BLOCK_STEP_CAP. The rule takes
+    only the sums it reads.
 
     S1 = -s'y/y'y, S2 = -s's/s'y, S3 = ||s||/||y||, S3prime = sgn(s'y)||s||/||y||.
     A zero y'y and a non-finite ratio (S2's zero s'y among them) take the
-    unit step. Elementwise operations only, which run on numpy scalars
+    unit step 1. Elementwise operations only, which run on numpy scalars
     without array overhead; the caller silences floating-point warnings.
     """
+    total = (operator.matmul if labels is None else
+             lambda u, v: np.bincount(labels, weights=u * v))
     yy = total(y, y)
     if rule == "S1":
         alpha = -total(s, y) / yy
@@ -159,7 +161,9 @@ def _step_rule(s, y, rule: str, total):
     else:
         raise ValueError(f"unknown step size rule {rule!r}")
     unit = (yy == 0.0) | (alpha - alpha != 0.0)  # alpha - alpha is NaN unless finite
-    return alpha, unit
+    if labels is None:
+        return 1.0 if unit else float(alpha)
+    return np.minimum(np.where(unit, 1.0, alpha), DEFAULT_BLOCK_STEP_CAP)
 
 
 def spectral_alpha(s, y, rule: str = "S3") -> float:
@@ -167,17 +171,14 @@ def spectral_alpha(s, y, rule: str = "S3") -> float:
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        alpha, unit = _step_rule(s, y, rule, operator.matmul)
-    return 1.0 if unit else float(alpha)
+        return _step_rule(s, y, rule)
 
 
 def block_step_sizes(s, y, labels: np.ndarray, rule: str = "S3") -> np.ndarray:
     """spectral_alpha of each block, capped at DEFAULT_BLOCK_STEP_CAP; labels[i]
     is coordinate i's block, and block b's step size is entry b."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        alpha, unit = _step_rule(s, y, rule,
-                                 lambda u, v: np.bincount(labels, weights=u * v))
-    return np.minimum(np.where(unit, 1.0, alpha), DEFAULT_BLOCK_STEP_CAP)
+        return _step_rule(s, y, rule, labels)
 
 
 def anderson_combine(differences: Sequence[np.ndarray], residual: np.ndarray,
@@ -214,11 +215,13 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
         raise ValueError(f"block_labels has {fp_map.block_labels.size} labels for "
                          f"{x.size} coordinates")
     labels = fp_map.block_labels if cfg.use_blocks else None
+    evaluate, method, rule = fp_map.evaluate, cfg.method, cfg.step_size_rule
+    tolerance, max_evals, memory = cfg.tolerance, cfg.max_evaluations, cfg.anderson_memory
+    absolute, max_reduce, isfinite = np.abs, np.maximum.reduce, math.isfinite
 
     def alpha_from(s, y):
-        if labels is None:
-            return spectral_alpha(s, y, rule=cfg.step_size_rule)
-        return block_step_sizes(s, y, labels, rule=cfg.step_size_rule)[labels]
+        alpha = _step_rule(s, y, rule, labels)
+        return alpha if labels is None else alpha[labels]
 
     evals = 0
     r = np.inf
@@ -233,42 +236,42 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
                             termination=termination, final_residual=residual,
                             residual_history=history)
 
-    while evals < cfg.max_evaluations:
-        g = fp_map.evaluate(x)
+    while evals < max_evals:
+        g = evaluate(x)
         evals += 1
         F = g - x
         # x is finite, so r is finite unless g is not or g - x overflowed
         # (an empty x has r = 0)
-        r = float(np.abs(F).max(initial=0.0))
-        if not math.isfinite(r) and not np.isfinite(g).all():
+        r = float(max_reduce(absolute(F), initial=0.0))
+        if not isfinite(r) and not np.isfinite(g).all():
             return finish(x, "non_finite", np.inf)
         history.append(r)
-        if r < cfg.tolerance:
+        if r < tolerance:
             return finish(g, "converged", r)
-        if cfg.method == "plain":
+        if method == "plain":
             x = g
             continue
         last_image = g
-        if cfg.method == "squarem":  # a second evaluation, on Phi(Phi(x))
-            if evals >= cfg.max_evaluations:
+        if method == "squarem":  # a second evaluation, on Phi(Phi(x))
+            if evals >= max_evals:
                 break
-            g2 = fp_map.evaluate(g)
+            g2 = evaluate(g)
             evals += 1
             if not np.isfinite(g2).all():
                 return finish(g, "non_finite", np.inf)
             last_image = g2
-        # an overflowing step ends the solve as non_finite below, without warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            if cfg.method == "anderson":
+        # no warnings: an overflowing step ends as non_finite below, a 0/0 step size is 1
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if method == "anderson":
                 # the first combination has no differences: a plain step
                 if F_prev is not None:
                     d_hist.append(F - F_prev)
                 F_prev = F
                 g_hist.append(g)
-                if len(g_hist) > cfg.anderson_memory + 1:
+                if len(g_hist) > memory + 1:
                     del g_hist[0], d_hist[0]
                 x_next = anderson_combine(d_hist, F, g_hist)
-            elif cfg.method == "spectral":
+            elif method == "spectral":
                 alpha = 1.0 if x_prev is None else alpha_from(x - x_prev, F - F_prev)
                 x_prev, F_prev = x, F
                 x_next = x + alpha * F

@@ -15,8 +15,8 @@ import numpy as np
 
 from .accel import AccelConfig, FixedPointMap, solve
 from .numerics import log_share_gap, logsumexp
-from .static_rcl import (StaticMarket, _freeze, check_mu_span, exp_mu, numeric_array,
-                         outside_logit)
+from .static_rcl import (StaticMarket, _freeze, _log_s0, check_mu_span, exp_mu,
+                         numeric_array, outside_logit)
 
 RCNL_MAPPINGS = ("delta0", "delta1", "IV0", "IV1")
 
@@ -109,25 +109,54 @@ def _em(mkt: NestedMarket, em):
     return em or nest_exp_mu(mkt.base.mu, mkt.groups, mkt.rho)
 
 
+def _rcnl_phi_delta_map(mkt: NestedMarket, gamma: float, em):
+    base, rho_j = mkt.base, mkt.product_rho
+
+    def phi(delta):
+        s_j, s_g, s_0, iv = rcnl_shares(delta, mkt, em)
+        with np.errstate(divide="ignore"):
+            out = delta + (1.0 - rho_j) * (base.log_shares - np.log(s_j))
+            if gamma != 0.0:
+                gap_g = mkt.log_nest_shares - np.log(s_g)
+                out = out + gamma * rho_j * gap_g[mkt.nest_of]
+                # s_0 underflows at large IV, its log does not (as in rcnl_iota_IV_to_delta)
+                log_s0 = np.log(s_0)
+                if s_0 == 0.0:
+                    a, _, _, denom = outside_logit(iv)
+                    log_s0 = _log_s0(a + np.log(denom), base.weights)
+                out = out - gamma * (base.log_outside - log_s0)
+        return out
+    return phi
+
+
+def _rcnl_iota_IV_to_delta_map(mkt: NestedMarket, gamma: float, em):
+    base, nests = mkt.base, tuple(enumerate(zip(mkt.groups, em, mkt.rho)))
+
+    def to_delta(iv):
+        ivT = np.ascontiguousarray(iv.T)
+        a_top, _, _, denom = outside_logit(ivT.T)
+        lse_top = a_top + np.log(denom)
+        delta = np.empty(base.n_products)
+        with np.errstate(divide="ignore"):
+            for g, (idx, (a, E), rho) in nests:
+                y = a - ivT[g] * (rho / (1.0 - rho)) - lse_top
+                cb = np.maximum.reduce(y)
+                lse = cb + np.log((base.weights * np.exp(y - cb)) @ E)
+                delta[idx] = (1.0 - rho) * (base.log_shares[idx] - lse)
+        if gamma != 0.0:
+            # model nest and outside shares in logs: at large IV the outside
+            # probabilities exp(-lse_top) underflow, their logs do not
+            gap_g = mkt.log_nest_shares - logsumexp((ivT - lse_top).T, 0, base.weights)
+            delta = delta + gamma * mkt.product_rho * gap_g[mkt.nest_of]
+            delta = delta - gamma * (base.log_outside - _log_s0(lse_top, base.weights))
+        return delta
+    return to_delta
+
+
 def rcnl_phi_delta(delta, gamma: float, mkt: NestedMarket, em=None) -> np.ndarray:
     """delta + (1-rho)(logS_j - log s_j) + gamma*rho*(logS_g - log s_g)
     - gamma*(logS_0 - log s_0), with each product's own nest terms."""
-    delta = np.asarray(delta, dtype=float)
-    base = mkt.base
-    s_j, s_g, s_0, iv = rcnl_shares(delta, mkt, em)
-    rho_j = mkt.product_rho
-    with np.errstate(divide="ignore"):
-        out = delta + (1.0 - rho_j) * (base.log_shares - np.log(s_j))
-        if gamma != 0.0:
-            gap_g = mkt.log_nest_shares - np.log(s_g)
-            out = out + gamma * rho_j * gap_g[mkt.nest_of]
-            # s_0 underflows at large IV, its log does not (as in rcnl_iota_IV_to_delta)
-            log_s0 = np.log(s_0)
-            if s_0 == 0.0:
-                a, _, _, denom = outside_logit(iv)
-                log_s0 = logsumexp((-(a + np.log(denom)))[:, None], 0, base.weights)[0]
-            out = out - gamma * (base.log_outside - log_s0)
-    return out
+    return _rcnl_phi_delta_map(mkt, gamma, _em(mkt, em))(np.asarray(delta, dtype=float))
 
 
 def rcnl_iota_delta_to_IV(delta, mkt: NestedMarket, em=None) -> np.ndarray:
@@ -141,29 +170,7 @@ def rcnl_iota_IV_to_delta(iv, gamma: float, mkt: NestedMarket, em=None) -> np.nd
     with z_ij = mu_ij/(1-rho_g) - IV_ig rho_g/(1-rho_g) - log(1 + sum_h
     exp(IV_ih)), one matrix-vector product over each nest's E.
     """
-    iv = np.asarray(iv, dtype=float)
-    base = mkt.base
-    em = _em(mkt, em)
-    ivT = np.ascontiguousarray(iv.T)
-    a_top, _, _, denom = outside_logit(ivT.T)
-    lse_top = a_top + np.log(denom)
-    delta = np.empty(base.n_products)
-    with np.errstate(divide="ignore"):
-        for g, idx in enumerate(mkt.groups):
-            a, E = em[g]
-            rho = mkt.rho[g]
-            y = a - ivT[g] * (rho / (1.0 - rho)) - lse_top
-            cb = y.max()
-            lse = cb + np.log((base.weights * np.exp(y - cb)) @ E)
-            delta[idx] = (1.0 - rho) * (base.log_shares[idx] - lse)
-    if gamma != 0.0:
-        # model nest and outside shares in logs: at large IV the outside
-        # probabilities exp(-lse_top) underflow, their logs do not
-        gap_g = mkt.log_nest_shares - logsumexp((ivT - lse_top).T, 0, base.weights)
-        delta = delta + gamma * mkt.product_rho * gap_g[mkt.nest_of]
-        log_s0 = logsumexp((-lse_top)[:, None], 0, base.weights)[0]
-        delta = delta - gamma * (base.log_outside - log_s0)
-    return delta
+    return _rcnl_iota_IV_to_delta_map(mkt, gamma, _em(mkt, em))(np.asarray(iv, dtype=float))
 
 
 def rcnl_phi_IV(iv, gamma: float, mkt: NestedMarket, em=None) -> np.ndarray:
@@ -197,11 +204,12 @@ def rcnl_solve_inner(mkt: NestedMarket, mapping: str, cfg: AccelConfig):
     base = mkt.base
     em = nest_exp_mu(base.mu, mkt.groups, mkt.rho)
     if mapping.startswith("delta"):
-        fp = FixedPointMap(lambda d: rcnl_phi_delta(d, gamma, mkt, em))
+        fp = FixedPointMap(_rcnl_phi_delta_map(mkt, gamma, em))
         outcome = solve(fp, rcnl_initial_delta(mkt), cfg)
         return outcome.point, outcome
     shape = (base.n_types, mkt.n_nests)
-    fp = FixedPointMap(lambda v: rcnl_phi_IV(v.reshape(shape), gamma, mkt, em).ravel())
+    to_delta = _rcnl_iota_IV_to_delta_map(mkt, gamma, em)
+    fp = FixedPointMap(
+        lambda v: rcnl_iota_delta_to_IV(to_delta(v.reshape(shape)), mkt, em).ravel())
     outcome = solve(fp, np.zeros(shape).ravel(), cfg)
-    delta = rcnl_iota_IV_to_delta(outcome.point.reshape(shape), gamma, mkt, em)
-    return delta, outcome
+    return to_delta(outcome.point.reshape(shape)), outcome

@@ -114,11 +114,12 @@ def check_market_data(shares, outside, mu, weights) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Exp-space kernels. The mappings take an optional ``em``, the market's
-# exp_mu(mu): the solvers build it once per solve and pass it, and a direct
-# call builds it. The result is the same either way. The value-space mapping
-# (iota_delta_to_V, iota_V_to_delta, phi_V) works in exp space on large
-# markets only: see "The value mapping" below.
+# Exp-space kernels. Each mapping K(x, ..., mkt, em=None) calls a function of
+# x alone that a builder (_phi_delta_map, _value_maps, _kalouptsidi_maps)
+# returns with gamma, the market's arrays, its size branch and em = exp_mu(mu)
+# fixed: a solve builds it once and a direct call for one evaluation, with the
+# same bits. The value-space mapping (iota_delta_to_V, iota_V_to_delta, phi_V)
+# works in exp space on large markets only: see "The value mapping" below.
 
 
 def exp_mu(mu: np.ndarray):
@@ -140,7 +141,7 @@ def _logit(delta, a, E):
     + a_i, 0), so every exp argument is <= 0, and type i's inclusive value is
     V_i = k_i + log denom_i.
     """
-    c = delta.max()
+    c = np.maximum.reduce(delta)
     ed = np.exp(delta - c)
     b = a + c
     k = np.maximum(b, 0.0)
@@ -166,20 +167,32 @@ def logit_shares(delta, mu, weights):
     return s_j, s_0, (eb / denom)[:, None] * E * ed
 
 
+def _log_s0(V, weights):
+    """log sum_i w_i exp(-V_i) in 1-D, with numerics.logsumexp's bits on the column -V."""
+    m = np.maximum.reduce(-V)
+    return m + np.log(np.add.reduce(np.exp(-V - m) * weights))
+
+
+def _phi_delta_map(mkt: StaticMarket, gamma: float, em):
+    weights, log_shares, log_outside = mkt.weights, mkt.log_shares, mkt.log_outside
+
+    def phi(delta):
+        s_j, s_0, (_, _, k, _, denom) = _shares(delta, weights, *em)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = delta + (log_shares - np.log(s_j))
+            if gamma != 0.0:
+                # s_0 underflows when every type's utilities sit ~745 above the
+                # outside option; log s_0 = log sum_i w_i exp(-V_i), with
+                # V_i = k_i + log denom_i, does not
+                log_s0 = np.log(s_0) if s_0 != 0.0 else _log_s0(k + np.log(denom), weights)
+                out = out - gamma * (log_outside - log_s0)
+        return out
+    return phi
+
+
 def phi_delta(delta, gamma: float, mkt: StaticMarket, em=None) -> np.ndarray:
     """delta + (log S - log s(delta)) - gamma * (log S0 - log s0(delta))."""
-    delta = np.asarray(delta, dtype=float)
-    s_j, s_0, (_, _, k, _, denom) = _shares(delta, mkt.weights, *(em or exp_mu(mkt.mu)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = delta + (mkt.log_shares - np.log(s_j))
-        if gamma != 0.0:
-            # s_0 underflows when every type's utilities sit ~745 above the
-            # outside option; log s_0 = log sum_i w_i exp(-V_i), with
-            # V_i = k_i + log denom_i, does not
-            log_s0 = (np.log(s_0) if s_0 != 0.0 else
-                      logsumexp((-(k + np.log(denom)))[:, None], 0, mkt.weights)[0])
-            out = out - gamma * (mkt.log_outside - log_s0)
-    return out
+    return _phi_delta_map(mkt, gamma, em or exp_mu(mkt.mu))(np.asarray(delta, dtype=float))
 
 
 def outside_logit(u: np.ndarray):
@@ -211,38 +224,49 @@ def outside_logit(u: np.ndarray):
 _EXP_SPACE_MIN_SIZE = 1 << 17
 
 
+def _value_maps(mkt: StaticMarket, gamma: float, em):  # (iota_V_to_delta, iota_delta_to_V)
+    log_shares, weights, mu = mkt.log_shares, mkt.weights, mkt.mu
+    if mu.size >= _EXP_SPACE_MIN_SIZE:
+        a, E = em
+
+        def to_delta0(V):
+            b = a - V
+            cb = np.maximum.reduce(b)
+            return log_shares - cb - np.log((weights * np.exp(b - cb)) @ E)
+
+        def to_V(delta):
+            _, _, k, _, denom = _logit(delta, a, E)
+            return k + np.log(denom)
+    else:
+        weight_col = weights[:, None]
+
+        def to_delta0(V):  # logsumexp(mu - V[:, None], 0, weights)'s arithmetic, in place
+            z = mu - V[:, None]
+            m = np.maximum.reduce(z, 0)
+            z -= m
+            np.exp(z, out=z)
+            z *= weight_col
+            return log_shares - (m + np.log(np.add.reduce(z, 0)))
+
+        def to_V(delta):  # outside_logit's arithmetic, in place
+            u = delta + mu
+            a = np.maximum(np.maximum.reduce(u, 1), 0.0)
+            u -= a[:, None]
+            np.exp(u, out=u)
+            return a + np.log(np.exp(-a) + np.add.reduce(u, 1))
+    if gamma == 0.0:
+        return to_delta0, to_V
+    return (lambda V: to_delta0(V) - gamma * (mkt.log_outside - _log_s0(V, weights))), to_V
+
+
 def iota_delta_to_V(delta, mkt: StaticMarket, em=None) -> np.ndarray:
     """Per-type inclusive value V_i = log(1 + sum_j exp(delta_j + mu_ij))."""
-    delta = np.asarray(delta, dtype=float)
-    if mkt.mu.size >= _EXP_SPACE_MIN_SIZE:
-        _, _, k, _, denom = _logit(delta, *(em or exp_mu(mkt.mu)))
-        return k + np.log(denom)
-    u = delta[None, :] + mkt.mu  # outside_logit's arithmetic, in place
-    a = np.maximum(u.max(axis=1), 0.0)
-    u -= a[:, None]
-    np.exp(u, out=u)
-    return a + np.log(np.exp(-a) + u.sum(axis=1))
+    return _value_maps(mkt, 0.0, em or exp_mu(mkt.mu))[1](np.asarray(delta, dtype=float))
 
 
 def iota_V_to_delta(V, gamma: float, mkt: StaticMarket, em=None) -> np.ndarray:
     """Analytic delta given inclusive values, with the gamma outside correction."""
-    V = np.asarray(V, dtype=float)
-    if mkt.mu.size >= _EXP_SPACE_MIN_SIZE:
-        a, E = em or exp_mu(mkt.mu)
-        b = a - V
-        cb = b.max()
-        delta = mkt.log_shares - cb - np.log((mkt.weights * np.exp(b - cb)) @ E)
-    else:  # logsumexp(mu - V[:, None], 0, weights)'s arithmetic, in place
-        z = mkt.mu - V[:, None]
-        m = z.max(axis=0)
-        z -= m
-        np.exp(z, out=z)
-        z *= mkt.weights[:, None]
-        delta = mkt.log_shares - (m + np.log(z.sum(axis=0)))
-    if gamma != 0.0:
-        log_s0_hat = logsumexp((-V)[:, None], 0, mkt.weights)[0]
-        delta = delta - gamma * (mkt.log_outside - log_s0_hat)
-    return delta
+    return _value_maps(mkt, gamma, em or exp_mu(mkt.mu))[0](np.asarray(V, dtype=float))
 
 
 def phi_V(V, gamma: float, mkt: StaticMarket, em=None) -> np.ndarray:
@@ -266,36 +290,42 @@ def dist_metric(delta, mkt: StaticMarket) -> float:
 # V_i = log w_i - r_i, iota_V_to_delta(V, 0) recovers delta from r.
 
 
-def _kalouptsidi_rhs(r_full: np.ndarray, mkt: StaticMarket, em) -> np.ndarray:
-    """log of the bracketed share sum in F_i, for every type i:
-    log(sum_j S_j exp(mu_ij + r_i) / sum_k exp(mu_kj + r_k) + S_0 softmax(r)_i)."""
+def _kalouptsidi_maps(mkt: StaticMarket, em):  # (kalouptsidi_F, kalouptsidi_Ftilde)
     a, E = em
-    y = a + r_full
-    ey = np.exp(y - y.max())  # sum_i exp(mu_ij + r_i) = exp(max y) * (ey @ E)_j
-    er = np.exp(r_full - r_full.max())
-    inner = ey * (E @ (mkt.shares / (ey @ E))) + mkt.outside_share * (er / er.sum())
-    with np.errstate(divide="ignore"):
-        return np.log(inner)
+    shares, outside, log_w_head = mkt.shares, mkt.outside_share, np.log(mkt.weights[:-1])
+
+    def rhs(r_full):
+        """log of the bracketed share sum in F_i, for every type i: log(sum_j
+        S_j exp(mu_ij + r_i) / sum_k exp(mu_kj + r_k) + S_0 softmax(r)_i)."""
+        y = a + r_full
+        ey = np.exp(y - np.maximum.reduce(y))  # sum_i exp(mu_ij + r_i) = exp(max y) (ey @ E)_j
+        er = np.exp(r_full - np.maximum.reduce(r_full))
+        inner = ey * (E @ (shares / (ey @ E))) + outside * (er / np.add.reduce(er))
+        with np.errstate(divide="ignore"):
+            return np.log(inner)
+
+    def F(r):
+        head = r[:-1] + log_w_head - rhs(r)[:-1]
+        # far from the fixed point exp(head) overflows and the tail is NaN: F latches
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            tail = np.log(outside - np.add.reduce(np.exp(head)))  # log S_0 with one type
+        return np.concatenate([head, [tail]])
+
+    def Ftilde(rt):
+        if mkt.n_types < 2:
+            raise ValueError("the normalized mapping needs at least two types")
+        return rt + log_w_head - rhs(np.concatenate([rt, [0.0]]))[:-1]
+    return F, Ftilde
 
 
 def kalouptsidi_F(r, mkt: StaticMarket, em=None) -> np.ndarray:
     """The original mapping: head types via the share sum, last via adding up."""
-    r = np.asarray(r, dtype=float)
-    rhs = _kalouptsidi_rhs(r, mkt, em or exp_mu(mkt.mu))
-    head = r[:-1] + np.log(mkt.weights[:-1]) - rhs[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tail = np.log(mkt.outside_share - np.exp(head).sum())  # log S_0 with one type
-    return np.concatenate([head, [tail]])
+    return _kalouptsidi_maps(mkt, em or exp_mu(mkt.mu))[0](np.asarray(r, dtype=float))
 
 
 def kalouptsidi_Ftilde(r_tilde, mkt: StaticMarket, em=None) -> np.ndarray:
     """Normalized variant on r_tilde = r - r_I (last type pinned at 0)."""
-    rt = np.asarray(r_tilde, dtype=float)
-    if mkt.n_types < 2:
-        raise ValueError("the normalized mapping needs at least two types")
-    r_full = np.concatenate([rt, [0.0]])
-    rhs = _kalouptsidi_rhs(r_full, mkt, em or exp_mu(mkt.mu))
-    return rt + np.log(mkt.weights[:-1]) - rhs[:-1]
+    return _kalouptsidi_maps(mkt, em or exp_mu(mkt.mu))[1](np.asarray(r_tilde, dtype=float))
 
 
 def _r_from_r_tilde(rt: np.ndarray, mkt: StaticMarket) -> np.ndarray:
@@ -326,17 +356,16 @@ def solve_inner(mkt: StaticMarket, mapping: str, cfg: AccelConfig):
     gamma = 1.0 if mapping.endswith("1") else 0.0
     em = exp_mu(mkt.mu)
     if mapping.startswith("V"):
-        fp = FixedPointMap(lambda v: phi_V(v, gamma, mkt, em))
-        outcome = solve(fp, np.zeros(mkt.n_types), cfg)
-        return iota_V_to_delta(outcome.point, gamma, mkt, em), outcome
+        to_delta, to_V = _value_maps(mkt, gamma, em)
+        outcome = solve(FixedPointMap(lambda v: to_V(to_delta(v))), np.zeros(mkt.n_types), cfg)
+        return to_delta(outcome.point), outcome
     if mapping.startswith("delta"):
-        fp = FixedPointMap(lambda d: phi_delta(d, gamma, mkt, em))
-        outcome = solve(fp, initial_delta(mkt), cfg)
+        outcome = solve(FixedPointMap(_phi_delta_map(mkt, gamma, em)), initial_delta(mkt), cfg)
         return outcome.point, outcome
     log_w = np.log(mkt.weights)
+    F, Ftilde = _kalouptsidi_maps(mkt, em)
     if mapping == "kalouptsidi_tilde":
-        fp = FixedPointMap(lambda rt: kalouptsidi_Ftilde(rt, mkt, em))
-        outcome = solve(fp, log_w[:-1] - log_w[-1], cfg)
+        outcome = solve(FixedPointMap(Ftilde), log_w[:-1] - log_w[-1], cfg)
         r = _r_from_r_tilde(outcome.point, mkt)
     else:
         latched = False
@@ -349,12 +378,12 @@ def solve_inner(mkt: StaticMarket, mapping: str, cfg: AccelConfig):
             cycle. With one type F is the constant log S_0 and never latches."""
             nonlocal latched
             if not latched:
-                out = kalouptsidi_F(r, mkt, em)
+                out = F(r)
                 if np.all(np.isfinite(out)):
                     return out
                 latched = True
-            return _r_from_r_tilde(kalouptsidi_Ftilde(r[:-1] - r[-1], mkt, em), mkt)
+            return _r_from_r_tilde(Ftilde(r[:-1] - r[-1]), mkt)
 
         outcome = solve(FixedPointMap(mixed_map), log_w, cfg)
         r = outcome.point
-    return iota_V_to_delta(log_w - r, 0.0, mkt, em), outcome
+    return _value_maps(mkt, 0.0, em)[0](log_w - r), outcome

@@ -553,17 +553,20 @@ def _per_block_alphas(s, y, rule):
     return [min(spectral_alpha(s[g], y[g], rule), DEFAULT_BLOCK_STEP_CAP) for g in _GROUPS]
 
 
+def third_input(steps, x0, method, rule, labels=_BLOCKS):
+    """The point solve evaluates third on the scripted map Phi(x) = x + steps[k],
+    with one step size per block of labels, or one in all with labels None."""
+    cfg = AccelConfig(method=method, step_size_rule=rule, use_blocks=labels is not None,
+                      max_evaluations=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fp, inputs = scripted_map(steps, labels)
+        solve(fp, x0, cfg)
+    return inputs[2]
+
+
 class TestBlockStepSizes:
-    @staticmethod
-    def third_input(steps, x0, method, rule):
-        """The point solve evaluates third on the scripted map Phi(x) = x + steps[k]."""
-        cfg = AccelConfig(method=method, step_size_rule=rule, use_blocks=True,
-                          max_evaluations=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fp, inputs = scripted_map(steps, _BLOCKS)
-            solve(fp, x0, cfg)
-        return inputs[2]
+    third_input = staticmethod(third_input)
 
     @pytest.mark.parametrize("scenario", sorted(_BLOCK_SCENARIOS))
     @pytest.mark.parametrize("rule", ["S1", "S2", "S3", "S3prime"])
@@ -600,3 +603,69 @@ class TestBlockStepSizes:
                        for rule in ("S1", "S2", "S3", "S3prime"))
         assert _per_block_alphas(s, y, "S1")[1] == DEFAULT_BLOCK_STEP_CAP
         assert spectral_alpha(s[_GROUPS[1]], y[_GROUPS[1]], "S1") == pytest.approx(37.0)
+
+
+# Each block of each scenario alone, as a scalar step size problem, and a
+# ratio that overflows although s's and y'y do not (S2 divides by s'y = 0).
+_SCALAR_SCENARIOS = {
+    **{f"{scenario}[{b}]": pair for scenario, pairs in _BLOCK_SCENARIOS.items()
+       for b, pair in enumerate(pairs)},
+    "ratio-overflow": ((2.0 ** 511, 0.0), (0.0, 2.0 ** -520)),
+}
+
+
+def assert_same_bits(x, y):
+    assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), (x, y)
+
+
+class TestSolveLoopStepSizes:
+    """The solve loop's step sizes are spectral_alpha's and block_step_sizes'
+    bit for bit: its third point is x + alpha * F (spectral) or x + 2 alpha F
+    + alpha^2 y (SQUAREM) with their alpha, the scripted maps of
+    TestBlockStepSizes keeping s and y exact."""
+
+    @staticmethod
+    def cases():
+        for name, (s_b, y_b) in _SCALAR_SCENARIOS.items():
+            yield name, np.array(s_b), np.array(y_b), None
+        for name in _BLOCK_SCENARIOS:
+            yield name + "[blocks]", *_block_vectors(name), _BLOCKS
+
+    @staticmethod
+    def alpha(s, y, rule, labels):
+        if labels is None:
+            return spectral_alpha(s, y, rule)
+        return block_step_sizes(s, y, labels, rule)[labels]
+
+    @pytest.mark.parametrize("rule", ["S1", "S2", "S3", "S3prime"])
+    def test_spectral(self, rule):
+        for _, s, y, labels in self.cases():
+            F = s + y
+            x2 = third_input([s, F, np.zeros_like(s)], -s, "spectral", rule, labels)
+            assert_same_bits(x2, np.zeros_like(s) + self.alpha(s, y, rule, labels) * F)
+
+    @pytest.mark.parametrize("rule", ["S1", "S2", "S3", "S3prime"])
+    def test_squarem(self, rule):
+        for _, s, y, labels in self.cases():
+            x0 = np.zeros_like(s)
+            x_next = third_input([s, s + y, x0], x0, "squarem", rule, labels)
+            alpha = self.alpha(s, y, rule, labels)
+            assert_same_bits(x_next, x0 + 2.0 * alpha * s + np.float64(alpha) ** 2 * y)
+
+    def test_the_scalar_cases_reach_every_fallback(self):
+        def case(name):
+            return map(np.array, _SCALAR_SCENARIOS[name])
+
+        s, y = case("unit-step-and-orthogonal[0]")
+        assert y @ y == 0.0 and spectral_alpha(s, y, "S1") == 1.0
+        s, y = case("unit-step-and-orthogonal[1]")
+        assert s @ y == 0.0 and spectral_alpha(s, y, "S2") == 1.0
+        s, y = case("overflow-and-cap[0]")
+        with np.errstate(over="ignore"):
+            assert s @ s == np.inf
+        assert spectral_alpha(s, y, "S3") == 1.0
+        s, y = case("ratio-overflow")
+        assert np.isfinite(s @ s) and 0.0 < y @ y
+        with np.errstate(over="ignore"):
+            assert np.sqrt(s @ s) / np.sqrt(y @ y) == np.inf
+        assert spectral_alpha(s, y, "S3") == 1.0

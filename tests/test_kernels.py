@@ -13,7 +13,8 @@ The static value-space mapping works in exp space on markets with at least
 cover both sides of that cutoff and are held to the same references. The
 durable forward pass and ownership path, which skip the floor where it binds
 nowhere, must also equal bit for bit the loops in oracles.py that floor every
-period.
+period. The mapping that solve_inner and rcnl_solve_inner build once per
+solve must equal the public kernel bit for bit.
 """
 
 import warnings
@@ -23,9 +24,11 @@ import numpy as np
 import pytest
 
 from demandinv import dynamic, rcnl, static_rcl
+from demandinv.accel import AccelConfig, SolveOutcome
 from demandinv.datagen import (DynamicDgpParams, SeededRng, StaticDgpParams, draw_theta,
                                gen_dynamic_market, gen_nested_market, gen_static_market)
 from demandinv.dynamic import DurableMarket
+from demandinv.numerics import logsumexp
 from demandinv.rcnl import NestedMarket
 from demandinv.static_rcl import MU_SPAN_LIMIT, StaticMarket
 
@@ -195,6 +198,110 @@ def test_nested_kernels_match_the_log_space_reference(case, gamma):
     # drifted values, as in test_static_value_mapping_at_drifted_values
     iv = 1.23e14 + rng.random(o_iv.shape)
     assert_agree(quiet(rcnl.rcnl_phi_IV, iv, 0.0, mkt), oracles.log_rcnl_phi_IV(iv, 0.0, mkt))
+
+
+def assert_same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    assert (x.dtype, x.shape) == (y.dtype, y.shape)
+    assert x.tobytes() == y.tobytes(), np.max(np.abs(x - y))
+
+
+@pytest.mark.parametrize("I", [1, 2, 7, 8, 9, 100, 1000, 4097])
+def test_the_outside_log_sum_equals_logsumexp_on_the_column(I):
+    # numpy adds fewer than 8 entries one by one and more in pairwise blocks
+    rng = np.random.default_rng(I)
+    for draw in range(20):
+        w = _simplex(rng, I)
+        if draw % 2 and I > 1:  # zero weights
+            w[rng.random(I) < 0.5] = 0.0
+            w[rng.integers(I)] = 1.0
+            w /= w.sum()
+        base = rng.normal(size=I) * 3.0
+        for V in (base, base + 800.0, base - 800.0, base + 1e14):
+            want = logsumexp((-V)[:, None], 0, w)[0]
+            assert_same_bits(quiet(static_rcl._log_s0, V, w), want)
+
+
+def _built_map(monkeypatch, module, entry, mkt, mapping, exp_name):
+    """(FixedPointMap, start point) that entry builds for mapping, left
+    unevaluated, and the number of calls of module.exp_name during the entry."""
+    built, calls = [], []
+    build_em = getattr(module, exp_name)
+
+    def counted(*args):
+        calls.append(1)
+        return build_em(*args)
+
+    def no_solve(fp, x0, cfg):
+        built.append((fp, x0))
+        return SolveOutcome(x0, False, 0, "max_evaluations", np.inf)
+
+    monkeypatch.setattr(module, exp_name, counted)
+    monkeypatch.setattr(module, "solve", no_solve)
+    entry(mkt, mapping, AccelConfig())
+    monkeypatch.undo()
+    (fp, x0), = built
+    return fp, x0, len(calls)
+
+
+def _static_reference(mkt, mapping):
+    """The public static kernel that mapping iterates."""
+    gamma = 1.0 if mapping.endswith("1") else 0.0
+    if mapping.startswith("V"):
+        return lambda V: static_rcl.phi_V(V, gamma, mkt)
+    if mapping.startswith("delta"):
+        return lambda d: static_rcl.phi_delta(d, gamma, mkt)
+    if mapping == "kalouptsidi_tilde":
+        return lambda rt: static_rcl.kalouptsidi_Ftilde(rt, mkt)
+
+    def mixed(r):  # a fresh map latches at its first non-finite F
+        out = static_rcl.kalouptsidi_F(r, mkt)
+        if np.all(np.isfinite(out)):
+            return out
+        rt = static_rcl.kalouptsidi_Ftilde(r[:-1] - r[-1], mkt)
+        return static_rcl._r_from_r_tilde(rt, mkt)
+    return mixed
+
+
+# V at the start, shifted by +-800 and drifted to 1e14; the Kalouptsidi
+# mappings iterate on r = log w - V
+V_SHIFTS = (0.0, 800.0, -800.0, 1e14)
+
+
+@pytest.mark.parametrize("case", sorted(STATIC_CASES))
+@pytest.mark.parametrize("mapping", static_rcl.MAPPINGS)
+def test_solve_inner_iterates_the_public_kernel_bit_for_bit(case, mapping, monkeypatch):
+    mkt = STATIC_CASES[case][0]()
+    if mapping == "kalouptsidi_tilde" and mkt.n_types < 2:
+        with pytest.raises(ValueError, match="at least two types"):
+            static_rcl.solve_inner(mkt, mapping, AccelConfig())
+        return
+    reference = _static_reference(mkt, mapping)
+    sign = -1.0 if mapping.startswith("kalouptsidi") else 1.0
+    for shift in V_SHIFTS:
+        fp, x0, n_exp_mu = _built_map(monkeypatch, static_rcl, static_rcl.solve_inner, mkt,
+                                      mapping, "exp_mu")
+        assert n_exp_mu == 1
+        x = x0 + sign * shift
+        assert_same_bits(quiet(fp.evaluate, x), quiet(reference, x))
+
+
+@pytest.mark.parametrize("case", sorted(NESTED_CASES))
+@pytest.mark.parametrize("mapping", rcnl.RCNL_MAPPINGS)
+def test_rcnl_solve_inner_iterates_the_public_kernel_bit_for_bit(case, mapping, monkeypatch):
+    mkt = NESTED_CASES[case][0]()
+    gamma = 1.0 if mapping.endswith("1") else 0.0
+    fp, x0, n_exp_mu = _built_map(monkeypatch, rcnl, rcnl.rcnl_solve_inner, mkt, mapping,
+                                  "nest_exp_mu")
+    assert n_exp_mu == 1
+    shape = (mkt.base.n_types, mkt.n_nests)
+    for shift in V_SHIFTS:
+        x = x0 + shift
+        if mapping.startswith("IV"):
+            want = quiet(rcnl.rcnl_phi_IV, x.reshape(shape), gamma, mkt).ravel()
+        else:
+            want = quiet(rcnl.rcnl_phi_delta, x, gamma, mkt)
+        assert_same_bits(quiet(fp.evaluate, x), want)
 
 
 def _dgp_durable(horizon):

@@ -1,0 +1,164 @@
+"""Alternating pairs of benchmark runs on two checkouts, and the verdict on a gain.
+
+    python tools/bench_pairs.py --parent DIR --change DIR --workload small-markets \\
+        [--seed 7919] [--pairs 10] [--append LABEL]
+
+Pair k runs ``perfbench/run.py --workload W --trace 0`` once in each checkout,
+the parent first when k is even and the change first when k is odd. A run
+whose result is not correct stops the script with exit code 1. For each
+end-to-end metric of ``BENCHMARK.json`` it then prints each side's median and
+quartiles, the relative change of the median, the change's wins (ties count
+for neither side) and the verdict of the rule for claiming a gain: the change
+wins at least nine tenths of the pairs, and the medians differ by more than
+the distance between the parent's quartiles.
+
+With ``--append LABEL`` both series go into this repository's
+``BENCH_<workload>.json`` as two entries, the parent's and then the change's
+under LABEL, in the file's entry format.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def quartiles(values) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), interpolated between the
+    sorted values as numpy.percentile does."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def verdict(parent, change, better: str) -> tuple[int, bool]:
+    """(wins, gain) for paired series of one metric: wins counts the pairs
+    whose change value is better (ties count for neither side), and gain holds
+    when the change wins at least nine tenths of the pairs and its median is
+    better than the parent's by more than the parent's interquartile range."""
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
+    p_q1, p_med, p_q3 = quartiles(parent)
+    gain = 10 * wins >= 9 * len(parent) and sign * (quartiles(change)[1] - p_med) > p_q3 - p_q1
+    return wins, gain
+
+
+def run_once(checkout: Path, workload: str, seed) -> dict:
+    """One untraced run in checkout: its result line, with the provenance."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0"]
+    if seed is not None:
+        cmd += ["--seed", str(seed)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {"correct": False}
+    if proc.returncode != 0 or not result.get("correct"):
+        sys.exit(f"bench_pairs: the run in {checkout} is not correct "
+                 f"(exit code {proc.returncode}):\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    prov = [line for line in lines if line.startswith("provenance: ")]
+    result["provenance"] = json.loads(prov[-1][len("provenance: "):])
+    return result
+
+
+def cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def entry(label, commit, command, order, runs) -> dict:
+    """One BENCH_<workload>.json entry for one side's runs."""
+    prov = runs[0]["provenance"]
+    metrics = list(runs[0]["metrics"])
+    series = {m: [run["metrics"][m]["value"] for run in runs] for m in metrics}
+    return {
+        "label": label, "commit": commit, "command": command, "order": order,
+        "environment": {"cpu": cpu_model(),
+                        **{k: prov[k] for k in ("python", "numpy", "scipy", "blas", "nproc",
+                                                "affinity_cpus", "threads", "malloc")}},
+        "code_sha256": prov["code_sha256"],
+        "runs": [{"correct": run["correct"], "attempted": run["attempted"],
+                  "failed": run["failed"],
+                  "metrics": {m: run["metrics"][m]["value"] for m in metrics}}
+                 for run in runs],
+        "median": {m: quartiles(v)[1] for m, v in series.items()},
+        "quartiles": {m: [quartiles(v)[0], quartiles(v)[2]] for m, v in series.items()},
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="the parent's checkout")
+    parser.add_argument("--change", type=Path, required=True, help="the change's checkout")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--append", metavar="LABEL", default=None,
+                        help="append both series to BENCH_<workload>.json, the change's "
+                             "under this label")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, path in dirs.items():
+        if not (path / "perfbench" / "run.py").is_file():
+            parser.error(f"--{side} {path} has no perfbench/run.py")
+    bounds = {m["name"]: m for m in
+              json.loads((dirs["change"] / "BENCHMARK.json").read_text())["end_to_end"]}
+
+    runs = {side: [] for side in SIDES}
+    order = []
+    for k in range(args.pairs):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            runs[side].append(run_once(dirs[side], args.workload, args.seed))
+            order.append(f"{k}:{side}")
+            value = runs[side][-1]["metrics"]["inversion_s"]["value"]
+            print(f"pair {k} {side}: inversion_s {value:.4g}", flush=True)
+
+    print(f"{args.workload}, {args.pairs} pairs, seed {args.seed}: median [q1, q3]")
+    for name, spec in bounds.items():
+        parent = [run["metrics"][name]["value"] for run in runs["parent"]]
+        change = [run["metrics"][name]["value"] for run in runs["change"]]
+        wins, gain = verdict(parent, change, spec["better"])
+        (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+        rel = f"{(cm - pm) / pm:+.2%}" if pm else "n/a"
+        print(f"  {name}: parent {pm:.6g} [{p1:.6g}, {p3:.6g}], change {cm:.6g} "
+              f"[{c1:.6g}, {c3:.6g}], {rel} ({spec['better']} is better, bound "
+              f"{spec['bound']:.0%}), change wins {wins} of {args.pairs}, "
+              f"gain {'yes' if gain else 'no'}")
+
+    if args.append:
+        path = ROOT / f"BENCH_{args.workload}.json"
+        bench = json.loads(path.read_text())
+        sha = runs["parent"][0]["provenance"]["git_sha"]
+        command = (f"python3 perfbench/run.py --workload {args.workload} --trace 0"
+                   + (f" --seed {args.seed}" if args.seed is not None else ""))
+        how = (f"{args.pairs} pairs, alternating which side runs first (parent first in "
+               f"even pairs); runs in the order they ran (pair:side): {', '.join(order)}")
+        seed_note = f", seed {args.seed}" if args.seed is not None else ""
+        bench["entries"] += [
+            entry(f"{sha[:7]} (parent){seed_note}", sha, command, how, runs["parent"]),
+            entry(args.append + seed_note, f"the child of {sha[:7]}", command, how,
+                  runs["change"])]
+        path.write_text(json.dumps(bench, indent=1) + "\n")
+        print(f"appended two entries to {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
