@@ -10,6 +10,17 @@ the step to the next iterate differs.
 The first spectral step, and every step whose step size degenerates, uses
 the unit step alpha = 1.
 
+Anderson's weights solve a least squares of the newest residual on the
+window of residual differences. With at least as many coordinates as the
+memory (a tall history, every large market) the solver updates a thin QR
+factorisation of the differences, O(n m) per iteration, and solves the small
+triangle (:class:`_DifferenceQR`); an SVD lstsq of the stacked n x m
+differences, afresh every iteration, costs several times that. A wide history
+(fewer coordinates than the memory: the two-type value mapping, the 2 x 2
+large-heterogeneity market) keeps :func:`anderson_combine`'s SVD lstsq bit
+for bit, because the benchmark pins the end of one Anderson drift on such a
+market to its last bits.
+
 Evaluation counting is the primary performance metric: the ``evaluations``
 field of :class:`SolveOutcome` counts every application of the mapping
 (SQUAREM consumes two per outer step, everything else one per iteration).
@@ -188,7 +199,13 @@ def anderson_combine(differences: Sequence[np.ndarray], residual: np.ndarray,
     newest residual on the differences of consecutive aligned residuals
     (oldest first, one fewer than images). Near-collinear histories take the
     minimum-norm solution, never rejected; no differences give plain
-    iteration, images[0] itself."""
+    iteration, images[0] itself.
+
+    The least squares is an SVD lstsq of the stacked differences, afresh on
+    every call. :func:`solve` takes this path only for wide histories, with
+    fewer coordinates than the memory; tall ones update a QR factorisation
+    instead (:class:`_DifferenceQR`), which gives the same weights up to
+    rounding at a fraction of the cost."""
     if not differences:
         return images[0]
     gamma = ls_minnorm(np.stack(differences, axis=1), residual)
@@ -197,6 +214,80 @@ def anderson_combine(differences: Sequence[np.ndarray], residual: np.ndarray,
     for k in range(1, len(w)):
         out = out + w[k] * images[k]
     return out
+
+
+class _DifferenceQR:
+    """Anderson's window of residual differences dF_j (oldest first) as a
+    thin QR factorisation dF = Q.T @ R, Q's rows orthonormal and R upper
+    triangular, beside the window's image differences dG_j; for histories
+    with at least as many coordinates n as the memory, in preallocated
+    buffers (Walker & Ni 2011, section 4).
+
+    Appending the newest difference is Gram-Schmidt with one
+    reorthogonalisation, each pass two matrix-vector products (the classical
+    form: the row-by-row modified form costs three times as much in numpy,
+    and the second pass makes either orthonormal to rounding). A difference
+    that the second pass shrinks below half of what the first left is
+    numerically dependent: it gets a zero diagonal in R, and Q a unit vector
+    orthogonal to its other rows. Deleting the oldest re-triangularises
+    R[:, 1:] by a small QR and rotates Q to match, O(n m) in all.
+    """
+
+    def __init__(self, n: int, memory: int):
+        self.Q = np.zeros((memory, n))
+        self.R = np.zeros((memory, memory))
+        self.dG = np.zeros((memory, n))
+        self.size = 0
+        # lstsq's own cutoff on the n x size differences, whose singular
+        # values R shares
+        self.rcond = np.finfo(float).eps * n
+
+    def append(self, dF: np.ndarray, dG: np.ndarray) -> None:
+        """Add the newest differences, deleting the oldest if the window is full."""
+        if self.size == len(self.R):
+            self._delete_oldest()
+        k = self.size
+        Q = self.Q[:k]
+        r = Q @ dF
+        v = dF - r @ Q
+        first = math.sqrt(v @ v)
+        s = Q @ v
+        v -= s @ Q
+        second = math.sqrt(v @ v)
+        self.R[:k, k] = r + s
+        if second > 0.5 * first:
+            self.R[k, k] = second
+            np.divide(v, second, out=self.Q[k])
+        else:
+            self.R[k, k] = 0.0
+            self.Q[k] = _orthogonal_unit_vector(Q)
+        self.dG[k] = dG
+        self.size = k + 1
+
+    def _delete_oldest(self) -> None:
+        k = self.size - 1
+        rotation, triangle = np.linalg.qr(self.R[:k + 1, 1:k + 1])
+        self.R[:k, :k] = triangle
+        self.Q[:k] = rotation.T @ self.Q[:k + 1]
+        self.dG[:k] = self.dG[1:k + 1]
+        self.size = k
+
+    def gamma(self, residual: np.ndarray) -> np.ndarray:
+        """The minimum-norm least squares of residual on the window's
+        differences, as anderson_combine solves it, from the factorisation."""
+        k = self.size
+        return ls_minnorm(self.R[:k, :k], self.Q[:k] @ residual, rcond=self.rcond)
+
+
+def _orthogonal_unit_vector(Q: np.ndarray) -> np.ndarray:
+    """A unit vector orthogonal to the orthonormal rows of Q (fewer rows
+    than columns): the coordinate vector they span least, projected off them
+    twice."""
+    j = int(np.argmin(np.einsum("ij,ij->j", Q, Q)))
+    v = -(Q[:, j] @ Q)
+    v[j] += 1.0
+    v -= (Q @ v) @ Q
+    return v / math.sqrt(v @ v)
 
 
 def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
@@ -226,9 +317,13 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
     evals = 0
     r = np.inf
     history: list[float] = []
-    g_hist: list[np.ndarray] = []  # Anderson: newest images Phi(x)
-    d_hist: list[np.ndarray] = []  # Anderson: their consecutive residual differences
-    x_prev = F_prev = None         # start (spectral) and residual of the last step
+    # Anderson: a tall history (at least memory coordinates) keeps its
+    # differences factorised; a wide one keeps its newest images and their
+    # consecutive residual differences for anderson_combine
+    window = _DifferenceQR(x.size, memory) if method == "anderson" and x.size >= memory else None
+    g_hist: list[np.ndarray] = []
+    d_hist: list[np.ndarray] = []
+    x_prev = F_prev = g_prev = None  # start (spectral), residual and image of the last step
 
     def finish(point, termination, residual):
         return SolveOutcome(point=np.asarray(point, dtype=float),
@@ -264,13 +359,19 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             if method == "anderson":
                 # the first combination has no differences: a plain step
-                if F_prev is not None:
-                    d_hist.append(F - F_prev)
-                F_prev = F
-                g_hist.append(g)
-                if len(g_hist) > memory + 1:
-                    del g_hist[0], d_hist[0]
-                x_next = anderson_combine(d_hist, F, g_hist)
+                if window is None:
+                    if F_prev is not None:
+                        d_hist.append(F - F_prev)
+                    g_hist.append(g)
+                    if len(g_hist) > memory + 1:
+                        del g_hist[0], d_hist[0]
+                    x_next = anderson_combine(d_hist, F, g_hist)
+                elif F_prev is None:
+                    x_next = g
+                else:
+                    window.append(F - F_prev, g - g_prev)
+                    x_next = g - window.gamma(F) @ window.dG[:window.size]
+                F_prev, g_prev = F, g
             elif method == "spectral":
                 alpha = 1.0 if x_prev is None else alpha_from(x - x_prev, F - F_prev)
                 x_prev, F_prev = x, F

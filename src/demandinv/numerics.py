@@ -31,14 +31,16 @@ def log_share_gap(log_S: np.ndarray, s: np.ndarray) -> float:
         return float(np.max(np.abs(log_S - np.log(s))))
 
 
-def ls_minnorm(A, b) -> np.ndarray:
+def ls_minnorm(A, b, rcond=None) -> np.ndarray:
     """Minimum-norm least-squares solution of min ||b - A g||_2.
 
-    Rank deficiency is handled by construction (SVD-backed lstsq).
+    Rank deficiency is handled by construction (SVD-backed lstsq): singular
+    values up to rcond times the largest count as zero; None takes lstsq's
+    default, machine epsilon times A's larger dimension.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float)
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+    sol, *_ = np.linalg.lstsq(A, b, rcond=rcond)
     return sol
 
 

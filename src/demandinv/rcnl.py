@@ -86,10 +86,12 @@ def _within(delta, groups, rho, em):
     return ivT, parts
 
 
-def nested_shares(delta, mu, weights, groups, rho, em=None):
+def nested_shares(delta, mu, weights, groups, rho):
     """Nested-logit shares from raw arrays: (s_j, s_g, s_0, per-type IV)."""
-    delta = np.asarray(delta, dtype=float)
-    em = em or nest_exp_mu(mu, groups, rho)
+    return _shares(np.asarray(delta, float), weights, groups, rho, nest_exp_mu(mu, groups, rho))
+
+
+def _shares(delta, weights, groups, rho, em):
     ivT, parts = _within(delta, groups, rho, em)
     _, e, e0, denom = outside_logit(ivT.T)  # the nest level, (I, G)
     s_j = np.empty(delta.size)
@@ -100,20 +102,20 @@ def nested_shares(delta, mu, weights, groups, rho, em=None):
     return s_j, s_g, float(weights @ (e0 / denom)), ivT.T
 
 
-def rcnl_shares(delta, mkt: NestedMarket, em=None):
+def rcnl_shares(delta, mkt: NestedMarket):
     """Nested model shares: (s_j, s_g, s_0, per-type IV matrix)."""
-    return nested_shares(delta, mkt.base.mu, mkt.base.weights, mkt.groups, mkt.rho, em)
+    return nested_shares(delta, mkt.base.mu, mkt.base.weights, mkt.groups, mkt.rho)
 
 
-def _em(mkt: NestedMarket, em):
-    return em or nest_exp_mu(mkt.base.mu, mkt.groups, mkt.rho)
+def _em(mkt: NestedMarket):
+    return nest_exp_mu(mkt.base.mu, mkt.groups, mkt.rho)
 
 
 def _rcnl_phi_delta_map(mkt: NestedMarket, gamma: float, em):
     base, rho_j = mkt.base, mkt.product_rho
 
     def phi(delta):
-        s_j, s_g, s_0, iv = rcnl_shares(delta, mkt, em)
+        s_j, s_g, s_0, iv = _shares(delta, base.weights, mkt.groups, mkt.rho, em)
         with np.errstate(divide="ignore"):
             out = delta + (1.0 - rho_j) * (base.log_shares - np.log(s_j))
             if gamma != 0.0:
@@ -153,29 +155,30 @@ def _rcnl_iota_IV_to_delta_map(mkt: NestedMarket, gamma: float, em):
     return to_delta
 
 
-def rcnl_phi_delta(delta, gamma: float, mkt: NestedMarket, em=None) -> np.ndarray:
+def rcnl_phi_delta(delta, gamma: float, mkt: NestedMarket) -> np.ndarray:
     """delta + (1-rho)(logS_j - log s_j) + gamma*rho*(logS_g - log s_g)
     - gamma*(logS_0 - log s_0), with each product's own nest terms."""
-    return _rcnl_phi_delta_map(mkt, gamma, _em(mkt, em))(np.asarray(delta, dtype=float))
+    return _rcnl_phi_delta_map(mkt, gamma, _em(mkt))(np.asarray(delta, dtype=float))
 
 
-def rcnl_iota_delta_to_IV(delta, mkt: NestedMarket, em=None) -> np.ndarray:
-    return _within(np.asarray(delta, dtype=float), mkt.groups, mkt.rho, _em(mkt, em))[0].T
+def rcnl_iota_delta_to_IV(delta, mkt: NestedMarket) -> np.ndarray:
+    return _within(np.asarray(delta, dtype=float), mkt.groups, mkt.rho, _em(mkt))[0].T
 
 
-def rcnl_iota_IV_to_delta(iv, gamma: float, mkt: NestedMarket, em=None) -> np.ndarray:
+def rcnl_iota_IV_to_delta(iv, gamma: float, mkt: NestedMarket) -> np.ndarray:
     """Analytic delta given per-type nest inclusive values.
 
     For j in nest g, delta_j = (1-rho_g) (log S_j - log sum_i w_i exp(z_ij))
     with z_ij = mu_ij/(1-rho_g) - IV_ig rho_g/(1-rho_g) - log(1 + sum_h
     exp(IV_ih)), one matrix-vector product over each nest's E.
     """
-    return _rcnl_iota_IV_to_delta_map(mkt, gamma, _em(mkt, em))(np.asarray(iv, dtype=float))
+    return _rcnl_iota_IV_to_delta_map(mkt, gamma, _em(mkt))(np.asarray(iv, dtype=float))
 
 
-def rcnl_phi_IV(iv, gamma: float, mkt: NestedMarket, em=None) -> np.ndarray:
-    em = _em(mkt, em)
-    return rcnl_iota_delta_to_IV(rcnl_iota_IV_to_delta(iv, gamma, mkt, em), mkt, em)
+def rcnl_phi_IV(iv, gamma: float, mkt: NestedMarket) -> np.ndarray:
+    em = _em(mkt)
+    delta = _rcnl_iota_IV_to_delta_map(mkt, gamma, em)(np.asarray(iv, dtype=float))
+    return _within(delta, mkt.groups, mkt.rho, em)[0].T
 
 
 def rcnl_dist_metric(delta, mkt: NestedMarket) -> float:
@@ -202,7 +205,7 @@ def rcnl_solve_inner(mkt: NestedMarket, mapping: str, cfg: AccelConfig):
         raise ValueError(f"unknown mapping {mapping!r}")
     gamma = 1.0 if mapping.endswith("1") else 0.0
     base = mkt.base
-    em = nest_exp_mu(base.mu, mkt.groups, mkt.rho)
+    em = _em(mkt)
     if mapping.startswith("delta"):
         fp = FixedPointMap(_rcnl_phi_delta_map(mkt, gamma, em))
         outcome = solve(fp, rcnl_initial_delta(mkt), cfg)
@@ -210,6 +213,6 @@ def rcnl_solve_inner(mkt: NestedMarket, mapping: str, cfg: AccelConfig):
     shape = (base.n_types, mkt.n_nests)
     to_delta = _rcnl_iota_IV_to_delta_map(mkt, gamma, em)
     fp = FixedPointMap(
-        lambda v: rcnl_iota_delta_to_IV(to_delta(v.reshape(shape)), mkt, em).ravel())
+        lambda v: _within(to_delta(v.reshape(shape)), mkt.groups, mkt.rho, em)[0].T.ravel())
     outcome = solve(fp, np.zeros(shape).ravel(), cfg)
     return to_delta(outcome.point.reshape(shape)), outcome

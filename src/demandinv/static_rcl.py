@@ -114,11 +114,11 @@ def check_market_data(shares, outside, mu, weights) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Exp-space kernels. Each mapping K(x, ..., mkt, em=None) calls a function of
-# x alone that a builder (_phi_delta_map, _value_maps, _kalouptsidi_maps)
-# returns with gamma, the market's arrays, its size branch and em = exp_mu(mu)
-# fixed: a solve builds it once and a direct call for one evaluation, with the
-# same bits. The value-space mapping (iota_delta_to_V, iota_V_to_delta, phi_V)
+# Exp-space kernels. Each mapping K(x, ..., mkt) calls a function of x alone
+# that a builder (_phi_delta_map, _value_maps, _kalouptsidi_maps) returns with
+# gamma, the market's arrays, its size branch and em = exp_mu(mu) fixed: a
+# solve builds it once and a direct call for one evaluation, with the same
+# bits. The value-space mapping (iota_delta_to_V, iota_V_to_delta, phi_V)
 # works in exp space on large markets only: see "The value mapping" below.
 
 
@@ -190,9 +190,9 @@ def _phi_delta_map(mkt: StaticMarket, gamma: float, em):
     return phi
 
 
-def phi_delta(delta, gamma: float, mkt: StaticMarket, em=None) -> np.ndarray:
+def phi_delta(delta, gamma: float, mkt: StaticMarket) -> np.ndarray:
     """delta + (log S - log s(delta)) - gamma * (log S0 - log s0(delta))."""
-    return _phi_delta_map(mkt, gamma, em or exp_mu(mkt.mu))(np.asarray(delta, dtype=float))
+    return _phi_delta_map(mkt, gamma, exp_mu(mkt.mu))(np.asarray(delta, dtype=float))
 
 
 def outside_logit(u: np.ndarray):
@@ -259,19 +259,19 @@ def _value_maps(mkt: StaticMarket, gamma: float, em):  # (iota_V_to_delta, iota_
     return (lambda V: to_delta0(V) - gamma * (mkt.log_outside - _log_s0(V, weights))), to_V
 
 
-def iota_delta_to_V(delta, mkt: StaticMarket, em=None) -> np.ndarray:
+def iota_delta_to_V(delta, mkt: StaticMarket) -> np.ndarray:
     """Per-type inclusive value V_i = log(1 + sum_j exp(delta_j + mu_ij))."""
-    return _value_maps(mkt, 0.0, em or exp_mu(mkt.mu))[1](np.asarray(delta, dtype=float))
+    return _value_maps(mkt, 0.0, exp_mu(mkt.mu))[1](np.asarray(delta, dtype=float))
 
 
-def iota_V_to_delta(V, gamma: float, mkt: StaticMarket, em=None) -> np.ndarray:
+def iota_V_to_delta(V, gamma: float, mkt: StaticMarket) -> np.ndarray:
     """Analytic delta given inclusive values, with the gamma outside correction."""
-    return _value_maps(mkt, gamma, em or exp_mu(mkt.mu))[0](np.asarray(V, dtype=float))
+    return _value_maps(mkt, gamma, exp_mu(mkt.mu))[0](np.asarray(V, dtype=float))
 
 
-def phi_V(V, gamma: float, mkt: StaticMarket, em=None) -> np.ndarray:
-    em = em or exp_mu(mkt.mu)
-    return iota_delta_to_V(iota_V_to_delta(V, gamma, mkt, em), mkt, em)
+def phi_V(V, gamma: float, mkt: StaticMarket) -> np.ndarray:
+    to_delta, to_V = _value_maps(mkt, gamma, exp_mu(mkt.mu))
+    return to_V(to_delta(np.asarray(V, dtype=float)))
 
 
 def dist_metric(delta, mkt: StaticMarket) -> float:
@@ -318,14 +318,14 @@ def _kalouptsidi_maps(mkt: StaticMarket, em):  # (kalouptsidi_F, kalouptsidi_Fti
     return F, Ftilde
 
 
-def kalouptsidi_F(r, mkt: StaticMarket, em=None) -> np.ndarray:
+def kalouptsidi_F(r, mkt: StaticMarket) -> np.ndarray:
     """The original mapping: head types via the share sum, last via adding up."""
-    return _kalouptsidi_maps(mkt, em or exp_mu(mkt.mu))[0](np.asarray(r, dtype=float))
+    return _kalouptsidi_maps(mkt, exp_mu(mkt.mu))[0](np.asarray(r, dtype=float))
 
 
-def kalouptsidi_Ftilde(r_tilde, mkt: StaticMarket, em=None) -> np.ndarray:
+def kalouptsidi_Ftilde(r_tilde, mkt: StaticMarket) -> np.ndarray:
     """Normalized variant on r_tilde = r - r_I (last type pinned at 0)."""
-    return _kalouptsidi_maps(mkt, em or exp_mu(mkt.mu))[1](np.asarray(r_tilde, dtype=float))
+    return _kalouptsidi_maps(mkt, exp_mu(mkt.mu))[1](np.asarray(r_tilde, dtype=float))
 
 
 def _r_from_r_tilde(rt: np.ndarray, mkt: StaticMarket) -> np.ndarray:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandinv.accel import (DEFAULT_BLOCK_STEP_CAP, AccelConfig, FixedPointMap,
-                             anderson_combine, block_step_sizes, solve,
+                             _DifferenceQR, anderson_combine, block_step_sizes, solve,
                              spectral_alpha)
 
 
@@ -104,27 +104,25 @@ class TestAnderson:
         assert abs(w.sum() - 1.0) < 1e-12
 
     def test_kept_differences_match_differences_rebuilt_from_the_history(self):
-        # solve keeps one residual difference per iteration; a replay that
-        # rebuilds every difference from the window of residuals each time
-        # must evaluate the same points and end on the same point, bit for bit
-        rng = np.random.default_rng(5)
-        A = rng.normal(size=(20, 20))
-        A *= 0.95 / np.linalg.norm(A, 2)
-        b = rng.normal(size=20)
+        # a tall history (20 coordinates, memory 2) keeps its differences as
+        # an updated QR factorisation; a replay that rebuilds every difference
+        # from the window of residuals and solves afresh must give the points
+        # solve evaluates, up to rounding
+        phi, x0 = contraction(20)
+        points = anderson_inputs(phi, x0, memory=2, evaluations=12)
+        assert len(points) == 13
+        np.testing.assert_array_equal(points[0], x0)
+        for got, want in zip(points[1:], replay(phi, points[:-1], memory=2)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
-        def phi(x):
-            return np.tanh(A @ x) + b
-        m, n = 2, 12
-        fp, inputs = recording_map(phi)
-        out = solve(fp, np.zeros(20), AccelConfig(method="anderson", anderson_memory=m,
-                                                  tolerance=1e-15, max_evaluations=n))
-        assert out.termination == "max_evaluations"
-        x, f, g = np.zeros(20), [], []
-        for k in range(n):
-            assert np.array_equal(x, inputs[k])
-            f, g = (f + [phi(x) - x])[-(m + 1):], (g + [phi(x)])[-(m + 1):]
-            x = anderson_combine(differences(f), f[-1], g)
-        assert np.array_equal(out.point, x)
+    def test_a_wide_history_evaluates_the_points_of_anderson_combine_bit_for_bit(self):
+        # 3 coordinates and memory 5: the stacked differences, solved afresh
+        phi, x0 = contraction(3)
+        points = anderson_inputs(phi, x0, memory=5, evaluations=12)
+        assert len(points) == 13
+        np.testing.assert_array_equal(points[0], x0)
+        for got, want in zip(points[1:], replay(phi, points[:-1], memory=5)):
+            assert np.array_equal(got, want)
 
     @settings(deadline=None, max_examples=50)
     @given(st.integers(1, 6), st.integers(2, 5), st.integers(0, 10 ** 6))
@@ -134,15 +132,118 @@ class TestAnderson:
         assert abs(weights(f).sum() - 1.0) < 1e-12
 
 
+def contraction(n):
+    """A nonlinear contraction on n coordinates and its start point."""
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(n, n))
+    A *= 0.95 / np.linalg.norm(A, 2)
+    b = rng.normal(size=n)
+    return (lambda x: np.tanh(A @ x) + b), np.zeros(n)
+
+
+def anderson_inputs(phi, x0, memory, evaluations):
+    """The points an Anderson solve evaluates, then the next point if it ran
+    out of budget."""
+    fp, inputs = recording_map(phi)
+    out = solve(fp, x0, AccelConfig(method="anderson", anderson_memory=memory,
+                                    tolerance=1e-15, max_evaluations=evaluations))
+    return inputs + [out.point] if out.termination == "max_evaluations" else inputs
+
+
+def replay(phi, inputs, memory):
+    """The point anderson_combine takes after each of inputs, from the window
+    of the memory + 1 newest residuals and images rebuilt at every step."""
+    f, g, points = [], [], []
+    for x in inputs:
+        f, g = (f + [phi(x) - x])[-(memory + 1):], (g + [phi(x)])[-(memory + 1):]
+        points.append(anderson_combine(differences(f), f[-1], g))
+    return points
+
+
 def differences(residuals):
     """The differences of consecutive residuals, oldest first, rebuilt from them."""
     return [residuals[k + 1] - residuals[k] for k in range(len(residuals) - 1)]
 
 
-def weights(residuals):
+def combine_weights(diffs, residual):
     """anderson_combine's weights: unit vectors as images return them exactly."""
-    return anderson_combine(differences(residuals), residuals[-1],
-                            list(np.eye(len(residuals))))
+    return anderson_combine(diffs, residual, list(np.eye(len(diffs) + 1)))
+
+
+def weights(residuals):
+    """anderson_combine's weights on the differences rebuilt from residuals."""
+    return combine_weights(differences(residuals), residuals[-1])
+
+
+def window_weights(window, residual):
+    """The same weights from a factorised window: gamma's differences, closed by 0 and 1."""
+    return np.diff(np.concatenate(([0.0], window.gamma(residual), [1.0])))
+
+
+def fill(window, diffs):
+    """Append diffs to window (each image difference a scaled copy); the window's differences."""
+    kept = []
+    for d in diffs:
+        window.append(d, 2.0 * d)
+        kept = (kept + [d])[-len(window.R):]
+    return kept
+
+
+class TestDifferenceQR:
+    @pytest.mark.parametrize("memory", range(1, 7))
+    def test_three_windows_of_updates_keep_q_orthonormal_and_reproduce_the_differences(
+            self, memory):
+        rng = np.random.default_rng(memory)
+        n = 30
+        diffs = [rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3) for _ in range(3 * memory)]
+        diffs[memory] = diffs[memory - 1].copy()  # a duplicated and a zero difference
+        diffs[2 * memory - 1] = np.zeros(n)
+        window = _DifferenceQR(n, memory)
+        kept = fill(window, diffs)
+        k = window.size
+        Q, R = window.Q[:k], window.R[:k, :k]
+        assert np.linalg.norm(Q @ Q.T - np.eye(k), 2) <= 1e-12
+        assert np.array_equal(R, np.triu(R))
+        D = np.stack(kept)
+        assert np.linalg.norm(R.T @ Q - D) <= 1e-12 * np.linalg.norm(D)
+        np.testing.assert_array_equal(window.dG[:k], 2.0 * D)
+
+    @settings(deadline=None, max_examples=200)
+    @given(memory=st.integers(1, 6), extra=st.integers(0, 40),
+           exponent=st.floats(-12.0, 12.0), seed=st.integers(0, 10 ** 6),
+           kinds=st.lists(st.sampled_from(["random", "duplicate", "zero"]),
+                          min_size=1, max_size=18))
+    def test_weights_match_anderson_combine_on_tall_histories(
+            self, memory, extra, exponent, seed, kinds):
+        n, scale = memory + extra, 10.0 ** exponent
+        rng = np.random.default_rng(seed)
+        diffs = []
+        for kind in kinds[:3 * memory]:
+            if kind == "random" or not diffs:
+                diffs.append(rng.normal(size=n) * scale)
+            else:  # a copy of one in the window, or zero
+                window_diffs = diffs[-memory:]
+                diffs.append(window_diffs[rng.integers(len(window_diffs))].copy()
+                             if kind == "duplicate" else np.zeros(n))
+        window = _DifferenceQR(n, memory)
+        kept = fill(window, diffs)
+        residual = rng.normal(size=n) * scale
+        want = combine_weights(kept, residual)
+        got = window_weights(window, residual)
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n", [50, 2500])
+    def test_a_nearly_dependent_difference_is_cut_as_lstsq_cuts_it(self, n):
+        # a + b perturbed at 1e-14: lstsq on the n x 3 differences drops the
+        # tiny singular value, so the 3 x 3 triangle must drop it too
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=n), rng.normal(size=n)
+        diffs = [a, b, a + b + 1e-14 * rng.normal(size=n)]
+        window = _DifferenceQR(n, 3)
+        fill(window, diffs)
+        residual = rng.normal(size=n)
+        want = combine_weights(diffs, residual)
+        np.testing.assert_allclose(window_weights(window, residual), want, rtol=1e-8)
 
 
 class TestSpectralAlpha:

@@ -67,6 +67,11 @@ class TestLsMinnorm:
         got = ls_minnorm(np.array([[1.0], [1.0]]), [1.0, 3.0])
         np.testing.assert_allclose(got, [2.0])
 
+    def test_rcond_cuts_the_singular_values_below_it(self):
+        A, b = np.diag([1.0, 1e-10]), [1.0, 1.0]
+        np.testing.assert_allclose(ls_minnorm(A, b), [1.0, 1e10])
+        np.testing.assert_array_equal(ls_minnorm(A, b, rcond=1e-8), [1.0, 0.0])
+
     def test_duplicated_columns_split_equally(self):
         # expected values frozen from the pseudo-inverse oracle on 3x3 instances
         rng = np.random.default_rng(0)
