@@ -25,7 +25,7 @@ import numpy as np
 from .accel import AccelConfig, FixedPointMap, checked_int, checked_real, solve
 from .numerics import (chebyshev_eval_rows, chebyshev_fit_matrix, chebyshev_nodes,
                        log_share_gap, normal_quadrature, ols_ar1_rows)
-from .static_rcl import _freeze, check_market_data, exp_mu, numeric_array
+from .static_rcl import _freeze, _market_em, check_market_data, exp_mu, numeric_array
 
 # Active fractions are floored at a tiny positive value: off the solution,
 # 1 - sum_j ccp can dip below zero for extreme heterogeneity draws, which
@@ -42,6 +42,9 @@ class DurableMarket:
     shares: (J, T); outside_shares: (T,); mu: (I, J, T); weights: (I,);
     pr0_init: (I,) initial non-owner fractions (defaults to ones). The
     constructor adds their logs log_shares (J, T) and log_outside (T,).
+    Immutable: every array is read-only, and writing through an alias made
+    before construction is unsupported, since the logs and the cached
+    time-major exp factorisation of mu (_exp_mu_t) would go stale.
     """
 
     shares: np.ndarray
@@ -129,8 +132,9 @@ def _v_next(V: np.ndarray) -> np.ndarray:
 
 
 def _exp_mu_t(mkt: DurableMarket):
-    """exp_mu of mu in time-major order: a (T, I) and E (T, I, J)."""
-    return exp_mu(np.ascontiguousarray(mkt.mu.transpose(2, 0, 1)))
+    """exp_mu of mu in time-major order: a (T, I) and E (T, I, J), built once
+    per market (static_rcl._market_em)."""
+    return _market_em(mkt, lambda m: exp_mu(np.ascontiguousarray(m.mu.transpose(2, 0, 1))))
 
 
 def _omega_from_delta(delta: np.ndarray, em) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .accel import AccelConfig, FixedPointMap, solve
 from .numerics import log_share_gap, logsumexp
-from .static_rcl import (StaticMarket, _freeze, _log_s0, check_mu_span, exp_mu,
+from .static_rcl import (StaticMarket, _freeze, _log_s0, _market_em, check_mu_span, exp_mu,
                          numeric_array, outside_logit)
 
 RCNL_MAPPINGS = ("delta0", "delta1", "IV0", "IV1")
@@ -23,7 +23,12 @@ RCNL_MAPPINGS = ("delta0", "delta1", "IV0", "IV1")
 
 @dataclass(frozen=True)
 class NestedMarket:
-    """StaticMarket plus a nest assignment and per-nest rho in [0, 1)."""
+    """StaticMarket plus a nest assignment and per-nest rho in [0, 1).
+
+    Immutable like its base: writes through an alias of an input array are
+    unsupported, since the nest shares and the cached per-nest exp
+    factorisation would go stale.
+    """
 
     base: StaticMarket
     nest_of: np.ndarray
@@ -104,11 +109,11 @@ def _shares(delta, weights, groups, rho, em):
 
 def rcnl_shares(delta, mkt: NestedMarket):
     """Nested model shares: (s_j, s_g, s_0, per-type IV matrix)."""
-    return nested_shares(delta, mkt.base.mu, mkt.base.weights, mkt.groups, mkt.rho)
+    return _shares(np.asarray(delta, float), mkt.base.weights, mkt.groups, mkt.rho, _em(mkt))
 
 
 def _em(mkt: NestedMarket):
-    return nest_exp_mu(mkt.base.mu, mkt.groups, mkt.rho)
+    return _market_em(mkt, lambda m: nest_exp_mu(m.base.mu, m.groups, m.rho))
 
 
 def _rcnl_phi_delta_map(mkt: NestedMarket, gamma: float, em):

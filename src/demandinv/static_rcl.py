@@ -16,6 +16,7 @@ which iterate on r_i = log(w_i * s_i0).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,13 @@ MAPPINGS = ("delta0", "delta1", "V0", "V1", "kalouptsidi_mixed", "kalouptsidi_ti
 
 @dataclass(frozen=True)
 class StaticMarket:
-    """Observed market data: shares, outside share, mu (I x J), type weights."""
+    """Observed market data: shares, outside share, mu (I x J), type weights.
+
+    Immutable: the constructor makes every array read-only, the caller's own
+    float C-order arrays included. Writing through an alias made before
+    construction is unsupported, since log_shares and the cached exp
+    factorisation of mu (_market_em) would go stale.
+    """
 
     shares: np.ndarray
     outside_share: float
@@ -65,10 +72,18 @@ def _freeze(market, **values) -> None:
     """Set each value on the frozen dataclass market, and make every array
     among them (members of a tuple included) read-only."""
     for name, value in values.items():
-        for arr in value if isinstance(value, tuple) else (value,):
-            if isinstance(arr, np.ndarray):
-                arr.flags.writeable = False
+        _read_only(value)
         object.__setattr__(market, name, value)
+
+
+def _read_only(value) -> None:
+    """Make value read-only if it is an array, or each array in it if it is a
+    tuple (of arrays or tuples)."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for part in value:
+            _read_only(part)
 
 
 def numeric_array(name: str, value) -> np.ndarray:
@@ -118,8 +133,10 @@ def check_market_data(shares, outside, mu, weights) -> None:
 # that a builder (_phi_delta_map, _value_maps, _kalouptsidi_maps) returns with
 # gamma, the market's arrays, its size branch and em = exp_mu(mu) fixed: a
 # solve builds it once and a direct call for one evaluation, with the same
-# bits. The value-space mapping (iota_delta_to_V, iota_V_to_delta, phi_V)
-# works in exp space on large markets only: see "The value mapping" below.
+# bits. em itself comes from _market_em, which keeps the last market's, so
+# the solves and audits of one market build it once between them. The
+# value-space mapping (iota_delta_to_V, iota_V_to_delta, phi_V) works in exp
+# space on large markets only: see "The value mapping" below.
 
 
 def exp_mu(mu: np.ndarray):
@@ -129,6 +146,37 @@ def exp_mu(mu: np.ndarray):
     E = mu - a[..., None]
     np.exp(E, out=E)  # in place: one I x J temporary, not two
     return a, E
+
+
+# (weakref to the last market, its exp factorisation), replaced as one tuple:
+# a reader never pairs one market with another's arrays, from any thread, and
+# a race between threads costs at most a rebuild.
+_last_em = (None, None)
+
+
+def _market_em(mkt, build):
+    """build(mkt), the exp factorisation of market mkt, with every array
+    read-only. Only the last market's is kept, and only while that market
+    lives: its solves run back to back, and one slot holds one E at a time."""
+    global _last_em
+    ref, em = _last_em
+    if ref is not None and ref() is mkt:
+        return em
+    _last_em = (None, None)  # free the old E before the new one is built
+    em = build(mkt)
+    _read_only(em)
+    _last_em = (weakref.ref(mkt, _drop_em), em)
+    return em
+
+
+def _drop_em(ref) -> None:  # the slot's market was collected
+    global _last_em
+    if _last_em[0] is ref:
+        _last_em = (None, None)
+
+
+def _em(mkt: StaticMarket):
+    return _market_em(mkt, lambda m: exp_mu(m.mu))
 
 
 def _logit(delta, a, E):
@@ -192,7 +240,7 @@ def _phi_delta_map(mkt: StaticMarket, gamma: float, em):
 
 def phi_delta(delta, gamma: float, mkt: StaticMarket) -> np.ndarray:
     """delta + (log S - log s(delta)) - gamma * (log S0 - log s0(delta))."""
-    return _phi_delta_map(mkt, gamma, exp_mu(mkt.mu))(np.asarray(delta, dtype=float))
+    return _phi_delta_map(mkt, gamma, _em(mkt))(np.asarray(delta, dtype=float))
 
 
 def outside_logit(u: np.ndarray):
@@ -261,16 +309,16 @@ def _value_maps(mkt: StaticMarket, gamma: float, em):  # (iota_V_to_delta, iota_
 
 def iota_delta_to_V(delta, mkt: StaticMarket) -> np.ndarray:
     """Per-type inclusive value V_i = log(1 + sum_j exp(delta_j + mu_ij))."""
-    return _value_maps(mkt, 0.0, exp_mu(mkt.mu))[1](np.asarray(delta, dtype=float))
+    return _value_maps(mkt, 0.0, _em(mkt))[1](np.asarray(delta, dtype=float))
 
 
 def iota_V_to_delta(V, gamma: float, mkt: StaticMarket) -> np.ndarray:
     """Analytic delta given inclusive values, with the gamma outside correction."""
-    return _value_maps(mkt, gamma, exp_mu(mkt.mu))[0](np.asarray(V, dtype=float))
+    return _value_maps(mkt, gamma, _em(mkt))[0](np.asarray(V, dtype=float))
 
 
 def phi_V(V, gamma: float, mkt: StaticMarket) -> np.ndarray:
-    to_delta, to_V = _value_maps(mkt, gamma, exp_mu(mkt.mu))
+    to_delta, to_V = _value_maps(mkt, gamma, _em(mkt))
     return to_V(to_delta(np.asarray(V, dtype=float)))
 
 
@@ -281,7 +329,7 @@ def dist_metric(delta, mkt: StaticMarket) -> float:
     if not np.all(np.isfinite(delta)):
         return float("nan")
     with np.errstate(over="ignore", invalid="ignore"):  # entries may lie over 1.8e308 apart
-        s_j = _shares(delta, mkt.weights, *exp_mu(mkt.mu))[0]
+        s_j = _shares(delta, mkt.weights, *_em(mkt))[0]
     return log_share_gap(mkt.log_shares, s_j)
 
 
@@ -320,12 +368,12 @@ def _kalouptsidi_maps(mkt: StaticMarket, em):  # (kalouptsidi_F, kalouptsidi_Fti
 
 def kalouptsidi_F(r, mkt: StaticMarket) -> np.ndarray:
     """The original mapping: head types via the share sum, last via adding up."""
-    return _kalouptsidi_maps(mkt, exp_mu(mkt.mu))[0](np.asarray(r, dtype=float))
+    return _kalouptsidi_maps(mkt, _em(mkt))[0](np.asarray(r, dtype=float))
 
 
 def kalouptsidi_Ftilde(r_tilde, mkt: StaticMarket) -> np.ndarray:
     """Normalized variant on r_tilde = r - r_I (last type pinned at 0)."""
-    return _kalouptsidi_maps(mkt, exp_mu(mkt.mu))[1](np.asarray(r_tilde, dtype=float))
+    return _kalouptsidi_maps(mkt, _em(mkt))[1](np.asarray(r_tilde, dtype=float))
 
 
 def _r_from_r_tilde(rt: np.ndarray, mkt: StaticMarket) -> np.ndarray:
@@ -354,7 +402,7 @@ def solve_inner(mkt: StaticMarket, mapping: str, cfg: AccelConfig):
         raise ValueError(f"mapping {mapping!r} iterates on log(w_i s_i0) and needs "
                          f"every weight positive")
     gamma = 1.0 if mapping.endswith("1") else 0.0
-    em = exp_mu(mkt.mu)
+    em = _em(mkt)
     if mapping.startswith("V"):
         to_delta, to_V = _value_maps(mkt, gamma, em)
         outcome = solve(FixedPointMap(lambda v: to_V(to_delta(v))), np.zeros(mkt.n_types), cfg)

@@ -15,9 +15,17 @@ durable forward pass and ownership path, which skip the floor where it binds
 nowhere, must also equal bit for bit the loops in oracles.py that floor every
 period. The mapping that solve_inner and rcnl_solve_inner build once per
 solve must equal the public kernel bit for bit.
+
+A market's exp factorisation em is built once for all its solves and audits
+that run back to back, and is held only for the last market and only while
+that market lives: a solve on a warm slot must equal one on a cold slot bit
+for bit.
 """
 
+import gc
+import threading
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -222,26 +230,32 @@ def test_the_outside_log_sum_equals_logsumexp_on_the_column(I):
             assert_same_bits(quiet(static_rcl._log_s0, V, w), want)
 
 
-def _built_map(monkeypatch, module, entry, mkt, mapping, exp_name):
-    """(FixedPointMap, start point) that entry builds for mapping, left
-    unevaluated, and the number of calls of module.exp_name during the entry."""
-    built, calls = [], []
-    build_em = getattr(module, exp_name)
+def _count_calls(monkeypatch, module, name):
+    """A list that grows by one at each call of module.name from now on."""
+    calls, build = [], getattr(module, name)
 
     def counted(*args):
         calls.append(1)
-        return build_em(*args)
+        return build(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _built_map(monkeypatch, module, entry, mkt, mapping):
+    """(FixedPointMap, start point) that entry builds for mapping, left
+    unevaluated."""
+    built = []
 
     def no_solve(fp, x0, cfg):
         built.append((fp, x0))
         return SolveOutcome(x0, False, 0, "max_evaluations", np.inf)
 
-    monkeypatch.setattr(module, exp_name, counted)
-    monkeypatch.setattr(module, "solve", no_solve)
-    entry(mkt, mapping, AccelConfig())
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(module, "solve", no_solve)
+        entry(mkt, mapping, AccelConfig())
     (fp, x0), = built
-    return fp, x0, len(calls)
+    return fp, x0
 
 
 def _static_reference(mkt, mapping):
@@ -278,12 +292,12 @@ def test_solve_inner_iterates_the_public_kernel_bit_for_bit(case, mapping, monke
         return
     reference = _static_reference(mkt, mapping)
     sign = -1.0 if mapping.startswith("kalouptsidi") else 1.0
+    builds = _count_calls(monkeypatch, static_rcl, "exp_mu")
     for shift in V_SHIFTS:
-        fp, x0, n_exp_mu = _built_map(monkeypatch, static_rcl, static_rcl.solve_inner, mkt,
-                                      mapping, "exp_mu")
-        assert n_exp_mu == 1
+        fp, x0 = _built_map(monkeypatch, static_rcl, static_rcl.solve_inner, mkt, mapping)
         x = x0 + sign * shift
         assert_same_bits(quiet(fp.evaluate, x), quiet(reference, x))
+    assert len(builds) == 1  # the solves and the public kernels share one build
 
 
 @pytest.mark.parametrize("case", sorted(NESTED_CASES))
@@ -291,9 +305,8 @@ def test_solve_inner_iterates_the_public_kernel_bit_for_bit(case, mapping, monke
 def test_rcnl_solve_inner_iterates_the_public_kernel_bit_for_bit(case, mapping, monkeypatch):
     mkt = NESTED_CASES[case][0]()
     gamma = 1.0 if mapping.endswith("1") else 0.0
-    fp, x0, n_exp_mu = _built_map(monkeypatch, rcnl, rcnl.rcnl_solve_inner, mkt, mapping,
-                                  "nest_exp_mu")
-    assert n_exp_mu == 1
+    builds = _count_calls(monkeypatch, rcnl, "nest_exp_mu")
+    fp, x0 = _built_map(monkeypatch, rcnl, rcnl.rcnl_solve_inner, mkt, mapping)
     shape = (mkt.base.n_types, mkt.n_nests)
     for shift in V_SHIFTS:
         x = x0 + shift
@@ -302,6 +315,7 @@ def test_rcnl_solve_inner_iterates_the_public_kernel_bit_for_bit(case, mapping, 
         else:
             want = quiet(rcnl.rcnl_phi_delta, x, gamma, mkt)
         assert_same_bits(quiet(fp.evaluate, x), want)
+    assert len(builds) == 1
 
 
 def _dgp_durable(horizon):
@@ -398,3 +412,133 @@ def test_the_floor_case_reaches_the_floor():
     mkt, V = _durable_at_the_floor()
     _, _, pr0 = quiet(dynamic._forward, V, mkt, dynamic._exp_mu_t(mkt))
     assert np.sum(pr0 == dynamic.PR0_FLOOR) > 100
+
+
+# ---------------------------------------------------------------------------
+# One exp factorisation per market
+
+
+def _small_static(seed=4, n_products=25):
+    g = SeededRng(seed, 0).generator()
+    inst = gen_static_market(StaticDgpParams(n_products=n_products, n_draws=200), g)
+    return inst.with_theta(draw_theta(inst.theta_true, g))
+
+
+def _small_nested():
+    g = SeededRng(5, 0).generator()
+    inst = gen_nested_market(StaticDgpParams(n_products=24, n_draws=200), g)
+    return inst.with_theta(draw_theta(inst.theta_true, g))
+
+
+def _small_durable():
+    g = SeededRng(11, 0).generator()
+    inst = gen_dynamic_market(DynamicDgpParams(n_products=5, n_draws=10, horizon=8), g)
+    return inst.with_theta(draw_theta(inst.theta_true, g))
+
+
+EM_CFG = AccelConfig(max_evaluations=300)
+
+# per market: its builder, the module whose exp_mu builds its factorisation,
+# its solves and the audit of a solve's first return value
+EM_CASES = {
+    "static": (_small_static, static_rcl,
+               [lambda mkt, m=m: static_rcl.solve_inner(mkt, m, EM_CFG)
+                for m in static_rcl.MAPPINGS],
+               static_rcl.dist_metric),
+    "nested": (_small_nested, rcnl,
+               [lambda mkt, m=m: rcnl.rcnl_solve_inner(mkt, m, EM_CFG)
+                for m in rcnl.RCNL_MAPPINGS],
+               rcnl.rcnl_dist_metric),
+    "durable": (_small_durable, dynamic,
+                [lambda mkt: dynamic.pf_solve(mkt, 1.0, EM_CFG),
+                 lambda mkt: dynamic.traditional_joint_solve(mkt, 1.0, 1.0, EM_CFG),
+                 lambda mkt: dynamic.ivs_solve(mkt, 1.0, dynamic.IvsGrid(), EM_CFG)],
+                dynamic.bellman_residual),
+}
+
+
+def _cold_em():
+    static_rcl._last_em = (None, None)
+
+
+def _em_run(case, mkt, cold=False):
+    """Each solve of mkt and its audit, on a cold slot if cold, as the bytes
+    of the first return value, the point, the evaluations, the termination,
+    the residual history and the audit."""
+    _, _, solves, audit = EM_CASES[case]
+    out = []
+    for solve in solves:
+        if cold:
+            _cold_em()
+        first, outcome = solve(mkt)
+        value = first.value if isinstance(first, dynamic.DurableSolution) else first
+        out.append((value.tobytes(), outcome.point.tobytes(), outcome.evaluations,
+                    outcome.termination, np.asarray(outcome.residual_history).tobytes(),
+                    np.float64(audit(first, mkt)).tobytes()))
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(EM_CASES))
+def test_solves_and_audits_of_one_market_build_em_once(case, monkeypatch):
+    build, module, _, _ = EM_CASES[case]
+    mkt = build()
+    want = _em_run(case, mkt, cold=True)
+    _cold_em()
+    calls = _count_calls(monkeypatch, module, "exp_mu")
+    assert _em_run(case, mkt) == want
+    assert len(calls) == (mkt.n_nests if case == "nested" else 1)  # one exp_mu per nest
+
+
+def test_same_shape_markets_solved_alternately_get_their_own_em():
+    markets = [_small_static(4), _small_static(6)]
+    assert markets[0].mu.shape == markets[1].mu.shape
+    want = [_em_run("static", mkt, cold=True) for mkt in markets]
+    for _ in range(2):
+        for mkt, bits in zip(markets, want):
+            a, E = static_rcl._em(mkt)
+            fresh = static_rcl.exp_mu(mkt.mu)
+            assert a.tobytes() == fresh[0].tobytes() and E.tobytes() == fresh[1].tobytes()
+            assert _em_run("static", mkt) == bits
+
+
+@pytest.mark.parametrize("case", sorted(EM_CASES))
+def test_em_arrays_are_read_only(case):
+    mkt = EM_CASES[case][0]()
+    em = {"static": static_rcl._em, "nested": rcnl._em, "durable": dynamic._exp_mu_t}[case](mkt)
+    arrays = [x for pair in (em if case == "nested" else (em,)) for x in pair]
+    assert len(arrays) == (2 * mkt.n_nests if case == "nested" else 2)
+    for x in arrays:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0.0
+
+
+def test_em_dies_with_its_market():
+    mkt = _small_static()
+    E = weakref.ref(static_rcl._em(mkt)[1])
+    static_rcl.dist_metric(static_rcl.initial_delta(mkt), mkt)
+    assert E() is not None
+    del mkt
+    gc.collect()
+    assert E() is None
+    assert static_rcl._last_em == (None, None)
+
+
+def test_two_threads_solving_two_markets_reproduce_the_serial_bits():
+    markets = [_small_static(4, n_products=10), _small_static(6, n_products=10)]
+    serial = [_em_run("static", mkt, cold=True) for mkt in markets]
+    got = [[], []]
+    start = threading.Barrier(2)
+
+    def work(k):
+        start.wait()
+        for _ in range(4):
+            got[k].append(_em_run("static", markets[k]))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for k in range(2):
+        assert got[k] == [serial[k]] * 4
