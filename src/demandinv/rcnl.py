@@ -15,7 +15,7 @@ import numpy as np
 
 from .accel import AccelConfig, FixedPointMap, solve
 from .numerics import log_share_gap, logsumexp
-from .static_rcl import (StaticMarket, _freeze, _log_s0, _market_em, check_mu_span, exp_mu,
+from .static_rcl import (StaticMarket, _freeze, _log_s0, _market_em, check_mu_span,
                          numeric_array, outside_logit)
 
 RCNL_MAPPINGS = ("delta0", "delta1", "IV0", "IV1")
@@ -26,8 +26,8 @@ class NestedMarket:
     """StaticMarket plus a nest assignment and per-nest rho in [0, 1).
 
     Immutable like its base: writes through an alias of an input array are
-    unsupported, since the nest shares and the cached per-nest exp
-    factorisation would go stale.
+    unsupported, since the nest shares and the cached exp factorisation
+    (nest_exp_mu, by nest size) would go stale.
     """
 
     base: StaticMarket
@@ -70,46 +70,59 @@ class NestedMarket:
 
 
 def nest_exp_mu(mu, groups, rho):
-    """exp_mu of each nest's scaled deviations mu[:, g] / (1 - rho_g)."""
-    return tuple(exp_mu(mu[:, idx] / (1.0 - rho[g])) for g, idx in enumerate(groups))
+    """exp_mu of each nest's mu[:, g] / (1 - rho_g), by nest size: one class
+    (nests, P, w, a, E) per size J_c, of its k nest ids, their (k, J_c)
+    product indices, w = 1 - rho (k, 1), the (k, I) row maxima a and E (k, I,
+    J_c). Each E[n] is column-major like mu[:, idx], so that a stacked
+    product over E runs the per-nest product's BLAS kernel, with its bits."""
+    sizes = np.array([idx.size for idx in groups])
+    classes = []
+    for nests in (np.flatnonzero(sizes == size) for size in np.unique(sizes)):
+        P, w = np.array([groups[g] for g in nests]), (1.0 - rho[nests])[:, None]
+        E = mu.T[P]  # (k, J_c, I), exp_mu in place
+        E /= w[:, :, None]
+        a = E.max(1)
+        E -= a[:, None, :]
+        np.exp(E, out=E)
+        classes.append((nests, P, w, a, E.transpose(0, 2, 1)))
+    return tuple(classes)
 
 
-def _within(delta, groups, rho, em):
+def _within(delta, em):
     """Nest inclusive values IV_ig = (1-rho_g) * log sum_{j in g}
-    exp((delta_j + mu_ij)/(1-rho_g)), nest-major (G, I), and per nest
-    (ed, rowsum): the within-nest probabilities are ed_j * E_ij / rowsum_i."""
-    ivT = np.empty((len(groups), em[0][0].size))
+    exp((delta_j + mu_ij)/(1-rho_g)), nest-major (G, I), and per class (ed,
+    rowsum): the within-nest probabilities are ed_nj * E_nij / rowsum_ni."""
+    ivT = np.empty((sum(c[0].size for c in em), em[0][3].shape[1]))
     parts = []
-    for g, idx in enumerate(groups):
-        a, E = em[g]
-        x = delta[idx] / (1.0 - rho[g])
-        c = x.max()
+    for nests, P, w, a, E in em:
+        x = delta[P] / w
+        c = np.maximum.reduce(x, 1, keepdims=True)
         ed = np.exp(x - c)
-        rowsum = E @ ed
-        ivT[g] = (1.0 - rho[g]) * (c + a + np.log(rowsum))
+        rowsum = (E @ ed[:, :, None])[:, :, 0]
+        ivT[nests] = w * (c + a + np.log(rowsum))
         parts.append((ed, rowsum))
     return ivT, parts
 
 
 def nested_shares(delta, mu, weights, groups, rho):
     """Nested-logit shares from raw arrays: (s_j, s_g, s_0, per-type IV)."""
-    return _shares(np.asarray(delta, float), weights, groups, rho, nest_exp_mu(mu, groups, rho))
+    return _shares(np.asarray(delta, float), weights, nest_exp_mu(mu, groups, rho))
 
 
-def _shares(delta, weights, groups, rho, em):
-    ivT, parts = _within(delta, groups, rho, em)
+def _shares(delta, weights, em):
+    ivT, parts = _within(delta, em)
     _, e, e0, denom = outside_logit(ivT.T)  # the nest level, (I, G)
-    s_j = np.empty(delta.size)
-    for g, idx in enumerate(groups):
-        ed, rowsum = parts[g]
-        s_j[idx] = ed * ((weights * (e[:, g] / denom) / rowsum) @ em[g][1])
-    s_g = np.array([s_j[idx].sum() for idx in groups])
+    s_j, s_g = np.empty(delta.size), np.empty(len(ivT))
+    for (nests, P, _, _, E), (ed, rowsum) in zip(em, parts):
+        s = ed * ((weights * (e.T[nests] / denom) / rowsum)[:, None, :] @ E)[:, 0]
+        s_j[P] = s
+        s_g[nests] = np.add.reduce(s, 1)
     return s_j, s_g, float(weights @ (e0 / denom)), ivT.T
 
 
 def rcnl_shares(delta, mkt: NestedMarket):
     """Nested model shares: (s_j, s_g, s_0, per-type IV matrix)."""
-    return _shares(np.asarray(delta, float), mkt.base.weights, mkt.groups, mkt.rho, _em(mkt))
+    return _shares(np.asarray(delta, float), mkt.base.weights, _em(mkt))
 
 
 def _em(mkt: NestedMarket):
@@ -117,15 +130,15 @@ def _em(mkt: NestedMarket):
 
 
 def _rcnl_phi_delta_map(mkt: NestedMarket, gamma: float, em):
-    base, rho_j = mkt.base, mkt.product_rho
+    base, w_j, gamma_rho_j = mkt.base, 1.0 - mkt.product_rho, gamma * mkt.product_rho
 
     def phi(delta):
-        s_j, s_g, s_0, iv = _shares(delta, base.weights, mkt.groups, mkt.rho, em)
+        s_j, s_g, s_0, iv = _shares(delta, base.weights, em)
         with np.errstate(divide="ignore"):
-            out = delta + (1.0 - rho_j) * (base.log_shares - np.log(s_j))
+            out = delta + w_j * (base.log_shares - np.log(s_j))
             if gamma != 0.0:
                 gap_g = mkt.log_nest_shares - np.log(s_g)
-                out = out + gamma * rho_j * gap_g[mkt.nest_of]
+                out = out + gamma_rho_j * gap_g[mkt.nest_of]
                 # s_0 underflows at large IV, its log does not (as in rcnl_iota_IV_to_delta)
                 log_s0 = np.log(s_0)
                 if s_0 == 0.0:
@@ -137,7 +150,9 @@ def _rcnl_phi_delta_map(mkt: NestedMarket, gamma: float, em):
 
 
 def _rcnl_iota_IV_to_delta_map(mkt: NestedMarket, gamma: float, em):
-    base, nests = mkt.base, tuple(enumerate(zip(mkt.groups, em, mkt.rho)))
+    base, weights, gamma_rho_j = mkt.base, mkt.base.weights, gamma * mkt.product_rho
+    classes = tuple((nests, P, w, mkt.rho[nests][:, None] / w, base.log_shares[P], a, E)
+                    for nests, P, w, a, E in em)
 
     def to_delta(iv):
         ivT = np.ascontiguousarray(iv.T)
@@ -145,19 +160,24 @@ def _rcnl_iota_IV_to_delta_map(mkt: NestedMarket, gamma: float, em):
         lse_top = a_top + np.log(denom)
         delta = np.empty(base.n_products)
         with np.errstate(divide="ignore"):
-            for g, (idx, (a, E), rho) in nests:
-                y = a - ivT[g] * (rho / (1.0 - rho)) - lse_top
-                cb = np.maximum.reduce(y)
-                lse = cb + np.log((base.weights * np.exp(y - cb)) @ E)
-                delta[idx] = (1.0 - rho) * (base.log_shares[idx] - lse)
+            for nests, P, w, r, log_S, a, E in classes:
+                y = a - ivT[nests] * r - lse_top
+                cb = np.maximum.reduce(y, 1, keepdims=True)
+                lse = cb + np.log(((weights * np.exp(y - cb))[:, None, :] @ E)[:, 0])
+                delta[P] = w * (log_S - lse)
         if gamma != 0.0:
             # model nest and outside shares in logs: at large IV the outside
             # probabilities exp(-lse_top) underflow, their logs do not
-            gap_g = mkt.log_nest_shares - logsumexp((ivT - lse_top).T, 0, base.weights)
-            delta = delta + gamma * mkt.product_rho * gap_g[mkt.nest_of]
-            delta = delta - gamma * (base.log_outside - _log_s0(lse_top, base.weights))
+            gap_g = mkt.log_nest_shares - logsumexp((ivT - lse_top).T, 0, weights)
+            delta = delta + gamma_rho_j * gap_g[mkt.nest_of]
+            delta = delta - gamma * (base.log_outside - _log_s0(lse_top, weights))
         return delta
     return to_delta
+
+
+def _rcnl_phi_IV_map(mkt: NestedMarket, gamma: float, em):
+    to_delta = _rcnl_iota_IV_to_delta_map(mkt, gamma, em)
+    return lambda iv: _within(to_delta(iv), em)[0].T
 
 
 def rcnl_phi_delta(delta, gamma: float, mkt: NestedMarket) -> np.ndarray:
@@ -167,7 +187,7 @@ def rcnl_phi_delta(delta, gamma: float, mkt: NestedMarket) -> np.ndarray:
 
 
 def rcnl_iota_delta_to_IV(delta, mkt: NestedMarket) -> np.ndarray:
-    return _within(np.asarray(delta, dtype=float), mkt.groups, mkt.rho, _em(mkt))[0].T
+    return _within(np.asarray(delta, dtype=float), _em(mkt))[0].T
 
 
 def rcnl_iota_IV_to_delta(iv, gamma: float, mkt: NestedMarket) -> np.ndarray:
@@ -181,9 +201,7 @@ def rcnl_iota_IV_to_delta(iv, gamma: float, mkt: NestedMarket) -> np.ndarray:
 
 
 def rcnl_phi_IV(iv, gamma: float, mkt: NestedMarket) -> np.ndarray:
-    em = _em(mkt)
-    delta = _rcnl_iota_IV_to_delta_map(mkt, gamma, em)(np.asarray(iv, dtype=float))
-    return _within(delta, mkt.groups, mkt.rho, em)[0].T
+    return _rcnl_phi_IV_map(mkt, gamma, _em(mkt))(np.asarray(iv, dtype=float))
 
 
 def rcnl_dist_metric(delta, mkt: NestedMarket) -> float:
@@ -209,15 +227,13 @@ def rcnl_solve_inner(mkt: NestedMarket, mapping: str, cfg: AccelConfig):
     if mapping not in RCNL_MAPPINGS:
         raise ValueError(f"unknown mapping {mapping!r}")
     gamma = 1.0 if mapping.endswith("1") else 0.0
-    base = mkt.base
     em = _em(mkt)
     if mapping.startswith("delta"):
         fp = FixedPointMap(_rcnl_phi_delta_map(mkt, gamma, em))
         outcome = solve(fp, rcnl_initial_delta(mkt), cfg)
         return outcome.point, outcome
-    shape = (base.n_types, mkt.n_nests)
-    to_delta = _rcnl_iota_IV_to_delta_map(mkt, gamma, em)
-    fp = FixedPointMap(
-        lambda v: _within(to_delta(v.reshape(shape)), mkt.groups, mkt.rho, em)[0].T.ravel())
+    shape = (mkt.base.n_types, mkt.n_nests)
+    phi = _rcnl_phi_IV_map(mkt, gamma, em)
+    fp = FixedPointMap(lambda v: phi(v.reshape(shape)).ravel())
     outcome = solve(fp, np.zeros(shape).ravel(), cfg)
-    return to_delta(outcome.point.reshape(shape)), outcome
+    return _rcnl_iota_IV_to_delta_map(mkt, gamma, em)(outcome.point.reshape(shape)), outcome

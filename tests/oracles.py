@@ -5,12 +5,16 @@ computed with plain (unshifted) arithmetic on small well-scaled instances,
 and the root of S = s(delta) is found by a damped Newton iteration with an
 analytic Jacobian. The durable loop references at the end are the library's
 per-period loops that floor every period; they share _omega_from_delta with
-the kernel they check.
+the kernel they check. The nested-logit per-nest loops are the library's
+kernels before they moved to nest-size classes, the reference for the
+classes' bits.
 """
 
 import numpy as np
 
 from demandinv.dynamic import PR0_FLOOR, _omega_from_delta
+from demandinv.numerics import logsumexp
+from demandinv.static_rcl import _log_s0, exp_mu, outside_logit
 
 
 def naive_shares(delta, mu, weights):
@@ -284,3 +288,86 @@ def loop_pr0_path(omega, V, mkt):
         for t in range(mkt.horizon - 1):
             pr0[t + 1] = np.maximum(pr0[t] * keep[t], PR0_FLOOR)
     return pr0.T.copy()
+
+
+# The nested-logit kernels as they were before the nest-size classes: one
+# loop over nests, each nest's E the column-major exp_mu(mu[:, idx] / (1 -
+# rho_g)). Copied verbatim, renamed only, as the reference for the classes'
+# bits; unlike the oracles above they share outside_logit, _log_s0 and
+# logsumexp with the kernels they check.
+
+def per_nest_exp_mu(mu, groups, rho):
+    """exp_mu of each nest's scaled deviations mu[:, g] / (1 - rho_g)."""
+    return tuple(exp_mu(mu[:, idx] / (1.0 - rho[g])) for g, idx in enumerate(groups))
+
+
+def per_nest_within(delta, groups, rho, em):
+    """Nest inclusive values IV_ig = (1-rho_g) * log sum_{j in g}
+    exp((delta_j + mu_ij)/(1-rho_g)), nest-major (G, I), and per nest
+    (ed, rowsum): the within-nest probabilities are ed_j * E_ij / rowsum_i."""
+    ivT = np.empty((len(groups), em[0][0].size))
+    parts = []
+    for g, idx in enumerate(groups):
+        a, E = em[g]
+        x = delta[idx] / (1.0 - rho[g])
+        c = x.max()
+        ed = np.exp(x - c)
+        rowsum = E @ ed
+        ivT[g] = (1.0 - rho[g]) * (c + a + np.log(rowsum))
+        parts.append((ed, rowsum))
+    return ivT, parts
+
+
+def per_nest_shares(delta, weights, groups, rho, em):
+    ivT, parts = per_nest_within(delta, groups, rho, em)
+    _, e, e0, denom = outside_logit(ivT.T)  # the nest level, (I, G)
+    s_j = np.empty(delta.size)
+    for g, idx in enumerate(groups):
+        ed, rowsum = parts[g]
+        s_j[idx] = ed * ((weights * (e[:, g] / denom) / rowsum) @ em[g][1])
+    s_g = np.array([s_j[idx].sum() for idx in groups])
+    return s_j, s_g, float(weights @ (e0 / denom)), ivT.T
+
+
+def per_nest_phi_delta_map(mkt, gamma, em):
+    base, rho_j = mkt.base, mkt.product_rho
+
+    def phi(delta):
+        s_j, s_g, s_0, iv = per_nest_shares(delta, base.weights, mkt.groups, mkt.rho, em)
+        with np.errstate(divide="ignore"):
+            out = delta + (1.0 - rho_j) * (base.log_shares - np.log(s_j))
+            if gamma != 0.0:
+                gap_g = mkt.log_nest_shares - np.log(s_g)
+                out = out + gamma * rho_j * gap_g[mkt.nest_of]
+                # s_0 underflows at large IV, its log does not (as in rcnl_iota_IV_to_delta)
+                log_s0 = np.log(s_0)
+                if s_0 == 0.0:
+                    a, _, _, denom = outside_logit(iv)
+                    log_s0 = _log_s0(a + np.log(denom), base.weights)
+                out = out - gamma * (base.log_outside - log_s0)
+        return out
+    return phi
+
+
+def per_nest_iota_IV_to_delta_map(mkt, gamma, em):
+    base, nests = mkt.base, tuple(enumerate(zip(mkt.groups, em, mkt.rho)))
+
+    def to_delta(iv):
+        ivT = np.ascontiguousarray(iv.T)
+        a_top, _, _, denom = outside_logit(ivT.T)
+        lse_top = a_top + np.log(denom)
+        delta = np.empty(base.n_products)
+        with np.errstate(divide="ignore"):
+            for g, (idx, (a, E), rho) in nests:
+                y = a - ivT[g] * (rho / (1.0 - rho)) - lse_top
+                cb = np.maximum.reduce(y)
+                lse = cb + np.log((base.weights * np.exp(y - cb)) @ E)
+                delta[idx] = (1.0 - rho) * (base.log_shares[idx] - lse)
+        if gamma != 0.0:
+            # model nest and outside shares in logs: at large IV the outside
+            # probabilities exp(-lse_top) underflow, their logs do not
+            gap_g = mkt.log_nest_shares - logsumexp((ivT - lse_top).T, 0, base.weights)
+            delta = delta + gamma * mkt.product_rho * gap_g[mkt.nest_of]
+            delta = delta - gamma * (base.log_outside - _log_s0(lse_top, base.weights))
+        return delta
+    return to_delta

@@ -14,7 +14,9 @@ cover both sides of that cutoff and are held to the same references. The
 durable forward pass and ownership path, which skip the floor where it binds
 nowhere, must also equal bit for bit the loops in oracles.py that floor every
 period. The mapping that solve_inner and rcnl_solve_inner build once per
-solve must equal the public kernel bit for bit.
+solve must equal the public kernel bit for bit. The nested kernels, which
+loop over nest-size classes, must equal bit for bit the per-nest loops they
+replaced, kept in oracles.py.
 
 A market's exp factorisation em is built once for all its solves and audits
 that run back to back, and is held only for the last market and only while
@@ -212,6 +214,83 @@ def assert_same_bits(x, y):
     x, y = np.asarray(x), np.asarray(y)
     assert (x.dtype, x.shape) == (y.dtype, y.shape)
     assert x.tobytes() == y.tobytes(), np.max(np.abs(x - y))
+
+
+def _renested(seed, nest_of, rho, n_types=257):
+    base = _random_static(seed, shape=(n_types, len(nest_of)))[0]
+    return NestedMarket(base, np.asarray(nest_of), rho)
+
+
+def _random_classes(seed):
+    """A random nested market of up to 1200 types and 90 products in up to six
+    nests of random sizes, the nest ids shuffled across the products."""
+    rng = np.random.default_rng(seed)
+    I, J = int(rng.integers(1, 1201)), int(rng.integers(1, 91))
+    G = int(rng.integers(1, min(6, J) + 1))
+    nest_of = np.concatenate([np.arange(G), rng.integers(0, G, J - G)])
+    rng.shuffle(nest_of)
+    rho = rng.random(G) * 0.9
+    rho[rng.integers(G)] *= seed % 2  # rho = 0 in one nest of every other market
+    return _renested(seed, nest_of, rho, n_types=I)
+
+
+# markets whose nests fall into several size classes, beside NESTED_CASES
+CLASS_CASES = {
+    # nests of 1, 3, 3 and 5 products: three classes, one a singleton nest
+    "three-classes": lambda: _renested(21, [2, 0, 3, 1, 2, 3, 1, 3, 2, 3, 1, 3],
+                                       [0.3, 0.6, 0.1, 0.8]),
+    "interleaved-19-19-19-18": lambda: _renested(22, np.arange(75) % 4, 0.5, n_types=1000),
+    "one-nest": lambda: _renested(23, np.zeros(40, dtype=int), 0.7),
+    "rho0-in-one-nest": lambda: _renested(24, np.arange(30) % 3, [0.0, 0.4, 0.8]),
+    **{case: build for case, (build, _) in NESTED_CASES.items()},
+}
+
+
+@np.errstate(all="ignore")
+def assert_per_nest_bits(mkt, rng):
+    """The kernels over size classes equal, bit for bit, the per-nest loops
+    in oracles.py at deltas shifted by 0 and +-800 and at inclusive values
+    around 1 and drifted to 1.23e14. Shares that underflow there may give
+    infinities and NaNs (0 * inf at rho = 0), so warnings are off and only
+    bits count."""
+    base, groups, rho = mkt.base, mkt.groups, mkt.rho
+    em = oracles.per_nest_exp_mu(base.mu, groups, rho)
+    for shift in (0.0, 800.0, -800.0):
+        delta = rcnl.rcnl_initial_delta(mkt) + rng.normal(size=base.n_products) + shift
+        want = oracles.per_nest_shares(delta, base.weights, groups, rho, em)
+        for got, bits in zip(rcnl.rcnl_shares(delta, mkt), want):
+            assert_same_bits(got, bits)
+        assert_same_bits(rcnl.rcnl_iota_delta_to_IV(delta, mkt), want[3])
+        for gamma in (0.0, 1.0):
+            assert_same_bits(rcnl.rcnl_phi_delta(delta, gamma, mkt),
+                             oracles.per_nest_phi_delta_map(mkt, gamma, em)(delta))
+    for iv in (np.abs(want[3]) + rng.random(want[3].shape),
+               1.23e14 + rng.random(want[3].shape)):
+        for gamma in (0.0, 1.0):
+            to_delta = oracles.per_nest_iota_IV_to_delta_map(mkt, gamma, em)
+            assert_same_bits(rcnl.rcnl_iota_IV_to_delta(iv, gamma, mkt), to_delta(iv))
+            assert_same_bits(rcnl.rcnl_phi_IV(iv, gamma, mkt),
+                             oracles.per_nest_within(to_delta(iv), groups, rho, em)[0].T)
+
+
+@pytest.mark.parametrize("case", sorted(CLASS_CASES))
+def test_size_class_kernels_equal_the_per_nest_loops_bit_for_bit(case):
+    assert_per_nest_bits(CLASS_CASES[case](), np.random.default_rng(9))
+
+
+def test_size_classes_of_the_cases():
+    sizes = {case: sorted({idx.size for idx in build().groups})
+             for case, build in CLASS_CASES.items()}
+    assert sizes["three-classes"] == [1, 3, 5]
+    assert sizes["interleaved-19-19-19-18"] == [18, 19]
+    assert CLASS_CASES["one-nest"]().n_nests == 1
+    assert 0.0 in CLASS_CASES["rho0-in-one-nest"]().rho
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_size_class_kernels_equal_the_per_nest_loops_on_random_markets(block):
+    for seed in range(50 * block, 50 * block + 50):
+        assert_per_nest_bits(_random_classes(seed), np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("I", [1, 2, 7, 8, 9, 100, 1000, 4097])
@@ -438,8 +517,9 @@ def _small_durable():
 
 EM_CFG = AccelConfig(max_evaluations=300)
 
-# per market: its builder, the module whose exp_mu builds its factorisation,
-# its solves and the audit of a solve's first return value
+# per market: its builder, the module whose exp_mu (nest_exp_mu for the
+# nested market) builds its factorisation, its solves and the audit of a
+# solve's first return value
 EM_CASES = {
     "static": (_small_static, static_rcl,
                [lambda mkt, m=m: static_rcl.solve_inner(mkt, m, EM_CFG)
@@ -484,9 +564,9 @@ def test_solves_and_audits_of_one_market_build_em_once(case, monkeypatch):
     mkt = build()
     want = _em_run(case, mkt, cold=True)
     _cold_em()
-    calls = _count_calls(monkeypatch, module, "exp_mu")
+    calls = _count_calls(monkeypatch, module, "nest_exp_mu" if case == "nested" else "exp_mu")
     assert _em_run(case, mkt) == want
-    assert len(calls) == (mkt.n_nests if case == "nested" else 1)  # one exp_mu per nest
+    assert len(calls) == 1
 
 
 def test_same_shape_markets_solved_alternately_get_their_own_em():
@@ -505,8 +585,8 @@ def test_same_shape_markets_solved_alternately_get_their_own_em():
 def test_em_arrays_are_read_only(case):
     mkt = EM_CASES[case][0]()
     em = {"static": static_rcl._em, "nested": rcnl._em, "durable": dynamic._exp_mu_t}[case](mkt)
-    arrays = [x for pair in (em if case == "nested" else (em,)) for x in pair]
-    assert len(arrays) == (2 * mkt.n_nests if case == "nested" else 2)
+    arrays = [x for part in (em if case == "nested" else (em,)) for x in part]
+    assert len(arrays) == (5 if case == "nested" else 2)  # the nested market's one size class
     for x in arrays:
         assert not x.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

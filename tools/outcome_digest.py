@@ -8,7 +8,11 @@ one replication of each ``bench`` suite through ``run_suite``. A workload
 solve's hash covers the returned point's bytes, the evaluations, the
 termination, the final residual, the residual history and every field of
 the first return value (the delta vector, or the ``DurableSolution`` with
-its ``IvsState``). A suite record's hash covers every ``RunRecord`` field
+its ``IvsState``). A ``renested`` line hashes the same for one solve, by
+one RCNL mapping and method, of the ``rcnl_j75`` design's market at a
+drawn theta, re-nested into four interleaved nests of 19, 19, 19 and 18
+products: unequal nests in two size classes, which the DGP's three equal
+nests never make. A suite record's hash covers every ``RunRecord`` field
 but ``wall_ms``. A ``truth`` line hashes one DGP design's market and its
 truth (``delta_true`` for the static and nested designs, ``solution_true``
 for the durable ones) at replication 0. A solve line ends with its
@@ -38,9 +42,12 @@ os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
+from demandinv.accel import AccelConfig  # noqa: E402
 from demandinv.bench import SUITES, default_config, run_suite  # noqa: E402
 from demandinv.datagen import (DynamicDgpParams, SeededRng, StaticDgpParams,  # noqa: E402
-                               gen_dynamic_market, gen_nested_market, gen_static_market)
+                               draw_theta, gen_dynamic_market, gen_nested_market,
+                               gen_static_market)
+from demandinv.rcnl import RCNL_MAPPINGS, NestedMarket, rcnl_solve_inner  # noqa: E402
 
 
 def digest(*objs) -> str:
@@ -108,6 +115,20 @@ DESIGNS = {
 }
 
 
+def renested_lines(seed):
+    gen, params, default_seed, _ = DESIGNS["rcnl_j75"]
+    rng = SeededRng(default_seed if seed is None else seed, 0).generator()
+    inst = gen(params, rng)
+    base = inst.with_theta(draw_theta(inst.theta_true, rng)).base
+    mkt = NestedMarket(base, np.arange(base.n_products) % 4, 0.5)
+    for mapping in RCNL_MAPPINGS:
+        for method in workloads.METHODS:
+            cfg = AccelConfig(method=method, tolerance=1e-13, max_evaluations=1000)
+            delta, outcome = rcnl_solve_inner(mkt, mapping, cfg)
+            yield (f"renested rcnl_j75 {mapping}+{method}",
+                   in_clear(digest(delta, outcome), outcome))
+
+
 def truth_lines(seed):
     for key, (gen, params, default_seed, truth) in DESIGNS.items():
         inst = gen(params, SeededRng(default_seed if seed is None else seed, 0).generator())
@@ -120,7 +141,8 @@ def main(argv=None) -> int:
                         help="master seed for every workload, suite and DGP design "
                              "(default: their own)")
     args = parser.parse_args(argv)
-    for lines in (workload_lines(args.seed), suite_lines(args.seed), truth_lines(args.seed)):
+    for lines in (workload_lines(args.seed), renested_lines(args.seed), suite_lines(args.seed),
+                  truth_lines(args.seed)):
         for key, value in lines:
             print(key, value, flush=True)
     return 0
