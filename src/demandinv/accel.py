@@ -21,6 +21,11 @@ large-heterogeneity market) keeps :func:`anderson_combine`'s SVD lstsq bit
 for bit, because the benchmark pins the end of one Anderson drift on such a
 market to its last bits.
 
+Any :class:`FixedPointMap` runs under the solve's error state
+:data:`SOLVE_ERRSTATE`, entered once per solve: a non-finite image or step
+ends the solve as ``non_finite``, so no warning is raised for it. A mapping
+silences nothing itself; a public kernel that evaluates one enters the same.
+
 Evaluation counting is the primary performance metric: the ``evaluations``
 field of :class:`SolveOutcome` counts every application of the mapping
 (SQUAREM consumes two per outer step, everything else one per iteration).
@@ -30,7 +35,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -44,6 +48,9 @@ STEP_RULES = ("S1", "S2", "S3", "S3prime")
 # Upper bound on per-block step sizes (cfg.use_blocks); unbounded block steps
 # occasionally spike above 100 and destabilize. Scalar steps are not capped.
 DEFAULT_BLOCK_STEP_CAP = 10.0
+
+# np.errstate keywords of every solve (see the module docstring)
+SOLVE_ERRSTATE = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
 
 
 @dataclass(frozen=True)
@@ -158,7 +165,7 @@ def _step_rule(s, y, rule: str, labels=None):
     unit step 1. Elementwise operations only, which run on numpy scalars
     without array overhead; the caller silences floating-point warnings.
     """
-    total = (operator.matmul if labels is None else
+    total = (np.ndarray.dot if labels is None else
              lambda u, v: np.bincount(labels, weights=u * v))
     yy = total(y, y)
     if rule == "S1":
@@ -181,14 +188,14 @@ def spectral_alpha(s, y, rule: str = "S3") -> float:
     """Step size from the last step s = x_n - x_{n-1} and residual change y."""
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(**SOLVE_ERRSTATE):
         return _step_rule(s, y, rule)
 
 
 def block_step_sizes(s, y, labels: np.ndarray, rule: str = "S3") -> np.ndarray:
     """spectral_alpha of each block, capped at DEFAULT_BLOCK_STEP_CAP; labels[i]
     is coordinate i's block, and block b's step size is entry b."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(**SOLVE_ERRSTATE):
         return _step_rule(s, y, rule, labels)
 
 
@@ -248,12 +255,12 @@ class _DifferenceQR:
             self._delete_oldest()
         k = self.size
         Q = self.Q[:k]
-        r = Q @ dF
-        v = dF - r @ Q
-        first = math.sqrt(v @ v)
-        s = Q @ v
-        v -= s @ Q
-        second = math.sqrt(v @ v)
+        r = Q.dot(dF)
+        v = dF - r.dot(Q)
+        first = math.sqrt(v.dot(v))
+        s = Q.dot(v)
+        v -= s.dot(Q)
+        second = math.sqrt(v.dot(v))
         self.R[:k, k] = r + s
         if second > 0.5 * first:
             self.R[k, k] = second
@@ -276,7 +283,7 @@ class _DifferenceQR:
         """The minimum-norm least squares of residual on the window's
         differences, as anderson_combine solves it, from the factorisation."""
         k = self.size
-        return ls_minnorm(self.R[:k, :k], self.Q[:k] @ residual, rcond=self.rcond)
+        return ls_minnorm(self.R[:k, :k], self.Q[:k].dot(residual), rcond=self.rcond)
 
 
 def _orthogonal_unit_vector(Q: np.ndarray) -> np.ndarray:
@@ -284,10 +291,10 @@ def _orthogonal_unit_vector(Q: np.ndarray) -> np.ndarray:
     than columns): the coordinate vector they span least, projected off them
     twice."""
     j = int(np.argmin(np.einsum("ij,ij->j", Q, Q)))
-    v = -(Q[:, j] @ Q)
+    v = -Q[:, j].dot(Q)
     v[j] += 1.0
-    v -= (Q @ v) @ Q
-    return v / math.sqrt(v @ v)
+    v -= Q.dot(v).dot(Q)
+    return v / math.sqrt(v.dot(v))
 
 
 def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
@@ -331,32 +338,33 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
                             termination=termination, final_residual=residual,
                             residual_history=history)
 
-    while evals < max_evals:
-        g = evaluate(x)
-        evals += 1
-        F = g - x
-        # x is finite, so r is finite unless g is not or g - x overflowed
-        # (an empty x has r = 0)
-        r = float(max_reduce(absolute(F), initial=0.0))
-        if not isfinite(r) and not np.isfinite(g).all():
-            return finish(x, "non_finite", np.inf)
-        history.append(r)
-        if r < tolerance:
-            return finish(g, "converged", r)
-        if method == "plain":
-            x = g
-            continue
-        last_image = g
-        if method == "squarem":  # a second evaluation, on Phi(Phi(x))
-            if evals >= max_evals:
-                break
-            g2 = evaluate(g)
+    # no warnings: a non-finite image or step ends the solve as non_finite
+    # below, and a 0/0 step size is 1
+    with np.errstate(**SOLVE_ERRSTATE):
+        while evals < max_evals:
+            g = evaluate(x)
             evals += 1
-            if not np.isfinite(g2).all():
-                return finish(g, "non_finite", np.inf)
-            last_image = g2
-        # no warnings: an overflowing step ends as non_finite below, a 0/0 step size is 1
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            F = g - x
+            # x is finite, so r is finite unless g is not or g - x overflowed
+            # (an empty x has r = 0)
+            r = float(max_reduce(absolute(F), initial=0.0))
+            if not isfinite(r) and not np.isfinite(g).all():
+                return finish(x, "non_finite", np.inf)
+            history.append(r)
+            if r < tolerance:
+                return finish(g, "converged", r)
+            if method == "plain":
+                x = g
+                continue
+            last_image = g
+            if method == "squarem":  # a second evaluation, on Phi(Phi(x))
+                if evals >= max_evals:
+                    break
+                g2 = evaluate(g)
+                evals += 1
+                if not np.isfinite(g2).all():
+                    return finish(g, "non_finite", np.inf)
+                last_image = g2
             if method == "anderson":
                 # the first combination has no differences: a plain step
                 if window is None:
@@ -370,7 +378,7 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
                     x_next = g
                 else:
                     window.append(F - F_prev, g - g_prev)
-                    x_next = g - window.gamma(F) @ window.dG[:window.size]
+                    x_next = g - window.gamma(F).dot(window.dG[:window.size])
                 F_prev, g_prev = F, g
             elif method == "spectral":
                 alpha = 1.0 if x_prev is None else alpha_from(x - x_prev, F - F_prev)
@@ -379,14 +387,14 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
             else:
                 y = g2 - 2.0 * g + x
                 # degenerate curvature: alpha = 1 reproduces the exact two-step Phi^2(x)
-                if labels is None and float(y @ y) == 0.0:
+                if labels is None and float(y.dot(y)) == 0.0:
                     x_next = g2
                 else:
                     # x + 2 alpha s + alpha^2 y with s = F; a numpy scalar squares
                     # like a Python float but overflows to inf, not an error
                     alpha = alpha_from(F, y)
                     x_next = x + 2.0 * alpha * F + np.float64(alpha) ** 2 * y
-        if not np.isfinite(x_next).all():
-            return finish(last_image, "non_finite", np.inf)
-        x = x_next
+            if not np.isfinite(x_next).all():
+                return finish(last_image, "non_finite", np.inf)
+            x = x_next
     return finish(x, "max_evaluations", r)

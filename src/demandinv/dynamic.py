@@ -163,36 +163,35 @@ def _pr0_path(omega: np.ndarray, V: np.ndarray, mkt: DurableMarket) -> np.ndarra
     return pr0.T.copy()  # C order: the callers' sums over types keep their bits
 
 
-def _forward(V: np.ndarray, mkt: DurableMarket, em):
-    """Alg-step 1: delta recovery and ownership propagation at V.
+def _forward_pass(mkt: DurableMarket, em):
+    """Alg-step 1, delta recovery and ownership propagation, as a function of
+    V alone. Its buffers and their per-period rows are allocated once, so a
+    solve builds it once for all its evaluations; the pr0 it returns is its
+    buffer, which the next call overwrites.
 
-    Returns (delta (J,T), omega (I,T), pr0 (I,T)). omega is each type's
-    purchase inclusive value log sum_j exp(delta + mu). Only the ownership
-    path is sequential, so the loop over periods carries only pr0. With
-    cb_t = max_i (a_i - V_i) and ez_t = exp(a_t - V_t - cb_t), period t takes
-    r_t = (w.pr0_t) S_t / ((w pr0_t ez_t) @ E_t), which is exp(delta_t + cb_t),
-    then the purchase probabilities buy_t = ez_t * (E_t @ r_t) and
-    pr0_{t+1} = max(pr0_t - pr0_t buy_t, PR0_FLOOR): three products over E_t
-    and no exp or log, written in place. The periods run with the floor only
-    if pr0_init or the unfloored path lies below it or is NaN; the result is
-    the floored pass exactly. delta = log r - cb and omega =
+    The function returns (delta (J,T), omega (I,T), pr0 (I,T)). omega is each
+    type's purchase inclusive value log sum_j exp(delta + mu). Only the
+    ownership path is sequential, so the loop over periods carries only pr0.
+    With cb_t = max_i (a_i - V_i) and ez_t = exp(a_t - V_t - cb_t), period t
+    takes r_t = (w.pr0_t) S_t / ((w pr0_t ez_t) @ E_t), which is
+    exp(delta_t + cb_t), then the purchase probabilities buy_t = ez_t * (E_t @
+    r_t) and pr0_{t+1} = max(pr0_t - pr0_t buy_t, PR0_FLOOR): three products
+    over E_t and no exp or log, written in place. The periods run with the
+    floor only if pr0_init or the unfloored path lies below it or is NaN; the
+    result is the floored pass exactly. delta = log r - cb and omega =
     _omega_from_delta(delta) then take every period at once.
     """
     a, E = em
-    w = mkt.weights
-    S = mkt._S_t
-    z = a - V.T  # (T, I)
-    cb = z.max(axis=1)
-    ez = np.exp(z - cb[:, None])
-    wez = w * ez
-    r = np.empty((mkt.horizon, mkt.n_products))
-    pr0 = np.empty_like(z)
+    w, S = mkt.weights, mkt._S_t
+    ez, wez, pr0 = np.empty_like(a), np.empty_like(a), np.empty_like(a)  # (T, I)
+    cb, r, buf = np.empty(len(a)), np.empty((len(a), mkt.n_products)), np.empty(mkt.n_types)
     pr0[0] = mkt.pr0_init
-    buf = np.empty(mkt.n_types)
+    rows = tuple(zip(S, wez, E, ez, r, pr0[1:]))  # the periods t < T-1
+    floor_all = not (mkt.pr0_init >= PR0_FLOOR).all()
 
     def periods(floor):  # r_t and pr0_{t+1} for t < T-1; returns pr0_{T-1}
         p = pr0[0]
-        for S_t, wez_t, E_t, ez_t, r_t, p_next in zip(S, wez, E, ez, r, pr0[1:]):
+        for S_t, wez_t, E_t, ez_t, r_t, p_next in rows:
             np.multiply(S_t, w.dot(p), r_t)
             np.divide(r_t, np.multiply(p, wez_t, buf).dot(E_t), r_t)
             np.multiply(ez_t, E_t.dot(r_t, buf), buf)
@@ -201,15 +200,25 @@ def _forward(V: np.ndarray, mkt: DurableMarket, em):
                 np.maximum(p, PR0_FLOOR, out=p)
         return p
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        floor = not (mkt.pr0_init >= PR0_FLOOR).all()
-        p = periods(floor)
-        if not floor and not (pr0[1:] >= PR0_FLOOR).all():  # NaN fails
-            p = periods(True)
-        r[-1] = S[-1] * w.dot(p) / (p * wez[-1]).dot(E[-1])
-        delta = (np.log(r) - cb[:, None]).T
-        omega = _omega_from_delta(delta, em)
-    return delta, omega, pr0.T
+    def forward(V):
+        np.subtract(a, V.T, out=ez)  # z = a - V.T
+        np.maximum.reduce(ez, 1, out=cb)
+        np.exp(np.subtract(ez, cb[:, None], out=ez), out=ez)
+        np.multiply(w, ez, out=wez)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            p = periods(floor_all)
+            if not floor_all and not (pr0[1:] >= PR0_FLOOR).all():  # NaN fails
+                p = periods(True)
+            r[-1] = S[-1] * w.dot(p) / (p * wez[-1]).dot(E[-1])
+            delta = (np.log(r, out=r) - cb[:, None]).T
+            omega = _omega_from_delta(delta, em)
+        return delta, omega, pr0.T
+    return forward
+
+
+def _forward(V: np.ndarray, mkt: DurableMarket, em):
+    """One forward pass at V (_forward_pass), in buffers of its own."""
+    return _forward_pass(mkt, em)(V)
 
 
 def _ccp(delta: np.ndarray, V: np.ndarray, em) -> np.ndarray:
@@ -304,17 +313,18 @@ def pf_solve(mkt: DurableMarket, gamma: float, cfg: AccelConfig):
     I, T = mkt.n_types, mkt.horizon
     shape = (I, T)
     em = _exp_mu_t(mkt)
+    forward = _forward_pass(mkt, em)
 
     def evaluate(x):
         V = x.reshape(shape)
-        _, omega, pr0 = _forward(V, mkt, em)
+        _, omega, pr0 = forward(V)
         return _backup(V, _v_next(V), omega, gamma, pr0, mkt).ravel()
 
     # coordinate i * T + t of the flattened (I, T) state is in period t's block
     fp = FixedPointMap(evaluate, block_labels=np.tile(np.arange(T), I))
     outcome = solve(fp, np.zeros(I * T), cfg)
     V = outcome.point.reshape(shape)
-    delta, omega, _ = _forward(V, mkt, em)
+    delta, omega, _ = forward(V)
     return _solution(delta, V, omega, mkt, em), outcome
 
 
@@ -396,6 +406,7 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
     ghx, ghw = normal_quadrature(grid.gh_order)
     nd = I * T
     em = _exp_mu_t(mkt)
+    forward = _forward_pass(mkt, em)
     grid_points = np.broadcast_to(nodes, (I, N))
 
     def expectations(v_grid, theta0, theta1, sd, points):
@@ -412,7 +423,7 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
     def evaluate(x):
         v_data = x[:nd].reshape(I, T)
         v_grid = x[nd:].reshape(I, N)
-        _, omega, pr0 = _forward(v_data, mkt, em)
+        _, omega, pr0 = forward(v_data)
         if not np.all(np.isfinite(omega)):
             return np.full_like(x, np.nan)
         theta0, theta1, sd = ols_ar1_rows(omega)
@@ -427,7 +438,7 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
     outcome = solve(FixedPointMap(evaluate), np.zeros(nd + I * N), cfg)
     v_data = outcome.point[:nd].reshape(I, T)
     v_grid = outcome.point[nd:].reshape(I, N)
-    delta, omega, _ = _forward(v_data, mkt, em)
+    delta, omega, _ = forward(v_data)
     theta0, theta1, sd = ols_ar1_rows(omega)
     state = IvsState(grid=nodes, v_data=v_data, v_grid=v_grid,
                      ar1_intercept=theta0, ar1_slope=theta1, ar1_sd=sd,

@@ -83,12 +83,14 @@ def chebyshev_eval_rows(coeffs, x, lo: float, hi: float) -> np.ndarray:
     z = (2.0 * xa - (lo + hi)) / (hi - lo)
     z2 = 2.0 * z
     n = c.shape[1]
-    extra = (None,) * (z.ndim - 1)
-    b1 = np.zeros_like(z)
-    b2 = np.zeros_like(z)
-    for m in range(n - 1, 0, -1):
-        b1, b2 = c[:, m][(slice(None),) + extra] + z2 * b1 - b2, b1
-    return c[:, 0][(slice(None),) + extra] + z * b1 - b2
+    c = c.reshape(c.shape + (1,) * (z.ndim - 1))  # c[:, m] broadcasts against z
+    b1, b2, t = np.zeros_like(z), np.zeros_like(z), np.empty_like(z)
+    if n > 1:
+        b1[...] = c[:, n - 1]  # the first step c + z2 * 0 - 0, exactly
+    for m in range(n - 2, 0, -1):  # b1 = c_m + z2 * b1 - b2, in three buffers
+        np.subtract(np.add(c[:, m], np.multiply(z2, b1, out=t), out=t), b2, out=t)
+        b1, b2, t = t, b1, b2
+    return np.subtract(np.add(c[:, 0], np.multiply(z, b1, out=t), out=t), b2, out=t)
 
 
 def normal_quadrature(order: int) -> tuple[np.ndarray, np.ndarray]:

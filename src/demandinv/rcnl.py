@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import AccelConfig, FixedPointMap, solve
+from .accel import SOLVE_ERRSTATE, AccelConfig, FixedPointMap, solve
 from .numerics import log_share_gap, logsumexp
 from .static_rcl import (StaticMarket, _freeze, _log_s0, _market_em, check_mu_span,
                          numeric_array, outside_logit)
@@ -117,7 +117,7 @@ def _shares(delta, weights, em):
         s = ed * ((weights * (e.T[nests] / denom) / rowsum)[:, None, :] @ E)[:, 0]
         s_j[P] = s
         s_g[nests] = np.add.reduce(s, 1)
-    return s_j, s_g, float(weights @ (e0 / denom)), ivT.T
+    return s_j, s_g, float(weights.dot(e0 / denom)), ivT.T
 
 
 def rcnl_shares(delta, mkt: NestedMarket):
@@ -134,17 +134,16 @@ def _rcnl_phi_delta_map(mkt: NestedMarket, gamma: float, em):
 
     def phi(delta):
         s_j, s_g, s_0, iv = _shares(delta, base.weights, em)
-        with np.errstate(divide="ignore"):
-            out = delta + w_j * (base.log_shares - np.log(s_j))
-            if gamma != 0.0:
-                gap_g = mkt.log_nest_shares - np.log(s_g)
-                out = out + gamma_rho_j * gap_g[mkt.nest_of]
-                # s_0 underflows at large IV, its log does not (as in rcnl_iota_IV_to_delta)
-                log_s0 = np.log(s_0)
-                if s_0 == 0.0:
-                    a, _, _, denom = outside_logit(iv)
-                    log_s0 = _log_s0(a + np.log(denom), base.weights)
-                out = out - gamma * (base.log_outside - log_s0)
+        out = delta + w_j * (base.log_shares - np.log(s_j))
+        if gamma != 0.0:
+            gap_g = mkt.log_nest_shares - np.log(s_g)
+            out = out + gamma_rho_j * gap_g[mkt.nest_of]
+            # s_0 underflows at large IV, its log does not (as in rcnl_iota_IV_to_delta)
+            log_s0 = np.log(s_0)
+            if s_0 == 0.0:
+                a, _, _, denom = outside_logit(iv)
+                log_s0 = _log_s0(a + np.log(denom), base.weights)
+            out = out - gamma * (base.log_outside - log_s0)
         return out
     return phi
 
@@ -159,12 +158,11 @@ def _rcnl_iota_IV_to_delta_map(mkt: NestedMarket, gamma: float, em):
         a_top, _, _, denom = outside_logit(ivT.T)
         lse_top = a_top + np.log(denom)
         delta = np.empty(base.n_products)
-        with np.errstate(divide="ignore"):
-            for nests, P, w, r, log_S, a, E in classes:
-                y = a - ivT[nests] * r - lse_top
-                cb = np.maximum.reduce(y, 1, keepdims=True)
-                lse = cb + np.log(((weights * np.exp(y - cb))[:, None, :] @ E)[:, 0])
-                delta[P] = w * (log_S - lse)
+        for nests, P, w, r, log_S, a, E in classes:
+            y = a - ivT[nests] * r - lse_top
+            cb = np.maximum.reduce(y, 1, keepdims=True)
+            lse = cb + np.log(((weights * np.exp(y - cb))[:, None, :] @ E)[:, 0])
+            delta[P] = w * (log_S - lse)
         if gamma != 0.0:
             # model nest and outside shares in logs: at large IV the outside
             # probabilities exp(-lse_top) underflow, their logs do not
@@ -180,6 +178,7 @@ def _rcnl_phi_IV_map(mkt: NestedMarket, gamma: float, em):
     return lambda iv: _within(to_delta(iv), em)[0].T
 
 
+@np.errstate(**SOLVE_ERRSTATE)
 def rcnl_phi_delta(delta, gamma: float, mkt: NestedMarket) -> np.ndarray:
     """delta + (1-rho)(logS_j - log s_j) + gamma*rho*(logS_g - log s_g)
     - gamma*(logS_0 - log s_0), with each product's own nest terms."""
@@ -190,6 +189,7 @@ def rcnl_iota_delta_to_IV(delta, mkt: NestedMarket) -> np.ndarray:
     return _within(np.asarray(delta, dtype=float), _em(mkt))[0].T
 
 
+@np.errstate(**SOLVE_ERRSTATE)
 def rcnl_iota_IV_to_delta(iv, gamma: float, mkt: NestedMarket) -> np.ndarray:
     """Analytic delta given per-type nest inclusive values.
 
@@ -200,6 +200,7 @@ def rcnl_iota_IV_to_delta(iv, gamma: float, mkt: NestedMarket) -> np.ndarray:
     return _rcnl_iota_IV_to_delta_map(mkt, gamma, _em(mkt))(np.asarray(iv, dtype=float))
 
 
+@np.errstate(**SOLVE_ERRSTATE)
 def rcnl_phi_IV(iv, gamma: float, mkt: NestedMarket) -> np.ndarray:
     return _rcnl_phi_IV_map(mkt, gamma, _em(mkt))(np.asarray(iv, dtype=float))
 
@@ -222,6 +223,7 @@ def rcnl_initial_delta(mkt: NestedMarket) -> np.ndarray:
             + rho_j * mkt.log_nest_shares[mkt.nest_of] - mkt.base.log_outside)
 
 
+@np.errstate(**SOLVE_ERRSTATE)  # for the IV to delta map after an IV solve
 def rcnl_solve_inner(mkt: NestedMarket, mapping: str, cfg: AccelConfig):
     """Solve the nested inner loop; mapping: delta0 | delta1 | IV0 | IV1."""
     if mapping not in RCNL_MAPPINGS:

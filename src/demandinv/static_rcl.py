@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import AccelConfig, FixedPointMap, solve
+from .accel import SOLVE_ERRSTATE, AccelConfig, FixedPointMap, solve
 from .numerics import log_share_gap, logsumexp
 
 MAPPINGS = ("delta0", "delta1", "V0", "V1", "kalouptsidi_mixed", "kalouptsidi_tilde")
@@ -195,7 +195,7 @@ def _logit(delta, a, E):
     k = np.maximum(b, 0.0)
     eb = np.exp(b - k)
     e0 = np.exp(-k)
-    return ed, eb, k, e0, e0 + eb * (E @ ed)
+    return ed, eb, k, e0, e0 + eb * E.dot(ed)
 
 
 def _shares(delta, weights, a, E):
@@ -204,7 +204,7 @@ def _shares(delta, weights, a, E):
     logit = _logit(delta, a, E)
     ed, eb, _, e0, denom = logit
     wd = weights / denom
-    return ed * ((wd * eb) @ E), float(wd @ e0), logit
+    return ed * (wd * eb).dot(E), float(wd.dot(e0)), logit
 
 
 def logit_shares(delta, mu, weights):
@@ -217,8 +217,9 @@ def logit_shares(delta, mu, weights):
 
 def _log_s0(V, weights):
     """log sum_i w_i exp(-V_i) in 1-D, with numerics.logsumexp's bits on the column -V."""
-    m = np.maximum.reduce(-V)
-    return m + np.log(np.add.reduce(np.exp(-V - m) * weights))
+    nV = -V
+    m = np.maximum.reduce(nV)
+    return m + np.log(np.add.reduce(np.exp(nV - m) * weights))
 
 
 def _phi_delta_map(mkt: StaticMarket, gamma: float, em):
@@ -226,18 +227,18 @@ def _phi_delta_map(mkt: StaticMarket, gamma: float, em):
 
     def phi(delta):
         s_j, s_0, (_, _, k, _, denom) = _shares(delta, weights, *em)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = delta + (log_shares - np.log(s_j))
-            if gamma != 0.0:
-                # s_0 underflows when every type's utilities sit ~745 above the
-                # outside option; log s_0 = log sum_i w_i exp(-V_i), with
-                # V_i = k_i + log denom_i, does not
-                log_s0 = np.log(s_0) if s_0 != 0.0 else _log_s0(k + np.log(denom), weights)
-                out = out - gamma * (log_outside - log_s0)
+        out = delta + (log_shares - np.log(s_j))
+        if gamma != 0.0:
+            # s_0 underflows when every type's utilities sit ~745 above the
+            # outside option; log s_0 = log sum_i w_i exp(-V_i), with
+            # V_i = k_i + log denom_i, does not
+            log_s0 = np.log(s_0) if s_0 != 0.0 else _log_s0(k + np.log(denom), weights)
+            out = out - gamma * (log_outside - log_s0)
         return out
     return phi
 
 
+@np.errstate(**SOLVE_ERRSTATE)
 def phi_delta(delta, gamma: float, mkt: StaticMarket) -> np.ndarray:
     """delta + (log S - log s(delta)) - gamma * (log S0 - log s0(delta))."""
     return _phi_delta_map(mkt, gamma, _em(mkt))(np.asarray(delta, dtype=float))
@@ -280,7 +281,7 @@ def _value_maps(mkt: StaticMarket, gamma: float, em):  # (iota_V_to_delta, iota_
         def to_delta0(V):
             b = a - V
             cb = np.maximum.reduce(b)
-            return log_shares - cb - np.log((weights * np.exp(b - cb)) @ E)
+            return log_shares - cb - np.log((weights * np.exp(b - cb)).dot(E))
 
         def to_V(delta):
             _, _, k, _, denom = _logit(delta, a, E)
@@ -346,17 +347,14 @@ def _kalouptsidi_maps(mkt: StaticMarket, em):  # (kalouptsidi_F, kalouptsidi_Fti
         """log of the bracketed share sum in F_i, for every type i: log(sum_j
         S_j exp(mu_ij + r_i) / sum_k exp(mu_kj + r_k) + S_0 softmax(r)_i)."""
         y = a + r_full
-        ey = np.exp(y - np.maximum.reduce(y))  # sum_i exp(mu_ij + r_i) = exp(max y) (ey @ E)_j
+        ey = np.exp(y - np.maximum.reduce(y))  # sum_i exp(mu_ij + r_i) = exp(max y) (ey E)_j
         er = np.exp(r_full - np.maximum.reduce(r_full))
-        inner = ey * (E @ (shares / (ey @ E))) + outside * (er / np.add.reduce(er))
-        with np.errstate(divide="ignore"):
-            return np.log(inner)
+        return np.log(ey * E.dot(shares / ey.dot(E)) + outside * (er / np.add.reduce(er)))
 
     def F(r):
         head = r[:-1] + log_w_head - rhs(r)[:-1]
         # far from the fixed point exp(head) overflows and the tail is NaN: F latches
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            tail = np.log(outside - np.add.reduce(np.exp(head)))  # log S_0 with one type
+        tail = np.log(outside - np.add.reduce(np.exp(head)))  # log S_0 with one type
         return np.concatenate([head, [tail]])
 
     def Ftilde(rt):
@@ -366,11 +364,13 @@ def _kalouptsidi_maps(mkt: StaticMarket, em):  # (kalouptsidi_F, kalouptsidi_Fti
     return F, Ftilde
 
 
+@np.errstate(**SOLVE_ERRSTATE)
 def kalouptsidi_F(r, mkt: StaticMarket) -> np.ndarray:
     """The original mapping: head types via the share sum, last via adding up."""
     return _kalouptsidi_maps(mkt, _em(mkt))[0](np.asarray(r, dtype=float))
 
 
+@np.errstate(**SOLVE_ERRSTATE)
 def kalouptsidi_Ftilde(r_tilde, mkt: StaticMarket) -> np.ndarray:
     """Normalized variant on r_tilde = r - r_I (last type pinned at 0)."""
     return _kalouptsidi_maps(mkt, _em(mkt))[1](np.asarray(r_tilde, dtype=float))

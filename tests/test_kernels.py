@@ -14,7 +14,9 @@ cover both sides of that cutoff and are held to the same references. The
 durable forward pass and ownership path, which skip the floor where it binds
 nowhere, must also equal bit for bit the loops in oracles.py that floor every
 period. The mapping that solve_inner and rcnl_solve_inner build once per
-solve must equal the public kernel bit for bit. The nested kernels, which
+solve, evaluated under the error state of accel.solve, must equal the public
+kernel bit for bit, and a short solve of it must raise no warning: the
+built maps silence nothing themselves. The nested kernels, which
 loop over nest-size classes, must equal bit for bit the per-nest loops they
 replaced, kept in oracles.py.
 
@@ -22,19 +24,22 @@ A market's exp factorisation em is built once for all its solves and audits
 that run back to back, and is held only for the last market and only while
 that market lives: a solve on a warm slot must equal one on a cold slot bit
 for bit.
+The durable forward pass allocates its buffers once per solve: a reused
+pass must keep the period loops' bits, and no image or solution may share
+memory with the next evaluation.
 """
 
 import gc
 import threading
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
-from demandinv import dynamic, rcnl, static_rcl
-from demandinv.accel import AccelConfig, SolveOutcome
+from demandinv import accel, dynamic, rcnl, static_rcl
+from demandinv.accel import METHODS, AccelConfig, SolveOutcome
 from demandinv.datagen import (DynamicDgpParams, SeededRng, StaticDgpParams, draw_theta,
                                gen_dynamic_market, gen_nested_market, gen_static_market)
 from demandinv.dynamic import DurableMarket
@@ -51,6 +56,13 @@ def quiet(fn, *args):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         return fn(*args)
+
+
+def in_solve(fn, *args):
+    """quiet(fn, *args) under the error state that accel.solve evaluates a
+    mapping in."""
+    with np.errstate(**accel.SOLVE_ERRSTATE):
+        return quiet(fn, *args)
 
 
 def assert_agree(x, y, per_entry=False, rtol=RTOL):
@@ -361,6 +373,13 @@ def _static_reference(mkt, mapping):
 V_SHIFTS = (0.0, 800.0, -800.0, 1e14)
 
 
+def assert_solves_quietly(fp, x):
+    """accel.solve raises no warning on fp from x with 3 evaluations, by each
+    method: the built maps silence nothing themselves, the solve does."""
+    for method in METHODS:
+        quiet(accel.solve, fp, x, AccelConfig(method=method, max_evaluations=3))
+
+
 @pytest.mark.parametrize("case", sorted(STATIC_CASES))
 @pytest.mark.parametrize("mapping", static_rcl.MAPPINGS)
 def test_solve_inner_iterates_the_public_kernel_bit_for_bit(case, mapping, monkeypatch):
@@ -375,7 +394,8 @@ def test_solve_inner_iterates_the_public_kernel_bit_for_bit(case, mapping, monke
     for shift in V_SHIFTS:
         fp, x0 = _built_map(monkeypatch, static_rcl, static_rcl.solve_inner, mkt, mapping)
         x = x0 + sign * shift
-        assert_same_bits(quiet(fp.evaluate, x), quiet(reference, x))
+        assert_same_bits(in_solve(fp.evaluate, x), quiet(reference, x))
+        assert_solves_quietly(fp, x)
     assert len(builds) == 1  # the solves and the public kernels share one build
 
 
@@ -393,7 +413,8 @@ def test_rcnl_solve_inner_iterates_the_public_kernel_bit_for_bit(case, mapping, 
             want = quiet(rcnl.rcnl_phi_IV, x.reshape(shape), gamma, mkt).ravel()
         else:
             want = quiet(rcnl.rcnl_phi_delta, x, gamma, mkt)
-        assert_same_bits(quiet(fp.evaluate, x), want)
+        assert_same_bits(in_solve(fp.evaluate, x), want)
+        assert_solves_quietly(fp, x)
     assert len(builds) == 1
 
 
@@ -493,6 +514,21 @@ def test_the_floor_case_reaches_the_floor():
     assert np.sum(pr0 == dynamic.PR0_FLOOR) > 100
 
 
+@pytest.mark.parametrize("case", ["dynamic_t50 V+N(0,5) per type", "pr0_init with a 0",
+                                  "a NaN in V"])
+def test_a_reused_forward_pass_keeps_the_bits_of_the_period_loops(case):
+    # one forward pass, as a solve builds it, alternates between the case's V
+    # (the floored re-run, a floored start, NaN) and the truth, where the
+    # floor binds nowhere
+    mkt, V = LOOP_CASES[case]()
+    em = dynamic._exp_mu_t(mkt)
+    forward = dynamic._forward_pass(mkt, em)
+    for V_k in (_dgp_durable(50)[1], V, _dgp_durable(50)[1], V):
+        got = quiet(forward, V_k)
+        for g, want in zip(got, oracles.loop_durable_forward(V_k, mkt, em)):
+            np.testing.assert_array_equal(g, want)
+
+
 # ---------------------------------------------------------------------------
 # One exp factorisation per market
 
@@ -509,8 +545,8 @@ def _small_nested():
     return inst.with_theta(draw_theta(inst.theta_true, g))
 
 
-def _small_durable():
-    g = SeededRng(11, 0).generator()
+def _small_durable(seed=11):
+    g = SeededRng(seed, 0).generator()
     inst = gen_dynamic_market(DynamicDgpParams(n_products=5, n_draws=10, horizon=8), g)
     return inst.with_theta(draw_theta(inst.theta_true, g))
 
@@ -604,16 +640,15 @@ def test_em_dies_with_its_market():
     assert static_rcl._last_em == (None, None)
 
 
-def test_two_threads_solving_two_markets_reproduce_the_serial_bits():
-    markets = [_small_static(4, n_products=10), _small_static(6, n_products=10)]
-    serial = [_em_run("static", mkt, cold=True) for mkt in markets]
+def _in_two_threads(case, markets, serial, rounds=4):
+    """Solve markets[k] rounds times in thread k; each run must equal serial[k]."""
     got = [[], []]
     start = threading.Barrier(2)
 
     def work(k):
         start.wait()
-        for _ in range(4):
-            got[k].append(_em_run("static", markets[k]))
+        for _ in range(rounds):
+            got[k].append(_em_run(case, markets[k]))
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
     for t in threads:
@@ -621,4 +656,70 @@ def test_two_threads_solving_two_markets_reproduce_the_serial_bits():
     for t in threads:
         t.join()
     for k in range(2):
-        assert got[k] == [serial[k]] * 4
+        assert got[k] == [serial[k]] * rounds
+
+
+def test_two_threads_solving_two_markets_reproduce_the_serial_bits():
+    markets = [_small_static(4, n_products=10), _small_static(6, n_products=10)]
+    _in_two_threads("static", markets, [_em_run("static", mkt, cold=True) for mkt in markets])
+
+
+def test_two_durable_markets_solved_alternately_and_in_two_threads_keep_their_bits():
+    # each solve has a forward pass of its own: pf_solve, the joint solve
+    # and ivs_solve of one market never see the other's buffers
+    markets = [_small_durable(11), _small_durable(12)]
+    serial = [_em_run("durable", mkt, cold=True) for mkt in markets]
+    for _ in range(2):
+        for mkt, bits in zip(markets, serial):
+            assert _em_run("durable", mkt) == bits
+    _in_two_threads("durable", markets, serial, rounds=2)
+
+
+def _arrays(obj):
+    """Every array field of a DurableSolution and of its IvsState."""
+    values = [getattr(obj, f.name) for f in fields(obj)]
+    return ([v for v in values if isinstance(v, np.ndarray)]
+            + [a for v in values if is_dataclass(v) for a in _arrays(v)])
+
+
+@pytest.mark.parametrize("entry", ["pf_solve", "ivs_solve"])
+def test_no_image_or_solution_shares_memory_with_the_next_evaluation(entry, monkeypatch):
+    """The forward pass's buffers live for the whole solve; what leaves an
+    evaluation (the image) or the solve (the solution) must not be them."""
+    mkt = _small_durable()
+    images, built, passes = [], [], []
+
+    def recording_solve(fp, x0, cfg):
+        def evaluate(x):
+            images.append(fp.evaluate(x))
+            return images[-1]
+        built.append(fp)
+        return accel.solve(accel.FixedPointMap(evaluate), x0, cfg)
+
+    build_pass = dynamic._forward_pass
+
+    def recording_pass(market, em):
+        passes.append(build_pass(market, em))
+        return passes[-1]
+
+    monkeypatch.setattr(dynamic, "solve", recording_solve)
+    monkeypatch.setattr(dynamic, "_forward_pass", recording_pass)
+    cfg = AccelConfig(method="anderson", max_evaluations=40)
+    if entry == "pf_solve":
+        sol, outcome = dynamic.pf_solve(mkt, 1.0, cfg)
+    else:
+        sol, outcome = dynamic.ivs_solve(mkt, 1.0, dynamic.IvsGrid(), cfg)
+    (fp,), (forward,) = built, passes
+    kept = _arrays(sol)
+    assert outcome.evaluations == len(images) > 2
+    assert (sol.ivs is not None) == (entry == "ivs_solve")
+    before = [a.tobytes() for a in kept + images]
+    for image, after in zip(images, images[1:]):
+        assert not np.shares_memory(image, after)
+    # the next evaluation, and the forward pass it runs, at the solve's point
+    V = outcome.point[:mkt.n_types * mkt.horizon].reshape(mkt.n_types, mkt.horizon)
+    nxt = [fp.evaluate(outcome.point), *forward(V)]
+    for a in kept + images:
+        for b in nxt:
+            assert not np.shares_memory(a, b)
+    assert [a.tobytes() for a in kept + images] == before
