@@ -140,7 +140,8 @@ def _exp_mu_t(mkt: DurableMarket):
 def _omega_from_delta(delta: np.ndarray, em) -> np.ndarray:
     """Purchase inclusive values log sum_j exp(delta_jt + mu_ijt), shape (I, T):
     per period, one matrix-vector product of E_t with exp(delta_t - max delta_t).
-    The forward pass computes the same one period at a time."""
+    The forward pass takes them from its own per-period products instead; the
+    value backup and the audits take them from here."""
     a, E = em
     c = delta.max(axis=0)
     rowsum = (E @ np.exp(delta - c).T[:, :, None])[:, :, 0]  # (T, I)
@@ -173,46 +174,55 @@ def _forward_pass(mkt: DurableMarket, em):
     type's purchase inclusive value log sum_j exp(delta + mu). Only the
     ownership path is sequential, so the loop over periods carries only pr0.
     With cb_t = max_i (a_i - V_i) and ez_t = exp(a_t - V_t - cb_t), period t
-    takes r_t = (w.pr0_t) S_t / ((w pr0_t ez_t) @ E_t), which is
-    exp(delta_t + cb_t), then the purchase probabilities buy_t = ez_t * (E_t @
-    r_t) and pr0_{t+1} = max(pr0_t - pr0_t buy_t, PR0_FLOOR): three products
-    over E_t and no exp or log, written in place. The periods run with the
-    floor only if pr0_init or the unfloored path lies below it or is NaN; the
-    result is the floored pass exactly. delta = log r - cb and omega =
-    _omega_from_delta(delta) then take every period at once.
+    takes r_t = m_t S_t / ((pr0_t ez_t) @ Ew_t), which is exp(delta_t + cb_t),
+    with Ew_t = w E_t; then E_t @ r_t, which is exp(omega_t - a_t + cb_t), and
+    pr0_{t+1} = pr0_t - (pr0_t ez_t) (E_t @ r_t): six numpy calls, two
+    products over E_t and no exp or log, written in place. m_t = w . pr0_t is
+    the active mass. Exactly the consumers who choose the outside option stay
+    active, so m_{t+1} = m_t S0_t, and m_t = (w . pr0_init) S0_0 ... S0_{t-1}
+    comes from the data once per build. S0_t is taken as 1 - sum_j S_jt, the
+    share that the recovered delta leaves outside: the data's outside share
+    may differ from it by up to 1e-12, and m_t would compound that. The
+    identity holds while no fraction is floored: the floor PR0_FLOOR adds
+    mass. So the periods run with the floor, and sum w . pr0_t every period,
+    only if pr0_init or the unfloored path lies below it or is NaN. The two
+    runs agree to rounding where the floor binds nowhere. delta = log r - cb
+    and omega = log(E @ r) + a - cb then take every period at once.
     """
     a, E = em
     w, S = mkt.weights, mkt._S_t
-    ez, wez, pr0 = np.empty_like(a), np.empty_like(a), np.empty_like(a)  # (T, I)
-    cb, r, buf = np.empty(len(a)), np.empty((len(a), mkt.n_products)), np.empty(mkt.n_types)
-    pr0[0] = mkt.pr0_init
-    rows = tuple(zip(S, wez, E, ez, r, pr0[1:]))  # the periods t < T-1
+    T, I = a.shape
+    s0 = 1.0 - mkt.shares.sum(axis=0)
+    mass = np.cumprod(np.concatenate([[w.dot(mkt.pr0_init)], s0[:-1]]))
+    Sm, Ew = S * mass[:, None], w[:, None] * E  # Ew: (T, I, J), for this pass only
+    ez, Er, pr0 = np.empty_like(a), np.empty_like(a), np.empty((T + 1, I))
+    cb, r, q = np.empty(T), np.empty((T, mkt.n_products)), np.empty(I)
+    pr0[0] = mkt.pr0_init  # pr0[T], the fractions after the horizon, is scratch
+    rows = tuple(zip(S, Sm, Ew, E, ez, r, Er, pr0[1:]))
     floor_all = not (mkt.pr0_init >= PR0_FLOOR).all()
 
-    def periods(floor):  # r_t and pr0_{t+1} for t < T-1; returns pr0_{T-1}
+    def periods(floor):  # r_t, E_t @ r_t and pr0_{t+1} for every period
         p = pr0[0]
-        for S_t, wez_t, E_t, ez_t, r_t, p_next in rows:
-            np.multiply(S_t, w.dot(p), r_t)
-            np.divide(r_t, np.multiply(p, wez_t, buf).dot(E_t), r_t)
-            np.multiply(ez_t, E_t.dot(r_t, buf), buf)
-            p = np.subtract(p, np.multiply(p, buf, buf), p_next)
+        for S_t, Sm_t, Ew_t, E_t, ez_t, r_t, Er_t, p_next in rows:
+            if floor:  # the floor adds mass, so m_t is summed
+                Sm_t = np.multiply(S_t, w.dot(p), r_t)
+            np.divide(Sm_t, np.multiply(p, ez_t, q).dot(Ew_t), r_t)
+            np.multiply(q, E_t.dot(r_t, Er_t), q)
+            p = np.subtract(p, q, p_next)
             if floor:
                 np.maximum(p, PR0_FLOOR, out=p)
-        return p
 
     def forward(V):
         np.subtract(a, V.T, out=ez)  # z = a - V.T
         np.maximum.reduce(ez, 1, out=cb)
         np.exp(np.subtract(ez, cb[:, None], out=ez), out=ez)
-        np.multiply(w, ez, out=wez)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            p = periods(floor_all)
-            if not floor_all and not (pr0[1:] >= PR0_FLOOR).all():  # NaN fails
-                p = periods(True)
-            r[-1] = S[-1] * w.dot(p) / (p * wez[-1]).dot(E[-1])
-            delta = (np.log(r, out=r) - cb[:, None]).T
-            omega = _omega_from_delta(delta, em)
-        return delta, omega, pr0.T
+            periods(floor_all)
+            if not floor_all and not (pr0[1:T] >= PR0_FLOOR).all():  # NaN fails
+                periods(True)
+            delta = (np.log(r) - cb[:, None]).T
+            omega = (np.log(Er) + a - cb[:, None]).T
+        return delta, omega, pr0[:T].T
     return forward
 
 
@@ -260,7 +270,7 @@ def pf_value_update(V, delta, gamma: float, mkt: DurableMarket) -> np.ndarray:
 def _shares_at(delta: np.ndarray, V: np.ndarray, omega: np.ndarray, mkt: DurableMarket,
                em):
     """(pr0 (I,T), conditional shares (J,T)) implied by (delta, V), given
-    omega = _omega_from_delta(delta, em): per period, one matrix-vector
+    the purchase inclusive values omega at delta: per period, one matrix-vector
     product over E of the active weights times exp(c + a - V), shifted by
     its max m, with c = max_j delta."""
     a, E = em

@@ -358,8 +358,6 @@ def _kalouptsidi_maps(mkt: StaticMarket, em):  # (kalouptsidi_F, kalouptsidi_Fti
         return np.concatenate([head, [tail]])
 
     def Ftilde(rt):
-        if mkt.n_types < 2:
-            raise ValueError("the normalized mapping needs at least two types")
         return rt + log_w_head - rhs(np.concatenate([rt, [0.0]]))[:-1]
     return F, Ftilde
 
@@ -373,7 +371,13 @@ def kalouptsidi_F(r, mkt: StaticMarket) -> np.ndarray:
 @np.errstate(**SOLVE_ERRSTATE)
 def kalouptsidi_Ftilde(r_tilde, mkt: StaticMarket) -> np.ndarray:
     """Normalized variant on r_tilde = r - r_I (last type pinned at 0)."""
+    _check_two_types(mkt)
     return _kalouptsidi_maps(mkt, _em(mkt))[1](np.asarray(r_tilde, dtype=float))
+
+
+def _check_two_types(mkt: StaticMarket) -> None:
+    if mkt.n_types < 2:
+        raise ValueError("the normalized mapping needs at least two types")
 
 
 def _r_from_r_tilde(rt: np.ndarray, mkt: StaticMarket) -> np.ndarray:
@@ -401,6 +405,8 @@ def solve_inner(mkt: StaticMarket, mapping: str, cfg: AccelConfig):
     if mapping.startswith("kalouptsidi") and not np.all(mkt.weights > 0):
         raise ValueError(f"mapping {mapping!r} iterates on log(w_i s_i0) and needs "
                          f"every weight positive")
+    if mapping == "kalouptsidi_tilde":
+        _check_two_types(mkt)
     gamma = 1.0 if mapping.endswith("1") else 0.0
     em = _em(mkt)
     if mapping.startswith("V"):

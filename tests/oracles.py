@@ -4,15 +4,14 @@ Everything here deliberately avoids the library's solver paths: shares are
 computed with plain (unshifted) arithmetic on small well-scaled instances,
 and the root of S = s(delta) is found by a damped Newton iteration with an
 analytic Jacobian. The durable loop references at the end are the library's
-per-period loops that floor every period; they share _omega_from_delta with
-the kernel they check. The nested-logit per-nest loops are the library's
-kernels before they moved to nest-size classes, the reference for the
-classes' bits.
+passes as plain loops over periods. The nested-logit per-nest loops are the
+library's kernels before they moved to nest-size classes, the reference for
+the classes' bits.
 """
 
 import numpy as np
 
-from demandinv.dynamic import PR0_FLOOR, _omega_from_delta
+from demandinv.dynamic import PR0_FLOOR
 from demandinv.numerics import logsumexp
 from demandinv.static_rcl import _log_s0, exp_mu, outside_logit
 
@@ -256,26 +255,37 @@ def log_durable_shares(delta, V, pr0, mkt):
 
 
 def loop_durable_forward(V, mkt, em):
-    """dynamic._forward as one loop over periods that floors every pr0_{t+1}:
-    the reference whose bits the kernel keeps."""
+    """dynamic._forward as one plain loop over periods, the reference whose
+    bits the kernel keeps. It runs without the floor, with the active mass
+    m_t = (w @ pr0_init) S0_0 ... S0_{t-1}, where S0_t = 1 - sum_j S_jt, and,
+    if some pr0 then lies below PR0_FLOOR or is NaN (or at once if pr0_init
+    does), again with the floor and m_t = w @ pr0_t."""
     a, E = em
     w = mkt.weights
     T = mkt.horizon
     z = a - V.T  # (T, I)
     cb = z.max(axis=1)
     ez = np.exp(z - cb[:, None])
-    wez = w * ez
-    S = np.ascontiguousarray(mkt.shares.T)
-    r = np.empty((T, mkt.n_products))
-    pr0 = np.empty_like(z)
-    pr0[0] = p = mkt.pr0_init
+    Ew = w[:, None] * E
+    S = mkt.shares.T
+    s0 = 1.0 - mkt.shares.sum(axis=0)
+    m = np.cumprod(np.concatenate([[w @ mkt.pr0_init], s0[:-1]]))
+    r, Er, pr0 = np.empty((T, mkt.n_products)), np.empty_like(z), np.empty_like(z)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for t in range(T):
-            r[t] = S[t] * (w @ p) / ((p * wez[t]) @ E[t])
-            if t + 1 < T:
-                p = pr0[t + 1] = np.maximum(p - p * (ez[t] * (E[t] @ r[t])), PR0_FLOOR)
+        for floor in (not (mkt.pr0_init >= PR0_FLOOR).all(), True):
+            pr0[0] = p = mkt.pr0_init
+            for t in range(T):
+                q = p * ez[t]
+                r[t] = S[t] * (w @ p if floor else m[t]) / (q @ Ew[t])
+                Er[t] = E[t] @ r[t]
+                if t + 1 < T:
+                    p = pr0[t + 1] = p - q * Er[t]
+                    if floor:
+                        p = pr0[t + 1] = np.maximum(p, PR0_FLOOR)
+            if floor or (pr0[1:] >= PR0_FLOOR).all():
+                break
         delta = (np.log(r) - cb[:, None]).T
-        omega = _omega_from_delta(delta, em)
+        omega = (np.log(Er) + a - cb[:, None]).T
     return delta, omega, pr0.T
 
 

@@ -11,14 +11,16 @@ relative in either kernel, so the durable cases allow max(1e-13, 8 M eps).
 The static value-space mapping works in exp space on markets with at least
 2^17 entries in mu and in log space below (see the README); the static cases
 cover both sides of that cutoff and are held to the same references. The
-durable forward pass and ownership path, which skip the floor where it binds
-nowhere, must also equal bit for bit the loops in oracles.py that floor every
-period. The mapping that solve_inner and rcnl_solve_inner build once per
-solve, evaluated under the error state of accel.solve, must equal the public
-kernel bit for bit, and a short solve of it must raise no warning: the
-built maps silence nothing themselves. The nested kernels, which
-loop over nest-size classes, must equal bit for bit the per-nest loops they
-replaced, kept in oracles.py.
+durable forward pass must also equal bit for bit its plain loop over periods
+in oracles.py, and the ownership path, which skips the floor where it binds
+nowhere, the loop that floors every period. Where the floor binds nowhere,
+the pass's active mass w . pr0_t must be the product of pr0_init's mass and
+the outside shares before t. The mapping that solve_inner and
+rcnl_solve_inner build once per solve, evaluated under the error state of
+accel.solve, must equal the public kernel bit for bit, and a short solve of
+it must raise no warning: the built maps silence nothing themselves. The
+nested kernels, which loop over nest-size classes, must equal bit for bit the
+per-nest loops they replaced, kept in oracles.py.
 
 A market's exp factorisation em is built once for all its solves and audits
 that run back to back, and is held only for the last market and only while
@@ -465,7 +467,7 @@ def test_durable_kernels_match_the_log_space_reference(case):
         assert_agree(quiet(dynamic._ccp, delta, V, em),
                      np.exp(o_delta[None, :, :] + mkt.mu - V[:, None, :]), rtol=rtol)
     assert_agree(omega, o_omega)
-    assert_agree(quiet(dynamic._omega_from_delta, delta, em), omega, rtol=0)
+    assert_agree(quiet(dynamic._omega_from_delta, delta, em), omega)
     pr0_at, s = quiet(dynamic._shares_at, delta, V, omega, mkt, em)
     assert_agree(pr0_at, o_pr0, rtol=rtol)
     assert_agree(s, oracles.log_durable_shares(delta, V, o_pr0, mkt), rtol=rtol)
@@ -512,6 +514,29 @@ def test_the_floor_case_reaches_the_floor():
     mkt, V = _durable_at_the_floor()
     _, _, pr0 = quiet(dynamic._forward, V, mkt, dynamic._exp_mu_t(mkt))
     assert np.sum(pr0 == dynamic.PR0_FLOOR) > 100
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.3, 1.0])
+def test_the_active_mass_is_the_product_of_the_outside_shares(sigma):
+    # exactly the consumers who choose the outside option stay active, so
+    # w . pr0_{t+1} = (w . pr0_t) S0_t wherever the floor binds nowhere
+    mkt, V = _dgp_durable(50)
+    V = V + np.random.default_rng(1).normal(0.0, sigma, size=V.shape)
+    _, _, pr0 = quiet(dynamic._forward, V, mkt, dynamic._exp_mu_t(mkt))
+    assert np.all(pr0 > dynamic.PR0_FLOOR)
+    mass = (mkt.weights @ mkt.pr0_init) * np.cumprod(np.r_[1.0, mkt.outside_shares[:-1]])
+    assert_agree(mkt.weights @ pr0, mass, per_entry=True, rtol=1e-14)
+
+
+def test_the_pass_matches_the_inside_shares_when_the_outside_shares_are_off():
+    # the constructor accepts outside shares up to 1e-12 away from 1 - sum_j
+    # S_jt; the active mass follows the inside shares, which delta matches
+    mkt, V = _dgp_durable(50)
+    mkt = replace(mkt, outside_shares=mkt.outside_shares + 5e-13)
+    em = dynamic._exp_mu_t(mkt)
+    delta, omega, _ = quiet(dynamic._forward, V, mkt, em)
+    _, s = quiet(dynamic._shares_at, delta, V, omega, mkt, em)
+    assert_agree(s, mkt.shares, per_entry=True)
 
 
 @pytest.mark.parametrize("case", ["dynamic_t50 V+N(0,5) per type", "pr0_init with a 0",

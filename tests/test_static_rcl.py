@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from demandinv import static_rcl
 from demandinv.accel import AccelConfig
 from demandinv.datagen import (DynamicDgpParams, SeededRng, StaticDgpParams, draw_theta,
                                gen_dynamic_market, gen_static_market,
@@ -15,8 +16,8 @@ from demandinv.fixtures import market_from_json, market_to_json
 from demandinv.rcnl import NestedMarket, rcnl_dist_metric
 from demandinv.static_rcl import (StaticMarket, dist_metric, initial_delta,
                                   iota_V_to_delta, iota_delta_to_V,
-                                  kalouptsidi_F, logit_shares, outside_logit,
-                                  phi_V, phi_delta, solve_inner)
+                                  kalouptsidi_F, kalouptsidi_Ftilde, logit_shares,
+                                  outside_logit, phi_V, phi_delta, solve_inner)
 
 from oracles import naive_shares, newton_invert
 
@@ -362,6 +363,17 @@ class TestKalouptsidi:
                              AccelConfig(tolerance=1e-13, max_evaluations=50))
         assert out.converged
         np.testing.assert_allclose(d, delta, atol=1e-10)
+
+    def test_tilde_rejects_a_single_type_before_any_evaluation(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("the mapping was solved")
+
+        monkeypatch.setattr(static_rcl, "solve", no_solve)
+        mkt, _ = homogeneous_market(seed=3, J=4, I=1)
+        with pytest.raises(ValueError, match="at least two types"):
+            solve_inner(mkt, "kalouptsidi_tilde", AccelConfig())
+        with pytest.raises(ValueError, match="at least two types"):
+            kalouptsidi_Ftilde(np.zeros(0), mkt)
 
 
 class TestJsonFixtures:
