@@ -23,8 +23,10 @@ market to its last bits.
 
 Any :class:`FixedPointMap` runs under the solve's error state
 :data:`SOLVE_ERRSTATE`, entered once per solve: a non-finite image or step
-ends the solve as ``non_finite``, so no warning is raised for it. A mapping
-silences nothing itself; a public kernel that evaluates one enters the same.
+ends the solve as ``non_finite``, so no warning is raised for it. That is
+the one rule for every model: a mapping and its private helpers silence
+nothing themselves, and every public kernel, solver or audit that runs them
+enters the same error state once, as a decorator.
 
 Evaluation counting is the primary performance metric: the ``evaluations``
 field of :class:`SolveOutcome` counts every application of the mapping
@@ -59,7 +61,7 @@ class FixedPointMap:
 
     ``block_labels``, when given, holds one non-negative integer block label
     per coordinate; with cfg.use_blocks, spectral/SQUAREM then use one step
-    size per block, all taken in one vectorised pass (:func:`block_step_sizes`).
+    size per block, all taken in one vectorised pass of :func:`_step_rule`.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -182,21 +184,6 @@ def _step_rule(s, y, rule: str, labels=None):
     if labels is None:
         return 1.0 if unit else float(alpha)
     return np.minimum(np.where(unit, 1.0, alpha), DEFAULT_BLOCK_STEP_CAP)
-
-
-def spectral_alpha(s, y, rule: str = "S3") -> float:
-    """Step size from the last step s = x_n - x_{n-1} and residual change y."""
-    s = np.asarray(s, dtype=float)
-    y = np.asarray(y, dtype=float)
-    with np.errstate(**SOLVE_ERRSTATE):
-        return _step_rule(s, y, rule)
-
-
-def block_step_sizes(s, y, labels: np.ndarray, rule: str = "S3") -> np.ndarray:
-    """spectral_alpha of each block, capped at DEFAULT_BLOCK_STEP_CAP; labels[i]
-    is coordinate i's block, and block b's step size is entry b."""
-    with np.errstate(**SOLVE_ERRSTATE):
-        return _step_rule(s, y, rule, labels)
 
 
 def anderson_combine(differences: Sequence[np.ndarray], residual: np.ndarray,

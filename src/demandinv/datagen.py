@@ -276,10 +276,10 @@ def _terminal_value(beta: float, omega_T: np.ndarray) -> np.ndarray:
 def _conditional_shares(ccp: np.ndarray, pr0: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Shares (J, T) among the active consumers w_i * pr0_it, NaN where none is."""
     b = weights[:, None] * pr0  # (I, T)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.einsum("it,ijt->jt", b, ccp) / b.sum(axis=0)[None, :]
+    return np.einsum("it,ijt->jt", b, ccp) / b.sum(axis=0)[None, :]
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # for _conditional_shares' 0 / 0
 def gen_dynamic_market(p: DynamicDgpParams, rng: np.random.Generator) -> DynamicInstance:
     """One durable-goods replication with the exact truth recorded.
 

@@ -22,10 +22,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .accel import AccelConfig, FixedPointMap, checked_int, checked_real, solve
+from .accel import SOLVE_ERRSTATE, AccelConfig, FixedPointMap, checked_int, checked_real, solve
 from .numerics import (chebyshev_eval_rows, chebyshev_fit_matrix, chebyshev_nodes,
                        log_share_gap, normal_quadrature, ols_ar1_rows)
-from .static_rcl import _freeze, _market_em, check_market_data, exp_mu, numeric_array
+from .static_rcl import (_checked_gamma, _freeze, _market_em, check_market_data, exp_mu,
+                         numeric_array)
 
 # Active fractions are floored at a tiny positive value: off the solution,
 # 1 - sum_j ccp can dip below zero for extreme heterogeneity draws, which
@@ -40,11 +41,12 @@ class DurableMarket:
     """Time-indexed conditional shares, mu, weights, and the discount factor.
 
     shares: (J, T); outside_shares: (T,); mu: (I, J, T); weights: (I,);
-    pr0_init: (I,) initial non-owner fractions (defaults to ones). The
-    constructor adds their logs log_shares (J, T) and log_outside (T,).
-    Immutable: every array is read-only, and writing through an alias made
-    before construction is unsupported, since the logs and the cached
-    time-major exp factorisation of mu (_exp_mu_t) would go stale.
+    pr0_init: (I,) initial non-owner fractions (defaults to ones); the
+    ownership paths floor later periods, not these. The constructor adds
+    the logs log_shares (J, T) and log_outside (T,). Immutable: every array
+    is read-only, and writing through an alias made before construction is
+    unsupported, since the logs and the cached time-major exp factorisation
+    of mu (_exp_mu_t) would go stale.
     """
 
     shares: np.ndarray
@@ -78,7 +80,6 @@ class DurableMarket:
             raise ValueError("some type must be active in the first period")
         _freeze(self, shares=shares, outside_shares=outside, mu=mu, weights=weights,
                 pr0_init=pr0, beta=float(beta),
-                _S_t=np.ascontiguousarray(shares.T),  # time-major shares for the forward pass
                 log_shares=np.log(shares), log_outside=np.log(outside))
 
     @property
@@ -152,15 +153,14 @@ def _pr0_path(omega: np.ndarray, V: np.ndarray, mkt: DurableMarket) -> np.ndarra
     """Ownership path of the purchase probabilities exp(omega - V), (I, T):
     the running product (np.cumprod, in the loop's order) of pr0_init and the
     keep rates 1 - exp(omega_t - V_t), or, where that lies below PR0_FLOOR or
-    is NaN, the loop that floors every period. Exact either way."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        pr0 = np.vstack([mkt.pr0_init, 1.0 - np.exp(omega[:, :-1] - V[:, :-1]).T])  # (T, I)
-        if (mkt.pr0_init >= PR0_FLOOR).all():
-            path = np.cumprod(pr0, axis=0)
-            if (path[1:] >= PR0_FLOOR).all():  # NaN fails
-                return path.T.copy()
-        for p, p_next in zip(pr0, pr0[1:]):
-            np.maximum(p * p_next, PR0_FLOOR, out=p_next)
+    is NaN, the loop that floors every period. Exact either way. Keep rates
+    are at most 1, so a pr0_init entry below the floor takes the loop."""
+    pr0 = np.vstack([mkt.pr0_init, 1.0 - np.exp(omega[:, :-1] - V[:, :-1]).T])  # (T, I)
+    path = np.cumprod(pr0, axis=0)
+    if (path[1:] >= PR0_FLOOR).all():  # NaN fails
+        return path.T.copy()
+    for p, p_next in zip(pr0, pr0[1:]):
+        np.maximum(p * p_next, PR0_FLOOR, out=p_next)
     return pr0.T.copy()  # C order: the callers' sums over types keep their bits
 
 
@@ -184,13 +184,14 @@ def _forward_pass(mkt: DurableMarket, em):
     share that the recovered delta leaves outside: the data's outside share
     may differ from it by up to 1e-12, and m_t would compound that. The
     identity holds while no fraction is floored: the floor PR0_FLOOR adds
-    mass. So the periods run with the floor, and sum w . pr0_t every period,
-    only if pr0_init or the unfloored path lies below it or is NaN. The two
-    runs agree to rounding where the floor binds nowhere. delta = log r - cb
-    and omega = log(E @ r) + a - cb then take every period at once.
+    mass. So the periods run again with the floor, and sum w . pr0_t every
+    period, only if the unfloored path lies below it or is NaN; a pr0_init
+    entry below it leaves pr0_1 below it too. The two runs agree to rounding
+    where the floor binds nowhere. delta = log r - cb and omega = log(E @ r)
+    + a - cb then take every period at once.
     """
     a, E = em
-    w, S = mkt.weights, mkt._S_t
+    w, S = mkt.weights, np.ascontiguousarray(mkt.shares.T)
     T, I = a.shape
     s0 = 1.0 - mkt.shares.sum(axis=0)
     mass = np.cumprod(np.concatenate([[w.dot(mkt.pr0_init)], s0[:-1]]))
@@ -199,7 +200,6 @@ def _forward_pass(mkt: DurableMarket, em):
     cb, r, q = np.empty(T), np.empty((T, mkt.n_products)), np.empty(I)
     pr0[0] = mkt.pr0_init  # pr0[T], the fractions after the horizon, is scratch
     rows = tuple(zip(S, Sm, Ew, E, ez, r, Er, pr0[1:]))
-    floor_all = not (mkt.pr0_init >= PR0_FLOOR).all()
 
     def periods(floor):  # r_t, E_t @ r_t and pr0_{t+1} for every period
         p = pr0[0]
@@ -216,28 +216,21 @@ def _forward_pass(mkt: DurableMarket, em):
         np.subtract(a, V.T, out=ez)  # z = a - V.T
         np.maximum.reduce(ez, 1, out=cb)
         np.exp(np.subtract(ez, cb[:, None], out=ez), out=ez)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            periods(floor_all)
-            if not floor_all and not (pr0[1:T] >= PR0_FLOOR).all():  # NaN fails
-                periods(True)
-            delta = (np.log(r) - cb[:, None]).T
-            omega = (np.log(Er) + a - cb[:, None]).T
+        periods(False)
+        if not (pr0[1:T] >= PR0_FLOOR).all():  # NaN fails
+            periods(True)
+        delta = (np.log(r) - cb[:, None]).T
+        omega = (np.log(Er) + a - cb[:, None]).T
         return delta, omega, pr0[:T].T
     return forward
-
-
-def _forward(V: np.ndarray, mkt: DurableMarket, em):
-    """One forward pass at V (_forward_pass), in buffers of its own."""
-    return _forward_pass(mkt, em)(V)
 
 
 def _ccp(delta: np.ndarray, V: np.ndarray, em) -> np.ndarray:
     """Choice probabilities exp(delta_jt + mu_ijt - V_it), shape (I, J, T)."""
     a, E = em
     c = delta.max(axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ey = np.exp(c[:, None] + a - V.T)  # (T, I)
-        ccp = E * ey[:, :, None] * np.exp(delta - c).T[:, None, :]
+    ey = np.exp(c[:, None] + a - V.T)  # (T, I)
+    ccp = E * ey[:, :, None] * np.exp(delta - c).T[:, None, :]
     return ccp.transpose(1, 2, 0)
 
 
@@ -249,18 +242,19 @@ def _backup(V: np.ndarray, ev_next: np.ndarray, omega: np.ndarray, gamma: float,
     bev = mkt.beta * ev_next
     if gamma != 0.0:
         b = mkt.weights[:, None] * pr0
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            s0_hat = (b * np.exp(bev - V)).sum(axis=0) / b.sum(axis=0)
-            omega = omega + gamma * (np.log(s0_hat) - mkt.log_outside)[None, :]
+        s0_hat = (b * np.exp(bev - V)).sum(axis=0) / b.sum(axis=0)
+        omega = omega + gamma * (np.log(s0_hat) - mkt.log_outside)[None, :]
     return np.logaddexp(bev, omega)
 
 
+@np.errstate(**SOLVE_ERRSTATE)
 def pf_value_update(V, delta, gamma: float, mkt: DurableMarket) -> np.ndarray:
     """One Bellman-style backup with the outside-share correction.
 
     V'_it = log(exp(beta*V_{i,t+1}) + sum_j exp(delta_jt + mu_ijt)
             * (s0t_hat/S0t)^gamma), with V_{T+1} = V_T.
     """
+    gamma = _checked_gamma(gamma)
     V = np.asarray(V, dtype=float)
     omega = _omega_from_delta(np.asarray(delta, dtype=float), _exp_mu_t(mkt))
     pr0 = _pr0_path(omega, V, mkt) if gamma != 0.0 else None
@@ -279,9 +273,8 @@ def _shares_at(delta: np.ndarray, V: np.ndarray, omega: np.ndarray, mkt: Durable
     c = delta.max(axis=0)
     y = c[:, None] + a - V.T  # (T, I): log ccp_ijt - log(E_tij exp(delta_jt - c_t))
     m = y.max(axis=1, keepdims=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bw = (b / b.sum(axis=0)).T * np.exp(y - m)
-        s = np.exp(delta - c + m.T) * (bw[:, None, :] @ E)[:, 0, :].T
+    bw = (b / b.sum(axis=0)).T * np.exp(y - m)
+    s = np.exp(delta - c + m.T) * (bw[:, None, :] @ E)[:, 0, :].T
     return pr0, s
 
 
@@ -289,11 +282,10 @@ def _delta_update(delta: np.ndarray, V: np.ndarray, omega: np.ndarray, gamma: fl
                   phi: float, mkt: DurableMarket, em) -> np.ndarray:
     """delta + phi*(log S - log s) - gamma*(log S0 - log s0) at (delta, V)."""
     _, s = _shares_at(delta, V, omega, mkt, em)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d_next = delta + phi * (mkt.log_shares - np.log(s))
-        if gamma != 0.0:
-            s0 = 1.0 - s.sum(axis=0)
-            d_next = d_next - gamma * (mkt.log_outside - np.log(s0))[None, :]
+    d_next = delta + phi * (mkt.log_shares - np.log(s))
+    if gamma != 0.0:
+        s0 = 1.0 - s.sum(axis=0)
+        d_next = d_next - gamma * (mkt.log_outside - np.log(s0))[None, :]
     return d_next
 
 
@@ -311,6 +303,7 @@ def bellman_residual(sol: DurableSolution, mkt: DurableMarket) -> float:
     return float(np.max(np.abs(resid)))
 
 
+@np.errstate(**SOLVE_ERRSTATE)
 def pf_solve(mkt: DurableMarket, gamma: float, cfg: AccelConfig):
     """Perfect-foresight value-function algorithm: iterate V only.
 
@@ -318,8 +311,9 @@ def pf_solve(mkt: DurableMarket, gamma: float, cfg: AccelConfig):
     only pr0; delta and omega then come for all periods at once) and one
     corrected value backup. cfg.use_blocks turns on one spectral/SQUAREM step
     size per period, each capped at accel.DEFAULT_BLOCK_STEP_CAP (10); the
-    solver takes them all in one vectorised pass (accel.block_step_sizes).
+    solver takes them all in one vectorised pass of accel._step_rule.
     """
+    gamma = _checked_gamma(gamma)
     I, T = mkt.n_types, mkt.horizon
     shape = (I, T)
     em = _exp_mu_t(mkt)
@@ -343,6 +337,7 @@ def initial_delta_myopic(mkt: DurableMarket) -> np.ndarray:
     return mkt.log_shares - mkt.log_outside[None, :]
 
 
+@np.errstate(**SOLVE_ERRSTATE)
 def traditional_joint_solve(mkt: DurableMarket, gamma: float, phi: float,
                             cfg: AccelConfig):
     """One-loop joint update of (delta, V).
@@ -351,6 +346,8 @@ def traditional_joint_solve(mkt: DurableMarket, gamma: float, phi: float,
     V gets a plain Bellman backup at the current delta. Terminates when
     both sup-norm changes pass the tolerance (single concatenated state).
     """
+    gamma = _checked_gamma(gamma)
+    phi = checked_real("phi", phi, lambda v: 0.0 < v < math.inf, "a finite positive real")
     I, J, T = mkt.n_types, mkt.n_products, mkt.horizon
     nd = J * T
     em = _exp_mu_t(mkt)
@@ -397,6 +394,7 @@ class IvsGrid:
             f"a real above lo = {lo!r} {rule}"))
 
 
+@np.errstate(**SOLVE_ERRSTATE)
 def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig):
     """Inclusive-value-sufficiency algorithm.
 
@@ -406,6 +404,7 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
     Gauss-Hermite quadrature. Step sizes are scalar by design. ValueError for
     a horizon below 3, on which the AR(1) fit is not defined.
     """
+    gamma = _checked_gamma(gamma)
     I, T = mkt.n_types, mkt.horizon
     if T < 3:
         raise ValueError(f"ivs_solve needs a horizon of at least 3 periods for the "
@@ -424,11 +423,9 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
         coefs = v_grid @ fitmat.T  # (I, N)
         # on a wide grid a fitted slope above 1 times a node can overflow; the
         # non-finite expectation then ends the solve as non_finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            args = (theta0[:, None, None] + theta1[:, None, None] * points[:, :, None]
-                    + sd[:, None, None] * ghx[None, None, :])  # (I, M, Q)
-            vals = chebyshev_eval_rows(coefs, args, grid.lo, grid.hi)
-            return vals @ ghw
+        args = (theta0[:, None, None] + theta1[:, None, None] * points[:, :, None]
+                + sd[:, None, None] * ghx[None, None, :])  # (I, M, Q)
+        return chebyshev_eval_rows(coefs, args, grid.lo, grid.hi) @ ghw
 
     def evaluate(x):
         v_data = x[:nd].reshape(I, T)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .accel import SOLVE_ERRSTATE, AccelConfig, FixedPointMap, solve
 from .numerics import log_share_gap, logsumexp
-from .static_rcl import (StaticMarket, _freeze, _log_s0, _market_em, check_mu_span,
-                         numeric_array, outside_logit)
+from .static_rcl import (StaticMarket, _checked_gamma, _freeze, _log_s0, _market_em,
+                         check_mu_span, numeric_array, outside_logit)
 
 RCNL_MAPPINGS = ("delta0", "delta1", "IV0", "IV1")
 
@@ -104,6 +104,7 @@ def _within(delta, em):
     return ivT, parts
 
 
+@np.errstate(**SOLVE_ERRSTATE)
 def nested_shares(delta, mu, weights, groups, rho):
     """Nested-logit shares from raw arrays: (s_j, s_g, s_0, per-type IV)."""
     return _shares(np.asarray(delta, float), weights, nest_exp_mu(mu, groups, rho))
@@ -120,6 +121,7 @@ def _shares(delta, weights, em):
     return s_j, s_g, float(weights.dot(e0 / denom)), ivT.T
 
 
+@np.errstate(**SOLVE_ERRSTATE)
 def rcnl_shares(delta, mkt: NestedMarket):
     """Nested model shares: (s_j, s_g, s_0, per-type IV matrix)."""
     return _shares(np.asarray(delta, float), mkt.base.weights, _em(mkt))
@@ -182,9 +184,11 @@ def _rcnl_phi_IV_map(mkt: NestedMarket, gamma: float, em):
 def rcnl_phi_delta(delta, gamma: float, mkt: NestedMarket) -> np.ndarray:
     """delta + (1-rho)(logS_j - log s_j) + gamma*rho*(logS_g - log s_g)
     - gamma*(logS_0 - log s_0), with each product's own nest terms."""
-    return _rcnl_phi_delta_map(mkt, gamma, _em(mkt))(np.asarray(delta, dtype=float))
+    return _rcnl_phi_delta_map(mkt, _checked_gamma(gamma), _em(mkt))(
+        np.asarray(delta, dtype=float))
 
 
+@np.errstate(**SOLVE_ERRSTATE)
 def rcnl_iota_delta_to_IV(delta, mkt: NestedMarket) -> np.ndarray:
     return _within(np.asarray(delta, dtype=float), _em(mkt))[0].T
 
@@ -197,23 +201,23 @@ def rcnl_iota_IV_to_delta(iv, gamma: float, mkt: NestedMarket) -> np.ndarray:
     with z_ij = mu_ij/(1-rho_g) - IV_ig rho_g/(1-rho_g) - log(1 + sum_h
     exp(IV_ih)), one matrix-vector product over each nest's E.
     """
-    return _rcnl_iota_IV_to_delta_map(mkt, gamma, _em(mkt))(np.asarray(iv, dtype=float))
+    return _rcnl_iota_IV_to_delta_map(mkt, _checked_gamma(gamma), _em(mkt))(
+        np.asarray(iv, dtype=float))
 
 
 @np.errstate(**SOLVE_ERRSTATE)
 def rcnl_phi_IV(iv, gamma: float, mkt: NestedMarket) -> np.ndarray:
-    return _rcnl_phi_IV_map(mkt, gamma, _em(mkt))(np.asarray(iv, dtype=float))
+    return _rcnl_phi_IV_map(mkt, _checked_gamma(gamma), _em(mkt))(np.asarray(iv, dtype=float))
 
 
+@np.errstate(**SOLVE_ERRSTATE)  # delta / (1 - rho) may overflow
 def rcnl_dist_metric(delta, mkt: NestedMarket) -> float:
     """sup_j |log S_j - log s_j(delta)| of the nested model; NaN if delta has
     a non-finite entry."""
     delta = np.asarray(delta, dtype=float)
     if not np.all(np.isfinite(delta)):
         return float("nan")
-    with np.errstate(over="ignore", invalid="ignore"):  # delta / (1 - rho) may overflow
-        s_j = rcnl_shares(delta, mkt)[0]
-    return log_share_gap(mkt.base.log_shares, s_j)
+    return log_share_gap(mkt.base.log_shares, rcnl_shares(delta, mkt)[0])
 
 
 def rcnl_initial_delta(mkt: NestedMarket) -> np.ndarray:

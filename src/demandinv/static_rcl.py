@@ -16,12 +16,13 @@ which iterate on r_i = log(w_i * s_i0).
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import SOLVE_ERRSTATE, AccelConfig, FixedPointMap, solve
+from .accel import SOLVE_ERRSTATE, AccelConfig, FixedPointMap, checked_real, solve
 from .numerics import log_share_gap, logsumexp
 
 MAPPINGS = ("delta0", "delta1", "V0", "V1", "kalouptsidi_mixed", "kalouptsidi_tilde")
@@ -84,6 +85,11 @@ def _read_only(value) -> None:
     elif isinstance(value, tuple):
         for part in value:
             _read_only(part)
+
+
+def _checked_gamma(gamma) -> float:
+    """gamma as a float; ValueError unless it is a finite real."""
+    return checked_real("gamma", gamma, math.isfinite, "a finite real")
 
 
 def numeric_array(name: str, value) -> np.ndarray:
@@ -207,6 +213,7 @@ def _shares(delta, weights, a, E):
     return ed * (wd * eb).dot(E), float(wd.dot(e0)), logit
 
 
+@np.errstate(**SOLVE_ERRSTATE)
 def logit_shares(delta, mu, weights):
     """Mixed-logit shares from raw arrays: (s_j, s_0, per-type choice
     probabilities s_ij)."""
@@ -241,7 +248,7 @@ def _phi_delta_map(mkt: StaticMarket, gamma: float, em):
 @np.errstate(**SOLVE_ERRSTATE)
 def phi_delta(delta, gamma: float, mkt: StaticMarket) -> np.ndarray:
     """delta + (log S - log s(delta)) - gamma * (log S0 - log s0(delta))."""
-    return _phi_delta_map(mkt, gamma, _em(mkt))(np.asarray(delta, dtype=float))
+    return _phi_delta_map(mkt, _checked_gamma(gamma), _em(mkt))(np.asarray(delta, dtype=float))
 
 
 def outside_logit(u: np.ndarray):
@@ -308,30 +315,32 @@ def _value_maps(mkt: StaticMarket, gamma: float, em):  # (iota_V_to_delta, iota_
     return (lambda V: to_delta0(V) - gamma * (mkt.log_outside - _log_s0(V, weights))), to_V
 
 
+@np.errstate(**SOLVE_ERRSTATE)
 def iota_delta_to_V(delta, mkt: StaticMarket) -> np.ndarray:
     """Per-type inclusive value V_i = log(1 + sum_j exp(delta_j + mu_ij))."""
     return _value_maps(mkt, 0.0, _em(mkt))[1](np.asarray(delta, dtype=float))
 
 
+@np.errstate(**SOLVE_ERRSTATE)
 def iota_V_to_delta(V, gamma: float, mkt: StaticMarket) -> np.ndarray:
     """Analytic delta given inclusive values, with the gamma outside correction."""
-    return _value_maps(mkt, gamma, _em(mkt))[0](np.asarray(V, dtype=float))
+    return _value_maps(mkt, _checked_gamma(gamma), _em(mkt))[0](np.asarray(V, dtype=float))
 
 
+@np.errstate(**SOLVE_ERRSTATE)
 def phi_V(V, gamma: float, mkt: StaticMarket) -> np.ndarray:
-    to_delta, to_V = _value_maps(mkt, gamma, _em(mkt))
+    to_delta, to_V = _value_maps(mkt, _checked_gamma(gamma), _em(mkt))
     return to_V(to_delta(np.asarray(V, dtype=float)))
 
 
+@np.errstate(**SOLVE_ERRSTATE)  # entries of delta may lie over 1.8e308 apart
 def dist_metric(delta, mkt: StaticMarket) -> float:
     """sup_j |log S_j - log s_j(delta)|; the post-convergence audit metric.
     NaN if delta has a non-finite entry."""
     delta = np.asarray(delta, dtype=float)
     if not np.all(np.isfinite(delta)):
         return float("nan")
-    with np.errstate(over="ignore", invalid="ignore"):  # entries may lie over 1.8e308 apart
-        s_j = _shares(delta, mkt.weights, *_em(mkt))[0]
-    return log_share_gap(mkt.log_shares, s_j)
+    return log_share_gap(mkt.log_shares, _shares(delta, mkt.weights, *_em(mkt))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +402,7 @@ def initial_delta(mkt: StaticMarket) -> np.ndarray:
     return mkt.log_shares - mkt.log_outside
 
 
+@np.errstate(**SOLVE_ERRSTATE)  # for the V to delta map after a V solve
 def solve_inner(mkt: StaticMarket, mapping: str, cfg: AccelConfig):
     """Run one inner-loop algorithm to convergence.
 

@@ -255,11 +255,14 @@ def log_durable_shares(delta, V, pr0, mkt):
 
 
 def loop_durable_forward(V, mkt, em):
-    """dynamic._forward as one plain loop over periods, the reference whose
-    bits the kernel keeps. It runs without the floor, with the active mass
-    m_t = (w @ pr0_init) S0_0 ... S0_{t-1}, where S0_t = 1 - sum_j S_jt, and,
-    if some pr0 then lies below PR0_FLOOR or is NaN (or at once if pr0_init
-    does), again with the floor and m_t = w @ pr0_t."""
+    """dynamic._forward_pass(mkt, em)(V) as one plain loop over periods, the
+    reference whose bits the kernel keeps. It runs without the floor, with
+    the active mass m_t = (w @ pr0_init) S0_0 ... S0_{t-1}, where S0_t = 1 -
+    sum_j S_jt, and, if some pr0 then lies below PR0_FLOOR or is NaN, again
+    with the floor and m_t = w @ pr0_t. If pr0_init lies below the floor, it
+    runs floored at once: the kernel's unfloored run then always falls
+    through to the floored one, and with one period the two give the same
+    bits."""
     a, E = em
     w = mkt.weights
     T = mkt.horizon

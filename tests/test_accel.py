@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demandinv.accel import (DEFAULT_BLOCK_STEP_CAP, AccelConfig, FixedPointMap,
-                             _DifferenceQR, anderson_combine, block_step_sizes, solve,
-                             spectral_alpha)
+from demandinv.accel import (DEFAULT_BLOCK_STEP_CAP, SOLVE_ERRSTATE, AccelConfig,
+                             FixedPointMap, _DifferenceQR, _step_rule, anderson_combine,
+                             solve)
 
 
 def affine_map(A, b):
@@ -250,33 +250,35 @@ class TestSpectralAlpha:
     def test_direct_arithmetic(self):
         s = np.array([2.0, 0.0])
         y = np.array([-1.0, 0.0])
-        assert spectral_alpha(s, y, "S3") == pytest.approx(2.0)
-        assert spectral_alpha(s, y, "S1") == pytest.approx(2.0)
-        assert spectral_alpha(s, y, "S2") == pytest.approx(2.0)
-        assert spectral_alpha(s, y, "S3prime") == pytest.approx(-2.0)
+        assert _step_rule(s, y, "S3") == pytest.approx(2.0)
+        assert _step_rule(s, y, "S1") == pytest.approx(2.0)
+        assert _step_rule(s, y, "S2") == pytest.approx(2.0)
+        assert _step_rule(s, y, "S3prime") == pytest.approx(-2.0)
 
     def test_orthogonal_case(self):
         s = np.array([1.0, 0.0])
         y = np.array([0.0, 2.0])
-        assert spectral_alpha(s, y, "S3") == pytest.approx(0.5)
-        assert spectral_alpha(s, y, "S1") == pytest.approx(0.0)
+        assert _step_rule(s, y, "S3") == pytest.approx(0.5)
+        assert _step_rule(s, y, "S1") == pytest.approx(0.0)
 
     def test_cap(self):
         # only block step sizes are capped
         s = np.array([37.0, 1.0])
         y = np.array([1.0, 1.0])
-        assert spectral_alpha(s[:1], y[:1], "S3") == pytest.approx(37.0)
-        np.testing.assert_array_equal(block_step_sizes(s, y, np.array([0, 1]), "S3"),
+        assert _step_rule(s[:1], y[:1], "S3") == pytest.approx(37.0)
+        np.testing.assert_array_equal(_step_rule(s, y, "S3", np.array([0, 1])),
                                       [DEFAULT_BLOCK_STEP_CAP, 1.0])
 
+    @np.errstate(**SOLVE_ERRSTATE)
     def test_degenerate_y_falls_back(self):
-        assert spectral_alpha(np.array([1.0]), np.array([0.0]), "S3") == 1.0
+        assert _step_rule(np.array([1.0]), np.array([0.0]), "S3") == 1.0
 
     @pytest.mark.parametrize("rule", ["S1", "S2", "S3", "S3prime"])
+    @np.errstate(**SOLVE_ERRSTATE)
     def test_underflowing_y_falls_back(self, rule):
         # y'y underflows to 0 while s'y = 1e-320 does not: S2's ratio is a
         # finite -1e20, yet y'y = 0 still means the unit step
-        assert spectral_alpha(np.array([1e-150]), np.array([1e-170]), rule) == 1.0
+        assert _step_rule(np.array([1e-150]), np.array([1e-170]), rule) == 1.0
 
 
 def after_a_first_step(step, phi):
@@ -323,7 +325,7 @@ class TestSquarem:
         fp, inputs = recording_map(lambda x: 0.5 * x)
         out = solve(fp, np.array([1.0]), AccelConfig(method="squarem"))
         x, phix, phi2x = inputs[0], inputs[1], 0.5 * inputs[1]
-        assert spectral_alpha(phix - x, phi2x - 2 * phix + x, "S3") == pytest.approx(2.0)
+        assert _step_rule(phix - x, phi2x - 2 * phix + x, "S3") == pytest.approx(2.0)
         np.testing.assert_allclose(inputs[2], [0.0], atol=1e-15)
         assert out.converged and out.evaluations == 3
 
@@ -365,7 +367,7 @@ class TestSquarem:
         solve(fp, x, AccelConfig(method="squarem", step_size_rule="S3prime",
                                  max_evaluations=3))
         phix = phi(x)
-        alpha = spectral_alpha(phix - x, phi(phix) - 2.0 * phix + x, "S3prime")
+        alpha = _step_rule(phix - x, phi(phix) - 2.0 * phix + x, "S3prime")
         psi = lambda z: (1 - alpha) * z + alpha * phi(z)
         composed = (1 - alpha) * psi(x) + alpha * psi(phix)
         np.testing.assert_allclose(inputs[2], composed, atol=1e-10)
@@ -399,7 +401,7 @@ class TestNegativeAlphaDivergence:
         x_star = np.linalg.solve(np.eye(2) - A, b)
         s = np.array([1.0, 0.5])
         y = np.array([0.5, 1.0])
-        alpha = spectral_alpha(s, y, "S1")
+        alpha = _step_rule(s, y, "S1")
         assert alpha < 0
         # from x1 - s, the first step s lands on x1, whose residual is s + y
         x1 = x_star + np.linalg.solve(A - np.eye(2), s + y)
@@ -649,9 +651,10 @@ def _block_vectors(scenario):
     return s, y
 
 
+@np.errstate(**SOLVE_ERRSTATE)
 def _per_block_alphas(s, y, rule):
-    """The per-block definition: each block's own spectral_alpha, capped."""
-    return [min(spectral_alpha(s[g], y[g], rule), DEFAULT_BLOCK_STEP_CAP) for g in _GROUPS]
+    """The per-block definition: each block's own scalar step size, capped."""
+    return [min(_step_rule(s[g], y[g], rule), DEFAULT_BLOCK_STEP_CAP) for g in _GROUPS]
 
 
 def third_input(steps, x0, method, rule, labels=_BLOCKS):
@@ -699,11 +702,10 @@ class TestBlockStepSizes:
         assert _per_block_alphas(s, y, "S3")[0] == 1.0  # y = 0
         assert _per_block_alphas(s, y, "S2")[1] == 1.0  # s'y = 0
         s, y = _block_vectors("overflow-and-cap")
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert all(_per_block_alphas(s, y, rule)[0] == 1.0
-                       for rule in ("S1", "S2", "S3", "S3prime"))
+        assert all(_per_block_alphas(s, y, rule)[0] == 1.0
+                   for rule in ("S1", "S2", "S3", "S3prime"))
         assert _per_block_alphas(s, y, "S1")[1] == DEFAULT_BLOCK_STEP_CAP
-        assert spectral_alpha(s[_GROUPS[1]], y[_GROUPS[1]], "S1") == pytest.approx(37.0)
+        assert _step_rule(s[_GROUPS[1]], y[_GROUPS[1]], "S1") == pytest.approx(37.0)
 
 
 # Each block of each scenario alone, as a scalar step size problem, and a
@@ -720,9 +722,9 @@ def assert_same_bits(x, y):
 
 
 class TestSolveLoopStepSizes:
-    """The solve loop's step sizes are spectral_alpha's and block_step_sizes'
-    bit for bit: its third point is x + alpha * F (spectral) or x + 2 alpha F
-    + alpha^2 y (SQUAREM) with their alpha, the scripted maps of
+    """The solve loop's step sizes are accel._step_rule's, scalar and per
+    block, bit for bit: its third point is x + alpha * F (spectral) or x + 2
+    alpha F + alpha^2 y (SQUAREM) with their alpha, the scripted maps of
     TestBlockStepSizes keeping s and y exact."""
 
     @staticmethod
@@ -733,10 +735,10 @@ class TestSolveLoopStepSizes:
             yield name + "[blocks]", *_block_vectors(name), _BLOCKS
 
     @staticmethod
+    @np.errstate(**SOLVE_ERRSTATE)
     def alpha(s, y, rule, labels):
-        if labels is None:
-            return spectral_alpha(s, y, rule)
-        return block_step_sizes(s, y, labels, rule)[labels]
+        alpha = _step_rule(s, y, rule, labels)
+        return alpha if labels is None else alpha[labels]
 
     @pytest.mark.parametrize("rule", ["S1", "S2", "S3", "S3prime"])
     def test_spectral(self, rule):
@@ -753,20 +755,18 @@ class TestSolveLoopStepSizes:
             alpha = self.alpha(s, y, rule, labels)
             assert_same_bits(x_next, x0 + 2.0 * alpha * s + np.float64(alpha) ** 2 * y)
 
+    @np.errstate(**SOLVE_ERRSTATE)
     def test_the_scalar_cases_reach_every_fallback(self):
         def case(name):
             return map(np.array, _SCALAR_SCENARIOS[name])
 
         s, y = case("unit-step-and-orthogonal[0]")
-        assert y @ y == 0.0 and spectral_alpha(s, y, "S1") == 1.0
+        assert y @ y == 0.0 and _step_rule(s, y, "S1") == 1.0
         s, y = case("unit-step-and-orthogonal[1]")
-        assert s @ y == 0.0 and spectral_alpha(s, y, "S2") == 1.0
+        assert s @ y == 0.0 and _step_rule(s, y, "S2") == 1.0
         s, y = case("overflow-and-cap[0]")
-        with np.errstate(over="ignore"):
-            assert s @ s == np.inf
-        assert spectral_alpha(s, y, "S3") == 1.0
+        assert s @ s == np.inf and _step_rule(s, y, "S3") == 1.0
         s, y = case("ratio-overflow")
         assert np.isfinite(s @ s) and 0.0 < y @ y
-        with np.errstate(over="ignore"):
-            assert np.sqrt(s @ s) / np.sqrt(y @ y) == np.inf
-        assert spectral_alpha(s, y, "S3") == 1.0
+        assert np.sqrt(s @ s) / np.sqrt(y @ y) == np.inf
+        assert _step_rule(s, y, "S3") == 1.0

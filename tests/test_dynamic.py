@@ -54,7 +54,7 @@ def static_like_market(seed=0, J=3, I=4, T=5):
 
 def forward(V, mkt):
     """The forward pass at V: (delta (J,T), pr0 (I,T))."""
-    delta, _, pr0 = dynamic._forward(V, mkt, dynamic._exp_mu_t(mkt))
+    delta, _, pr0 = dynamic._forward_pass(mkt, dynamic._exp_mu_t(mkt))(V)
     return delta, pr0
 
 

@@ -29,13 +29,22 @@ for bit.
 The durable forward pass allocates its buffers once per solve: a reused
 pass must keep the period loops' bits, and no image or solution may share
 memory with the next evaluation.
+
+The durable helpers are private and run, as in a solve, under accel.solve's
+error state, which only the public functions enter: every public kernel must
+raise no warning where its arithmetic overflows, and no private or nested
+function of the package may enter np.errstate. Every public entry that takes
+a gamma, and the joint solve its phi, must reject a bad one before any
+evaluation.
 """
 
+import ast
 import gc
 import threading
 import warnings
 import weakref
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +52,8 @@ import pytest
 from demandinv import accel, dynamic, rcnl, static_rcl
 from demandinv.accel import METHODS, AccelConfig, SolveOutcome
 from demandinv.datagen import (DynamicDgpParams, SeededRng, StaticDgpParams, draw_theta,
-                               gen_dynamic_market, gen_nested_market, gen_static_market)
+                               gen_dynamic_market, gen_nested_market, gen_static_market,
+                               large_heterogeneity_market)
 from demandinv.dynamic import DurableMarket
 from demandinv.numerics import logsumexp
 from demandinv.rcnl import NestedMarket
@@ -457,18 +467,18 @@ DURABLE_CASES = {
 def test_durable_kernels_match_the_log_space_reference(case):
     mkt, V = DURABLE_CASES[case]()
     em = dynamic._exp_mu_t(mkt)
-    delta, omega, pr0 = quiet(dynamic._forward, V, mkt, em)
+    delta, omega, pr0 = in_solve(dynamic._forward_pass(mkt, em), V)
     o_delta, o_omega, o_pr0 = oracles.log_durable_forward(V, mkt)
     size = max(np.max(np.abs(a)) for a in (mkt.mu, V, o_delta))
     rtol = max(RTOL, 8.0 * size * np.finfo(float).eps)
     assert_agree(delta, o_delta)
     assert_agree(pr0, o_pr0, rtol=rtol)
     with np.errstate(over="ignore"):
-        assert_agree(quiet(dynamic._ccp, delta, V, em),
+        assert_agree(in_solve(dynamic._ccp, delta, V, em),
                      np.exp(o_delta[None, :, :] + mkt.mu - V[:, None, :]), rtol=rtol)
     assert_agree(omega, o_omega)
-    assert_agree(quiet(dynamic._omega_from_delta, delta, em), omega)
-    pr0_at, s = quiet(dynamic._shares_at, delta, V, omega, mkt, em)
+    assert_agree(in_solve(dynamic._omega_from_delta, delta, em), omega)
+    pr0_at, s = in_solve(dynamic._shares_at, delta, V, omega, mkt, em)
     assert_agree(pr0_at, o_pr0, rtol=rtol)
     assert_agree(s, oracles.log_durable_shares(delta, V, o_pr0, mkt), rtol=rtol)
 
@@ -488,7 +498,16 @@ def _durable_with_a_nan():
     return mkt, V
 
 
+def _one_period_with_an_owner():
+    """The first period of _durable_with_an_owner: no pr0_{t+1} lies below
+    the floor, so the unfloored run stands, with the floored run's bits."""
+    mkt, V = _durable_with_an_owner()
+    return DurableMarket(mkt.shares[:, :1], mkt.outside_shares[:1], mkt.mu[:, :, :1],
+                         mkt.weights, mkt.beta, mkt.pr0_init), V[:, :1]
+
+
 LOOP_CASES = {**DURABLE_CASES, "pr0_init with a 0": _durable_with_an_owner,
+              "one period, pr0_init with a 0": _one_period_with_an_owner,
               "a NaN in V": _durable_with_a_nan}
 
 
@@ -496,11 +515,11 @@ LOOP_CASES = {**DURABLE_CASES, "pr0_init with a 0": _durable_with_an_owner,
 def test_durable_kernels_keep_the_bits_of_the_period_loops(case):
     mkt, V = LOOP_CASES[case]()
     em = dynamic._exp_mu_t(mkt)
-    forward = quiet(dynamic._forward, V, mkt, em)
+    forward = in_solve(dynamic._forward_pass(mkt, em), V)
     for got, want in zip(forward, oracles.loop_durable_forward(V, mkt, em)):
         np.testing.assert_array_equal(got, want)  # NaNs in the same entries
     omega = forward[1]
-    pr0 = quiet(dynamic._pr0_path, omega, V, mkt)
+    pr0 = in_solve(dynamic._pr0_path, omega, V, mkt)
     np.testing.assert_array_equal(pr0, oracles.loop_pr0_path(omega, V, mkt))
     if case == "pr0_init with a 0":
         for path in (forward[2], pr0):
@@ -512,7 +531,7 @@ def test_durable_kernels_keep_the_bits_of_the_period_loops(case):
 
 def test_the_floor_case_reaches_the_floor():
     mkt, V = _durable_at_the_floor()
-    _, _, pr0 = quiet(dynamic._forward, V, mkt, dynamic._exp_mu_t(mkt))
+    _, _, pr0 = in_solve(dynamic._forward_pass(mkt, dynamic._exp_mu_t(mkt)), V)
     assert np.sum(pr0 == dynamic.PR0_FLOOR) > 100
 
 
@@ -522,7 +541,7 @@ def test_the_active_mass_is_the_product_of_the_outside_shares(sigma):
     # w . pr0_{t+1} = (w . pr0_t) S0_t wherever the floor binds nowhere
     mkt, V = _dgp_durable(50)
     V = V + np.random.default_rng(1).normal(0.0, sigma, size=V.shape)
-    _, _, pr0 = quiet(dynamic._forward, V, mkt, dynamic._exp_mu_t(mkt))
+    _, _, pr0 = in_solve(dynamic._forward_pass(mkt, dynamic._exp_mu_t(mkt)), V)
     assert np.all(pr0 > dynamic.PR0_FLOOR)
     mass = (mkt.weights @ mkt.pr0_init) * np.cumprod(np.r_[1.0, mkt.outside_shares[:-1]])
     assert_agree(mkt.weights @ pr0, mass, per_entry=True, rtol=1e-14)
@@ -534,8 +553,8 @@ def test_the_pass_matches_the_inside_shares_when_the_outside_shares_are_off():
     mkt, V = _dgp_durable(50)
     mkt = replace(mkt, outside_shares=mkt.outside_shares + 5e-13)
     em = dynamic._exp_mu_t(mkt)
-    delta, omega, _ = quiet(dynamic._forward, V, mkt, em)
-    _, s = quiet(dynamic._shares_at, delta, V, omega, mkt, em)
+    delta, omega, _ = in_solve(dynamic._forward_pass(mkt, em), V)
+    _, s = in_solve(dynamic._shares_at, delta, V, omega, mkt, em)
     assert_agree(s, mkt.shares, per_entry=True)
 
 
@@ -549,7 +568,7 @@ def test_a_reused_forward_pass_keeps_the_bits_of_the_period_loops(case):
     em = dynamic._exp_mu_t(mkt)
     forward = dynamic._forward_pass(mkt, em)
     for V_k in (_dgp_durable(50)[1], V, _dgp_durable(50)[1], V):
-        got = quiet(forward, V_k)
+        got = in_solve(forward, V_k)
         for g, want in zip(got, oracles.loop_durable_forward(V_k, mkt, em)):
             np.testing.assert_array_equal(g, want)
 
@@ -748,3 +767,171 @@ def test_no_image_or_solution_shares_memory_with_the_next_evaluation(entry, monk
         for b in nxt:
             assert not np.shares_memory(a, b)
     assert [a.tobytes() for a in kept + images] == before
+
+
+# ---------------------------------------------------------------------------
+# Bad gamma and phi, rejected at entry
+
+
+GAMMA_ENTRIES = {
+    "pf_solve": lambda g: dynamic.pf_solve(_small_durable(), g, AccelConfig()),
+    "traditional_joint_solve":
+        lambda g: dynamic.traditional_joint_solve(_small_durable(), g, 1.0, AccelConfig()),
+    "ivs_solve": lambda g: dynamic.ivs_solve(_small_durable(), g, dynamic.IvsGrid(),
+                                             AccelConfig()),
+    "pf_value_update": lambda g: dynamic.pf_value_update(np.zeros((10, 8)), np.zeros((5, 8)),
+                                                         g, _small_durable()),
+    "phi_delta": lambda g: static_rcl.phi_delta(np.zeros(2), g, _large_hetero()),
+    "iota_V_to_delta": lambda g: static_rcl.iota_V_to_delta(np.zeros(2), g, _large_hetero()),
+    "phi_V": lambda g: static_rcl.phi_V(np.zeros(2), g, _large_hetero()),
+    "rcnl_phi_delta": lambda g: rcnl.rcnl_phi_delta(np.zeros(6), g, _nested6()),
+    "rcnl_iota_IV_to_delta":
+        lambda g: rcnl.rcnl_iota_IV_to_delta(np.zeros((1000, 3)), g, _nested6()),
+    "rcnl_phi_IV": lambda g: rcnl.rcnl_phi_IV(np.zeros((1000, 3)), g, _nested6()),
+}
+
+
+def _no_solve(*args):
+    raise AssertionError("the mapping was solved")
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, True, "1", None], ids=repr)
+@pytest.mark.parametrize("entry", sorted(GAMMA_ENTRIES))
+def test_a_gamma_that_is_not_a_finite_real_is_rejected_before_any_evaluation(entry, gamma,
+                                                                           monkeypatch):
+    # a NaN or infinite gamma used to end a durable solve non_finite after
+    # one evaluation, True ran as 1, and "1" and None raised numpy errors
+    # mid-evaluation
+    monkeypatch.setattr(dynamic, "solve", _no_solve)
+    with pytest.raises(ValueError, match="gamma must be a finite real"):
+        GAMMA_ENTRIES[entry](gamma)
+
+
+@pytest.mark.parametrize("phi", [np.nan, np.inf, 0.0, -1.0, True, "1", None], ids=repr)
+def test_the_joint_solve_rejects_a_phi_that_is_not_a_finite_positive_real(phi, monkeypatch):
+    monkeypatch.setattr(dynamic, "solve", _no_solve)
+    with pytest.raises(ValueError, match="phi must be a finite positive real"):
+        dynamic.traditional_joint_solve(_small_durable(), 1.0, phi, AccelConfig())
+
+
+# ---------------------------------------------------------------------------
+# One error state, entered by the public functions only
+
+
+def _wide_delta(n):
+    """+-1e308 in turn: differences of the entries overflow."""
+    return np.where(np.arange(n) % 2 == 0, 1e308, -1e308)
+
+
+def _large_hetero():
+    return large_heterogeneity_market()[0]
+
+
+def _nested6():
+    return gen_nested_market(StaticDgpParams(n_products=6), SeededRng(1, 0).generator()).market
+
+
+# every public kernel at points where its arithmetic overflows or divides by 0
+OVERFLOWING_CALLS = {
+    "logit_shares": lambda: static_rcl.logit_shares(_wide_delta(2), _large_hetero().mu,
+                                                     _large_hetero().weights),
+    "phi_delta": lambda: static_rcl.phi_delta(_wide_delta(2), 1.0, _large_hetero()),
+    "iota_delta_to_V": lambda: static_rcl.iota_delta_to_V(_wide_delta(2), _large_hetero()),
+    "iota_V_to_delta": lambda: static_rcl.iota_V_to_delta(_wide_delta(2), 1.0, _large_hetero()),
+    "phi_V": lambda: static_rcl.phi_V(_wide_delta(2), 1.0, _large_hetero()),
+    "dist_metric": lambda: static_rcl.dist_metric(_wide_delta(2), _large_hetero()),
+    "kalouptsidi_F": lambda: static_rcl.kalouptsidi_F(_wide_delta(2), _large_hetero()),
+    "kalouptsidi_Ftilde":
+        lambda: static_rcl.kalouptsidi_Ftilde(_wide_delta(1), _large_hetero()),
+    "nested_shares": lambda: (lambda m: rcnl.nested_shares(
+        np.full(6, 1e308), m.base.mu, m.base.weights, m.groups, m.rho))(_nested6()),
+    "rcnl_shares": lambda: rcnl.rcnl_shares(np.full(6, 1e308), _nested6()),
+    "rcnl_phi_delta": lambda: rcnl.rcnl_phi_delta(np.full(6, 1e308), 1.0, _nested6()),
+    "rcnl_iota_delta_to_IV": lambda: rcnl.rcnl_iota_delta_to_IV(np.full(6, 1e308), _nested6()),
+    "rcnl_iota_IV_to_delta": lambda: (lambda m: rcnl.rcnl_iota_IV_to_delta(
+        np.full((m.base.n_types, m.n_nests), 1e308), 1.0, m))(_nested6()),
+    "rcnl_phi_IV": lambda: (lambda m: rcnl.rcnl_phi_IV(
+        np.full((m.base.n_types, m.n_nests), 1e308), 1.0, m))(_nested6()),
+    "rcnl_dist_metric": lambda: rcnl.rcnl_dist_metric(np.full(6, 1e308), _nested6()),
+    "pf_value_update": lambda: dynamic.pf_value_update(
+        _wide_delta(8) * np.ones((10, 1)), _wide_delta(8) * np.ones((5, 1)), 0.0,
+        _small_durable()),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(OVERFLOWING_CALLS))
+def test_public_kernels_raise_no_warning_where_their_arithmetic_overflows(kernel):
+    quiet(OVERFLOWING_CALLS[kernel])
+
+
+def _errstate_owners(tree):
+    """(qualified name, hidden) of every function that enters np.errstate, by
+    `with` or by decorator; hidden if it or an enclosing class or function is
+    private (a leading underscore, dunders aside) or it is nested in a
+    function."""
+    found = []
+
+    def enters(expr):
+        func = getattr(expr, "func", None)
+        return isinstance(expr, ast.Call) and (
+            getattr(func, "attr", None) or getattr(func, "id", None)) == "errstate"
+
+    def visit(node, qualname, owner, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{qualname}.{child.name}" if qualname else child.name
+                hidden = in_function or any(part.startswith("_") and not part.endswith("__")
+                                            for part in name.split("."))
+                if isinstance(child, ast.ClassDef):
+                    visit(child, name, None, in_function)
+                    continue
+                if any(enters(d) for d in child.decorator_list):
+                    found.append((name, hidden))
+                visit(child, name, (name, hidden), True)
+                continue
+            if isinstance(child, (ast.With, ast.AsyncWith)) and owner is not None \
+                    and any(enters(item.context_expr) for item in child.items):
+                found.append(owner)
+            visit(child, qualname, owner, in_function)
+    visit(tree, "", None, False)
+    return found
+
+
+def test_no_private_or_nested_function_enters_an_error_state():
+    # warnings are silenced once, by the public entry or by accel.solve: a
+    # private helper or a built mapping that entered its own error state
+    # would do so once per evaluation
+    owners = []
+    for path in sorted(Path(static_rcl.__file__).parent.glob("*.py")):
+        owners += [(f"{path.stem}.{name}", hidden)
+                   for name, hidden in _errstate_owners(ast.parse(path.read_text()))]
+    assert [name for name, hidden in owners if hidden] == []
+    assert {"accel.solve", "dynamic.pf_solve", "static_rcl.phi_delta"} <= {
+        name for name, _ in owners}
+
+
+def test_the_error_state_scan_sees_private_and_nested_functions():
+    source = '''
+@np.errstate(all="ignore")
+def public():
+    def nested():
+        with np.errstate(over="ignore"):
+            pass
+
+def _private():
+    with np.errstate(invalid="ignore"):
+        pass
+
+class _Hidden:
+    def method(self):
+        with errstate(divide="ignore"):
+            pass
+
+class Shown:
+    def __init__(self):
+        with np.errstate(over="ignore"):
+            pass
+'''
+    assert _errstate_owners(ast.parse(source)) == [
+        ("public", False), ("public.nested", True), ("_private", True),
+        ("_Hidden.method", True), ("Shown.__init__", False)]
