@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import expit, ndtri
 
 from .accel import checked_int, checked_real
-from .dynamic import DurableMarket, DurableSolution, _v_next
+from .dynamic import DurableMarket, DurableSolution
 from .numerics import log_share_gap, logsumexp
 from .rcnl import NestedMarket, nested_shares
 from .static_rcl import StaticMarket, outside_logit
@@ -28,9 +28,6 @@ _SHARE_FLOOR = 1e-300
 # Draws per market before a design is rejected; the default designs took no
 # redraw in 1200 sampled markets, so only extreme coefficients reach this.
 _MAX_DRAWS = 1000
-# Cap on the terminal-value step count, checked before iterating; the default
-# durable design's count is ~3.4e3 at beta 0.99 and ~3.4e5 at beta 0.9999.
-_MAX_TERMINAL_STEPS = 10 ** 6
 # Durable values are positive (V = log(exp(beta V') + exp(omega)) > beta V'),
 # so every conditional share is below max_i exp(omega_it). A period whose
 # inclusive values all lie below this bound, the log of the share floor less
@@ -245,32 +242,25 @@ class DynamicInstance:
 
 
 def _terminal_value(beta: float, omega_T: np.ndarray) -> np.ndarray:
-    """Fixed point of v = log(exp(beta v) + exp(omega)), iterated until a step
-    changes v by less than 1e-15, from omega, or from 0 where omega lies below
-    _LOG_NO_SHARE: the fixed point there lies in (0, exp(omega) / (1 - beta)],
-    ~log(-omega / 1e-15) / (1 - beta) steps from omega. The map contracts with
-    a modulus below beta, so each change is below beta times the one before
-    and the cap is the step count that takes the first change below 1e-15 (at
-    beta 0 the second step changes nothing). ValueError if that count exceeds
-    _MAX_TERMINAL_STEPS, or if the last change is still above rounding level."""
-    v = np.where(omega_T < _LOG_NO_SHARE, 0.0, omega_T)
-    first = float(np.max(np.abs(np.logaddexp(beta * v, omega_T) - v)))
-    steps = 2
-    if 0.0 < beta < 1.0 and first >= 1e-15:
-        steps += int(math.log(1e-15 / first) / math.log(beta))
-    if steps > _MAX_TERMINAL_STEPS:
-        raise ValueError(f"beta {beta!r} needs {steps:.3g} steps to the terminal value, "
-                         f"more than the {_MAX_TERMINAL_STEPS:.0e} allowed")
-    for _ in range(steps):
-        v_new = np.logaddexp(beta * v, omega_T)
-        change = np.max(np.abs(v_new - v))
-        if change < 1e-15:
-            return v_new
-        v = v_new
-    if not change <= 4.0 * np.spacing(np.max(np.abs(v))):
-        raise ValueError(f"the terminal value did not converge at beta {beta!r}: "
-                         f"its last step changed it by {change:.3g}")
-    return v
+    """Root of f(v) = log(exp(beta v) + exp(omega)) - v, per type, by Newton
+    from v = max(omega, 0). f is convex and decreasing and f(v0) > 0, so the
+    iterates rise monotonically to the root; where omega underflows the start
+    is 0, already within exp(omega) / (1 - beta) of it. The iteration stops
+    once every step lies below 1e-10 and takes one more: a stop at a few ulp
+    can cycle in the last bits. ValueError unless 0 <= beta < 1 (at beta 1
+    there is no root), or after 100 steps (the default design takes 9, and
+    any beta up to 1 - 2**-53 at most 35)."""
+    if not 0.0 <= beta < 1.0:
+        raise ValueError(f"the terminal value needs a beta in [0, 1), not {beta!r}")
+    v = np.maximum(omega_T, 0.0)
+    small = False
+    for _ in range(100):
+        step = (np.logaddexp(beta * v, omega_T) - v) / (1.0 - beta * expit(beta * v - omega_T))
+        v = v + step
+        if small:
+            return v
+        small = np.max(np.abs(step)) < 1e-10
+    raise ValueError(f"the terminal value did not converge at beta {beta!r} in 100 steps")
 
 
 def _conditional_shares(ccp: np.ndarray, pr0: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -288,7 +278,7 @@ def gen_dynamic_market(p: DynamicDgpParams, rng: np.random.Generator) -> Dynamic
     conditional-on-active shares, so the inner-loop solution exists exactly.
     Degenerate draws are redrawn as in the static DGP, at most _MAX_DRAWS in
     all (ValueError then); a draw with a period whose inclusive values all lie
-    below _LOG_NO_SHARE is redrawn before its values are solved.
+    below _LOG_NO_SHARE, where no share can clear the floor, is redrawn first.
     """
     J, I, T, beta = p.n_products, p.n_draws, p.horizon, p.beta
     for redraws in range(_MAX_DRAWS):
@@ -315,19 +305,17 @@ def gen_dynamic_market(p: DynamicDgpParams, rng: np.random.Generator) -> Dynamic
         util = delta[None, :, :] + mu  # (I, J, T)
         omega = logsumexp(util, 1)  # (I, T)
         if np.any(omega.max(axis=0) < _LOG_NO_SHARE):
-            continue  # before the terminal solve, which is slow on such omegas
+            continue  # no share in such a period can clear the floor
         V = np.empty((I, T))
         V[:, T - 1] = _terminal_value(beta, omega[:, T - 1])
         for t in range(T - 2, -1, -1):
             V[:, t] = np.logaddexp(beta * V[:, t + 1], omega[:, t])
 
         ccp = np.exp(util - V[:, None, :])
-        ccp0 = np.exp(beta * _v_next(V) - V)
-        pr0 = np.empty((I, T))
-        pr0[:, 0] = 1.0
-        for t in range(T - 1):
-            pr0[:, t + 1] = pr0[:, t] * ccp0[:, t]
-        shares = _conditional_shares(ccp, pr0, np.full(I, 1.0 / I))  # (J, T)
+        ccp0 = np.exp(beta * V[:, 1:] - V[:, :-1])  # the keep rates of periods 0..T-2
+        pr0 = np.cumprod(np.concatenate([np.ones((I, 1)), ccp0], axis=1), axis=1)
+        # C order, so that outside has the bits of the forward pass's 1 - sum_j S_jt
+        shares = np.ascontiguousarray(_conditional_shares(ccp, pr0, np.full(I, 1.0 / I)))
         outside = 1.0 - shares.sum(axis=0)
         if np.all(shares > _SHARE_FLOOR) and np.all(outside > _SHARE_FLOOR):
             break

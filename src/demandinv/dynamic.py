@@ -43,10 +43,11 @@ class DurableMarket:
     shares: (J, T); outside_shares: (T,); mu: (I, J, T); weights: (I,);
     pr0_init: (I,) initial non-owner fractions (defaults to ones); the
     ownership paths floor later periods, not these. The constructor adds
-    the logs log_shares (J, T) and log_outside (T,). Immutable: every array
-    is read-only, and writing through an alias made before construction is
-    unsupported, since the logs and the cached time-major exp factorisation
-    of mu (_exp_mu_t) would go stale.
+    the logs log_shares (J, T) and log_outside (T,), and stores shares and mu
+    in C order, so that a market sums alike however it was built. Immutable:
+    every array is read-only, and writing through an alias made before
+    construction is unsupported, since the logs and the cached time-major exp
+    factorisation of mu (_exp_mu_t) would go stale.
     """
 
     shares: np.ndarray
@@ -57,9 +58,9 @@ class DurableMarket:
     pr0_init: np.ndarray | None = None
 
     def __post_init__(self):
-        shares = numeric_array("shares", self.shares)
+        shares = np.ascontiguousarray(numeric_array("shares", self.shares))
         outside = numeric_array("outside_shares", self.outside_shares)
-        mu = numeric_array("mu", self.mu)
+        mu = np.ascontiguousarray(numeric_array("mu", self.mu))
         weights = numeric_array("weights", self.weights)
         if mu.ndim != 3:
             raise ValueError("mu must be I x J x T")
@@ -255,8 +256,9 @@ def pf_value_update(V, delta, gamma: float, mkt: DurableMarket) -> np.ndarray:
             * (s0t_hat/S0t)^gamma), with V_{T+1} = V_T.
     """
     gamma = _checked_gamma(gamma)
-    V = np.asarray(V, dtype=float)
-    omega = _omega_from_delta(np.asarray(delta, dtype=float), _exp_mu_t(mkt))
+    V = numeric_array("V", V, (mkt.n_types, mkt.horizon))
+    delta = numeric_array("delta", delta, (mkt.n_products, mkt.horizon))
+    omega = _omega_from_delta(delta, _exp_mu_t(mkt))
     pr0 = _pr0_path(omega, V, mkt) if gamma != 0.0 else None
     return _backup(V, _v_next(V), omega, gamma, pr0, mkt)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .accel import SOLVE_ERRSTATE, AccelConfig, FixedPointMap, solve
 from .numerics import log_share_gap, logsumexp
-from .static_rcl import (StaticMarket, _checked_gamma, _freeze, _log_s0, _market_em,
+from .static_rcl import (StaticMarket, _checked_gamma, _delta, _freeze, _log_s0, _market_em,
                          check_mu_span, numeric_array, outside_logit)
 
 RCNL_MAPPINGS = ("delta0", "delta1", "IV0", "IV1")
@@ -124,7 +124,7 @@ def _shares(delta, weights, em):
 @np.errstate(**SOLVE_ERRSTATE)
 def rcnl_shares(delta, mkt: NestedMarket):
     """Nested model shares: (s_j, s_g, s_0, per-type IV matrix)."""
-    return _shares(np.asarray(delta, float), mkt.base.weights, _em(mkt))
+    return _shares(_delta(delta, mkt.base), mkt.base.weights, _em(mkt))
 
 
 def _em(mkt: NestedMarket):
@@ -184,13 +184,12 @@ def _rcnl_phi_IV_map(mkt: NestedMarket, gamma: float, em):
 def rcnl_phi_delta(delta, gamma: float, mkt: NestedMarket) -> np.ndarray:
     """delta + (1-rho)(logS_j - log s_j) + gamma*rho*(logS_g - log s_g)
     - gamma*(logS_0 - log s_0), with each product's own nest terms."""
-    return _rcnl_phi_delta_map(mkt, _checked_gamma(gamma), _em(mkt))(
-        np.asarray(delta, dtype=float))
+    return _rcnl_phi_delta_map(mkt, _checked_gamma(gamma), _em(mkt))(_delta(delta, mkt.base))
 
 
 @np.errstate(**SOLVE_ERRSTATE)
 def rcnl_iota_delta_to_IV(delta, mkt: NestedMarket) -> np.ndarray:
-    return _within(np.asarray(delta, dtype=float), _em(mkt))[0].T
+    return _within(_delta(delta, mkt.base), _em(mkt))[0].T
 
 
 @np.errstate(**SOLVE_ERRSTATE)
@@ -201,20 +200,21 @@ def rcnl_iota_IV_to_delta(iv, gamma: float, mkt: NestedMarket) -> np.ndarray:
     with z_ij = mu_ij/(1-rho_g) - IV_ig rho_g/(1-rho_g) - log(1 + sum_h
     exp(IV_ih)), one matrix-vector product over each nest's E.
     """
-    return _rcnl_iota_IV_to_delta_map(mkt, _checked_gamma(gamma), _em(mkt))(
-        np.asarray(iv, dtype=float))
+    to_delta = _rcnl_iota_IV_to_delta_map(mkt, _checked_gamma(gamma), _em(mkt))
+    return to_delta(numeric_array("IV", iv, (mkt.base.n_types, mkt.n_nests)))
 
 
 @np.errstate(**SOLVE_ERRSTATE)
 def rcnl_phi_IV(iv, gamma: float, mkt: NestedMarket) -> np.ndarray:
-    return _rcnl_phi_IV_map(mkt, _checked_gamma(gamma), _em(mkt))(np.asarray(iv, dtype=float))
+    phi = _rcnl_phi_IV_map(mkt, _checked_gamma(gamma), _em(mkt))
+    return phi(numeric_array("IV", iv, (mkt.base.n_types, mkt.n_nests)))
 
 
 @np.errstate(**SOLVE_ERRSTATE)  # delta / (1 - rho) may overflow
 def rcnl_dist_metric(delta, mkt: NestedMarket) -> float:
     """sup_j |log S_j - log s_j(delta)| of the nested model; NaN if delta has
     a non-finite entry."""
-    delta = np.asarray(delta, dtype=float)
+    delta = _delta(delta, mkt.base)
     if not np.all(np.isfinite(delta)):
         return float("nan")
     return log_share_gap(mkt.base.log_shares, rcnl_shares(delta, mkt)[0])

@@ -87,17 +87,24 @@ def _read_only(value) -> None:
             _read_only(part)
 
 
+def _delta(delta, mkt: StaticMarket) -> np.ndarray:
+    """A public kernel's delta, checked against the market's products."""
+    return numeric_array("delta", delta, (mkt.n_products,))
+
+
 def _checked_gamma(gamma) -> float:
     """gamma as a float; ValueError unless it is a finite real."""
     return checked_real("gamma", gamma, math.isfinite, "a finite real")
 
 
-def numeric_array(name: str, value) -> np.ndarray:
+def numeric_array(name: str, value, shape=None) -> np.ndarray:
     """value as a float array; ValueError unless it holds numbers (strings,
-    booleans and objects are rejected, not converted)."""
+    booleans and objects are rejected, not converted) of the shape given, if any."""
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be numeric, not {arr.dtype}")
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, not {arr.shape}")
     return arr.astype(float, copy=False)
 
 
@@ -248,7 +255,7 @@ def _phi_delta_map(mkt: StaticMarket, gamma: float, em):
 @np.errstate(**SOLVE_ERRSTATE)
 def phi_delta(delta, gamma: float, mkt: StaticMarket) -> np.ndarray:
     """delta + (log S - log s(delta)) - gamma * (log S0 - log s0(delta))."""
-    return _phi_delta_map(mkt, _checked_gamma(gamma), _em(mkt))(np.asarray(delta, dtype=float))
+    return _phi_delta_map(mkt, _checked_gamma(gamma), _em(mkt))(_delta(delta, mkt))
 
 
 def outside_logit(u: np.ndarray):
@@ -318,26 +325,27 @@ def _value_maps(mkt: StaticMarket, gamma: float, em):  # (iota_V_to_delta, iota_
 @np.errstate(**SOLVE_ERRSTATE)
 def iota_delta_to_V(delta, mkt: StaticMarket) -> np.ndarray:
     """Per-type inclusive value V_i = log(1 + sum_j exp(delta_j + mu_ij))."""
-    return _value_maps(mkt, 0.0, _em(mkt))[1](np.asarray(delta, dtype=float))
+    return _value_maps(mkt, 0.0, _em(mkt))[1](_delta(delta, mkt))
 
 
 @np.errstate(**SOLVE_ERRSTATE)
 def iota_V_to_delta(V, gamma: float, mkt: StaticMarket) -> np.ndarray:
     """Analytic delta given inclusive values, with the gamma outside correction."""
-    return _value_maps(mkt, _checked_gamma(gamma), _em(mkt))[0](np.asarray(V, dtype=float))
+    to_delta = _value_maps(mkt, _checked_gamma(gamma), _em(mkt))[0]
+    return to_delta(numeric_array("V", V, (mkt.n_types,)))
 
 
 @np.errstate(**SOLVE_ERRSTATE)
 def phi_V(V, gamma: float, mkt: StaticMarket) -> np.ndarray:
     to_delta, to_V = _value_maps(mkt, _checked_gamma(gamma), _em(mkt))
-    return to_V(to_delta(np.asarray(V, dtype=float)))
+    return to_V(to_delta(numeric_array("V", V, (mkt.n_types,))))
 
 
 @np.errstate(**SOLVE_ERRSTATE)  # entries of delta may lie over 1.8e308 apart
 def dist_metric(delta, mkt: StaticMarket) -> float:
     """sup_j |log S_j - log s_j(delta)|; the post-convergence audit metric.
     NaN if delta has a non-finite entry."""
-    delta = np.asarray(delta, dtype=float)
+    delta = _delta(delta, mkt)
     if not np.all(np.isfinite(delta)):
         return float("nan")
     return log_share_gap(mkt.log_shares, _shares(delta, mkt.weights, *_em(mkt))[0])
@@ -374,14 +382,15 @@ def _kalouptsidi_maps(mkt: StaticMarket, em):  # (kalouptsidi_F, kalouptsidi_Fti
 @np.errstate(**SOLVE_ERRSTATE)
 def kalouptsidi_F(r, mkt: StaticMarket) -> np.ndarray:
     """The original mapping: head types via the share sum, last via adding up."""
-    return _kalouptsidi_maps(mkt, _em(mkt))[0](np.asarray(r, dtype=float))
+    return _kalouptsidi_maps(mkt, _em(mkt))[0](numeric_array("r", r, (mkt.n_types,)))
 
 
 @np.errstate(**SOLVE_ERRSTATE)
 def kalouptsidi_Ftilde(r_tilde, mkt: StaticMarket) -> np.ndarray:
     """Normalized variant on r_tilde = r - r_I (last type pinned at 0)."""
     _check_two_types(mkt)
-    return _kalouptsidi_maps(mkt, _em(mkt))[1](np.asarray(r_tilde, dtype=float))
+    return _kalouptsidi_maps(mkt, _em(mkt))[1](
+        numeric_array("r_tilde", r_tilde, (mkt.n_types - 1,)))
 
 
 def _check_two_types(mkt: StaticMarket) -> None:

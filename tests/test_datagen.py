@@ -11,6 +11,15 @@ from demandinv.rcnl import rcnl_dist_metric
 from demandinv.static_rcl import dist_metric
 
 
+def assert_terminal_residual(beta, omega, v):
+    """v is finite, at least max(omega, 0), and solves v = log(exp(beta v) +
+    exp(omega)) within 2 ulp of max(|v|, 1)."""
+    assert np.all(np.isfinite(v))
+    assert np.all(v >= np.maximum(omega, 0.0))
+    resid = np.abs(np.logaddexp(beta * v, omega) - v)
+    assert np.all(resid <= 2.0 * np.spacing(np.maximum(np.abs(v), 1.0)))
+
+
 class TestSeededRng:
     def test_distinct_replications_distinct_streams(self):
         a = SeededRng(3, 0).generator().random(4)
@@ -143,15 +152,31 @@ class TestDynamicDgp:
 
     def test_a_beta_without_a_terminal_fixed_point_is_rejected(self):
         # DynamicDgpParams rejects beta 1 (see TestParams); the terminal solve
-        # still checks that its iteration ended at rounding level
-        with pytest.raises(ValueError, match="terminal value did not converge at beta 1.0"):
+        # still checks its beta, since at 1 the equation has no root
+        with pytest.raises(ValueError, match=r"terminal value needs a beta in \[0, 1\), not 1.0"):
             _terminal_value(1.0, np.zeros(3))
 
-    def test_a_beta_too_close_to_1_is_rejected_before_iterating(self):
-        # the terminal value would need ~3e17 steps at beta = 1 - 2**-53
-        p = DynamicDgpParams(n_products=3, n_draws=4, horizon=3, beta=0.9999999999999999)
-        with pytest.raises(ValueError, match="beta 0.9999999999999999 needs"):
-            gen_dynamic_market(p, SeededRng(1, 0).generator())
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 0.99, 0.999, 1.0 - 2.0 ** -53])
+    def test_the_terminal_value_solves_its_equation_to_rounding(self, beta):
+        omega = np.array([-2e300, -800.0, -5.0, 0.0, 3.0, 50.0, 1e300])
+        v = _terminal_value(beta, omega)
+        assert_terminal_residual(beta, omega, v)
+
+    @pytest.mark.parametrize("horizon", [50, 25])
+    def test_the_default_designs_truth_solves_the_terminal_equation(self, horizon,
+                                                                    monkeypatch):
+        calls = []
+
+        def terminal_value(beta, omega_T):
+            v = _terminal_value(beta, omega_T)
+            calls.append((beta, omega_T, v))
+            return v
+        monkeypatch.setattr(datagen, "_terminal_value", terminal_value)
+        inst = gen_dynamic_market(DynamicDgpParams(horizon=horizon), SeededRng(11, 0).generator())
+        assert len(calls) == 1
+        beta, omega_T, v = calls[0]
+        assert_terminal_residual(beta, omega_T, v)
+        assert np.array_equal(inst.solution_true.value[:, -1], v)
 
     def test_a_design_without_a_valid_draw_is_rejected(self, monkeypatch):
         # an intercept of -800 puts every inside share below 1e-300
@@ -165,8 +190,7 @@ class TestDynamicDgp:
                                         dict(mean_coefs=(-800.0, 1.0, 1.0, 0.5, 2.0))])
     def test_draws_whose_inclusive_values_underflow_the_shares_skip_the_terminal_value(
             self, design, monkeypatch):
-        # omega ~ -2e300 or ~ -800 in every period: the terminal value took
-        # ~70,000 steps per draw on the first, and no draw can clear 1e-300
+        # omega ~ -2e300 or ~ -800 in every period: no draw can clear 1e-300
         def terminal_value(*_):
             raise AssertionError("a draw without a valid share reached the terminal value")
         monkeypatch.setattr(datagen, "_terminal_value", terminal_value)
@@ -176,8 +200,8 @@ class TestDynamicDgp:
 
     @pytest.mark.parametrize("x", [-30.0, 0.0, 2.5, 40.0])
     def test_terminal_value_starts_at_0_where_omega_underflows_the_shares(self, x):
-        # a start at omega = -2e300 would take ~70,000 steps; from 0 the entry
-        # stays at 0, and the other entry keeps its bits
+        # the start max(omega, 0) is 0 at omega = -2e300, where the entry
+        # stays, and the other entry keeps its bits
         v = _terminal_value(0.99, np.array([-2e300, x]))
         assert v[0] == 0.0
         assert np.array_equal(v[1:], _terminal_value(0.99, np.array([x])))

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -444,6 +445,23 @@ class TestValidation:
         doc["beta"] = "0.5"
         with pytest.raises(ValueError, match="beta"):
             market_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("name, V_shape, delta_shape", [
+        ("V", (1, 12), (4, 12)), ("V", (6, 11), (4, 12)), ("V", (72,), (4, 12)),
+        ("delta", (6, 12), (4, 11)), ("delta", (6, 12), (48,)), ("delta", (6, 12), (6, 12))])
+    def test_the_value_update_checks_its_arguments_shapes(self, name, V_shape, delta_shape):
+        # a (1, 12) V was broadcast over all 6 types; the others failed inside numpy
+        inst, _ = desk_instance()
+        shape = r"\(6, 12\)" if name == "V" else r"\(4, 12\)"
+        with pytest.raises(ValueError, match=rf"{name} must have shape {shape}, not"):
+            pf_value_update(np.zeros(V_shape), np.zeros(delta_shape), 1.0, inst.market)
+
+    def test_the_bellman_audit_checks_its_solutions_shape(self):
+        inst, _ = desk_instance()
+        sol = inst.solution_true
+        assert bellman_residual(sol, inst.market) < 1e-12
+        with pytest.raises(ValueError, match=r"V must have shape \(6, 12\), not \(1, 12\)"):
+            bellman_residual(replace(sol, value=sol.value[:1]), inst.market)
 
     def test_rejects_beta_out_of_range(self):
         with pytest.raises(ValueError):

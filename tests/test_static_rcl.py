@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 import warnings
 
@@ -13,7 +14,8 @@ from demandinv.datagen import (DynamicDgpParams, SeededRng, StaticDgpParams, dra
                                gen_dynamic_market, gen_static_market,
                                large_heterogeneity_market)
 from demandinv.fixtures import market_from_json, market_to_json
-from demandinv.rcnl import NestedMarket, rcnl_dist_metric
+from demandinv.rcnl import (NestedMarket, rcnl_dist_metric, rcnl_iota_delta_to_IV,
+                            rcnl_iota_IV_to_delta, rcnl_phi_delta, rcnl_phi_IV, rcnl_shares)
 from demandinv.static_rcl import (StaticMarket, dist_metric, initial_delta,
                                   iota_V_to_delta, iota_delta_to_V,
                                   kalouptsidi_F, kalouptsidi_Ftilde, logit_shares,
@@ -403,6 +405,50 @@ class TestJsonFixtures:
         del doc[key]
         with pytest.raises(ValueError, match=f"missing the keys \\['{key}'\\]"):
             market_from_json(json.dumps(doc))
+
+
+LARGE_HETERO = large_heterogeneity_market()[0]  # two types, two products
+
+# kernel, the name of its iterate, that iterate's shape on its market, and
+# wrong shapes; at the first of each, some kernels broadcast silently (a V of
+# length 1 over both types, an r of length 1 to one value) and others failed
+# inside numpy (a 2 x 2 delta, one row of IV)
+KERNEL_SHAPES = {
+    "phi_delta": (lambda x: phi_delta(x, 1.0, LARGE_HETERO), "delta", (2,)),
+    "iota_delta_to_V": (lambda x: iota_delta_to_V(x, LARGE_HETERO), "delta", (2,)),
+    "dist_metric": (lambda x: dist_metric(x, LARGE_HETERO), "delta", (2,)),
+    "iota_V_to_delta": (lambda x: iota_V_to_delta(x, 0.0, LARGE_HETERO), "V", (2,)),
+    "phi_V": (lambda x: phi_V(x, 1.0, LARGE_HETERO), "V", (2,)),
+    "kalouptsidi_F": (lambda x: kalouptsidi_F(x, LARGE_HETERO), "r", (2,)),
+    "kalouptsidi_Ftilde": (lambda x: kalouptsidi_Ftilde(x, LARGE_HETERO), "r_tilde", (1,)),
+    "rcnl_phi_delta": (lambda x: rcnl_phi_delta(x, 1.0, J5_NESTED), "delta", (5,)),
+    "rcnl_iota_delta_to_IV": (lambda x: rcnl_iota_delta_to_IV(x, J5_NESTED), "delta", (5,)),
+    "rcnl_shares": (lambda x: rcnl_shares(x, J5_NESTED), "delta", (5,)),
+    "rcnl_dist_metric": (lambda x: rcnl_dist_metric(x, J5_NESTED), "delta", (5,)),
+    "rcnl_iota_IV_to_delta": (lambda x: rcnl_iota_IV_to_delta(x, 0.0, J5_NESTED), "IV", (7, 3)),
+    "rcnl_phi_IV": (lambda x: rcnl_phi_IV(x, 1.0, J5_NESTED), "IV", (7, 3)),
+}
+
+
+def wrong_shapes(shape):
+    """Shapes a caller may mistake for shape: one entry, one entry more, an
+    extra axis, the axes reversed or flattened, a scalar."""
+    size = int(np.prod(shape))
+    candidates = [(1,), shape[:-1] + (shape[-1] + 1,), shape + (1,), shape[::-1], (size,), ()]
+    return [c for c in dict.fromkeys(candidates) if c != shape]
+
+
+class TestIterateShapes:
+    @pytest.mark.parametrize("kernel, wrong", [
+        pytest.param(kernel, wrong, id=f"{kernel}-{'x'.join(map(str, wrong)) or 'scalar'}")
+        for kernel, (_, _, shape) in KERNEL_SHAPES.items() for wrong in wrong_shapes(shape)])
+    def test_a_public_kernel_rejects_an_iterate_of_another_shape(self, kernel, wrong):
+        fn, name, shape = KERNEL_SHAPES[kernel]
+        fn(np.zeros(shape))
+        with pytest.raises(ValueError, match=rf"{name} must have shape "
+                                             rf"{re.escape(str(shape))}, not "
+                                             rf"{re.escape(str(wrong))}"):
+            fn(np.zeros(wrong))
 
 
 class TestMarketValidation:
