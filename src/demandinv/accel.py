@@ -15,11 +15,13 @@ window of residual differences. With at least as many coordinates as the
 memory (a tall history, every large market) the solver updates a thin QR
 factorisation of the differences, O(n m) per iteration, and solves the small
 triangle (:class:`_DifferenceQR`); an SVD lstsq of the stacked n x m
-differences, afresh every iteration, costs several times that. A wide history
-(fewer coordinates than the memory: the two-type value mapping, the 2 x 2
-large-heterogeneity market) keeps :func:`anderson_combine`'s SVD lstsq bit
-for bit, because the benchmark pins the end of one Anderson drift on such a
-market to its last bits.
+differences, afresh every iteration, costs several times that. The tall
+window stores numerically independent differences only, and its weights are
+:func:`anderson_combine`'s on them. A wide history (fewer coordinates than
+the memory: the two-type value mapping, the 2 x 2 large-heterogeneity
+market) keeps :func:`anderson_combine`'s SVD lstsq bit for bit, because the
+benchmark pins the end of one Anderson drift on such a market to its last
+bits.
 
 Any :class:`FixedPointMap` runs under the solve's error state
 :data:`SOLVE_ERRSTATE`, entered once per solve: a non-finite image or step
@@ -198,8 +200,8 @@ def anderson_combine(differences: Sequence[np.ndarray], residual: np.ndarray,
     The least squares is an SVD lstsq of the stacked differences, afresh on
     every call. :func:`solve` takes this path only for wide histories, with
     fewer coordinates than the memory; tall ones update a QR factorisation
-    instead (:class:`_DifferenceQR`), which gives the same weights up to
-    rounding at a fraction of the cost."""
+    instead (:class:`_DifferenceQR`), which gives these weights on its
+    independent differences, up to rounding, at a fraction of the cost."""
     if not differences:
         return images[0]
     gamma = ls_minnorm(np.stack(differences, axis=1), residual)
@@ -221,10 +223,11 @@ class _DifferenceQR:
     reorthogonalisation, each pass two matrix-vector products (the classical
     form: the row-by-row modified form costs three times as much in numpy,
     and the second pass makes either orthonormal to rounding). A difference
-    that the second pass shrinks below half of what the first left is
-    numerically dependent: it gets a zero diagonal in R, and Q a unit vector
-    orthogonal to its other rows. Deleting the oldest re-triangularises
-    R[:, 1:] by a small QR and rotates Q to match, O(n m) in all.
+    that the second pass shrinks to at most half of what the first left is
+    numerically dependent and is not stored, so R's diagonal has no zero: a
+    zero difference always, a repeated one as rounding falls (if stored,
+    gamma's cutoff cuts its rounding-level diagonal). Deleting the oldest
+    re-triangularises R[:, 1:] by a small QR and rotates Q to match, O(n m).
     """
 
     def __init__(self, n: int, memory: int):
@@ -237,7 +240,7 @@ class _DifferenceQR:
         self.rcond = np.finfo(float).eps * n
 
     def append(self, dF: np.ndarray, dG: np.ndarray) -> None:
-        """Add the newest differences, deleting the oldest if the window is full."""
+        """Add the newest differences unless dependent, deleting the oldest if full."""
         if self.size == len(self.R):
             self._delete_oldest()
         k = self.size
@@ -248,13 +251,11 @@ class _DifferenceQR:
         s = Q.dot(v)
         v -= s.dot(Q)
         second = math.sqrt(v.dot(v))
+        if not second > 0.5 * first:
+            return
         self.R[:k, k] = r + s
-        if second > 0.5 * first:
-            self.R[k, k] = second
-            np.divide(v, second, out=self.Q[k])
-        else:
-            self.R[k, k] = 0.0
-            self.Q[k] = _orthogonal_unit_vector(Q)
+        self.R[k, k] = second
+        np.divide(v, second, out=self.Q[k])
         self.dG[k] = dG
         self.size = k + 1
 
@@ -271,17 +272,6 @@ class _DifferenceQR:
         differences, as anderson_combine solves it, from the factorisation."""
         k = self.size
         return ls_minnorm(self.R[:k, :k], self.Q[:k].dot(residual), rcond=self.rcond)
-
-
-def _orthogonal_unit_vector(Q: np.ndarray) -> np.ndarray:
-    """A unit vector orthogonal to the orthonormal rows of Q (fewer rows
-    than columns): the coordinate vector they span least, projected off them
-    twice."""
-    j = int(np.argmin(np.einsum("ij,ij->j", Q, Q)))
-    v = -Q[:, j].dot(Q)
-    v[j] += 1.0
-    v -= Q.dot(v).dot(Q)
-    return v / math.sqrt(v.dot(v))
 
 
 def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:

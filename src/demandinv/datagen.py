@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import expit, ndtri
 
 from .accel import checked_int, checked_real
-from .dynamic import DurableMarket, DurableSolution
+from .dynamic import DurableMarket, DurableSolution, _exp_mu_t, _omega_from_delta, _shares_at
 from .numerics import log_share_gap, logsumexp
 from .rcnl import NestedMarket, nested_shares
 from .static_rcl import StaticMarket, outside_logit
@@ -324,8 +324,10 @@ def gen_dynamic_market(p: DynamicDgpParams, rng: np.random.Generator) -> Dynamic
 
     market = DurableMarket(shares=shares, outside_shares=outside, mu=mu,
                            weights=np.full(I, 1.0 / I), beta=beta)
-    truth = DurableSolution(value=V, delta=delta, pr0=pr0, ccp=ccp, dist=log_share_gap(
-        market.log_shares, _conditional_shares(ccp, pr0, market.weights)))
+    em = _exp_mu_t(market)  # dist audits the library's shares at (delta, V)
+    _, s = _shares_at(delta, V, _omega_from_delta(delta, em), market, em)
+    truth = DurableSolution(value=V, delta=delta, pr0=pr0, ccp=ccp,
+                            dist=log_share_gap(market.log_shares, s))
     return DynamicInstance(market=market, solution_true=truth,
                            theta_true=np.asarray(p.sd_coefs, dtype=float),
                            X=X, nodes=nodes, redraws=redraws)

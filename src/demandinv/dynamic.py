@@ -359,7 +359,7 @@ def traditional_joint_solve(mkt: DurableMarket, gamma: float, phi: float,
         V = x[nd:].reshape(I, T)
         omega = _omega_from_delta(delta, em)
         d_next = _delta_update(delta, V, omega, gamma, phi, mkt, em)
-        v_next = np.logaddexp(mkt.beta * _v_next(V), omega)
+        v_next = _backup(V, _v_next(V), omega, 0.0, None, mkt)
         return np.concatenate([d_next.ravel(), v_next.ravel()])
 
     x0 = np.concatenate([initial_delta_myopic(mkt).ravel(), np.zeros(I * T)])
@@ -433,8 +433,7 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
         v_data = x[:nd].reshape(I, T)
         v_grid = x[nd:].reshape(I, N)
         _, omega, pr0 = forward(v_data)
-        if not np.all(np.isfinite(omega)):
-            return np.full_like(x, np.nan)
+        # a non-finite omega makes its type's AR(1) fit NaN, and so the image
         theta0, theta1, sd = ols_ar1_rows(omega)
         # at the data points and the grid nodes in one call: (I, T + N)
         e = expectations(v_grid, theta0, theta1, sd,

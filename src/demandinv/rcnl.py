@@ -16,7 +16,7 @@ import numpy as np
 from .accel import SOLVE_ERRSTATE, AccelConfig, FixedPointMap, solve
 from .numerics import log_share_gap, logsumexp
 from .static_rcl import (StaticMarket, _checked_gamma, _delta, _freeze, _log_s0, _market_em,
-                         check_mu_span, numeric_array, outside_logit)
+                         _share_arrays, check_mu_span, numeric_array, outside_logit)
 
 RCNL_MAPPINGS = ("delta0", "delta1", "IV0", "IV1")
 
@@ -107,7 +107,8 @@ def _within(delta, em):
 @np.errstate(**SOLVE_ERRSTATE)
 def nested_shares(delta, mu, weights, groups, rho):
     """Nested-logit shares from raw arrays: (s_j, s_g, s_0, per-type IV)."""
-    return _shares(np.asarray(delta, float), weights, nest_exp_mu(mu, groups, rho))
+    delta, mu, weights = _share_arrays("delta", delta, mu, weights)
+    return _shares(delta, weights, nest_exp_mu(mu, groups, rho))
 
 
 def _shares(delta, weights, em):

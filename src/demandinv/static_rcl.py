@@ -44,18 +44,10 @@ class StaticMarket:
     weights: np.ndarray
 
     def __post_init__(self):
-        shares = numeric_array("shares", self.shares)
-        outside = numeric_array("outside_share", self.outside_share)
+        shares, mu, weights = _share_arrays("shares", self.shares, self.mu, self.weights)
         # C order: numpy adds up mu in an order that depends on its layout
-        mu = np.ascontiguousarray(numeric_array("mu", self.mu))
-        weights = numeric_array("weights", self.weights)
-        if shares.ndim != 1 or outside.ndim != 0:
-            raise ValueError("shares must be a vector and outside_share a scalar")
-        if mu.ndim != 2 or mu.shape[1] != shares.size:
-            raise ValueError("mu must be I x J")
-        if weights.shape != (mu.shape[0],):
-            raise ValueError("weights must have one entry per consumer type")
-        outside = float(outside)
+        mu = np.ascontiguousarray(mu)
+        outside = float(numeric_array("outside_share", self.outside_share, ()))
         check_market_data(shares, outside, mu, weights)
         _freeze(self, shares=shares, outside_share=outside, mu=mu, weights=weights,
                 log_shares=np.log(shares), log_outside=float(np.log(outside)))
@@ -90,6 +82,16 @@ def _read_only(value) -> None:
 def _delta(delta, mkt: StaticMarket) -> np.ndarray:
     """A public kernel's delta, checked against the market's products."""
     return numeric_array("delta", delta, (mkt.n_products,))
+
+
+def _share_arrays(name: str, x, mu, weights):
+    """(x, mu, weights) as float arrays, x named name; ValueError naming the
+    argument unless mu is I x J, x (J,) and weights (I,)."""
+    mu = numeric_array("mu", mu)
+    if mu.ndim != 2:
+        raise ValueError(f"mu must be I x J, not of shape {mu.shape}")
+    return (numeric_array(name, x, mu.shape[1:]), mu,
+            numeric_array("weights", weights, mu.shape[:1]))
 
 
 def _checked_gamma(gamma) -> float:
@@ -224,8 +226,9 @@ def _shares(delta, weights, a, E):
 def logit_shares(delta, mu, weights):
     """Mixed-logit shares from raw arrays: (s_j, s_0, per-type choice
     probabilities s_ij)."""
+    delta, mu, weights = _share_arrays("delta", delta, mu, weights)
     a, E = exp_mu(mu)
-    s_j, s_0, (ed, eb, _, _, denom) = _shares(np.asarray(delta, dtype=float), weights, a, E)
+    s_j, s_0, (ed, eb, _, _, denom) = _shares(delta, weights, a, E)
     return s_j, s_0, (eb / denom)[:, None] * E * ed
 
 

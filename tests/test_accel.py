@@ -180,13 +180,60 @@ def window_weights(window, residual):
     return np.diff(np.concatenate(([0.0], window.gamma(residual), [1.0])))
 
 
+def append(window, kept, d):
+    """window.append(d, 2 d), followed on kept, the window's differences: the
+    oldest goes when the window is full, and d joins unless the window skips
+    it as numerically dependent."""
+    if window.size == len(window.R):
+        del kept[0]
+    window.append(d, 2.0 * d)
+    if window.size > len(kept):
+        kept.append(d)
+
+
 def fill(window, diffs):
-    """Append diffs to window (each image difference a scaled copy); the window's differences."""
+    """Append diffs to window; the differences it keeps."""
     kept = []
     for d in diffs:
-        window.append(d, 2.0 * d)
-        kept = (kept + [d])[-len(window.R):]
+        append(window, kept, d)
     return kept
+
+
+def tall_differences(rng, n, memory, kinds):
+    """Differences of n coordinates, one per kind: random, a copy of one of
+    the last memory differences, or zero."""
+    diffs = []
+    for kind in kinds:
+        if kind == "random" or not diffs:
+            diffs.append(rng.normal(size=n))
+        else:
+            window_diffs = diffs[-memory:]
+            diffs.append(window_diffs[rng.integers(len(window_diffs))].copy()
+                         if kind == "duplicate" else np.zeros(n))
+    return diffs
+
+
+def assert_factorises(window, kept):
+    """Q orthonormal, R upper triangular with no zero on its diagonal, R.T @ Q
+    the kept differences and dG their image differences."""
+    k = window.size
+    assert k == len(kept)
+    Q, R = window.Q[:k], window.R[:k, :k]
+    assert np.linalg.norm(Q @ Q.T - np.eye(k), 2) <= 1e-12
+    assert np.array_equal(R, np.triu(R))
+    assert np.all(np.diag(R) != 0.0)
+    D = np.reshape(kept, (k, window.Q.shape[1]))
+    assert np.linalg.norm(R.T @ Q - D) <= 1e-12 * np.linalg.norm(D)
+    np.testing.assert_array_equal(window.dG[:k], 2.0 * D)
+
+
+def assert_weights_match(window, kept, residual):
+    want = combine_weights(kept, residual)
+    got = window_weights(window, residual)
+    assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+
+KINDS = st.lists(st.sampled_from(["random", "duplicate", "zero"]), min_size=1, max_size=18)
 
 
 class TestDifferenceQR:
@@ -196,41 +243,41 @@ class TestDifferenceQR:
         rng = np.random.default_rng(memory)
         n = 30
         diffs = [rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3) for _ in range(3 * memory)]
-        diffs[memory] = diffs[memory - 1].copy()  # a duplicated and a zero difference
-        diffs[2 * memory - 1] = np.zeros(n)
+        # a duplicated and a zero difference in the last window (at memory 1
+        # the zero takes the duplicate's place)
+        diffs[2 * memory] = diffs[2 * memory - 1].copy()
+        diffs[3 * memory - 1] = np.zeros(n)
         window = _DifferenceQR(n, memory)
         kept = fill(window, diffs)
-        k = window.size
-        Q, R = window.Q[:k], window.R[:k, :k]
-        assert np.linalg.norm(Q @ Q.T - np.eye(k), 2) <= 1e-12
-        assert np.array_equal(R, np.triu(R))
-        D = np.stack(kept)
-        assert np.linalg.norm(R.T @ Q - D) <= 1e-12 * np.linalg.norm(D)
-        np.testing.assert_array_equal(window.dG[:k], 2.0 * D)
+        # the zero is not kept, after the full window deleted its oldest; the
+        # duplicate is kept or not as rounding falls (a kept one has a
+        # rounding-level diagonal, which gamma's cutoff cuts)
+        assert len(kept) == memory - 1 and all(d is not diffs[-1] for d in kept)
+        assert_factorises(window, kept)
+        assert_weights_match(window, kept, rng.normal(size=n))
 
     @settings(deadline=None, max_examples=200)
     @given(memory=st.integers(1, 6), extra=st.integers(0, 40),
-           exponent=st.floats(-12.0, 12.0), seed=st.integers(0, 10 ** 6),
-           kinds=st.lists(st.sampled_from(["random", "duplicate", "zero"]),
-                          min_size=1, max_size=18))
+           exponent=st.floats(-12.0, 12.0), seed=st.integers(0, 10 ** 6), kinds=KINDS)
     def test_weights_match_anderson_combine_on_tall_histories(
             self, memory, extra, exponent, seed, kinds):
         n, scale = memory + extra, 10.0 ** exponent
         rng = np.random.default_rng(seed)
-        diffs = []
-        for kind in kinds[:3 * memory]:
-            if kind == "random" or not diffs:
-                diffs.append(rng.normal(size=n) * scale)
-            else:  # a copy of one in the window, or zero
-                window_diffs = diffs[-memory:]
-                diffs.append(window_diffs[rng.integers(len(window_diffs))].copy()
-                             if kind == "duplicate" else np.zeros(n))
+        diffs = [d * scale for d in tall_differences(rng, n, memory, kinds[:3 * memory])]
         window = _DifferenceQR(n, memory)
         kept = fill(window, diffs)
-        residual = rng.normal(size=n) * scale
-        want = combine_weights(kept, residual)
-        got = window_weights(window, residual)
-        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+        assert_weights_match(window, kept, rng.normal(size=n) * scale)
+
+    @settings(deadline=None, max_examples=200)
+    @given(memory=st.integers(1, 6), extra=st.integers(0, 40),
+           seed=st.integers(0, 10 ** 6), kinds=KINDS)
+    def test_every_append_leaves_a_factorisation_of_the_kept_differences(
+            self, memory, extra, seed, kinds):
+        n = memory + extra
+        window, kept = _DifferenceQR(n, memory), []
+        for d in tall_differences(np.random.default_rng(seed), n, memory, kinds):
+            append(window, kept, d)
+            assert_factorises(window, kept)
 
     @pytest.mark.parametrize("n", [50, 2500])
     def test_a_nearly_dependent_difference_is_cut_as_lstsq_cuts_it(self, n):

@@ -2,13 +2,18 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import demandinv
 from demandinv import cli
 from demandinv.accel import AccelConfig
 from demandinv.bench import (RECORD_FIELDS, AlgorithmSpec, ExperimentConfig, RunRecord,
@@ -405,3 +410,15 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 2
         assert "algorithms must be a JSON list" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_importing_the_package_loads_no_scipy():
+    # the benchmark's setup_s times this import in a fresh interpreter:
+    # importing scipy.linalg from accel took dynamic-durable's setup_s from
+    # 0.13 to 0.31 s on a 2-vCPU Xeon. datagen's scipy.special loads with
+    # datagen only
+    code = "import sys, demandinv; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(demandinv.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -6,7 +6,8 @@ from demandinv.accel import AccelConfig
 from demandinv.datagen import (DynamicDgpParams, SeededRng, StaticDgpParams, _terminal_value,
                                draw_theta, gen_dynamic_market,
                                gen_nested_market, gen_static_market)
-from demandinv.dynamic import bellman_residual, pf_solve
+from demandinv.dynamic import (_exp_mu_t, _omega_from_delta, _solution, bellman_residual,
+                               pf_solve)
 from demandinv.rcnl import rcnl_dist_metric
 from demandinv.static_rcl import dist_metric
 
@@ -136,6 +137,22 @@ class TestDynamicDgp:
         assert np.all(np.diff(inst.solution_true.pr0, axis=1) <= 0)
         assert np.all(inst.solution_true.pr0 > 0)
         assert np.all(inst.solution_true.pr0 <= 1)
+
+    def test_truth_dist_is_the_library_audit_at_the_truth(self):
+        # a solve at the truth's (delta, V) would report this dist: at
+        # rounding level, and not 0 by construction
+        dists = []
+        for horizon in (50, 25, 12):
+            for rep in range(4):
+                inst = gen_dynamic_market(DynamicDgpParams(horizon=horizon),
+                                          SeededRng(11, rep).generator())
+                truth, mkt = inst.solution_true, inst.market
+                em = _exp_mu_t(mkt)
+                audit = _solution(truth.delta, truth.value,
+                                  _omega_from_delta(truth.delta, em), mkt, em).dist
+                assert truth.dist == audit < 1e-12
+                dists.append(truth.dist)
+        assert max(dists) > 0.0
 
     def test_pf_recovers_truth(self):
         p = DynamicDgpParams(n_products=5, n_draws=8, horizon=10, beta=0.9)

@@ -310,6 +310,32 @@ class TestIvs:
         assert out.termination == "non_finite"
         assert np.all(np.isfinite(out.point))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("period", [0, -1])
+    def test_a_non_finite_omega_ends_the_solve_at_x0(self, monkeypatch, value, period):
+        # one non-finite purchase inclusive value makes its type's AR(1) fit
+        # NaN, and so the image, even where the backup of omega = -inf is finite
+        forward_pass = dynamic._forward_pass
+
+        def patched(mkt, em):
+            forward = forward_pass(mkt, em)
+
+            def with_bad_omega(V):
+                delta, omega, pr0 = forward(V)
+                omega = omega.copy()
+                omega[1, period] = value
+                return delta, omega, pr0
+            return with_bad_omega
+        monkeypatch.setattr(dynamic, "_forward_pass", patched)
+        inst, _ = desk_instance(horizon=5)
+        grid = IvsGrid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, out = ivs_solve(inst.market, 1.0, grid, AccelConfig(method="anderson"))
+        assert out.termination == "non_finite" and out.evaluations == 1
+        np.testing.assert_array_equal(
+            out.point, np.zeros(inst.market.n_types * (inst.market.horizon + grid.n_nodes)))
+
     def test_a_quadrature_order_without_finite_weights_is_rejected(self):
         inst, _ = desk_instance(horizon=4)
         with pytest.raises(ValueError, match="order-400 Gauss-Hermite weights are not finite"):

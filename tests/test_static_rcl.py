@@ -14,8 +14,9 @@ from demandinv.datagen import (DynamicDgpParams, SeededRng, StaticDgpParams, dra
                                gen_dynamic_market, gen_static_market,
                                large_heterogeneity_market)
 from demandinv.fixtures import market_from_json, market_to_json
-from demandinv.rcnl import (NestedMarket, rcnl_dist_metric, rcnl_iota_delta_to_IV,
-                            rcnl_iota_IV_to_delta, rcnl_phi_delta, rcnl_phi_IV, rcnl_shares)
+from demandinv.rcnl import (NestedMarket, nested_shares, rcnl_dist_metric,
+                            rcnl_iota_delta_to_IV, rcnl_iota_IV_to_delta, rcnl_phi_delta,
+                            rcnl_phi_IV, rcnl_shares)
 from demandinv.static_rcl import (StaticMarket, dist_metric, initial_delta,
                                   iota_V_to_delta, iota_delta_to_V,
                                   kalouptsidi_F, kalouptsidi_Ftilde, logit_shares,
@@ -412,7 +413,8 @@ LARGE_HETERO = large_heterogeneity_market()[0]  # two types, two products
 # kernel, the name of its iterate, that iterate's shape on its market, and
 # wrong shapes; at the first of each, some kernels broadcast silently (a V of
 # length 1 over both types, an r of length 1 to one value) and others failed
-# inside numpy (a 2 x 2 delta, one row of IV)
+# inside numpy (a 2 x 2 delta, one row of IV, a delta of one entry or with an
+# extra axis in the raw-array share functions)
 KERNEL_SHAPES = {
     "phi_delta": (lambda x: phi_delta(x, 1.0, LARGE_HETERO), "delta", (2,)),
     "iota_delta_to_V": (lambda x: iota_delta_to_V(x, LARGE_HETERO), "delta", (2,)),
@@ -427,6 +429,18 @@ KERNEL_SHAPES = {
     "rcnl_dist_metric": (lambda x: rcnl_dist_metric(x, J5_NESTED), "delta", (5,)),
     "rcnl_iota_IV_to_delta": (lambda x: rcnl_iota_IV_to_delta(x, 0.0, J5_NESTED), "IV", (7, 3)),
     "rcnl_phi_IV": (lambda x: rcnl_phi_IV(x, 1.0, J5_NESTED), "IV", (7, 3)),
+    "logit_shares": (lambda x: logit_shares(x, np.zeros((3, 4)), np.full(3, 1 / 3)), "delta",
+                     (4,)),
+    "nested_shares": (lambda x: nested_shares(x, J5.mu, J5.weights, J5_NESTED.groups,
+                                              J5_NESTED.rho), "delta", (5,)),
+}
+
+# the raw-array share functions and the market, on four products
+SHARE_ARRAYS = {
+    "logit_shares": lambda mu, w: logit_shares(np.zeros(4), mu, w),
+    "nested_shares": lambda mu, w: nested_shares(np.zeros(4), mu, w, (np.arange(4),),
+                                                 np.array([0.5])),
+    "StaticMarket": lambda mu, w: StaticMarket(np.full(4, 0.1), 0.6, mu, w),
 }
 
 
@@ -449,6 +463,17 @@ class TestIterateShapes:
                                              rf"{re.escape(str(shape))}, not "
                                              rf"{re.escape(str(wrong))}"):
             fn(np.zeros(wrong))
+
+
+class TestShareArrays:
+    @pytest.mark.parametrize("function", SHARE_ARRAYS)
+    def test_mu_must_be_a_matrix_and_weights_one_per_row(self, function):
+        shares = SHARE_ARRAYS[function]
+        shares(np.zeros((3, 4)), np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match=r"mu must be I x J, not of shape \(4,\)"):
+            shares(np.zeros(4), np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match=r"weights must have shape \(3,\), not \(2,\)"):
+            shares(np.zeros((3, 4)), np.full(2, 0.5))
 
 
 class TestMarketValidation:
