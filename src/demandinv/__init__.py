@@ -10,8 +10,6 @@ from .dynamic import (DurableMarket, DurableSolution, IvsGrid, IvsState,
                       bellman_residual, ivs_solve, pf_solve, pf_value_update,
                       traditional_joint_solve)
 from .fixtures import market_from_json, market_to_json
-from .numerics import (chebyshev_eval_rows, chebyshev_fit_matrix, chebyshev_nodes,
-                       ls_minnorm, normal_quadrature, ols_ar1_rows)
 from .rcnl import (NestedMarket, rcnl_dist_metric, rcnl_iota_delta_to_IV,
                    rcnl_iota_IV_to_delta, rcnl_phi_delta, rcnl_phi_IV,
                    rcnl_shares, rcnl_solve_inner)

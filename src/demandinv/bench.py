@@ -150,9 +150,8 @@ def _joint(market, algo, acfg):
 
 
 def _pf(market, algo, acfg):
-    # spectral and SQUAREM take one step size per period
-    blocks = algo.method in ("spectral", "squarem")
-    return pf_solve(market, algo.gamma, replace(acfg, use_blocks=blocks))
+    # spectral and SQUAREM take one step size per period; no other method reads the blocks
+    return pf_solve(market, algo.gamma, replace(acfg, use_blocks=True))
 
 
 def _ivs(market, algo, acfg):

@@ -212,11 +212,10 @@ def gen_nested_market(p: StaticDgpParams, rng: np.random.Generator,
     if p.n_products % 3:
         raise ValueError(f"n_products must be divisible by 3, not {p.n_products}")
     nest_of = np.repeat(np.arange(3), p.n_products // 3)
-    groups = tuple(np.flatnonzero(nest_of == k) for k in range(3))
     rho_vec = np.full(3, float(rho))
 
     def shares(delta, mu, weights):
-        s_j, _, s_0, _ = nested_shares(delta, mu, weights, groups, rho_vec)
+        s_j, _, s_0, _ = nested_shares(delta, mu, weights, nest_of, rho_vec)
         return s_j, s_0
 
     base, X, delta, nodes, redraws = _draw_market(p, rng, shares)

@@ -41,8 +41,11 @@ class DurableMarket:
     """Time-indexed conditional shares, mu, weights, and the discount factor.
 
     shares: (J, T); outside_shares: (T,); mu: (I, J, T); weights: (I,);
-    pr0_init: (I,) initial non-owner fractions (defaults to ones); the
-    ownership paths floor later periods, not these. The constructor adds
+    beta: a real in [0, 1); pr0_init: (I,) initial non-owner fractions in
+    [0, 1] (defaults to ones); the ownership paths floor later periods, not
+    these. Once mu is I x J x T, each other argument of another shape raises
+    ValueError naming it, as in "shares must have shape (2, 4), not (4, 2)",
+    before check_market_data checks the values. The constructor adds
     the logs log_shares (J, T) and log_outside (T,), and stores shares and mu
     in C order, so that a market sums alike however it was built. Immutable:
     every array is read-only, and writing through an alias made before
@@ -58,25 +61,21 @@ class DurableMarket:
     pr0_init: np.ndarray | None = None
 
     def __post_init__(self):
-        shares = np.ascontiguousarray(numeric_array("shares", self.shares))
-        outside = numeric_array("outside_shares", self.outside_shares)
         mu = np.ascontiguousarray(numeric_array("mu", self.mu))
-        weights = numeric_array("weights", self.weights)
         if mu.ndim != 3:
-            raise ValueError("mu must be I x J x T")
+            raise ValueError(f"mu must be I x J x T, not of shape {mu.shape}")
         I, J, T = mu.shape
-        if shares.shape != (J, T) or outside.shape != (T,):
-            raise ValueError("shares must be J x T and outside_shares length T")
-        if weights.shape != (I,):
-            raise ValueError("weights must have one entry per type")
-        beta = numeric_array("beta", self.beta)
-        if beta.ndim != 0 or not 0.0 <= beta < 1.0:  # NaN fails
+        shares = np.ascontiguousarray(numeric_array("shares", self.shares, (J, T)))
+        outside = numeric_array("outside_shares", self.outside_shares, (T,))
+        weights = numeric_array("weights", self.weights, (I,))
+        beta = numeric_array("beta", self.beta, ())
+        if not 0.0 <= beta < 1.0:  # NaN fails
             raise ValueError(f"beta must be a real in [0, 1), not {self.beta!r}")
         check_market_data(shares, outside, mu, weights)
         pr0 = (np.ones(I) if self.pr0_init is None
-               else numeric_array("pr0_init", self.pr0_init))
-        if pr0.shape != (I,) or not np.all((pr0 >= 0) & (pr0 <= 1)):
-            raise ValueError("pr0_init must be I fractions in [0, 1]")
+               else numeric_array("pr0_init", self.pr0_init, (I,)))
+        if not np.all((pr0 >= 0) & (pr0 <= 1)):  # NaN fails
+            raise ValueError("pr0_init must lie in [0, 1]")
         if not weights @ pr0 > 0:
             raise ValueError("some type must be active in the first period")
         _freeze(self, shares=shares, outside_shares=outside, mu=mu, weights=weights,
@@ -280,17 +279,6 @@ def _shares_at(delta: np.ndarray, V: np.ndarray, omega: np.ndarray, mkt: Durable
     return pr0, s
 
 
-def _delta_update(delta: np.ndarray, V: np.ndarray, omega: np.ndarray, gamma: float,
-                  phi: float, mkt: DurableMarket, em) -> np.ndarray:
-    """delta + phi*(log S - log s) - gamma*(log S0 - log s0) at (delta, V)."""
-    _, s = _shares_at(delta, V, omega, mkt, em)
-    d_next = delta + phi * (mkt.log_shares - np.log(s))
-    if gamma != 0.0:
-        s0 = 1.0 - s.sum(axis=0)
-        d_next = d_next - gamma * (mkt.log_outside - np.log(s0))[None, :]
-    return d_next
-
-
 def _solution(delta: np.ndarray, V: np.ndarray, omega: np.ndarray, mkt: DurableMarket,
               em) -> DurableSolution:
     pr0, s = _shares_at(delta, V, omega, mkt, em)
@@ -358,7 +346,11 @@ def traditional_joint_solve(mkt: DurableMarket, gamma: float, phi: float,
         delta = x[:nd].reshape(J, T)
         V = x[nd:].reshape(I, T)
         omega = _omega_from_delta(delta, em)
-        d_next = _delta_update(delta, V, omega, gamma, phi, mkt, em)
+        _, s = _shares_at(delta, V, omega, mkt, em)
+        # delta + phi*(log S - log s) - gamma*(log S0 - log s0) at (delta, V)
+        d_next = delta + phi * (mkt.log_shares - np.log(s))
+        if gamma != 0.0:
+            d_next = d_next - gamma * (mkt.log_outside - np.log(1.0 - s.sum(axis=0)))[None, :]
         v_next = _backup(V, _v_next(V), omega, 0.0, None, mkt)
         return np.concatenate([d_next.ravel(), v_next.ravel()])
 
@@ -440,7 +432,7 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
                          np.concatenate([omega, grid_points], axis=1))
         e_data, e_grid = e[:, :T], e[:, T:]
         v_data_next = _backup(v_data, e_data, omega, gamma, pr0, mkt)
-        v_grid_next = np.logaddexp(mkt.beta * e_grid, nodes[None, :])
+        v_grid_next = _backup(v_grid, e_grid, nodes, 0.0, None, mkt)
         return np.concatenate([v_data_next.ravel(), v_grid_next.ravel()])
 
     outcome = solve(FixedPointMap(evaluate), np.zeros(nd + I * N), cfg)

@@ -37,23 +37,7 @@ class NestedMarket:
     def __post_init__(self):
         if not isinstance(self.base, StaticMarket):
             raise ValueError(f"base must be a StaticMarket, not {type(self.base).__name__}")
-        nest_of = np.asarray(self.nest_of)
-        if nest_of.dtype.kind not in "iu":
-            raise ValueError(f"nest ids must be integers, not {nest_of.dtype}")
-        if nest_of.shape != (self.base.n_products,):
-            raise ValueError("nest_of must assign every product to a nest")
-        nest_of = nest_of.astype(int)
-        n_nests = int(nest_of.max()) + 1
-        if sorted(set(nest_of.tolist())) != list(range(n_nests)):
-            raise ValueError("nest ids must be 0..G-1 with every nest non-empty")
-        rho = numeric_array("rho", self.rho)
-        if rho.ndim == 0:
-            rho = np.full(n_nests, float(rho))
-        if rho.shape != (n_nests,):
-            raise ValueError("rho must be scalar or one value per nest")
-        if not np.all((rho >= 0) & (rho < 1)):  # NaN fails
-            raise ValueError("rho must lie in [0, 1)")
-        groups = tuple(np.flatnonzero(nest_of == g) for g in range(n_nests))
+        nest_of, rho, groups = _checked_nests(self.nest_of, self.rho, self.base.n_products)
         mu = self.base.mu
         for g, idx in enumerate(groups):  # the kernels take exp of mu / (1 - rho) per nest
             check_mu_span(np.ptp(mu[:, idx], axis=1) / (1.0 - rho[g]),
@@ -67,6 +51,29 @@ class NestedMarket:
     @property
     def n_nests(self) -> int:
         return self.rho.size
+
+
+def _checked_nests(nest_of, rho, n_products: int):
+    """(nest_of as ints, rho per nest, each nest's product indices); ValueError
+    naming nest_of or rho unless each product has an integer nest id in 0..G-1,
+    every nest non-empty, and rho is a scalar or one value per nest in [0, 1)."""
+    nest_of = np.asarray(nest_of)
+    if nest_of.dtype.kind not in "iu":
+        raise ValueError(f"nest_of must hold integer nest ids, not {nest_of.dtype}")
+    if nest_of.shape != (n_products,):
+        raise ValueError(f"nest_of must have shape {(n_products,)}, not {nest_of.shape}")
+    nest_of = nest_of.astype(int)
+    n_nests = int(nest_of.max()) + 1
+    if sorted(set(nest_of.tolist())) != list(range(n_nests)):
+        raise ValueError("nest_of's ids must be 0..G-1 with every nest non-empty")
+    rho = numeric_array("rho", rho)
+    if rho.ndim == 0:
+        rho = np.full(n_nests, float(rho))
+    if rho.shape != (n_nests,):
+        raise ValueError(f"rho must be scalar or one value per nest, not of shape {rho.shape}")
+    if not np.all((rho >= 0) & (rho < 1)):  # NaN fails
+        raise ValueError("rho must lie in [0, 1)")
+    return nest_of, rho, tuple(np.flatnonzero(nest_of == g) for g in range(n_nests))
 
 
 def nest_exp_mu(mu, groups, rho):
@@ -105,27 +112,31 @@ def _within(delta, em):
 
 
 @np.errstate(**SOLVE_ERRSTATE)
-def nested_shares(delta, mu, weights, groups, rho):
-    """Nested-logit shares from raw arrays: (s_j, s_g, s_0, per-type IV)."""
+def nested_shares(delta, mu, weights, nest_of, rho):
+    """Nested-logit shares from raw arrays: (s_j, s_g, s_0, per-type IV). ValueError
+    naming the argument unless they pass logit_shares' and NestedMarket's checks."""
     delta, mu, weights = _share_arrays("delta", delta, mu, weights)
-    return _shares(delta, weights, nest_exp_mu(mu, groups, rho))
+    _, rho, groups = _checked_nests(nest_of, rho, mu.shape[1])
+    return _shares(delta, weights, nest_exp_mu(mu, groups, rho))[:4]
 
 
 def _shares(delta, weights, em):
+    """(s_j, s_g, s_0, per-type IV (I, G), the nest level's outside_logit):
+    the last lets the delta mapping take log s_0 in logs when s_0 underflows."""
     ivT, parts = _within(delta, em)
-    _, e, e0, denom = outside_logit(ivT.T)  # the nest level, (I, G)
+    _, e, e0, denom = top = outside_logit(ivT.T)  # the nest level, (I, G)
     s_j, s_g = np.empty(delta.size), np.empty(len(ivT))
     for (nests, P, _, _, E), (ed, rowsum) in zip(em, parts):
         s = ed * ((weights * (e.T[nests] / denom) / rowsum)[:, None, :] @ E)[:, 0]
         s_j[P] = s
         s_g[nests] = np.add.reduce(s, 1)
-    return s_j, s_g, float(weights.dot(e0 / denom)), ivT.T
+    return s_j, s_g, float(weights.dot(e0 / denom)), ivT.T, top
 
 
 @np.errstate(**SOLVE_ERRSTATE)
 def rcnl_shares(delta, mkt: NestedMarket):
     """Nested model shares: (s_j, s_g, s_0, per-type IV matrix)."""
-    return _shares(_delta(delta, mkt.base), mkt.base.weights, _em(mkt))
+    return _shares(_delta(delta, mkt.base), mkt.base.weights, _em(mkt))[:4]
 
 
 def _em(mkt: NestedMarket):
@@ -136,16 +147,13 @@ def _rcnl_phi_delta_map(mkt: NestedMarket, gamma: float, em):
     base, w_j, gamma_rho_j = mkt.base, 1.0 - mkt.product_rho, gamma * mkt.product_rho
 
     def phi(delta):
-        s_j, s_g, s_0, iv = _shares(delta, base.weights, em)
+        s_j, s_g, s_0, _, (a, _, _, denom) = _shares(delta, base.weights, em)
         out = delta + w_j * (base.log_shares - np.log(s_j))
         if gamma != 0.0:
             gap_g = mkt.log_nest_shares - np.log(s_g)
             out = out + gamma_rho_j * gap_g[mkt.nest_of]
             # s_0 underflows at large IV, its log does not (as in rcnl_iota_IV_to_delta)
-            log_s0 = np.log(s_0)
-            if s_0 == 0.0:
-                a, _, _, denom = outside_logit(iv)
-                log_s0 = _log_s0(a + np.log(denom), base.weights)
+            log_s0 = np.log(s_0) if s_0 != 0.0 else _log_s0(a + np.log(denom), base.weights)
             out = out - gamma * (base.log_outside - log_s0)
         return out
     return phi
@@ -176,11 +184,6 @@ def _rcnl_iota_IV_to_delta_map(mkt: NestedMarket, gamma: float, em):
     return to_delta
 
 
-def _rcnl_phi_IV_map(mkt: NestedMarket, gamma: float, em):
-    to_delta = _rcnl_iota_IV_to_delta_map(mkt, gamma, em)
-    return lambda iv: _within(to_delta(iv), em)[0].T
-
-
 @np.errstate(**SOLVE_ERRSTATE)
 def rcnl_phi_delta(delta, gamma: float, mkt: NestedMarket) -> np.ndarray:
     """delta + (1-rho)(logS_j - log s_j) + gamma*rho*(logS_g - log s_g)
@@ -207,8 +210,9 @@ def rcnl_iota_IV_to_delta(iv, gamma: float, mkt: NestedMarket) -> np.ndarray:
 
 @np.errstate(**SOLVE_ERRSTATE)
 def rcnl_phi_IV(iv, gamma: float, mkt: NestedMarket) -> np.ndarray:
-    phi = _rcnl_phi_IV_map(mkt, _checked_gamma(gamma), _em(mkt))
-    return phi(numeric_array("IV", iv, (mkt.base.n_types, mkt.n_nests)))
+    em = _em(mkt)
+    to_delta = _rcnl_iota_IV_to_delta_map(mkt, _checked_gamma(gamma), em)
+    return _within(to_delta(numeric_array("IV", iv, (mkt.base.n_types, mkt.n_nests))), em)[0].T
 
 
 @np.errstate(**SOLVE_ERRSTATE)  # delta / (1 - rho) may overflow
@@ -240,7 +244,7 @@ def rcnl_solve_inner(mkt: NestedMarket, mapping: str, cfg: AccelConfig):
         outcome = solve(fp, rcnl_initial_delta(mkt), cfg)
         return outcome.point, outcome
     shape = (mkt.base.n_types, mkt.n_nests)
-    phi = _rcnl_phi_IV_map(mkt, gamma, em)
-    fp = FixedPointMap(lambda v: phi(v.reshape(shape)).ravel())
+    to_delta = _rcnl_iota_IV_to_delta_map(mkt, gamma, em)
+    fp = FixedPointMap(lambda v: _within(to_delta(v.reshape(shape)), em)[0].T.ravel())
     outcome = solve(fp, np.zeros(shape).ravel(), cfg)
-    return _rcnl_iota_IV_to_delta_map(mkt, gamma, em)(outcome.point.reshape(shape)), outcome
+    return to_delta(outcome.point.reshape(shape)), outcome

@@ -360,6 +360,9 @@ def dist_metric(delta, mkt: StaticMarket) -> float:
 
 
 def _kalouptsidi_maps(mkt: StaticMarket, em):  # (kalouptsidi_F, kalouptsidi_Ftilde)
+    if not np.all(mkt.weights > 0):
+        raise ValueError("kalouptsidi_mixed and kalouptsidi_tilde iterate on log(w_i s_i0): "
+                         "each needs every weight positive")
     a, E = em
     shares, outside, log_w_head = mkt.shares, mkt.outside_share, np.log(mkt.weights[:-1])
 
@@ -384,13 +387,16 @@ def _kalouptsidi_maps(mkt: StaticMarket, em):  # (kalouptsidi_F, kalouptsidi_Fti
 
 @np.errstate(**SOLVE_ERRSTATE)
 def kalouptsidi_F(r, mkt: StaticMarket) -> np.ndarray:
-    """The original mapping: head types via the share sum, last via adding up."""
+    """The original mapping: head types via the share sum, last via adding up.
+    ValueError on a market with a zero weight, as for kalouptsidi_Ftilde."""
     return _kalouptsidi_maps(mkt, _em(mkt))[0](numeric_array("r", r, (mkt.n_types,)))
 
 
 @np.errstate(**SOLVE_ERRSTATE)
 def kalouptsidi_Ftilde(r_tilde, mkt: StaticMarket) -> np.ndarray:
-    """Normalized variant on r_tilde = r - r_I (last type pinned at 0)."""
+    """Normalized variant on r_tilde = r - r_I (last type pinned at 0).
+    ValueError on a market with fewer than two types or a zero weight: the
+    mappings iterate on r_i = log(w_i s_i0)."""
     _check_two_types(mkt)
     return _kalouptsidi_maps(mkt, _em(mkt))[1](
         numeric_array("r_tilde", r_tilde, (mkt.n_types - 1,)))
@@ -424,9 +430,6 @@ def solve_inner(mkt: StaticMarket, mapping: str, cfg: AccelConfig):
     """
     if mapping not in MAPPINGS:
         raise ValueError(f"unknown mapping {mapping!r}")
-    if mapping.startswith("kalouptsidi") and not np.all(mkt.weights > 0):
-        raise ValueError(f"mapping {mapping!r} iterates on log(w_i s_i0) and needs "
-                         f"every weight positive")
     if mapping == "kalouptsidi_tilde":
         _check_two_types(mkt)
     gamma = 1.0 if mapping.endswith("1") else 0.0

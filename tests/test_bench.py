@@ -412,13 +412,33 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
 
+def _in_a_fresh_interpreter(code: str) -> str:
+    """What code prints, run in a new interpreter that imports demandinv from here."""
+    env = dict(os.environ, PYTHONPATH=str(Path(demandinv.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return proc.stdout.strip()
+
+
 def test_importing_the_package_loads_no_scipy():
     # the benchmark's setup_s times this import in a fresh interpreter:
     # importing scipy.linalg from accel took dynamic-durable's setup_s from
     # 0.13 to 0.31 s on a 2-vCPU Xeon. datagen's scipy.special loads with
     # datagen only
     code = "import sys, demandinv; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    env = dict(os.environ, PYTHONPATH=str(Path(demandinv.__file__).parent.parent))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _in_a_fresh_interpreter(code) == "[]"
+
+
+def test_the_package_namespace_holds_the_public_api_and_its_submodules():
+    """The numerics helpers stay in demandinv.numerics, not in the package."""
+    code = "import demandinv; print(' '.join(n for n in dir(demandinv) if n[0] != '_'))"
+    assert _in_a_fresh_interpreter(code).split() == sorted([
+        "AccelConfig", "FixedPointMap", "SolveOutcome", "solve",
+        "DurableMarket", "DurableSolution", "IvsGrid", "IvsState", "bellman_residual",
+        "ivs_solve", "pf_solve", "pf_value_update", "traditional_joint_solve",
+        "market_from_json", "market_to_json",
+        "NestedMarket", "rcnl_dist_metric", "rcnl_iota_delta_to_IV", "rcnl_iota_IV_to_delta",
+        "rcnl_phi_delta", "rcnl_phi_IV", "rcnl_shares", "rcnl_solve_inner",
+        "StaticMarket", "dist_metric", "iota_delta_to_V", "iota_V_to_delta", "kalouptsidi_F",
+        "kalouptsidi_Ftilde", "logit_shares", "phi_V", "phi_delta", "solve_inner",
+        "accel", "dynamic", "fixtures", "numerics", "rcnl", "static_rcl"])

@@ -844,7 +844,7 @@ OVERFLOWING_CALLS = {
     "kalouptsidi_Ftilde":
         lambda: static_rcl.kalouptsidi_Ftilde(_wide_delta(1), _large_hetero()),
     "nested_shares": lambda: (lambda m: rcnl.nested_shares(
-        np.full(6, 1e308), m.base.mu, m.base.weights, m.groups, m.rho))(_nested6()),
+        np.full(6, 1e308), m.base.mu, m.base.weights, m.nest_of, m.rho))(_nested6()),
     "rcnl_shares": lambda: rcnl.rcnl_shares(np.full(6, 1e308), _nested6()),
     "rcnl_phi_delta": lambda: rcnl.rcnl_phi_delta(np.full(6, 1e308), 1.0, _nested6()),
     "rcnl_iota_delta_to_IV": lambda: rcnl.rcnl_iota_delta_to_IV(np.full(6, 1e308), _nested6()),

@@ -21,9 +21,8 @@ def tiny_nested(seed=0, J=4, I=3, rho=0.5, mu_scale=1.0):
     w = rng.random(I) + 0.1
     w /= w.sum()
     nest_of = np.arange(J) % 2
-    groups = (np.flatnonzero(nest_of == 0), np.flatnonzero(nest_of == 1))
     rho_vec = np.full(2, rho)
-    s_j, s_g, s_0, _ = nested_shares(delta, mu, w, groups, rho_vec)
+    s_j, s_g, s_0, _ = nested_shares(delta, mu, w, nest_of, rho_vec)
     base = StaticMarket(s_j, 1.0 - s_j.sum(), mu, w)
     return NestedMarket(base, nest_of, rho_vec), delta
 
@@ -51,6 +50,19 @@ class TestNestedShares:
         assert abs(s_j.sum() + s_0 - 1.0) < 1e-14
         for g, idx in enumerate(mkt.groups):
             assert s_g[g] == pytest.approx(s_j[idx].sum(), abs=1e-15)
+
+    @pytest.mark.parametrize("nest_of, rho, match", [
+        ([0, 1, 0, 1], 1.0, r"rho must lie in \[0, 1\)"),
+        # nests as product index lists: (0, 1) and (1, 2) overlap, and
+        # (0, 1) alone leaves products 2 and 3 in no nest
+        (([0, 1], [1, 2]), 0.5, r"nest_of must have shape \(4,\), not \(2, 2\)"),
+        (([0, 1],), 0.5, r"nest_of must have shape \(4,\), not \(1, 2\)"),
+        ([0, 1, 0, 1], [0.5], r"rho must be scalar or one value per nest, not of shape \(1,\)"),
+    ], ids=["rho-1", "overlapping-nests", "products-in-no-nest", "one-rho-for-two-nests"])
+    def test_nested_shares_checks_its_nests_at_entry(self, nest_of, rho, match):
+        mkt, delta = tiny_nested(J=4, I=3)
+        with pytest.raises(ValueError, match=match):
+            nested_shares(delta, mkt.base.mu, mkt.base.weights, nest_of, rho)
 
 
 class TestPhiDelta:

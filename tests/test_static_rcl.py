@@ -326,6 +326,15 @@ class TestKalouptsidi:
         with pytest.raises(ValueError, match=f"{mapping}.*needs every weight positive"):
             solve_inner(self.zero_weight_market(), mapping, AccelConfig())
 
+    @pytest.mark.parametrize("kernel, size", [(kalouptsidi_F, 3), (kalouptsidi_Ftilde, 2)],
+                             ids=["kalouptsidi_F", "kalouptsidi_Ftilde"])
+    def test_a_zero_weight_is_rejected_by_the_kernels(self, kernel, size):
+        """The kernels took log 0 here: [0.434, -inf, nan] and [0.434, -inf]."""
+        m = StaticMarket([0.3, 0.2], 0.5, [[0, 1], [1, 0], [0.5, 0.5]], [0.5, 0.0, 0.5])
+        with pytest.raises(ValueError, match="kalouptsidi_mixed and kalouptsidi_tilde .*"
+                                             "needs every weight positive"):
+            kernel(np.zeros(size), m)
+
     @pytest.mark.parametrize("mapping", ["delta1", "V0", "V1"])
     def test_delta_and_V_solve_a_market_with_a_zero_weight(self, mapping):
         mkt = self.zero_weight_market()
@@ -431,14 +440,14 @@ KERNEL_SHAPES = {
     "rcnl_phi_IV": (lambda x: rcnl_phi_IV(x, 1.0, J5_NESTED), "IV", (7, 3)),
     "logit_shares": (lambda x: logit_shares(x, np.zeros((3, 4)), np.full(3, 1 / 3)), "delta",
                      (4,)),
-    "nested_shares": (lambda x: nested_shares(x, J5.mu, J5.weights, J5_NESTED.groups,
+    "nested_shares": (lambda x: nested_shares(x, J5.mu, J5.weights, J5_NESTED.nest_of,
                                               J5_NESTED.rho), "delta", (5,)),
 }
 
 # the raw-array share functions and the market, on four products
 SHARE_ARRAYS = {
     "logit_shares": lambda mu, w: logit_shares(np.zeros(4), mu, w),
-    "nested_shares": lambda mu, w: nested_shares(np.zeros(4), mu, w, (np.arange(4),),
+    "nested_shares": lambda mu, w: nested_shares(np.zeros(4), mu, w, np.zeros(4, int),
                                                  np.array([0.5])),
     "StaticMarket": lambda mu, w: StaticMarket(np.full(4, 0.1), 0.6, mu, w),
 }
