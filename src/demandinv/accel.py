@@ -6,9 +6,11 @@ from; the demand modules wrap their share/value mappings in a
 :class:`FixedPointMap` and hand it to :func:`solve`. One driver loop in
 :func:`solve` evaluates, records the residual, which doubles as the check
 that the image is finite, and tests for convergence for every method; only
-the step to the next iterate differs.
-The first spectral step, and every step whose step size degenerates, uses
-the unit step alpha = 1.
+the step to the next iterate differs, one step per method. The first
+spectral step and every degenerate step size, SQUAREM's zero y'y with or
+without blocks among them, take the unit step alpha = 1; Anderson's first
+step is an empty window's, Phi(x0). An image that is not an array of its
+point's shape raises ValueError.
 
 Anderson's weights solve a least squares of the newest residual on the
 window of residual differences. With at least as many coordinates as the
@@ -161,13 +163,14 @@ class SolveOutcome:
 def _step_rule(s, y, rule: str, labels=None):
     """The step size rule on the last step s = x_n - x_{n-1} and residual
     change y: a float, or with labels (labels[i] is coordinate i's block) one
-    step size per block, capped at DEFAULT_BLOCK_STEP_CAP. The rule takes
-    only the sums it reads.
+    step size per block, capped at DEFAULT_BLOCK_STEP_CAP, for each
+    coordinate. The rule takes only the sums it reads.
 
     S1 = -s'y/y'y, S2 = -s's/s'y, S3 = ||s||/||y||, S3prime = sgn(s'y)||s||/||y||.
-    A zero y'y and a non-finite ratio (S2's zero s'y among them) take the
-    unit step 1. Elementwise operations only, which run on numpy scalars
-    without array overhead; the caller silences floating-point warnings.
+    A zero y'y (degenerate curvature, also by underflow) and a non-finite
+    ratio (S2's zero s'y among them) take the unit step 1, with or without
+    labels. Elementwise operations only, which run on numpy scalars without
+    array overhead; the caller silences floating-point warnings.
     """
     total = (np.ndarray.dot if labels is None else
              lambda u, v: np.bincount(labels, weights=u * v))
@@ -178,14 +181,12 @@ def _step_rule(s, y, rule: str, labels=None):
         alpha = -total(s, s) / total(s, y)
     elif rule == "S3":
         alpha = np.sqrt(total(s, s)) / np.sqrt(yy)
-    elif rule == "S3prime":
+    else:  # S3prime; AccelConfig admits no other rule
         alpha = np.sign(total(s, y)) * np.sqrt(total(s, s)) / np.sqrt(yy)
-    else:
-        raise ValueError(f"unknown step size rule {rule!r}")
     unit = (yy == 0.0) | (alpha - alpha != 0.0)  # alpha - alpha is NaN unless finite
     if labels is None:
         return 1.0 if unit else float(alpha)
-    return np.minimum(np.where(unit, 1.0, alpha), DEFAULT_BLOCK_STEP_CAP)
+    return np.minimum(np.where(unit, 1.0, alpha), DEFAULT_BLOCK_STEP_CAP)[labels]
 
 
 def anderson_combine(differences: Sequence[np.ndarray], residual: np.ndarray,
@@ -281,7 +282,10 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
     image or a residual below tolerance, then step to the next x. A stop on a
     non-finite image returns the point that was evaluated; a non-finite
     extrapolation returns the last finite image; an exhausted budget returns
-    the next iterate.
+    the next iterate. An image that is not an array of its point's shape
+    raises ValueError naming both shapes. SQUAREM's step is x + 2 alpha F +
+    alpha^2 y, the unit step where y'y is 0, with or without blocks;
+    Anderson's first is the empty window's, Phi(x0).
     """
     x = np.asarray(x0, dtype=float)
     if x.ndim != 1 or not np.isfinite(x).all():
@@ -294,10 +298,6 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
     tolerance, max_evals, memory = cfg.tolerance, cfg.max_evaluations, cfg.anderson_memory
     absolute, max_reduce, isfinite = np.abs, np.maximum.reduce, math.isfinite
 
-    def alpha_from(s, y):
-        alpha = _step_rule(s, y, rule, labels)
-        return alpha if labels is None else alpha[labels]
-
     evals = 0
     r = np.inf
     history: list[float] = []
@@ -309,6 +309,13 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
     d_hist: list[np.ndarray] = []
     x_prev = F_prev = g_prev = None  # start (spectral), residual and image of the last step
 
+    def image(point):  # Phi(point), which must be an array of point's shape
+        g = evaluate(point)
+        if getattr(g, "shape", None) != point.shape:
+            raise ValueError(f"the mapping returned a {type(g).__name__} image of shape "
+                             f"{np.shape(g)} for a point of shape {point.shape}")
+        return g
+
     def finish(point, termination, residual):
         return SolveOutcome(point=np.asarray(point, dtype=float),
                             converged=termination == "converged", evaluations=evals,
@@ -319,7 +326,7 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
     # below, and a 0/0 step size is 1
     with np.errstate(**SOLVE_ERRSTATE):
         while evals < max_evals:
-            g = evaluate(x)
+            g = image(x)
             evals += 1
             F = g - x
             # x is finite, so r is finite unless g is not or g - x overflowed
@@ -337,7 +344,7 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
             if method == "squarem":  # a second evaluation, on Phi(Phi(x))
                 if evals >= max_evals:
                     break
-                g2 = evaluate(g)
+                g2 = image(g)
                 evals += 1
                 if not np.isfinite(g2).all():
                     return finish(g, "non_finite", np.inf)
@@ -351,26 +358,22 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
                     if len(g_hist) > memory + 1:
                         del g_hist[0], d_hist[0]
                     x_next = anderson_combine(d_hist, F, g_hist)
-                elif F_prev is None:
-                    x_next = g
                 else:
-                    window.append(F - F_prev, g - g_prev)
+                    if F_prev is not None:
+                        window.append(F - F_prev, g - g_prev)
                     x_next = g - window.gamma(F).dot(window.dG[:window.size])
                 F_prev, g_prev = F, g
             elif method == "spectral":
-                alpha = 1.0 if x_prev is None else alpha_from(x - x_prev, F - F_prev)
+                alpha = (1.0 if x_prev is None
+                         else _step_rule(x - x_prev, F - F_prev, rule, labels))
                 x_prev, F_prev = x, F
                 x_next = x + alpha * F
             else:
+                # x + 2 alpha s + alpha^2 y with s = F; a numpy scalar squares
+                # like a Python float but overflows to inf, not an error
                 y = g2 - 2.0 * g + x
-                # degenerate curvature: alpha = 1 reproduces the exact two-step Phi^2(x)
-                if labels is None and float(y.dot(y)) == 0.0:
-                    x_next = g2
-                else:
-                    # x + 2 alpha s + alpha^2 y with s = F; a numpy scalar squares
-                    # like a Python float but overflows to inf, not an error
-                    alpha = alpha_from(F, y)
-                    x_next = x + 2.0 * alpha * F + np.float64(alpha) ** 2 * y
+                alpha = _step_rule(F, y, rule, labels)
+                x_next = x + 2.0 * alpha * F + np.float64(alpha) ** 2 * y
             if not np.isfinite(x_next).all():
                 return finish(last_image, "non_finite", np.inf)
             x = x_next

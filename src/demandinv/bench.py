@@ -42,6 +42,13 @@ class AlgorithmSpec:
             "gamma", self.gamma, lambda g: 0.0 <= g <= 1.0, "a real in [0, 1]"))
         checked_name("method", self.method, METHODS)
         checked_name("step rule", self.step_rule, STEP_RULES)
+        # fields that the run would ignore, and the label would not show
+        if self.mapping.startswith("kalouptsidi") and self.gamma != 1.0:
+            raise ValueError(f"gamma must be 1 on {self.mapping}, which has no gamma, "
+                             f"not {self.gamma!r}")
+        if self.method in ("plain", "anderson") and self.step_rule != "S3":
+            raise ValueError(f"step_rule must be S3 with {self.method}, which takes no "
+                             f"step size, not {self.step_rule!r}")
 
     @property
     def label(self) -> str:
@@ -53,8 +60,7 @@ class AlgorithmSpec:
             base = f"{self.mapping}-({self.gamma:g})"
         if self.method == "plain":
             return base
-        tag = self.method if self.step_rule == "S3" or self.method == "anderson" \
-            else f"{self.method}[{self.step_rule}]"
+        tag = self.method if self.step_rule == "S3" else f"{self.method}[{self.step_rule}]"
         return f"{base}+{tag}"
 
 

@@ -25,8 +25,8 @@ import numpy as np
 from .accel import SOLVE_ERRSTATE, AccelConfig, FixedPointMap, checked_int, checked_real, solve
 from .numerics import (chebyshev_eval_rows, chebyshev_fit_matrix, chebyshev_nodes,
                        log_share_gap, normal_quadrature, ols_ar1_rows)
-from .static_rcl import (_checked_gamma, _freeze, _market_em, check_market_data, exp_mu,
-                         numeric_array)
+from .static_rcl import (_checked_gamma, _freeze, _market_em, _share_arrays,
+                         check_market_data, exp_mu, numeric_array)
 
 # Active fractions are floored at a tiny positive value: off the solution,
 # 1 - sum_j ccp can dip below zero for extreme heterogeneity draws, which
@@ -44,8 +44,9 @@ class DurableMarket:
     beta: a real in [0, 1); pr0_init: (I,) initial non-owner fractions in
     [0, 1] (defaults to ones); the ownership paths floor later periods, not
     these. Once mu is I x J x T, each other argument of another shape raises
-    ValueError naming it, as in "shares must have shape (2, 4), not (4, 2)",
-    before check_market_data checks the values. The constructor adds
+    ValueError naming it, as in "shares must have shape (2, 4), not (4, 2)";
+    mu and weights then pass StaticMarket's value checks (_share_arrays),
+    and the shares check_market_data's. The constructor adds
     the logs log_shares (J, T) and log_outside (T,), and stores shares and mu
     in C order, so that a market sums alike however it was built. Immutable:
     every array is read-only, and writing through an alias made before
@@ -60,18 +61,16 @@ class DurableMarket:
     beta: float
     pr0_init: np.ndarray | None = None
 
+    @np.errstate(invalid="ignore")  # _share_arrays' span of a non-finite mu
     def __post_init__(self):
-        mu = np.ascontiguousarray(numeric_array("mu", self.mu))
-        if mu.ndim != 3:
-            raise ValueError(f"mu must be I x J x T, not of shape {mu.shape}")
-        I, J, T = mu.shape
-        shares = np.ascontiguousarray(numeric_array("shares", self.shares, (J, T)))
+        shares, mu, weights = _share_arrays("shares", self.shares, self.mu, self.weights, "IJT")
+        shares, mu = np.ascontiguousarray(shares), np.ascontiguousarray(mu)
+        I, _, T = mu.shape
         outside = numeric_array("outside_shares", self.outside_shares, (T,))
-        weights = numeric_array("weights", self.weights, (I,))
         beta = numeric_array("beta", self.beta, ())
         if not 0.0 <= beta < 1.0:  # NaN fails
             raise ValueError(f"beta must be a real in [0, 1), not {self.beta!r}")
-        check_market_data(shares, outside, mu, weights)
+        check_market_data(shares, outside)
         pr0 = (np.ones(I) if self.pr0_init is None
                else numeric_array("pr0_init", self.pr0_init, (I,)))
         if not np.all((pr0 >= 0) & (pr0 <= 1)):  # NaN fails

@@ -43,12 +43,13 @@ class StaticMarket:
     mu: np.ndarray
     weights: np.ndarray
 
+    @np.errstate(invalid="ignore")  # _share_arrays' span of a non-finite mu
     def __post_init__(self):
         shares, mu, weights = _share_arrays("shares", self.shares, self.mu, self.weights)
         # C order: numpy adds up mu in an order that depends on its layout
         mu = np.ascontiguousarray(mu)
         outside = float(numeric_array("outside_share", self.outside_share, ()))
-        check_market_data(shares, outside, mu, weights)
+        check_market_data(shares, outside)
         _freeze(self, shares=shares, outside_share=outside, mu=mu, weights=weights,
                 log_shares=np.log(shares), log_outside=float(np.log(outside)))
 
@@ -84,14 +85,26 @@ def _delta(delta, mkt: StaticMarket) -> np.ndarray:
     return numeric_array("delta", delta, (mkt.n_products,))
 
 
-def _share_arrays(name: str, x, mu, weights):
+def _share_arrays(name: str, x, mu, weights, axes: str = "IJ"):
     """(x, mu, weights) as float arrays, x named name; ValueError naming the
-    argument unless mu is I x J, x (J,) and weights (I,)."""
+    argument unless mu has the axes named (consumer types I, products J,
+    then any others), x mu's shape without I and weights (I,), weights are a
+    distribution, and mu is non-empty, finite and within MU_SPAN_LIMIT for
+    every type (and every later index)."""
     mu = numeric_array("mu", mu)
-    if mu.ndim != 2:
-        raise ValueError(f"mu must be I x J, not of shape {mu.shape}")
-    return (numeric_array(name, x, mu.shape[1:]), mu,
-            numeric_array("weights", weights, mu.shape[:1]))
+    if mu.ndim != len(axes):
+        raise ValueError(f"mu must be {' x '.join(axes)}, not of shape {mu.shape}")
+    x = numeric_array(name, x, mu.shape[1:])
+    weights = numeric_array("weights", weights, mu.shape[:1])
+    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):  # NaN fails
+        raise ValueError("weights must be non-negative and sum to 1")
+    if mu.size == 0:
+        raise ValueError("a market needs at least one product and one consumer type")
+    span = np.ptp(mu, axis=1)  # its caller ignores the invalid inf - inf
+    if not np.all(np.isfinite(span)):  # a span is finite exactly when its mu are
+        raise ValueError("mu must be finite")
+    check_mu_span(span)
+    return x, mu, weights
 
 
 def _checked_gamma(gamma) -> float:
@@ -123,24 +136,14 @@ def check_mu_span(span, what: str = "mu") -> None:
                          f"products; exp-space shares need at most {MU_SPAN_LIMIT:g}")
 
 
-def check_market_data(shares, outside, mu, weights) -> None:
-    """Checks shared by every market: shares positive and adding up to 1 with
-    the outside share (in every period), weights a distribution, and mu finite
-    and within MU_SPAN_LIMIT for every type (in every period; products lie
-    on axis 1)."""
+def check_market_data(shares, outside) -> None:
+    """The share checks of every market, after _share_arrays' checks of mu
+    and weights: shares positive and adding up to 1 with the outside share
+    (in every period)."""
     if not (np.all(shares > 0) and np.all(outside > 0)):
         raise ValueError("all shares must be strictly positive")
     if np.max(np.abs(shares.sum(axis=0) + outside - 1.0)) > 1e-12:
         raise ValueError("shares + outside share must sum to 1")
-    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):  # NaN fails
-        raise ValueError("weights must be non-negative and sum to 1")
-    if mu.size == 0:
-        raise ValueError("a market needs at least one product and one consumer type")
-    with np.errstate(invalid="ignore"):
-        span = np.ptp(mu, axis=1)
-    if not np.all(np.isfinite(span)):  # a span is finite exactly when its mu are
-        raise ValueError("mu must be finite")
-    check_mu_span(span)
 
 
 # ---------------------------------------------------------------------------

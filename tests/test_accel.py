@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -123,6 +124,14 @@ class TestAnderson:
         np.testing.assert_array_equal(points[0], x0)
         for got, want in zip(points[1:], replay(phi, points[:-1], memory=5)):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [20, 3], ids=["tall", "wide"])
+    def test_the_first_step_is_the_plain_step(self, n):
+        # memory 5: the empty window of a tall history and anderson_combine
+        # with no differences both step to Phi(x0)
+        phi, x0 = contraction(n)
+        points = anderson_inputs(phi, x0, memory=5, evaluations=2)
+        assert_same_bits(points[1], phi(x0))
 
     @settings(deadline=None, max_examples=50)
     @given(st.integers(1, 6), st.integers(2, 5), st.integers(0, 10 ** 6))
@@ -511,6 +520,30 @@ def test_start_point_must_be_a_finite_vector():
             solve(FixedPointMap(lambda x: x), x0, AccelConfig())
 
 
+# images of another shape than their point's, (3,), and the shape each is
+# reported with
+_WRONG_IMAGES = pytest.mark.parametrize(
+    "phi,shape", [(lambda x: 0.5, "()"), (lambda x: x[:, None], "(3, 1)")],
+    ids=["scalar", "column"])
+
+
+@pytest.mark.parametrize("method", ["plain", "anderson", "spectral", "squarem"])
+@_WRONG_IMAGES
+def test_an_image_of_another_shape_is_rejected(method, phi, shape):
+    message = f"of shape {shape} for a point of shape (3,)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve(FixedPointMap(phi), np.ones(3), AccelConfig(method=method))
+
+
+@_WRONG_IMAGES
+def test_squarem_checks_its_second_image(phi, shape):
+    images = iter([lambda x: 0.5 * x, phi])
+    fp = FixedPointMap(lambda x: next(images)(x))
+    message = f"of shape {shape} for a point of shape (3,)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve(fp, np.ones(3), AccelConfig(method="squarem"))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         AccelConfig(method="newton")
@@ -704,11 +737,11 @@ def _per_block_alphas(s, y, rule):
     return [min(_step_rule(s[g], y[g], rule), DEFAULT_BLOCK_STEP_CAP) for g in _GROUPS]
 
 
-def third_input(steps, x0, method, rule, labels=_BLOCKS):
+def third_input(steps, x0, method, rule, labels=_BLOCKS, tolerance=1e-13):
     """The point solve evaluates third on the scripted map Phi(x) = x + steps[k],
     with one step size per block of labels, or one in all with labels None."""
     cfg = AccelConfig(method=method, step_size_rule=rule, use_blocks=labels is not None,
-                      max_evaluations=3)
+                      max_evaluations=3, tolerance=tolerance)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fp, inputs = scripted_map(steps, labels)
@@ -784,8 +817,7 @@ class TestSolveLoopStepSizes:
     @staticmethod
     @np.errstate(**SOLVE_ERRSTATE)
     def alpha(s, y, rule, labels):
-        alpha = _step_rule(s, y, rule, labels)
-        return alpha if labels is None else alpha[labels]
+        return _step_rule(s, y, rule, labels)  # per coordinate with labels
 
     @pytest.mark.parametrize("rule", ["S1", "S2", "S3", "S3prime"])
     def test_spectral(self, rule):
@@ -801,6 +833,24 @@ class TestSolveLoopStepSizes:
             x_next = third_input([s, s + y, x0], x0, "squarem", rule, labels)
             alpha = self.alpha(s, y, rule, labels)
             assert_same_bits(x_next, x0 + 2.0 * alpha * s + np.float64(alpha) ** 2 * y)
+
+    @pytest.mark.parametrize("rule", ["S1", "S2", "S3", "S3prime"])
+    @pytest.mark.parametrize("first,second", [
+        ([1.5, -0.25], [1.5, -0.25]),
+        ([2.0 ** -600], [2.0 ** -600 + 2.0 ** -640]),
+    ], ids=["zero-y", "underflowing-yy"])
+    def test_squarem_takes_the_unit_step_on_degenerate_curvature_with_or_without_blocks(
+            self, first, second, rule):
+        # from x0 = 0, s = Phi(x0) and y = Phi2(x0) - 2 Phi(x0) + x0: zero,
+        # or 2^-640, whose square underflows to 0
+        s, x0 = np.array(first), np.zeros(len(first))
+        y = s + second - 2.0 * s
+        assert y @ y == 0.0
+        steps, tolerance = [s, np.array(second), x0], 2.0 ** -1000
+        scalar = third_input(steps, x0, "squarem", rule, None, tolerance)
+        assert_same_bits(scalar, 2.0 * s + y)
+        one_block = third_input(steps, x0, "squarem", rule, np.zeros(len(s), int), tolerance)
+        assert_same_bits(one_block, scalar)
 
     @np.errstate(**SOLVE_ERRSTATE)
     def test_the_scalar_cases_reach_every_fallback(self):

@@ -202,16 +202,32 @@ class TestConfig:
         {"suite": "static_j25", "dist_tol": "1e-3"},
         {"suite": "static_j25", "algorithms": [{"mapping": "delta", "gamma": "1"}]},
         {"suite": "dynamic_pf", "algorithms": [{"mapping": "V", "gamma": 7}]},
+        # fields that the run would ignore
+        {"suite": "static_2types", "algorithms": [{"mapping": "kalouptsidi_mixed", "gamma": 0.3}]},
+        {"suite": "static_j25",
+         "algorithms": [{"mapping": "delta", "method": "anderson", "step_rule": "S1"}]},
+        {"suite": "static_j25",
+         "algorithms": [{"mapping": "V", "method": "plain", "step_rule": "S2"}]},
     ], ids=["unknown-key", "out_dir", "unknown-algorithm-key", "bad-method",
             "bad-step-rule", "mapping-of-another-suite", "static-mapping-on-dynamic",
             "static-delta-gamma-half", "static-V-gamma-two", "rcnl-IV-gamma-half",
             "float-replications", "bool-replications", "float-seed", "string-cap",
             "top-level-number", "list-suite", "number-algorithms", "list-mapping",
             "bool-tolerance", "infinite-tolerance", "string-dist-tol", "string-gamma",
-            "dynamic-V-gamma-seven"])
+            "dynamic-V-gamma-seven", "kalouptsidi-gamma", "anderson-step-rule",
+            "plain-step-rule"])
     def test_rejects_at_parse_time(self, doc):
         with pytest.raises(ValueError):
             config_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("spec,field", [
+        (dict(mapping="kalouptsidi_tilde", gamma=0.0), "gamma"),
+        (dict(mapping="delta", method="anderson", step_rule="S3prime"), "step_rule"),
+        (dict(mapping="V", step_rule="S2"), "step_rule"),
+    ], ids=["kalouptsidi-gamma", "anderson-step-rule", "plain-step-rule"])
+    def test_a_field_that_the_run_ignores_is_named(self, spec, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            AlgorithmSpec(**spec)
 
     def test_configs_are_frozen(self):
         cfg = default_config("static_j25")
@@ -238,10 +254,10 @@ class TestConfig:
         assert cfg.algorithms[0].label == "V-(0)+squarem"
 
     @pytest.mark.parametrize("algorithms,label", [
-        ((AlgorithmSpec("kalouptsidi_mixed", 0.0), AlgorithmSpec("kalouptsidi_mixed", 1.0)),
-         "kalouptsidi_mixed"),
+        ((AlgorithmSpec("kalouptsidi_tilde", method="anderson"), AlgorithmSpec("delta"),
+          AlgorithmSpec("kalouptsidi_tilde", method="anderson")), "kalouptsidi_tilde+anderson"),
         ((AlgorithmSpec("delta"), AlgorithmSpec("V"), AlgorithmSpec("delta")), "delta-(1)"),
-    ], ids=["family-without-gamma", "identical-entries"])
+    ], ids=["identical-family-without-gamma", "identical-entries"])
     def test_rejects_repeated_labels(self, algorithms, label):
         # summarize would merge the two into one row
         with pytest.raises(ValueError, match=re.escape(repr(label))):

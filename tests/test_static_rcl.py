@@ -484,6 +484,30 @@ class TestShareArrays:
         with pytest.raises(ValueError, match=r"weights must have shape \(3,\), not \(2,\)"):
             shares(np.zeros((3, 4)), np.full(2, 0.5))
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: logit_shares(np.zeros(2), np.zeros((3, 2)), [0.5, 0.6, -0.1]),
+         "weights must be non-negative and sum to 1"),
+        (lambda: nested_shares(np.zeros(3), np.zeros((2, 3)), [0.7, 0.7], [0, 0, 1], 0.5),
+         "weights must be non-negative and sum to 1"),
+        (lambda: logit_shares(np.zeros(0), np.zeros((3, 0)), np.full(3, 1 / 3)),
+         "a market needs at least one product and one consumer type"),
+        (lambda: nested_shares(np.zeros(0), np.zeros((3, 0)), np.full(3, 1 / 3), [], 0.5),
+         "a market needs at least one product and one consumer type"),
+        (lambda: logit_shares(np.zeros(2), np.array([[0.0, np.nan]]), [1.0]),
+         "mu must be finite"),
+        (lambda: nested_shares(np.zeros(2), np.full((1, 2), np.inf), [1.0], [0, 0], 0.5),
+         "mu must be finite"),
+        (lambda: logit_shares(np.zeros(2), np.array([[0.0, 701.0]]), [1.0]), "mu spans 701"),
+        (lambda: nested_shares(np.zeros(2), np.array([[0.0, 701.0]]), [1.0], [0, 1], 0.5),
+         "mu spans 701"),
+    ], ids=["logit-negative-weight", "nested-weights-sum-1.4", "logit-no-products",
+            "nested-no-products", "logit-nan-mu", "nested-infinite-mu", "logit-span",
+            "nested-span"])
+    def test_mu_and_weights_pass_the_market_checks(self, call, message):
+        # the messages of StaticMarket, which shares the checks
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 class TestMarketValidation:
     def test_rejects_bad_share_sum(self):
