@@ -224,21 +224,32 @@ class _DifferenceQR:
     reorthogonalisation, each pass two matrix-vector products (the classical
     form: the row-by-row modified form costs three times as much in numpy,
     and the second pass makes either orthonormal to rounding). A difference
-    that the second pass shrinks to at most half of what the first left is
-    numerically dependent and is not stored, so R's diagonal has no zero: a
-    zero difference always, a repeated one as rounding falls (if stored,
-    gamma's cutoff cuts its rounding-level diagonal). Deleting the oldest
-    re-triangularises R[:, 1:] by a small QR and rotates Q to match, O(n m).
+    is numerically dependent, and is not stored, if the second pass shrinks
+    it to at most half of what the first left, or to rounding level: 2 m eps
+    times its norm, taken from the first pass by Pythagoras. So R's diagonal
+    has no zero, and neither a zero nor an exact repeat holds a slot.
+    Deleting the oldest re-triangularises the Hessenberg R[:, 1:] by Givens
+    rotations on Python floats, which cost less than a LAPACK call on at most
+    6 x 5 entries, and rotates Q with one product into a second buffer, O(n m).
+
+    gamma solves the triangle by back substitution when a bound proves
+    cond_2(R) < 1/rcond: lstsq would then cut no singular value, and its
+    minimum-norm solution is that same solution. Otherwise it runs lstsq on
+    the triangle, as anderson_combine does on the differences.
     """
 
     def __init__(self, n: int, memory: int):
         self.Q = np.zeros((memory, n))
         self.R = np.zeros((memory, memory))
         self.dG = np.zeros((memory, n))
+        self._rotated = np.empty((memory, n))  # the next Q, swapped in by _delete_oldest
         self.size = 0
         # lstsq's own cutoff on the n x size differences, whose singular
         # values R shares
         self.rcond = np.finfo(float).eps * n
+        # what the two passes leave of an exact repeat, relative to its norm,
+        # is rounding: at most 0.6 eps at memory 1 and 2.9 eps at memory 30
+        self.rounding = 2.0 * memory * np.finfo(float).eps
 
     def append(self, dF: np.ndarray, dG: np.ndarray) -> None:
         """Add the newest differences unless dependent, deleting the oldest if full."""
@@ -252,7 +263,7 @@ class _DifferenceQR:
         s = Q.dot(v)
         v -= s.dot(Q)
         second = math.sqrt(v.dot(v))
-        if not second > 0.5 * first:
+        if not second > max(0.5 * first, self.rounding * math.sqrt(r.dot(r) + first * first)):
             return
         self.R[:k, k] = r + s
         self.R[k, k] = second
@@ -262,17 +273,53 @@ class _DifferenceQR:
 
     def _delete_oldest(self) -> None:
         k = self.size - 1
-        rotation, triangle = np.linalg.qr(self.R[:k + 1, 1:k + 1])
-        self.R[:k, :k] = triangle
-        self.Q[:k] = rotation.T @ self.Q[:k + 1]
-        self.dG[:k] = self.dG[1:k + 1]
+        if k:
+            # rotation j mixes rows j and j + 1 of H = R[:k + 1, 1:] and of G
+            # and writes H[j + 1, j] as an exact 0: then G @ H = [R_new; 0]
+            H, G = self.R[:k + 1, 1:k + 1].tolist(), np.eye(k + 1).tolist()
+            for j in range(k):
+                a, b = H[j][j], H[j + 1][j]  # b is a diagonal entry of R, not 0
+                rho = math.hypot(a, b)
+                c, s = a / rho, b / rho
+                H[j][j], H[j + 1][j] = rho, 0.0
+                for M, columns in ((H, range(j + 1, k)), (G, range(j + 2))):
+                    u, v = M[j], M[j + 1]
+                    for col in columns:
+                        u[col], v[col] = c * u[col] + s * v[col], c * v[col] - s * u[col]
+            self.R[:k, :k] = H[:k]
+            np.dot(G[:k], self.Q[:k + 1], out=self._rotated[:k])
+            self.Q, self._rotated = self._rotated, self.Q
+            self.dG[:k] = self.dG[1:k + 1]
         self.size = k
 
     def gamma(self, residual: np.ndarray) -> np.ndarray:
         """The minimum-norm least squares of residual on the window's
         differences, as anderson_combine solves it, from the factorisation."""
         k = self.size
-        return ls_minnorm(self.R[:k, :k], self.Q[:k].dot(residual), rcond=self.rcond)
+        if not k:
+            return np.empty(0)
+        b = self.Q[:k].dot(residual)
+        R = self.R[:k, :k].tolist()
+        # R = D (I + N), D its diagonal: cond_2(R) <= ||R||_F (1 + ||N||_F)^(k-1)
+        # / min |R_ii|. Python floats overflow to inf, and inf or NaN fails
+        frob = off = 0.0
+        for i, row in enumerate(R):
+            for x in row[i:]:
+                frob += x * x
+            for x in row[i + 1:]:
+                off += (x / row[i]) * (x / row[i])
+        bound = math.sqrt(frob) / min(abs(row[i]) for i, row in enumerate(R))
+        for _ in range(k - 1):
+            bound *= 1.0 + math.sqrt(off)
+        if not bound * self.rcond < 1.0:
+            return ls_minnorm(self.R[:k, :k], b, rcond=self.rcond)
+        g = b.tolist()
+        for i in range(k - 1, -1, -1):
+            row = R[i]
+            for j in range(i + 1, k):
+                g[i] -= row[j] * g[j]
+            g[i] /= row[i]
+        return np.array(g)
 
 
 def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:

@@ -70,27 +70,33 @@ def chebyshev_fit_matrix(n: int) -> np.ndarray:
     return M[:, ::-1]  # reorder columns for increasing node order
 
 
-def chebyshev_eval_rows(coeffs, x, lo: float, hi: float) -> np.ndarray:
-    """Row-batched Clenshaw evaluation: coeffs (R, n) at points x (R, ...).
+def chebyshev_eval_rows(coeffs, z) -> np.ndarray:
+    """Row-batched Clenshaw evaluation on [-1, 1]: coeffs (R, n) at points z (R, ...).
 
-    Row r of ``x`` is evaluated under row r of ``coeffs``; used where every
-    consumer type carries its own interpolant. x is clamped into [lo, hi]
-    first, which keeps the AR(1) expectation step from extrapolating the
-    polynomial outside the grid, where it blows up.
+    Row r of ``z`` is evaluated under row r of ``coeffs``; used where every
+    consumer type carries its own interpolant. The domain is [-1, 1]: the
+    caller maps its points there and clamps them, since the polynomial blows
+    up outside (the IVS expectation clamps its AR(1) nodes to the grid).
     """
     c = np.asarray(coeffs, dtype=float)
-    xa = np.clip(np.asarray(x, dtype=float), lo, hi)
-    z = (2.0 * xa - (lo + hi)) / (hi - lo)
-    z2 = 2.0 * z
+    z = np.asarray(z, dtype=float)
     n = c.shape[1]
     c = c.reshape(c.shape + (1,) * (z.ndim - 1))  # c[:, m] broadcasts against z
-    b1, b2, t = np.zeros_like(z), np.zeros_like(z), np.empty_like(z)
-    if n > 1:
-        b1[...] = c[:, n - 1]  # the first step c + z2 * 0 - 0, exactly
-    for m in range(n - 2, 0, -1):  # b1 = c_m + z2 * b1 - b2, in three buffers
-        np.subtract(np.add(c[:, m], np.multiply(z2, b1, out=t), out=t), b2, out=t)
-        b1, b2, t = t, b1, b2
-    return np.subtract(np.add(c[:, 0], np.multiply(z, b1, out=t), out=t), b2, out=t)
+    if n == 1:
+        return np.broadcast_to(c[:, 0], z.shape).copy()
+    # b_m = c_m + 2z b_{m+1} - b_{m+2} down to b_0 = c_0 + z b_1 - b_2, with
+    # the first step, b_{n-1} = c_{n-1} and b_n = 0, peeled: no buffer is
+    # zero-filled. Step i writes buffer i % 3, which is neither b1 nor b2.
+    z2 = 2.0 * z
+    buffers = [np.empty_like(z) for _ in range(min(n - 1, 3))]
+    b1, b2 = c[:, n - 1], None
+    for i, m in enumerate(range(n - 2, -1, -1)):
+        t = buffers[i % 3]
+        np.add(c[:, m], np.multiply(z2 if m else z, b1, out=t), out=t)
+        if b2 is not None:
+            np.subtract(t, b2, out=t)
+        b1, b2 = t, b1
+    return b1
 
 
 def normal_quadrature(order: int) -> tuple[np.ndarray, np.ndarray]:

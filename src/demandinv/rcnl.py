@@ -37,11 +37,7 @@ class NestedMarket:
     def __post_init__(self):
         if not isinstance(self.base, StaticMarket):
             raise ValueError(f"base must be a StaticMarket, not {type(self.base).__name__}")
-        nest_of, rho, groups = _checked_nests(self.nest_of, self.rho, self.base.n_products)
-        mu = self.base.mu
-        for g, idx in enumerate(groups):  # the kernels take exp of mu / (1 - rho) per nest
-            check_mu_span(np.ptp(mu[:, idx], axis=1) / (1.0 - rho[g]),
-                          f"mu / (1 - rho) in nest {g}")
+        nest_of, rho, groups = _checked_nests(self.nest_of, self.rho, self.base.mu)
         nest_shares = np.array([self.base.shares[g].sum() for g in groups])
         _freeze(self, nest_of=nest_of, rho=rho,
                 groups=groups,  # product indices of each nest
@@ -53,10 +49,13 @@ class NestedMarket:
         return self.rho.size
 
 
-def _checked_nests(nest_of, rho, n_products: int):
+def _checked_nests(nest_of, rho, mu):
     """(nest_of as ints, rho per nest, each nest's product indices); ValueError
-    naming nest_of or rho unless each product has an integer nest id in 0..G-1,
-    every nest non-empty, and rho is a scalar or one value per nest in [0, 1)."""
+    naming nest_of or rho unless each product of mu (I, J) has an integer nest
+    id in 0..G-1, every nest non-empty, and rho is a scalar or one value per
+    nest in [0, 1); and naming the nest where mu / (1 - rho) spans more than
+    check_mu_span admits, since the kernels take its exp per nest."""
+    n_products = mu.shape[1]
     nest_of = np.asarray(nest_of)
     if nest_of.dtype.kind not in "iu":
         raise ValueError(f"nest_of must hold integer nest ids, not {nest_of.dtype}")
@@ -73,7 +72,10 @@ def _checked_nests(nest_of, rho, n_products: int):
         raise ValueError(f"rho must be scalar or one value per nest, not of shape {rho.shape}")
     if not np.all((rho >= 0) & (rho < 1)):  # NaN fails
         raise ValueError("rho must lie in [0, 1)")
-    return nest_of, rho, tuple(np.flatnonzero(nest_of == g) for g in range(n_nests))
+    groups = tuple(np.flatnonzero(nest_of == g) for g in range(n_nests))
+    for g, idx in enumerate(groups):
+        check_mu_span(np.ptp(mu[:, idx], axis=1) / (1.0 - rho[g]), f"mu / (1 - rho) in nest {g}")
+    return nest_of, rho, groups
 
 
 def nest_exp_mu(mu, groups, rho):
@@ -116,7 +118,7 @@ def nested_shares(delta, mu, weights, nest_of, rho):
     """Nested-logit shares from raw arrays: (s_j, s_g, s_0, per-type IV). ValueError
     naming the argument unless they pass logit_shares' and NestedMarket's checks."""
     delta, mu, weights = _share_arrays("delta", delta, mu, weights)
-    _, rho, groups = _checked_nests(nest_of, rho, mu.shape[1])
+    _, rho, groups = _checked_nests(nest_of, rho, mu)
     return _shares(delta, weights, nest_exp_mu(mu, groups, rho))[:4]
 
 

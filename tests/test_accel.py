@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demandinv import accel
 from demandinv.accel import (DEFAULT_BLOCK_STEP_CAP, SOLVE_ERRSTATE, AccelConfig,
                              FixedPointMap, _DifferenceQR, _step_rule, anderson_combine,
                              solve)
+from demandinv.numerics import ls_minnorm
 
 
 def affine_map(A, b):
@@ -209,12 +211,14 @@ def fill(window, diffs):
 
 
 def tall_differences(rng, n, memory, kinds):
-    """Differences of n coordinates, one per kind: random, a copy of one of
-    the last memory differences, or zero."""
+    """Differences of n coordinates, one per kind: random, random at 1e-20
+    of that scale, a copy of one of the last memory differences, or zero."""
     diffs = []
     for kind in kinds:
         if kind == "random" or not diffs:
             diffs.append(rng.normal(size=n))
+        elif kind == "tiny":
+            diffs.append(1e-20 * rng.normal(size=n))
         else:
             window_diffs = diffs[-memory:]
             diffs.append(window_diffs[rng.integers(len(window_diffs))].copy()
@@ -243,6 +247,21 @@ def assert_weights_match(window, kept, residual):
 
 
 KINDS = st.lists(st.sampled_from(["random", "duplicate", "zero"]), min_size=1, max_size=18)
+# a tiny difference is independent, so it is kept, and its rounding-level
+# singular value takes gamma off the certificate to lstsq, which cuts it
+KINDS_WITH_TINY = st.lists(st.sampled_from(["random", "duplicate", "zero", "tiny"]),
+                           min_size=1, max_size=18)
+
+
+def counting_ls_minnorm(monkeypatch):
+    """A list that gets one entry per call of accel's ls_minnorm."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return ls_minnorm(*args, **kwargs)
+    monkeypatch.setattr(accel, "ls_minnorm", spy)
+    return calls
 
 
 class TestDifferenceQR:
@@ -287,6 +306,62 @@ class TestDifferenceQR:
         for d in tall_differences(np.random.default_rng(seed), n, memory, kinds):
             append(window, kept, d)
             assert_factorises(window, kept)
+
+    @settings(deadline=None, max_examples=200)
+    @given(memory=st.integers(1, 6), extra=st.integers(0, 40),
+           exponent=st.floats(-12.0, 12.0), seed=st.integers(0, 10 ** 6),
+           kinds=KINDS_WITH_TINY)
+    def test_gamma_is_ls_minnorm_on_the_kept_differences(
+            self, memory, extra, exponent, seed, kinds):
+        # by back substitution where the bound certifies the triangle, by
+        # lstsq on it where it does not (a tiny difference); an empty window
+        # gives empty weights
+        n, scale = memory + extra, 10.0 ** exponent
+        rng = np.random.default_rng(seed)
+        diffs = [d * scale for d in tall_differences(rng, n, memory, kinds)]
+        window = _DifferenceQR(n, memory)
+        kept = fill(window, diffs)
+        residual = rng.normal(size=n) * scale
+        got = window.gamma(residual)
+        if not kept:
+            assert got.shape == (0,)
+            return
+        want = ls_minnorm(np.stack(kept, axis=1), residual)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_gamma_falls_back_to_lstsq_only_where_the_bound_fails(self, monkeypatch):
+        calls = counting_ls_minnorm(monkeypatch)
+        rng = np.random.default_rng(4)
+        window = _DifferenceQR(30, 3)
+        fill(window, [rng.normal(size=30) for _ in range(3)])
+        window.gamma(rng.normal(size=30))
+        assert calls == []
+        tiny = 1e-20 * rng.normal(size=30)
+        window.append(tiny, tiny)
+        assert window.size == 3  # the tiny difference is kept
+        window.gamma(rng.normal(size=30))
+        assert calls == [1]
+
+    @pytest.mark.parametrize("n, memory", [(2500, 5), (250, 5), (30, 3)])
+    def test_an_exact_repeat_is_never_stored(self, n, memory):
+        # a repeat of a difference that stays in the window: one of the newer
+        # ones when the window is full, since appending deletes the oldest
+        rng = np.random.default_rng(n + memory)
+        for _ in range(200):
+            window = _DifferenceQR(n, memory)
+            kept = fill(window, [rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+                                 for _ in range(rng.integers(1, memory + 1))])
+            full = window.size == memory
+            repeat = kept[rng.integers(int(full), len(kept))].copy()
+            window.append(repeat, 2.0 * repeat)
+            assert window.size == len(kept) - full
+
+    def test_the_first_tall_iteration_runs_no_least_squares(self, monkeypatch):
+        calls = counting_ls_minnorm(monkeypatch)
+        phi, x0 = contraction(20)
+        out = solve(FixedPointMap(phi), x0,
+                    AccelConfig(method="anderson", anderson_memory=5, max_evaluations=1))
+        assert out.evaluations == 1 and calls == []
 
     @pytest.mark.parametrize("n", [50, 2500])
     def test_a_nearly_dependent_difference_is_cut_as_lstsq_cuts_it(self, n):

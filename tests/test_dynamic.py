@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandinv import dynamic
-from demandinv.accel import AccelConfig
+from demandinv.accel import SOLVE_ERRSTATE, AccelConfig
 from demandinv.datagen import (DynamicDgpParams, SeededRng, draw_theta,
                                gen_dynamic_market)
 from demandinv.fixtures import market_from_json, market_to_json
+from demandinv.numerics import chebyshev_fit_matrix, chebyshev_nodes, normal_quadrature
 from demandinv.dynamic import (DurableMarket, IvsGrid, bellman_residual,
                                initial_delta_myopic, ivs_solve, pf_solve,
                                pf_value_update, traditional_joint_solve)
@@ -144,6 +145,31 @@ class TestValueUpdate:
         bumped = pf_value_update(V, delta, 0.0, mkt)
         assert np.all(bumped - base >= -1e-15)
         assert bumped[0, 5] > base[0, 5]
+
+    def test_the_backup_is_logaddexp_to_4_ulp(self):
+        # random finite pairs, equal pairs and pairs 800 apart; an ulp is taken
+        # at the larger of the result and the larger term, since near a result
+        # of 0 the formula cancels as np.logaddexp's does
+        mkt = desk_instance()[0].market
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(3, 20000)) * 10.0 ** rng.uniform(-3, 3, size=(3, 20000))
+        b = np.concatenate([a[0] + rng.normal(size=20000) * 10.0 ** rng.uniform(-3, 3),
+                            a[1], a[2] + np.where(rng.random(20000) < 0.5, 800.0, -800.0)])
+        a = a.ravel()
+        with np.errstate(**SOLVE_ERRSTATE):
+            got = dynamic._backup(None, a, b, 0.0, None, mkt)
+        want = np.logaddexp(mkt.beta * a, b)
+        ulp = np.spacing(np.maximum(np.abs(want), np.abs(np.maximum(mkt.beta * a, b))))
+        assert np.all(np.abs(got - want) <= 4 * ulp)
+
+    def test_the_backup_is_non_finite_where_logaddexp_is(self):
+        mkt = desk_instance()[0].market
+        values = np.array([np.inf, -np.inf, np.nan, 0.0, -3.5, 1e300])
+        a, b = (v.ravel() for v in np.meshgrid(values, values))
+        with np.errstate(**SOLVE_ERRSTATE):
+            got = dynamic._backup(None, a, b, 0.0, None, mkt)
+            want = np.logaddexp(mkt.beta * a, b)
+        np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
 
 
 class TestPfSolve:
@@ -341,6 +367,43 @@ class TestIvs:
         with pytest.raises(ValueError, match="order-400 Gauss-Hermite weights are not finite"):
             ivs_solve(inst.market, 1.0, IvsGrid(gh_order=400), AccelConfig())
 
+    def test_the_expectation_is_the_x_space_formula_with_its_clamp(self):
+        # the nodes x = theta0 + theta1 * point + sd * node of random AR(1)
+        # fits fall on both sides of the grid; the x-space formula clamps them
+        # to [lo, hi], maps them to [-1, 1] and evaluates the interpolants
+        grid = IvsGrid(n_nodes=10, lo=-20.0, hi=10.0, gh_order=5)
+        ghx, ghw = normal_quadrature(grid.gh_order)
+        rng = np.random.default_rng(12)
+        I, M = 7, 40
+        nodes = chebyshev_nodes(grid.n_nodes, grid.lo, grid.hi)
+        coefs = (np.log1p(np.exp(nodes)) * rng.uniform(0.5, 2.0, size=(I, 1))
+                 ) @ chebyshev_fit_matrix(grid.n_nodes).T
+        theta0, theta1 = rng.uniform(-25.0, 15.0, size=I), rng.uniform(0.0, 1.5, size=I)
+        sd = rng.uniform(0.0, 8.0, size=I)
+        theta0[0], theta1[0], sd[0] = 0.0, 1.0, 0.0  # type 0 moves nowhere
+        points = rng.uniform(-40.0, 30.0, size=(I, M))
+        points[0, :2] = grid.hi + 10.0, grid.lo - 10.0
+        got = dynamic._expectations(coefs, (theta0, theta1, sd), points, grid, ghx, ghw)
+        x = np.clip(theta0[:, None, None] + theta1[:, None, None] * points[:, :, None]
+                    + sd[:, None, None] * ghx, grid.lo, grid.hi)
+        z = (2.0 * x - (grid.lo + grid.hi)) / (grid.hi - grid.lo)
+        want = np.stack([np.polynomial.chebyshev.chebval(z[i], coefs[i]) for i in range(I)]) @ ghw
+        assert (x == grid.lo).any() and (x == grid.hi).any()
+        assert np.mean((x > grid.lo) & (x < grid.hi)) > 0.3
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        # the clamp: beyond the grid, the interpolant at its end
+        chebval = np.polynomial.chebyshev.chebval
+        assert got[0, 0] == pytest.approx(chebval(1.0, coefs[0]), rel=1e-14)
+        assert got[0, 1] == pytest.approx(chebval(-1.0, coefs[0]), rel=1e-14)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 5e-324), (-1e-310, 1e-310)])
+    def test_a_grid_narrower_than_rounding_maps_every_node_to_an_end(self, lo, hi):
+        # (2x - lo - hi) / (hi - lo) overflows to +-inf, which clamps to +-1
+        inst, _ = desk_instance()
+        _, out = ivs_solve(inst.market, 1.0, IvsGrid(lo=lo, hi=hi),
+                           AccelConfig(tolerance=1e-12, max_evaluations=300))
+        assert out.termination == "converged"
+
     def test_noiseless_ar1_expectation_equals_direct_evaluation(self):
         # sigma -> 0: the quadrature collapses onto the deterministic next state
         from demandinv.numerics import (chebyshev_eval_rows, chebyshev_fit_matrix,
@@ -351,10 +414,10 @@ class TestIvs:
         gh_nodes, gh_weights = normal_quadrature(5)
         theta0, theta1, sd = 0.5, 0.9, 0.0
         omega = 2.3
-        nxt = theta0 + theta1 * omega
+        nxt = (2.0 * (theta0 + theta1 * omega) - (lo + hi)) / (hi - lo)  # in [-1, 1]
         args = nxt + sd * gh_nodes
-        expect = float(np.sum(gh_weights * chebyshev_eval_rows(coefs, args[None, :], lo, hi)[0]))
-        direct = float(chebyshev_eval_rows(coefs, np.array([nxt]), lo, hi)[0])
+        expect = float(np.sum(gh_weights * chebyshev_eval_rows(coefs, args[None, :])[0]))
+        direct = float(chebyshev_eval_rows(coefs, np.array([nxt]))[0])
         assert expect == pytest.approx(direct, abs=1e-12)
 
 

@@ -500,9 +500,13 @@ class TestShareArrays:
         (lambda: logit_shares(np.zeros(2), np.array([[0.0, 701.0]]), [1.0]), "mu spans 701"),
         (lambda: nested_shares(np.zeros(2), np.array([[0.0, 701.0]]), [1.0], [0, 1], 0.5),
          "mu spans 701"),
+        # mu spans 400, but mu / (1 - rho) spans 800 in nest 0
+        (lambda: nested_shares(np.zeros(3), [[0, 400, 0], [0, 0, 0]], [0.5, 0.5], [0, 0, 1],
+                               0.5),
+         r"mu / \(1 - rho\) in nest 0 spans 800"),
     ], ids=["logit-negative-weight", "nested-weights-sum-1.4", "logit-no-products",
             "nested-no-products", "logit-nan-mu", "nested-infinite-mu", "logit-span",
-            "nested-span"])
+            "nested-span", "nested-nest-span"])
     def test_mu_and_weights_pass_the_market_checks(self, call, message):
         # the messages of StaticMarket, which shares the checks
         with pytest.raises(ValueError, match=message):
