@@ -12,18 +12,16 @@ without blocks among them, take the unit step alpha = 1; Anderson's first
 step is an empty window's, Phi(x0). An image that is not an array of its
 point's shape raises ValueError.
 
-Anderson's weights solve a least squares of the newest residual on the
+Anderson's step comes from a least squares of the newest residual on the
 window of residual differences. With at least as many coordinates as the
 memory (a tall history, every large market) the solver updates a thin QR
-factorisation of the differences, O(n m) per iteration, and solves the small
-triangle (:class:`_DifferenceQR`); an SVD lstsq of the stacked n x m
-differences, afresh every iteration, costs several times that. The tall
-window stores numerically independent differences only, and its weights are
-:func:`anderson_combine`'s on them. A wide history (fewer coordinates than
-the memory: the two-type value mapping, the 2 x 2 large-heterogeneity
-market) keeps :func:`anderson_combine`'s SVD lstsq bit for bit, because the
-benchmark pins the end of one Anderson drift on such a market to its last
-bits.
+factorisation of the differences and keeps the image differences in its
+basis, O(n m) per iteration, so that the step is two products and no least
+squares is solved (:class:`_DifferenceQR`). A wide history (fewer
+coordinates than the memory: the two-type value mapping, the 2 x 2
+large-heterogeneity market) keeps :func:`anderson_combine`'s SVD lstsq bit
+for bit, because the benchmark pins the end of one Anderson drift on such a
+market to its last bits.
 
 Any :class:`FixedPointMap` runs under the solve's error state
 :data:`SOLVE_ERRSTATE`, entered once per solve: a non-finite image or step
@@ -200,9 +198,10 @@ def anderson_combine(differences: Sequence[np.ndarray], residual: np.ndarray,
 
     The least squares is an SVD lstsq of the stacked differences, afresh on
     every call. :func:`solve` takes this path only for wide histories, with
-    fewer coordinates than the memory; tall ones update a QR factorisation
-    instead (:class:`_DifferenceQR`), which gives these weights on its
-    independent differences, up to rounding, at a fraction of the cost."""
+    fewer coordinates than the memory; tall ones take the exact step on their
+    independent differences from an updated QR factorisation instead
+    (:class:`_DifferenceQR`), which is this step wherever lstsq cuts no
+    singular value, up to rounding."""
     if not differences:
         return images[0]
     gamma = ls_minnorm(np.stack(differences, axis=1), residual)
@@ -214,42 +213,34 @@ def anderson_combine(differences: Sequence[np.ndarray], residual: np.ndarray,
 
 
 class _DifferenceQR:
-    """Anderson's window of residual differences dF_j (oldest first) as a
-    thin QR factorisation dF = Q.T @ R, Q's rows orthonormal and R upper
-    triangular, beside the window's image differences dG_j; for histories
-    with at least as many coordinates n as the memory, in preallocated
-    buffers (Walker & Ni 2011, section 4).
+    """Anderson's window for histories of n >= memory coordinates, in
+    preallocated buffers (Walker & Ni 2011, section 4): the residual
+    differences dF_j (oldest first) as dF = R.T @ Q, Q's rows orthonormal and
+    R upper triangular, and the image differences in Q's basis, dG = R.T @ Gh.
+    The step g - dG.T @ gamma, with R gamma = Q @ F, is g - (Q @ F) @ Gh: no
+    weights are formed, and no triangle is solved.
 
-    Appending the newest difference is Gram-Schmidt with one
-    reorthogonalisation, each pass two matrix-vector products (the classical
-    form: the row-by-row modified form costs three times as much in numpy,
-    and the second pass makes either orthonormal to rounding). A difference
-    is numerically dependent, and is not stored, if the second pass shrinks
-    it to at most half of what the first left, or to rounding level: 2 m eps
-    times its norm, taken from the first pass by Pythagoras. So R's diagonal
-    has no zero, and neither a zero nor an exact repeat holds a slot.
-    Deleting the oldest re-triangularises the Hessenberg R[:, 1:] by Givens
-    rotations on Python floats, which cost less than a LAPACK call on at most
-    6 x 5 entries, and rotates Q with one product into a second buffer, O(n m).
-
-    gamma solves the triangle by back substitution when a bound proves
-    cond_2(R) < 1/rcond: lstsq would then cut no singular value, and its
-    minimum-norm solution is that same solution. Otherwise it runs lstsq on
-    the triangle, as anderson_combine does on the differences.
+    Appending is classical Gram-Schmidt (the row-by-row modified form costs
+    three times as much in numpy) with one reorthogonalisation, each pass two
+    matrix-vector products; it gives R's new column rho and diagonal sigma,
+    and Gh's new row (dG - rho @ Gh) / sigma. A difference that the second
+    pass shrinks to at most half of what the first left, or to at most
+    eps max(n, 2 m) of its norm, is dependent and not stored, so R's diagonal
+    has no zero. Deleting the oldest re-triangularises the Hessenberg R[:, 1:]
+    by Givens rotations on Python floats, cheaper than a LAPACK call on at
+    most 6 x 5 entries, and rotates Q and Gh alike, by one product into a
+    second buffer.
     """
 
     def __init__(self, n: int, memory: int):
-        self.Q = np.zeros((memory, n))
+        # Q and Gh in one buffer, each contiguous, so that one product rotates both
+        self._basis, self._rotated = np.zeros((2, memory, n)), np.empty((2, memory, n))
+        self.Q, self.Gh = self._basis
         self.R = np.zeros((memory, memory))
-        self.dG = np.zeros((memory, n))
-        self._rotated = np.empty((memory, n))  # the next Q, swapped in by _delete_oldest
         self.size = 0
-        # lstsq's own cutoff on the n x size differences, whose singular
-        # values R shares
-        self.rcond = np.finfo(float).eps * n
-        # what the two passes leave of an exact repeat, relative to its norm,
-        # is rounding: at most 0.6 eps at memory 1 and 2.9 eps at memory 30
-        self.rounding = 2.0 * memory * np.finfo(float).eps
+        # lstsq's cutoff n eps on n x m differences, and at least the rounding the two
+        # passes leave of an exact repeat: 0.6 eps of its norm at memory 1, 2.9 eps at 30
+        self.cutoff = np.finfo(float).eps * max(n, 2 * memory)
 
     def append(self, dF: np.ndarray, dG: np.ndarray) -> None:
         """Add the newest differences unless dependent, deleting the oldest if full."""
@@ -263,19 +254,20 @@ class _DifferenceQR:
         s = Q.dot(v)
         v -= s.dot(Q)
         second = math.sqrt(v.dot(v))
-        if not second > max(0.5 * first, self.rounding * math.sqrt(r.dot(r) + first * first)):
+        if not second > max(0.5 * first, self.cutoff * math.sqrt(r.dot(r) + first * first)):
             return
-        self.R[:k, k] = r + s
+        self.R[:k, k] = rho = r + s
         self.R[k, k] = second
         np.divide(v, second, out=self.Q[k])
-        self.dG[k] = dG
+        np.divide(dG - rho.dot(self.Gh[:k]), second, out=self.Gh[k])
         self.size = k + 1
 
     def _delete_oldest(self) -> None:
         k = self.size - 1
         if k:
             # rotation j mixes rows j and j + 1 of H = R[:k + 1, 1:] and of G
-            # and writes H[j + 1, j] as an exact 0: then G @ H = [R_new; 0]
+            # and writes H[j + 1, j] as an exact 0: then G @ H = [R_new; 0],
+            # and dF[1:] = H.T @ Q = R_new.T @ (G @ Q)[:k], dG[1:] likewise
             H, G = self.R[:k + 1, 1:k + 1].tolist(), np.eye(k + 1).tolist()
             for j in range(k):
                 a, b = H[j][j], H[j + 1][j]  # b is a diagonal entry of R, not 0
@@ -287,39 +279,15 @@ class _DifferenceQR:
                     for col in columns:
                         u[col], v[col] = c * u[col] + s * v[col], c * v[col] - s * u[col]
             self.R[:k, :k] = H[:k]
-            np.dot(G[:k], self.Q[:k + 1], out=self._rotated[:k])
-            self.Q, self._rotated = self._rotated, self.Q
-            self.dG[:k] = self.dG[1:k + 1]
+            np.matmul(G[:k], self._basis[:, :k + 1], out=self._rotated[:, :k])
+            self._basis, self._rotated = self._rotated, self._basis
+            self.Q, self.Gh = self._basis
         self.size = k
 
-    def gamma(self, residual: np.ndarray) -> np.ndarray:
-        """The minimum-norm least squares of residual on the window's
-        differences, as anderson_combine solves it, from the factorisation."""
+    def step(self, g: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """Anderson's next iterate from the image g and residual F; g if the window is empty."""
         k = self.size
-        if not k:
-            return np.empty(0)
-        b = self.Q[:k].dot(residual)
-        R = self.R[:k, :k].tolist()
-        # R = D (I + N), D its diagonal: cond_2(R) <= ||R||_F (1 + ||N||_F)^(k-1)
-        # / min |R_ii|. Python floats overflow to inf, and inf or NaN fails
-        frob = off = 0.0
-        for i, row in enumerate(R):
-            for x in row[i:]:
-                frob += x * x
-            for x in row[i + 1:]:
-                off += (x / row[i]) * (x / row[i])
-        bound = math.sqrt(frob) / min(abs(row[i]) for i, row in enumerate(R))
-        for _ in range(k - 1):
-            bound *= 1.0 + math.sqrt(off)
-        if not bound * self.rcond < 1.0:
-            return ls_minnorm(self.R[:k, :k], b, rcond=self.rcond)
-        g = b.tolist()
-        for i in range(k - 1, -1, -1):
-            row = R[i]
-            for j in range(i + 1, k):
-                g[i] -= row[j] * g[j]
-            g[i] /= row[i]
-        return np.array(g)
+        return g - self.Q[:k].dot(F).dot(self.Gh[:k])
 
 
 def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
@@ -408,7 +376,7 @@ def solve(fp_map: FixedPointMap, x0, cfg: AccelConfig) -> SolveOutcome:
                 else:
                     if F_prev is not None:
                         window.append(F - F_prev, g - g_prev)
-                    x_next = g - window.gamma(F).dot(window.dG[:window.size])
+                    x_next = window.step(g, F)
                 F_prev, g_prev = F, g
             elif method == "spectral":
                 alpha = (1.0 if x_prev is None

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demandinv import accel
+from demandinv import accel, datagen, dynamic, static_rcl
 from demandinv.accel import (DEFAULT_BLOCK_STEP_CAP, SOLVE_ERRSTATE, AccelConfig,
                              FixedPointMap, _DifferenceQR, _step_rule, anderson_combine,
                              solve)
@@ -186,18 +186,20 @@ def weights(residuals):
     return combine_weights(differences(residuals), residuals[-1])
 
 
-def window_weights(window, residual):
-    """The same weights from a factorised window: gamma's differences, closed by 0 and 1."""
-    return np.diff(np.concatenate(([0.0], window.gamma(residual), [1.0])))
+def image_difference(d):
+    """The image difference paired with the residual difference d: a fixed
+    linear map of it, as an affine mapping's are, but not a multiple of it."""
+    return np.roll(d, 1) - 0.5 * d
 
 
-def append(window, kept, d):
-    """window.append(d, 2 d), followed on kept, the window's differences: the
-    oldest goes when the window is full, and d joins unless the window skips
-    it as numerically dependent."""
+def append(window, kept, d, scale=1.0):
+    """window.append on the pair (d, image_difference(d)) times scale, followed
+    on kept, the window's residual differences unscaled: the oldest goes when
+    the window is full, and d joins unless the window skips it as
+    numerically dependent."""
     if window.size == len(window.R):
         del kept[0]
-    window.append(d, 2.0 * d)
+    window.append(scale * d, scale * image_difference(d))
     if window.size > len(kept):
         kept.append(d)
 
@@ -211,14 +213,12 @@ def fill(window, diffs):
 
 
 def tall_differences(rng, n, memory, kinds):
-    """Differences of n coordinates, one per kind: random, random at 1e-20
-    of that scale, a copy of one of the last memory differences, or zero."""
+    """Differences of n coordinates, one per kind: random, a copy of one of
+    the last memory differences, or zero."""
     diffs = []
     for kind in kinds:
         if kind == "random" or not diffs:
             diffs.append(rng.normal(size=n))
-        elif kind == "tiny":
-            diffs.append(1e-20 * rng.normal(size=n))
         else:
             window_diffs = diffs[-memory:]
             diffs.append(window_diffs[rng.integers(len(window_diffs))].copy()
@@ -228,29 +228,34 @@ def tall_differences(rng, n, memory, kinds):
 
 def assert_factorises(window, kept):
     """Q orthonormal, R upper triangular with no zero on its diagonal, R.T @ Q
-    the kept differences and dG their image differences."""
+    the kept differences and R.T @ Gh their image differences."""
     k = window.size
     assert k == len(kept)
-    Q, R = window.Q[:k], window.R[:k, :k]
+    Q, R, Gh = window.Q[:k], window.R[:k, :k], window.Gh[:k]
     assert np.linalg.norm(Q @ Q.T - np.eye(k), 2) <= 1e-12
     assert np.array_equal(R, np.triu(R))
     assert np.all(np.diag(R) != 0.0)
     D = np.reshape(kept, (k, window.Q.shape[1]))
     assert np.linalg.norm(R.T @ Q - D) <= 1e-12 * np.linalg.norm(D)
-    np.testing.assert_array_equal(window.dG[:k], 2.0 * D)
+    E = np.reshape([image_difference(d) for d in kept], D.shape)
+    assert np.linalg.norm(R.T @ Gh - E) <= 1e-12 * np.linalg.norm(E)
 
 
-def assert_weights_match(window, kept, residual):
-    want = combine_weights(kept, residual)
-    got = window_weights(window, residual)
-    assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+def combine_step(kept, residual, g):
+    """anderson_combine's next iterate on the kept differences, from images
+    that end at g and whose differences are the kept image differences."""
+    images = [g]
+    for d in reversed(kept):
+        images.insert(0, images[0] - image_difference(d))
+    return anderson_combine(kept, residual, images)
+
+
+def assert_step_matches(window, kept, residual, g):
+    want = combine_step(kept, residual, g)
+    assert np.linalg.norm(window.step(g, residual) - want) <= 1e-8 * np.linalg.norm(want)
 
 
 KINDS = st.lists(st.sampled_from(["random", "duplicate", "zero"]), min_size=1, max_size=18)
-# a tiny difference is independent, so it is kept, and its rounding-level
-# singular value takes gamma off the certificate to lstsq, which cuts it
-KINDS_WITH_TINY = st.lists(st.sampled_from(["random", "duplicate", "zero", "tiny"]),
-                           min_size=1, max_size=18)
 
 
 def counting_ls_minnorm(monkeypatch):
@@ -262,6 +267,24 @@ def counting_ls_minnorm(monkeypatch):
         return ls_minnorm(*args, **kwargs)
     monkeypatch.setattr(accel, "ls_minnorm", spy)
     return calls
+
+
+def static_2types_market(replication):
+    """The two-type static market of one replication at master seed 7, at a
+    drawn theta, as the small-markets benchmark builds it."""
+    rng = datagen.SeededRng(7, replication).generator()
+    inst = datagen.gen_static_market(datagen.StaticDgpParams(n_products=250, n_draws=2), rng)
+    return inst.with_theta(datagen.draw_theta(inst.theta_true, rng))
+
+
+def durable_market():
+    rng = datagen.SeededRng(11, 0).generator()
+    inst = datagen.gen_dynamic_market(
+        datagen.DynamicDgpParams(n_products=5, n_draws=10, horizon=10), rng)
+    return inst.with_theta(datagen.draw_theta(inst.theta_true, rng))
+
+
+ANDERSON = AccelConfig(method="anderson", tolerance=1e-13, max_evaluations=1000)
 
 
 class TestDifferenceQR:
@@ -277,24 +300,27 @@ class TestDifferenceQR:
         diffs[3 * memory - 1] = np.zeros(n)
         window = _DifferenceQR(n, memory)
         kept = fill(window, diffs)
-        # the zero is not kept, after the full window deleted its oldest; the
-        # duplicate is kept or not as rounding falls (a kept one has a
-        # rounding-level diagonal, which gamma's cutoff cuts)
-        assert len(kept) == memory - 1 and all(d is not diffs[-1] for d in kept)
+        # neither is kept, the zero after the full window deleted its oldest
+        assert len(kept) == memory - 1
+        assert all(d is not diffs[2 * memory] and d is not diffs[-1] for d in kept)
         assert_factorises(window, kept)
-        assert_weights_match(window, kept, rng.normal(size=n))
+        assert_step_matches(window, kept, rng.normal(size=n), rng.normal(size=n))
 
     @settings(deadline=None, max_examples=200)
     @given(memory=st.integers(1, 6), extra=st.integers(0, 40),
            exponent=st.floats(-12.0, 12.0), seed=st.integers(0, 10 ** 6), kinds=KINDS)
-    def test_weights_match_anderson_combine_on_tall_histories(
+    def test_the_step_matches_anderson_combine_on_tall_histories(
             self, memory, extra, exponent, seed, kinds):
+        # an empty window steps to g itself, bit for bit
         n, scale = memory + extra, 10.0 ** exponent
         rng = np.random.default_rng(seed)
         diffs = [d * scale for d in tall_differences(rng, n, memory, kinds[:3 * memory])]
         window = _DifferenceQR(n, memory)
         kept = fill(window, diffs)
-        assert_weights_match(window, kept, rng.normal(size=n) * scale)
+        residual, g = rng.normal(size=n) * scale, rng.normal(size=n)
+        if not kept:
+            assert np.array_equal(window.step(g, residual), g)
+        assert_step_matches(window, kept, residual, g)
 
     @settings(deadline=None, max_examples=200)
     @given(memory=st.integers(1, 6), extra=st.integers(0, 40),
@@ -308,39 +334,25 @@ class TestDifferenceQR:
             assert_factorises(window, kept)
 
     @settings(deadline=None, max_examples=200)
-    @given(memory=st.integers(1, 6), extra=st.integers(0, 40),
-           exponent=st.floats(-12.0, 12.0), seed=st.integers(0, 10 ** 6),
-           kinds=KINDS_WITH_TINY)
-    def test_gamma_is_ls_minnorm_on_the_kept_differences(
-            self, memory, extra, exponent, seed, kinds):
-        # by back substitution where the bound certifies the triangle, by
-        # lstsq on it where it does not (a tiny difference); an empty window
-        # gives empty weights
-        n, scale = memory + extra, 10.0 ** exponent
+    @given(memory=st.integers(1, 6), extra=st.integers(0, 40), seed=st.integers(0, 10 ** 6),
+           kinds=KINDS, exponents=st.lists(st.sampled_from([-12, 0, 12]), min_size=18,
+                                           max_size=18))
+    def test_rescaling_a_kept_pair_leaves_the_step(self, memory, extra, seed, kinds, exponents):
+        # each pair (dF_j, dG_j) scaled by 1e-12, 1 or 1e12: a kept difference
+        # many orders smaller than the others is still kept, and used
+        n = memory + extra
         rng = np.random.default_rng(seed)
-        diffs = [d * scale for d in tall_differences(rng, n, memory, kinds)]
-        window = _DifferenceQR(n, memory)
-        kept = fill(window, diffs)
-        residual = rng.normal(size=n) * scale
-        got = window.gamma(residual)
-        if not kept:
-            assert got.shape == (0,)
-            return
-        want = ls_minnorm(np.stack(kept, axis=1), residual)
-        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-
-    def test_gamma_falls_back_to_lstsq_only_where_the_bound_fails(self, monkeypatch):
-        calls = counting_ls_minnorm(monkeypatch)
-        rng = np.random.default_rng(4)
-        window = _DifferenceQR(30, 3)
-        fill(window, [rng.normal(size=30) for _ in range(3)])
-        window.gamma(rng.normal(size=30))
-        assert calls == []
-        tiny = 1e-20 * rng.normal(size=30)
-        window.append(tiny, tiny)
-        assert window.size == 3  # the tiny difference is kept
-        window.gamma(rng.normal(size=30))
-        assert calls == [1]
+        diffs = tall_differences(rng, n, memory, kinds)
+        window, scaled = _DifferenceQR(n, memory), _DifferenceQR(n, memory)
+        kept, kept_scaled = [], []
+        for d, e in zip(diffs, exponents):
+            append(window, kept, d)
+            append(scaled, kept_scaled, d, 10.0 ** e)
+        assert len(kept_scaled) == len(kept)
+        assert all(d is e for d, e in zip(kept, kept_scaled))
+        residual, g = rng.normal(size=n), rng.normal(size=n)
+        want = window.step(g, residual)
+        assert np.linalg.norm(scaled.step(g, residual) - want) <= 1e-10 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("n, memory", [(2500, 5), (250, 5), (30, 3)])
     def test_an_exact_repeat_is_never_stored(self, n, memory):
@@ -356,25 +368,37 @@ class TestDifferenceQR:
             window.append(repeat, 2.0 * repeat)
             assert window.size == len(kept) - full
 
-    def test_the_first_tall_iteration_runs_no_least_squares(self, monkeypatch):
-        calls = counting_ls_minnorm(monkeypatch)
-        phi, x0 = contraction(20)
-        out = solve(FixedPointMap(phi), x0,
-                    AccelConfig(method="anderson", anderson_memory=5, max_evaluations=1))
-        assert out.evaluations == 1 and calls == []
-
     @pytest.mark.parametrize("n", [50, 2500])
-    def test_a_nearly_dependent_difference_is_cut_as_lstsq_cuts_it(self, n):
-        # a + b perturbed at 1e-14: lstsq on the n x 3 differences drops the
-        # tiny singular value, so the 3 x 3 triangle must drop it too
+    def test_a_difference_within_the_cutoff_of_the_span_is_not_stored(self, n):
+        # a + b perturbed at a tenth of the cutoff, relative to its norm, is
+        # skipped, and the step is the step on a and b alone; perturbed at ten
+        # times the cutoff it is stored
         rng = np.random.default_rng(3)
-        a, b = rng.normal(size=n), rng.normal(size=n)
-        diffs = [a, b, a + b + 1e-14 * rng.normal(size=n)]
+        a, b, e = rng.normal(size=n), rng.normal(size=n), rng.normal(size=n)
+        e *= np.linalg.norm(a + b) / np.linalg.norm(e)
+        residual, g = rng.normal(size=n), rng.normal(size=n)
         window = _DifferenceQR(n, 3)
-        fill(window, diffs)
-        residual = rng.normal(size=n)
-        want = combine_weights(diffs, residual)
-        np.testing.assert_allclose(window_weights(window, residual), want, rtol=1e-8)
+        fill(window, [a, b])
+        window.append(a + b + 10.0 * window.cutoff * e, np.zeros(n))
+        assert window.size == 3
+        window = _DifferenceQR(n, 3)
+        kept = fill(window, [a, b, a + b + 0.1 * window.cutoff * e])
+        assert window.size == 2 and len(kept) == 2
+        assert_step_matches(window, kept, residual, g)
+
+    @pytest.mark.parametrize("replication, mapping", [(10, "delta0"), (18, "delta1")])
+    def test_a_whole_tall_static_solve_runs_no_least_squares(
+            self, monkeypatch, replication, mapping):
+        # two-type markets of 250 products, on whose windows a least-squares
+        # fallback once fired
+        calls = counting_ls_minnorm(monkeypatch)
+        _, out = static_rcl.solve_inner(static_2types_market(replication), mapping, ANDERSON)
+        assert out.converged and calls == []
+
+    def test_a_whole_durable_solve_runs_no_least_squares(self, monkeypatch):
+        calls = counting_ls_minnorm(monkeypatch)
+        _, out = dynamic.pf_solve(durable_market(), 1.0, ANDERSON)
+        assert out.converged and calls == []
 
 
 class TestSpectralAlpha:
@@ -711,6 +735,17 @@ class TestTerminationContract:
         assert not out.converged
         assert out.evaluations == 2
         # the second image: Phi(x1) for Anderson/spectral, Phi^2(x0) for SQUAREM
+        assert np.array_equal(out.point, steps[0] + steps[1])
+
+    def test_a_tall_windows_overflowing_step_returns_last_image(self):
+        # 3 coordinates at memory 2: the residual difference is (0, 1, 0), so
+        # the first combined step takes 1e10 + 1 times the image difference,
+        # whose first entry is 1e300, and overflows
+        steps = [np.array([1e300, 1e10, -2.0]), np.array([1e300, 1e10 + 1.0, -2.0])]
+        out = solve(scripted_map(steps)[0], np.zeros(3),
+                    AccelConfig(method="anderson", anderson_memory=2, max_evaluations=50))
+        assert out.termination == "non_finite"
+        assert out.evaluations == 2
         assert np.array_equal(out.point, steps[0] + steps[1])
 
     def test_squarem_non_finite_second_evaluation_returns_first_image(self):
