@@ -8,6 +8,13 @@ other implementations can replicate the streams exactly.
 The same simulation nodes generate the observed shares and build the
 candidate-theta deviations, so the inner-loop solution is exactly
 representable in every replication.
+
+The designs are fixed, as module constants: the static one (_STATIC_MEANS,
+_STATIC_SDS, _CHAR_COV and _PRICE_CONST, _PRICE_XI, _PRICE_SHOCK_HI) and the
+durable one (_DURABLE_MEANS, _DURABLE_SDS, _CHI_SD, _PRICE_COEFS,
+_PRICE_CROSS, the AR(1) cost shifter's _Z_* and the _W_ and _U_SHOCK_SD
+price shocks). Only the sizes and the durable beta are parameters, and
+theta_true is the design's sds.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ from .rcnl import NestedMarket, nested_shares
 from .static_rcl import StaticMarket, outside_logit
 
 _SHARE_FLOOR = 1e-300
-# Draws per market before a design is rejected; the default designs took no
-# redraw in 1200 sampled markets, so only extreme coefficients reach this.
+# Draws per market before a design is rejected; the designs took no redraw in
+# 1200 sampled markets, though a degenerate draw is possible.
 _MAX_DRAWS = 1000
 # Durable values are positive (V = log(exp(beta V') + exp(omega)) > beta V'),
 # so every conditional share is below max_i exp(omega_it). A period whose
@@ -53,75 +60,46 @@ def normal(rng: np.random.Generator, shape) -> np.ndarray:
     return ndtri(u)
 
 
-def _checked_reals(name, value, shape, sd=False):
-    """value as a float if shape is (), else as a tuple of shape[0] entries of
-    shape[1:]; ValueError unless every entry is a finite real (and >= 0 if sd)."""
-    if not shape:
-        if sd:
-            return checked_real(name, value, lambda v: 0.0 <= v < math.inf, "a finite real >= 0")
-        return checked_real(name, value, math.isfinite, "a finite real")
-    if not isinstance(value, (tuple, list, np.ndarray)) or len(value) != shape[0]:
-        raise ValueError(f"{name} must be a sequence of {shape[0]} entries, not {value!r}")
-    return tuple(_checked_reals(f"{name}[{k}]", v, shape[1:], sd) for k, v in enumerate(value))
-
-
-def _check_params(params, counts, reals, sds):
-    """Replace each field of the frozen params with its checked value: counts
-    are integers >= 1, reals maps each real field to its shape, and the
-    fields in sds are standard deviations (>= 0)."""
-    for name in counts:
-        object.__setattr__(params, name, checked_int(name, getattr(params, name), 1))
-    for name, shape in reals.items():
-        object.__setattr__(params, name,
-                           _checked_reals(name, getattr(params, name), shape, name in sds))
+# The static design.
+_STATIC_MEANS = (0.0, 1.5, 1.5, 0.5, -3.0)
+_STATIC_SDS = (0.5, 0.5, 0.5, 0.5, 0.2)
+_CHAR_COV = ((1.0, -0.8, 0.3), (-0.8, 1.0, 0.3), (0.3, 0.3, 1.0))
+_PRICE_CONST, _PRICE_XI, _PRICE_SHOCK_HI = 3.0, 1.5, 5.0
+# The durable design.
+_DURABLE_MEANS = (6.0, 1.0, 1.0, 0.5, 2.0)
+_DURABLE_SDS = (0.0, 0.5, 0.5, 0.0, 0.25)
+_CHI_SD = 0.5
+_PRICE_COEFS = (1.0, 0.2, 0.2, 0.1, 1.0, 0.2, 0.7)  # g0,gx1,gx2,gx3,gz,gw,gxi
+_PRICE_CROSS = (0.1, 0.1, 0.1)
+_Z_INIT, _Z_CONST, _Z_RHO = 8.0, 0.1, 0.95
+_Z_SHOCK_SD, _W_SHOCK_SD, _U_SHOCK_SD = 0.1, 1.0, 0.01
 
 
 @dataclass(frozen=True)
 class StaticDgpParams:
-    """The static DGP's design, checked once at construction."""
+    """The static DGP's sizes, checked once at construction: integers >= 1."""
 
     n_products: int = 25
     n_draws: int = 1000
-    mean_coefs: tuple = (0.0, 1.5, 1.5, 0.5, -3.0)
-    sd_coefs: tuple = (0.5, 0.5, 0.5, 0.5, 0.2)
-    char_cov: tuple = ((1.0, -0.8, 0.3), (-0.8, 1.0, 0.3), (0.3, 0.3, 1.0))
-    price_const: float = 3.0
-    price_xi: float = 1.5
-    price_shock_hi: float = 5.0
 
     def __post_init__(self):
-        _check_params(self, ("n_products", "n_draws"),
-                      {"mean_coefs": (5,), "sd_coefs": (5,), "char_cov": (3, 3),
-                       "price_const": (), "price_xi": (), "price_shock_hi": ()},
-                      sds=("sd_coefs",))
+        for name in ("n_products", "n_draws"):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), 1))
 
 
 @dataclass(frozen=True)
 class DynamicDgpParams:
-    """The durable DGP's design, checked once at construction."""
+    """The durable DGP's sizes (integers >= 1) and discount factor (a real
+    in [0, 1)), checked once at construction."""
 
     n_products: int = 25
     n_draws: int = 50
     horizon: int = 50
     beta: float = 0.99
-    mean_coefs: tuple = (6.0, 1.0, 1.0, 0.5, 2.0)
-    sd_coefs: tuple = (0.0, 0.5, 0.5, 0.0, 0.25)
-    chi_sd: float = 0.5
-    price_coefs: tuple = (1.0, 0.2, 0.2, 0.1, 1.0, 0.2, 0.7)  # g0,gx1,gx2,gx3,gz,gw,gxi
-    price_cross: tuple = (0.1, 0.1, 0.1)
-    z_init: float = 8.0
-    z_const: float = 0.1
-    z_rho: float = 0.95
-    z_shock_sd: float = 0.1
-    w_shock_sd: float = 1.0
-    u_shock_sd: float = 0.01
 
     def __post_init__(self):
-        _check_params(self, ("n_products", "n_draws", "horizon"),
-                      {"mean_coefs": (5,), "sd_coefs": (5,), "chi_sd": (), "price_coefs": (7,),
-                       "price_cross": (3,), "z_init": (), "z_const": (), "z_rho": (),
-                       "z_shock_sd": (), "w_shock_sd": (), "u_shock_sd": ()},
-                      sds=("sd_coefs", "chi_sd", "z_shock_sd", "w_shock_sd", "u_shock_sd"))
+        for name in ("n_products", "n_draws", "horizon"):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), 1))
         object.__setattr__(self, "beta", checked_real(
             "beta", self.beta, lambda b: 0.0 <= b < 1.0, "a real in [0, 1)"))
 
@@ -145,15 +123,15 @@ class StaticInstance:
 
 def _static_draw(p: StaticDgpParams, rng: np.random.Generator):
     J, I = p.n_products, p.n_draws
-    L = np.linalg.cholesky(np.asarray(p.char_cov, dtype=float))
+    L = np.linalg.cholesky(np.array(_CHAR_COV))
     x = normal(rng, (J, 3)) @ L.T
     xi = normal(rng, J)
-    u = rng.random(J) * p.price_shock_hi
-    price = p.price_const + p.price_xi * xi + u + x.sum(axis=1)
+    u = rng.random(J) * _PRICE_SHOCK_HI
+    price = _PRICE_CONST + _PRICE_XI * xi + u + x.sum(axis=1)
     X = np.column_stack([np.ones(J), x, price])
-    delta = X @ np.asarray(p.mean_coefs, dtype=float) + xi
+    delta = X @ np.array(_STATIC_MEANS) + xi
     nodes = normal(rng, (I, 5))
-    mu = (nodes * np.asarray(p.sd_coefs, dtype=float)) @ X.T
+    mu = (nodes * np.array(_STATIC_SDS)) @ X.T
     return X, delta, nodes, mu
 
 
@@ -191,8 +169,7 @@ def gen_static_market(p: StaticDgpParams, rng: np.random.Generator) -> StaticIns
     """One static replication: market data at the true parameters; the
     redraw count is recorded on the instance."""
     market, X, delta, nodes, redraws = _draw_market(p, rng, _true_shares)
-    return StaticInstance(market=market, delta_true=delta,
-                          theta_true=np.asarray(p.sd_coefs, dtype=float),
+    return StaticInstance(market=market, delta_true=delta, theta_true=np.array(_STATIC_SDS),
                           X=X, nodes=nodes, redraws=redraws)
 
 
@@ -220,8 +197,7 @@ def gen_nested_market(p: StaticDgpParams, rng: np.random.Generator,
 
     base, X, delta, nodes, redraws = _draw_market(p, rng, shares)
     market = NestedMarket(base=base, nest_of=nest_of, rho=rho_vec)
-    return NestedInstance(market=market, delta_true=delta,
-                          theta_true=np.asarray(p.sd_coefs, dtype=float),
+    return NestedInstance(market=market, delta_true=delta, theta_true=np.array(_STATIC_SDS),
                           X=X, nodes=nodes, redraws=redraws)
 
 
@@ -281,24 +257,24 @@ def gen_dynamic_market(p: DynamicDgpParams, rng: np.random.Generator) -> Dynamic
     """
     J, I, T, beta = p.n_products, p.n_draws, p.horizon, p.beta
     for redraws in range(_MAX_DRAWS):
-        chi = normal(rng, (T, J, 3)) * p.chi_sd
+        chi = normal(rng, (T, J, 3)) * _CHI_SD
         xi = normal(rng, (T, J))
-        w_shock = normal(rng, (T, J)) * p.w_shock_sd
-        u = normal(rng, (T, J)) * p.u_shock_sd
-        eta = normal(rng, (T, J)) * p.z_shock_sd
+        w_shock = normal(rng, (T, J)) * _W_SHOCK_SD
+        u = normal(rng, (T, J)) * _U_SHOCK_SD
+        eta = normal(rng, (T, J)) * _Z_SHOCK_SD
         z = np.empty((T, J))
-        z_prev = np.full(J, p.z_init)
+        z_prev = np.full(J, _Z_INIT)
         for t in range(T):
-            z[t] = p.z_const + p.z_rho * z_prev + eta[t]
+            z[t] = _Z_CONST + _Z_RHO * z_prev + eta[t]
             z_prev = z[t]
-        g0, gx1, gx2, gx3, gz, gw, gxi = p.price_coefs
+        g0, gx1, gx2, gx3, gz, gw, gxi = _PRICE_COEFS
         cross = chi.sum(axis=1, keepdims=True) - chi
         price = (g0 + chi @ np.array([gx1, gx2, gx3]) + gz * z + gw * w_shock
-                 + gxi * xi - cross @ np.asarray(p.price_cross) + u)
+                 + gxi * xi - cross @ np.array(_PRICE_CROSS) + u)
         X = np.concatenate([np.ones((T, J, 1)), chi, -price[:, :, None]], axis=2)
-        delta = (X @ np.asarray(p.mean_coefs, dtype=float) + xi).T  # (J, T)
+        delta = (X @ np.array(_DURABLE_MEANS) + xi).T  # (J, T)
         nodes = normal(rng, (I, 5))
-        mu = np.einsum("ik,tjk->ijt", nodes * np.asarray(p.sd_coefs, dtype=float), X)
+        mu = np.einsum("ik,tjk->ijt", nodes * np.array(_DURABLE_SDS), X)
 
         # true values: terminal stationarity, then backward induction
         util = delta[None, :, :] + mu  # (I, J, T)
@@ -325,10 +301,9 @@ def gen_dynamic_market(p: DynamicDgpParams, rng: np.random.Generator) -> Dynamic
                            weights=np.full(I, 1.0 / I), beta=beta)
     em = _exp_mu_t(market)  # dist audits the library's shares at (delta, V)
     _, s = _shares_at(delta, V, _omega_from_delta(delta, em), market, em)
-    truth = DurableSolution(value=V, delta=delta, pr0=pr0, ccp=ccp,
+    truth = DurableSolution(value=V, delta=delta, pr0=pr0,
                             dist=log_share_gap(market.log_shares, s))
-    return DynamicInstance(market=market, solution_true=truth,
-                           theta_true=np.asarray(p.sd_coefs, dtype=float),
+    return DynamicInstance(market=market, solution_true=truth, theta_true=np.array(_DURABLE_SDS),
                            X=X, nodes=nodes, redraws=redraws)
 
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .accel import SOLVE_ERRSTATE, AccelConfig, FixedPointMap, checked_int, checked_real, solve
+from .accel import (SOLVE_ERRSTATE, AccelConfig, FixedPointMap, checked_int, checked_real,
+                    checked_tolerance, solve)
 from .numerics import (chebyshev_eval_rows, chebyshev_fit_matrix, chebyshev_nodes,
                        log_share_gap, normal_quadrature, ols_ar1_rows)
 from .static_rcl import (_checked_gamma, _freeze, _market_em, _share_arrays,
@@ -109,7 +110,7 @@ class IvsState:
 
 @dataclass
 class DurableSolution:
-    """A durable-goods solve's point with its ownership path and ccps.
+    """A durable-goods solve's point with its ownership path.
 
     dist audits the shares only. pf_solve and ivs_solve recover delta from V
     so that the shares match, so their dist is at rounding level (~4e-15) at
@@ -121,7 +122,6 @@ class DurableSolution:
     value: np.ndarray  # (I, T)
     delta: np.ndarray  # (J, T)
     pr0: np.ndarray    # (I, T)
-    ccp: np.ndarray    # (I, J, T) product choice probabilities
     dist: float        # sup-norm log-share audit at the solution
     ivs: IvsState | None = field(default=None, repr=False)
 
@@ -224,15 +224,6 @@ def _forward_pass(mkt: DurableMarket, em):
     return forward
 
 
-def _ccp(delta: np.ndarray, V: np.ndarray, em) -> np.ndarray:
-    """Choice probabilities exp(delta_jt + mu_ijt - V_it), shape (I, J, T)."""
-    a, E = em
-    c = delta.max(axis=0)
-    ey = np.exp(c[:, None] + a - V.T)  # (T, I)
-    ccp = E * ey[:, :, None] * np.exp(delta - c).T[:, None, :]
-    return ccp.transpose(1, 2, 0)
-
-
 def _backup(V: np.ndarray, ev_next: np.ndarray, omega: np.ndarray, gamma: float,
             pr0: np.ndarray, mkt: DurableMarket) -> np.ndarray:
     """log(exp(beta*EV') + exp(omega) * (s0_hat/S0)^gamma) for next-period
@@ -289,8 +280,7 @@ def _shares_at(delta: np.ndarray, V: np.ndarray, omega: np.ndarray, mkt: Durable
 def _solution(delta: np.ndarray, V: np.ndarray, omega: np.ndarray, mkt: DurableMarket,
               em) -> DurableSolution:
     pr0, s = _shares_at(delta, V, omega, mkt, em)
-    return DurableSolution(value=V, delta=delta, pr0=pr0, ccp=_ccp(delta, V, em),
-                           dist=log_share_gap(mkt.log_shares, s))
+    return DurableSolution(value=V, delta=delta, pr0=pr0, dist=log_share_gap(mkt.log_shares, s))
 
 
 def bellman_residual(sol: DurableSolution, mkt: DurableMarket) -> float:
@@ -344,7 +334,7 @@ def traditional_joint_solve(mkt: DurableMarket, gamma: float, phi: float,
     both sup-norm changes pass the tolerance (single concatenated state).
     """
     gamma = _checked_gamma(gamma)
-    phi = checked_real("phi", phi, lambda v: 0.0 < v < math.inf, "a finite positive real")
+    phi = checked_tolerance("phi", phi)
     I, J, T = mkt.n_types, mkt.n_products, mkt.horizon
     nd = J * T
     em = _exp_mu_t(mkt)

@@ -16,7 +16,7 @@ import numpy as np
 from .accel import SOLVE_ERRSTATE, AccelConfig, FixedPointMap, solve
 from .numerics import log_share_gap, logsumexp
 from .static_rcl import (StaticMarket, _checked_gamma, _delta, _freeze, _log_s0, _market_em,
-                         _share_arrays, check_mu_span, numeric_array, outside_logit)
+                         _share_arrays, check_mu_span, exp_mu, numeric_array, outside_logit)
 
 RCNL_MAPPINGS = ("delta0", "delta1", "IV0", "IV1")
 
@@ -88,12 +88,7 @@ def nest_exp_mu(mu, groups, rho):
     classes = []
     for nests in (np.flatnonzero(sizes == size) for size in np.unique(sizes)):
         P, w = np.array([groups[g] for g in nests]), (1.0 - rho[nests])[:, None]
-        E = mu.T[P]  # (k, J_c, I), exp_mu in place
-        E /= w[:, :, None]
-        a = E.max(1)
-        E -= a[:, None, :]
-        np.exp(E, out=E)
-        classes.append((nests, P, w, a, E.transpose(0, 2, 1)))
+        classes.append((nests, P, w, *exp_mu((mu.T[P] / w[:, :, None]).transpose(0, 2, 1))))
     return tuple(classes)
 
 
