@@ -277,6 +277,31 @@ class TestParams:
         with pytest.raises(TypeError):
             DynamicDgpParams(z_init=8.0)
 
+    # The designs are constants now; each keeps the shape and range that
+    # construction used to check (finite reals, standard deviations >= 0).
+    @pytest.mark.parametrize("name, shape, sd", [
+        ("_STATIC_MEANS", (5,), False), ("_STATIC_SDS", (5,), True),
+        ("_CHAR_COV", (3, 3), False), ("_PRICE_CONST", (), False),
+        ("_PRICE_XI", (), False), ("_PRICE_SHOCK_HI", (), False),
+        ("_DURABLE_MEANS", (5,), False), ("_DURABLE_SDS", (5,), True),
+        ("_CHI_SD", (), True), ("_PRICE_COEFS", (7,), False),
+        ("_PRICE_CROSS", (3,), False), ("_Z_INIT", (), False), ("_Z_CONST", (), False),
+        ("_Z_RHO", (), False), ("_Z_SHOCK_SD", (), True), ("_W_SHOCK_SD", (), True),
+        ("_U_SHOCK_SD", (), True)])
+    def test_design_constant_is_valid(self, name, shape, sd):
+        value = getattr(datagen, name)
+        arr = np.array(value, dtype=float)
+        assert arr.shape == shape
+        assert np.all(np.isfinite(arr))
+        if sd:
+            assert np.all(arr >= 0.0)
+
+    def test_char_cov_is_a_correlation_matrix(self):
+        cov = np.array(datagen._CHAR_COV)
+        np.testing.assert_array_equal(cov, cov.T)
+        np.testing.assert_array_equal(np.diag(cov), 1.0)
+        assert np.all(np.linalg.eigvalsh(cov) > 0.0)
+
     def test_defaults_are_kept_as_floats(self):
         assert DynamicDgpParams().beta == 0.99
         assert type(DynamicDgpParams(beta=0).beta) is float

@@ -72,6 +72,15 @@ class TestLsMinnorm:
         got = ls_minnorm(np.array([[1.0], [1.0]]), [1.0, 3.0])
         np.testing.assert_allclose(got, [2.0])
 
+    def test_small_singular_values_above_the_default_cutoff_are_kept(self):
+        A, b = np.diag([1.0, 1e-10]), [1.0, 1.0]
+        np.testing.assert_allclose(ls_minnorm(A, b), [1.0, 1e10])
+
+    def test_singular_values_below_the_default_cutoff_are_cut(self):
+        # lstsq's default cutoff is eps * max(A.shape) times the largest
+        A, b = np.diag([1.0, 1e-20]), [1.0, 1.0]
+        np.testing.assert_array_equal(ls_minnorm(A, b), [1.0, 0.0])
+
     def test_duplicated_columns_split_equally(self):
         # expected values frozen from the pseudo-inverse oracle on 3x3 instances
         rng = np.random.default_rng(0)
