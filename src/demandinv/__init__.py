@@ -6,9 +6,8 @@ seeded benchmark harness.
 """
 
 from .accel import AccelConfig, FixedPointMap, SolveOutcome, solve
-from .dynamic import (DurableMarket, DurableSolution, IvsGrid, IvsState,
-                      bellman_residual, ivs_solve, pf_solve, pf_value_update,
-                      traditional_joint_solve)
+from .dynamic import (DurableMarket, DurableSolution, IvsGrid, bellman_residual,
+                      ivs_solve, pf_solve, pf_value_update, traditional_joint_solve)
 from .fixtures import market_from_json, market_to_json
 from .rcnl import (NestedMarket, rcnl_dist_metric, rcnl_iota_delta_to_IV,
                    rcnl_iota_IV_to_delta, rcnl_phi_delta, rcnl_phi_IV,

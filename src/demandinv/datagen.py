@@ -111,7 +111,6 @@ class StaticInstance:
     theta_true: np.ndarray  # random-coefficient sds
     X: np.ndarray           # (J, 5) characteristics incl. intercept and price
     nodes: np.ndarray       # (I, 5) simulation draws
-    redraws: int = 0
 
     def with_theta(self, theta) -> StaticMarket:
         """Market with candidate-theta deviations, same shares and nodes."""
@@ -146,9 +145,9 @@ def _draw_market(p: StaticDgpParams, rng: np.random.Generator, shares):
     """Static draws with the market data at the true parameters, where
     shares(delta, mu, weights) -> (s_j, s_0). Degenerate draws (any share
     below 1e-300) are redrawn from the same stream, at most _MAX_DRAWS in
-    all (ValueError then). Returns (StaticMarket, X, delta, nodes, redraws)."""
+    all (ValueError then). Returns (StaticMarket, X, delta, nodes)."""
     weights = np.full(p.n_draws, 1.0 / p.n_draws)
-    for redraws in range(_MAX_DRAWS):
+    for _ in range(_MAX_DRAWS):
         X, delta, nodes, mu = _static_draw(p, rng)
         s_j, s_0 = shares(delta, mu, weights)
         if s_0 > _SHARE_FLOOR and np.all(s_j > _SHARE_FLOOR):
@@ -157,7 +156,7 @@ def _draw_market(p: StaticDgpParams, rng: np.random.Generator, shares):
         raise _degenerate(p)
     market = StaticMarket(shares=s_j, outside_share=1.0 - s_j.sum(), mu=mu,
                           weights=weights)
-    return market, X, delta, nodes, redraws
+    return market, X, delta, nodes
 
 
 def _degenerate(p) -> ValueError:
@@ -166,11 +165,10 @@ def _degenerate(p) -> ValueError:
 
 
 def gen_static_market(p: StaticDgpParams, rng: np.random.Generator) -> StaticInstance:
-    """One static replication: market data at the true parameters; the
-    redraw count is recorded on the instance."""
-    market, X, delta, nodes, redraws = _draw_market(p, rng, _true_shares)
+    """One static replication: market data at the true parameters."""
+    market, X, delta, nodes = _draw_market(p, rng, _true_shares)
     return StaticInstance(market=market, delta_true=delta, theta_true=np.array(_STATIC_SDS),
-                          X=X, nodes=nodes, redraws=redraws)
+                          X=X, nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -195,10 +193,10 @@ def gen_nested_market(p: StaticDgpParams, rng: np.random.Generator,
         s_j, _, s_0, _ = nested_shares(delta, mu, weights, nest_of, rho_vec)
         return s_j, s_0
 
-    base, X, delta, nodes, redraws = _draw_market(p, rng, shares)
+    base, X, delta, nodes = _draw_market(p, rng, shares)
     market = NestedMarket(base=base, nest_of=nest_of, rho=rho_vec)
     return NestedInstance(market=market, delta_true=delta, theta_true=np.array(_STATIC_SDS),
-                          X=X, nodes=nodes, redraws=redraws)
+                          X=X, nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -208,7 +206,6 @@ class DynamicInstance:
     theta_true: np.ndarray
     X: np.ndarray            # (T, J, 5)
     nodes: np.ndarray        # (I, 5)
-    redraws: int = 0
 
     def with_theta(self, theta) -> DurableMarket:
         mu = np.einsum("ik,tjk->ijt", self.nodes * np.asarray(theta, dtype=float),
@@ -256,7 +253,7 @@ def gen_dynamic_market(p: DynamicDgpParams, rng: np.random.Generator) -> Dynamic
     below _LOG_NO_SHARE, where no share can clear the floor, is redrawn first.
     """
     J, I, T, beta = p.n_products, p.n_draws, p.horizon, p.beta
-    for redraws in range(_MAX_DRAWS):
+    for _ in range(_MAX_DRAWS):
         chi = normal(rng, (T, J, 3)) * _CHI_SD
         xi = normal(rng, (T, J))
         w_shock = normal(rng, (T, J)) * _W_SHOCK_SD
@@ -304,7 +301,7 @@ def gen_dynamic_market(p: DynamicDgpParams, rng: np.random.Generator) -> Dynamic
     truth = DurableSolution(value=V, delta=delta, pr0=pr0,
                             dist=log_share_gap(market.log_shares, s))
     return DynamicInstance(market=market, solution_true=truth, theta_true=np.array(_DURABLE_SDS),
-                           X=X, nodes=nodes, redraws=redraws)
+                           X=X, nodes=nodes)
 
 
 def draw_theta(theta_true, rng: np.random.Generator) -> np.ndarray:

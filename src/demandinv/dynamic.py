@@ -18,7 +18,7 @@ Algorithms:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,21 +96,8 @@ class DurableMarket:
 
 
 @dataclass
-class IvsState:
-    """Final inclusive-value-sufficiency state: grid, values, AR(1) fits."""
-
-    grid: np.ndarray
-    v_data: np.ndarray
-    v_grid: np.ndarray
-    ar1_intercept: np.ndarray
-    ar1_slope: np.ndarray
-    ar1_sd: np.ndarray
-    gh_order: int
-
-
-@dataclass
 class DurableSolution:
-    """A durable-goods solve's point with its ownership path.
+    """A durable-goods solve's values V, delta, ownership path and audit.
 
     dist audits the shares only. pf_solve and ivs_solve recover delta from V
     so that the shares match, so their dist is at rounding level (~4e-15) at
@@ -123,7 +110,6 @@ class DurableSolution:
     delta: np.ndarray  # (J, T)
     pr0: np.ndarray    # (I, T)
     dist: float        # sup-norm log-share audit at the solution
-    ivs: IvsState | None = field(default=None, repr=False)
 
 
 def _v_next(V: np.ndarray) -> np.ndarray:
@@ -366,7 +352,9 @@ def traditional_joint_solve(mkt: DurableMarket, gamma: float, phi: float,
 @dataclass(frozen=True)
 class IvsGrid:
     """The Chebyshev grid of n_nodes nodes on [lo, hi] and the Gauss-Hermite
-    order of the IVS expectations, checked once at construction."""
+    order of the IVS expectations, checked once at construction, which builds
+    the order's rule once per grid (read-only, not a field): an order without
+    finite weights (372 and above) raises ValueError there."""
 
     n_nodes: int = 10
     lo: float = -20.0
@@ -379,10 +367,9 @@ class IvsGrid:
         # the interpolant maps x to (2x - lo - hi) / (hi - lo): 2x must be finite
         rule = "of magnitude at most half the largest double"
         lo = checked_real("lo", self.lo, lambda v: math.isfinite(2.0 * v), f"a real {rule}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", checked_real(
-            "hi", self.hi, lambda v: lo < v and math.isfinite(2.0 * v),
-            f"a real above lo = {lo!r} {rule}"))
+        hi = checked_real("hi", self.hi, lambda v: lo < v and math.isfinite(2.0 * v),
+                          f"a real above lo = {lo!r} {rule}")
+        _freeze(self, lo=lo, hi=hi, _quadrature=normal_quadrature(self.gh_order))
 
 
 def _expectations(coefs, ar1, points, grid: IvsGrid, ghx, ghw) -> np.ndarray:
@@ -414,6 +401,12 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
     the implied inclusive values and integrates the interpolated V with
     Gauss-Hermite quadrature. Step sizes are scalar by design. ValueError for
     a horizon below 3, on which the AR(1) fit is not defined.
+
+    sol.value is V at the data points. The rest of the final state follows
+    from what the caller holds: V at the grid nodes is
+    outcome.point[I*T:].reshape(I, N), the nodes numerics.chebyshev_nodes(N,
+    grid.lo, grid.hi), and the AR(1) fits numerics.ols_ar1_rows of the
+    inclusive values log sum_j exp(delta_jt + mu_ijt) at sol.delta.
     """
     gamma = _checked_gamma(gamma)
     I, T = mkt.n_types, mkt.horizon
@@ -423,7 +416,7 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
     N = grid.n_nodes
     nodes = chebyshev_nodes(N, grid.lo, grid.hi)
     fitmat = chebyshev_fit_matrix(N)
-    ghx, ghw = normal_quadrature(grid.gh_order)
+    ghx, ghw = grid._quadrature
     nd = I * T
     em = _exp_mu_t(mkt)
     forward = _forward_pass(mkt, em)
@@ -444,10 +437,5 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
 
     outcome = solve(FixedPointMap(evaluate), np.zeros(nd + I * N), cfg)
     v_data = outcome.point[:nd].reshape(I, T)
-    v_grid = outcome.point[nd:].reshape(I, N)
     delta, omega, _ = forward(v_data)
-    theta0, theta1, sd = ols_ar1_rows(omega)
-    state = IvsState(grid=nodes, v_data=v_data, v_grid=v_grid,
-                     ar1_intercept=theta0, ar1_slope=theta1, ar1_sd=sd,
-                     gh_order=grid.gh_order)
-    return replace(_solution(delta, v_data, omega, mkt, em), ivs=state), outcome
+    return _solution(delta, v_data, omega, mkt, em), outcome

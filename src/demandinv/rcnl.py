@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import SOLVE_ERRSTATE, AccelConfig, FixedPointMap, solve
+from .accel import SOLVE_ERRSTATE, AccelConfig, FixedPointMap, checked_name, solve
 from .numerics import log_share_gap, logsumexp
 from .static_rcl import (StaticMarket, _checked_gamma, _delta, _freeze, _log_s0, _market_em,
                          _share_arrays, check_mu_span, exp_mu, numeric_array, outside_logit)
@@ -232,8 +232,7 @@ def rcnl_initial_delta(mkt: NestedMarket) -> np.ndarray:
 @np.errstate(**SOLVE_ERRSTATE)  # for the IV to delta map after an IV solve
 def rcnl_solve_inner(mkt: NestedMarket, mapping: str, cfg: AccelConfig):
     """Solve the nested inner loop; mapping: delta0 | delta1 | IV0 | IV1."""
-    if mapping not in RCNL_MAPPINGS:
-        raise ValueError(f"unknown mapping {mapping!r}")
+    checked_name("mapping", mapping, RCNL_MAPPINGS)
     gamma = 1.0 if mapping.endswith("1") else 0.0
     em = _em(mkt)
     if mapping.startswith("delta"):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import SOLVE_ERRSTATE, AccelConfig, FixedPointMap, checked_real, solve
+from .accel import SOLVE_ERRSTATE, AccelConfig, FixedPointMap, checked_name, checked_real, solve
 from .numerics import log_share_gap, logsumexp
 
 MAPPINGS = ("delta0", "delta1", "V0", "V1", "kalouptsidi_mixed", "kalouptsidi_tilde")
@@ -431,8 +431,7 @@ def solve_inner(mkt: StaticMarket, mapping: str, cfg: AccelConfig):
     Returns (delta, SolveOutcome); divergence is reported in the outcome,
     never raised. The Kalouptsidi mappings start at r = log w (V = 0).
     """
-    if mapping not in MAPPINGS:
-        raise ValueError(f"unknown mapping {mapping!r}")
+    checked_name("mapping", mapping, MAPPINGS)
     if mapping == "kalouptsidi_tilde":
         _check_two_types(mkt)
     gamma = 1.0 if mapping.endswith("1") else 0.0

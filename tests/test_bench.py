@@ -450,7 +450,7 @@ def test_the_package_namespace_holds_the_public_api_and_its_submodules():
     code = "import demandinv; print(' '.join(n for n in dir(demandinv) if n[0] != '_'))"
     assert _in_a_fresh_interpreter(code).split() == sorted([
         "AccelConfig", "FixedPointMap", "SolveOutcome", "solve",
-        "DurableMarket", "DurableSolution", "IvsGrid", "IvsState", "bellman_residual",
+        "DurableMarket", "DurableSolution", "IvsGrid", "bellman_residual",
         "ivs_solve", "pf_solve", "pf_value_update", "traditional_joint_solve",
         "market_from_json", "market_to_json",
         "NestedMarket", "rcnl_dist_metric", "rcnl_iota_delta_to_IV", "rcnl_iota_IV_to_delta",

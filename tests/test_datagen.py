@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,15 @@ class TestStaticDgp:
         a.theta_true[:] = -1.0
         b = gen(params, SeededRng(1, 0).generator())
         assert np.all(b.theta_true >= 0.0) and np.any(b.theta_true > 0.0)
+
+    @pytest.mark.parametrize("gen, params, truth", [
+        (gen_static_market, StaticDgpParams(n_products=3, n_draws=4), "delta_true"),
+        (gen_nested_market, StaticDgpParams(n_products=3, n_draws=4), "delta_true"),
+        (gen_dynamic_market, DynamicDgpParams(n_products=3, n_draws=4, horizon=3),
+         "solution_true")], ids=["static", "nested", "durable"])
+    def test_an_instance_holds_its_market_truth_and_draws(self, gen, params, truth):
+        inst = gen(params, SeededRng(1, 0).generator())
+        assert [f.name for f in fields(inst)] == ["market", truth, "theta_true", "X", "nodes"]
 
 
 class TestNestedDgp:

@@ -1,6 +1,6 @@
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,8 @@ from demandinv.accel import SOLVE_ERRSTATE, AccelConfig
 from demandinv.datagen import (DynamicDgpParams, SeededRng, draw_theta,
                                gen_dynamic_market)
 from demandinv.fixtures import market_from_json, market_to_json
-from demandinv.numerics import chebyshev_fit_matrix, chebyshev_nodes, normal_quadrature
+from demandinv.numerics import (chebyshev_fit_matrix, chebyshev_nodes, logsumexp,
+                                normal_quadrature, ols_ar1_rows)
 from demandinv.dynamic import (DurableMarket, IvsGrid, bellman_residual,
                                initial_delta_myopic, ivs_solve, pf_solve,
                                pf_value_update, traditional_joint_solve)
@@ -285,8 +286,39 @@ class TestIvs:
                              AccelConfig(tolerance=1e-12, max_evaluations=5000))
         assert out.converged
         assert sol.dist < 1e-12
-        assert sol.ivs is not None
-        assert np.all(np.diff(sol.ivs.grid) > 0)
+        assert [f.name for f in fields(sol)] == ["value", "delta", "pr0", "dist"]
+
+    def test_the_final_state_is_rebuilt_from_the_solution_and_the_grid(self):
+        # the recipe of ivs_solve's docstring: V at the nodes from the point,
+        # the AR(1) fits from the inclusive values at sol.delta; together they
+        # solve the IVS Bellman equations at the data points and the nodes
+        inst, _ = desk_instance(3)
+        mkt, grid = inst.market, IvsGrid()
+        sol, out = ivs_solve(mkt, 1.0, grid, AccelConfig(method="anderson", tolerance=1e-13,
+                                                           max_evaluations=2000))
+        assert out.converged
+        I, T, N = mkt.n_types, mkt.horizon, grid.n_nodes
+        np.testing.assert_array_equal(sol.value, out.point[:I * T].reshape(I, T))
+        v_grid = out.point[I * T:].reshape(I, N)
+        nodes = chebyshev_nodes(N, grid.lo, grid.hi)
+        omega = logsumexp(sol.delta[None, :, :] + mkt.mu, 1)  # (I, T)
+        theta0, theta1, sd = ols_ar1_rows(omega)
+        ghx, ghw = normal_quadrature(grid.gh_order)
+        coefs = v_grid @ chebyshev_fit_matrix(N).T
+
+        def expected(points):  # E[V(x') | x] by the clamped interpolant, per type
+            x = np.clip(theta0[:, None, None] + theta1[:, None, None] * points[:, :, None]
+                        + sd[:, None, None] * ghx, grid.lo, grid.hi)
+            z = (2.0 * x - (grid.lo + grid.hi)) / (grid.hi - grid.lo)
+            return np.stack([np.polynomial.chebyshev.chebval(z[i], coefs[i])
+                             for i in range(I)]) @ ghw
+
+        beta = mkt.beta
+        np.testing.assert_allclose(
+            v_grid, np.logaddexp(beta * expected(np.tile(nodes, (I, 1))), nodes), atol=1e-10)
+        # the gamma term vanishes at a solution: its outside shares are the data's
+        np.testing.assert_allclose(sol.value, np.logaddexp(beta * expected(omega), omega),
+                                   atol=1e-10)
 
     def test_beta0_matches_per_period_static(self):
         mkt, deltas, _ = static_like_market(seed=55)
@@ -363,9 +395,10 @@ class TestIvs:
             out.point, np.zeros(inst.market.n_types * (inst.market.horizon + grid.n_nodes)))
 
     def test_a_quadrature_order_without_finite_weights_is_rejected(self):
-        inst, _ = desk_instance(horizon=4)
+        # by the grid itself, before any solve
         with pytest.raises(ValueError, match="order-400 Gauss-Hermite weights are not finite"):
-            ivs_solve(inst.market, 1.0, IvsGrid(gh_order=400), AccelConfig())
+            IvsGrid(gh_order=400)
+        assert IvsGrid(gh_order=371).gh_order == 371
 
     def test_the_expectation_is_the_x_space_formula_with_its_clamp(self):
         # the nodes x = theta0 + theta1 * point + sd * node of random AR(1)

@@ -42,7 +42,7 @@ import gc
 import threading
 import warnings
 import weakref
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -715,11 +715,10 @@ def test_two_durable_markets_solved_alternately_and_in_two_threads_keep_their_bi
     _in_two_threads("durable", markets, serial, rounds=2)
 
 
-def _arrays(obj):
-    """Every array field of a DurableSolution and of its IvsState."""
-    values = [getattr(obj, f.name) for f in fields(obj)]
-    return ([v for v in values if isinstance(v, np.ndarray)]
-            + [a for v in values if is_dataclass(v) for a in _arrays(v)])
+def _arrays(sol):
+    """Every array field of a DurableSolution."""
+    values = [getattr(sol, f.name) for f in fields(sol)]
+    return [v for v in values if isinstance(v, np.ndarray)]
 
 
 @pytest.mark.parametrize("entry", ["pf_solve", "ivs_solve"])
@@ -752,7 +751,6 @@ def test_no_image_or_solution_shares_memory_with_the_next_evaluation(entry, monk
     (fp,), (forward,) = built, passes
     kept = _arrays(sol)
     assert outcome.evaluations == len(images) > 2
-    assert (sol.ivs is not None) == (entry == "ivs_solve")
     before = [a.tobytes() for a in kept + images]
     for image, after in zip(images, images[1:]):
         assert not np.shares_memory(image, after)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from demandinv.accel import AccelConfig
 from demandinv.datagen import SeededRng, StaticDgpParams, draw_theta, gen_nested_market
 from demandinv.fixtures import market_from_json, market_to_json
-from demandinv.rcnl import (NestedMarket, nested_shares, rcnl_dist_metric, rcnl_initial_delta,
-                            rcnl_iota_delta_to_IV, rcnl_phi_IV,
+from demandinv.rcnl import (RCNL_MAPPINGS, NestedMarket, nested_shares, rcnl_dist_metric,
+                            rcnl_initial_delta, rcnl_iota_delta_to_IV, rcnl_phi_IV,
                             rcnl_phi_delta, rcnl_shares, rcnl_solve_inner)
 from demandinv.static_rcl import StaticMarket, logit_shares, phi_delta
 
@@ -128,6 +129,12 @@ class TestFixedPointAudit:
             d, out = rcnl_solve_inner(mkt, mapping, cfg)
             assert out.converged, mapping
             assert rcnl_dist_metric(d, mkt) < 1e-12
+
+    @pytest.mark.parametrize("mapping", ["IV2", "V1", "", None, 1, ("IV1",)])
+    def test_an_unknown_mapping_is_rejected_with_the_known_names(self, mapping):
+        message = f"unknown mapping {mapping!r}; known: {list(RCNL_MAPPINGS)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rcnl_solve_inner(tiny_nested()[0], mapping, AccelConfig())
 
     def test_nest_ratio_identity_at_fixed_point(self):
         # S_g / S_0^k = s_g / s_0^k with k = gamma/(1-rho+rho*gamma)

@@ -242,6 +242,12 @@ class TestSolveInner:
         assert not out.converged
         assert out.termination == "max_evaluations"
 
+    @pytest.mark.parametrize("mapping", ["delta2", "IV1", "", None, 1, ("V1",)])
+    def test_an_unknown_mapping_is_rejected_with_the_known_names(self, mapping):
+        message = f"unknown mapping {mapping!r}; known: {list(static_rcl.MAPPINGS)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve_inner(J5, mapping, AccelConfig())
+
     def test_value_mapping_starts_no_thread(self):
         # J=250, I=1000: large enough for the exp-space value mapping
         rng = SeededRng(4, 0).generator()

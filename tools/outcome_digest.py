@@ -7,8 +7,8 @@ It solves one round of each workload grid in ``perfbench/workloads.py`` and
 one replication of each ``bench`` suite through ``run_suite``. A workload
 solve's hash covers the returned point's bytes, the evaluations, the
 termination, the final residual, the residual history and every field of
-the first return value (the delta vector, or the ``DurableSolution`` with
-its ``IvsState``). A ``renested`` line hashes the same for one solve, by
+the first return value (the delta vector, or the ``DurableSolution``'s
+values, delta, ownership path and dist). A ``renested`` line hashes the same for one solve, by
 one RCNL mapping and method, of the ``rcnl_j75`` design's market at a
 drawn theta, re-nested into four interleaved nests of 19, 19, 19 and 18
 products: unequal nests in two size classes, which the DGP's three equal
