@@ -48,8 +48,11 @@ from .numerics import ls_minnorm
 METHODS = ("plain", "anderson", "spectral", "squarem")
 STEP_RULES = ("S1", "S2", "S3", "S3prime")
 
-# Upper bound on per-block step sizes (cfg.use_blocks); unbounded block steps
-# occasionally spike above 100 and destabilize. Scalar steps are not capped.
+# Upper bound on per-block step sizes (cfg.use_blocks); scalar steps are not
+# capped. Uncapped, per-period SQUAREM on pf_solve stalled at 3000 evaluations
+# on 4 of 60 durable DGP markets at T=50 (master seeds 1-3 x replications 0-19,
+# tolerance 1e-12) and 4 of 60 at T=25, all solved capped; spectral converged
+# on all 120 either way (mean evaluations 520 -> 527 at T=50, 349 -> 223 at T=25).
 DEFAULT_BLOCK_STEP_CAP = 10.0
 
 # np.errstate keywords of every solve (see the module docstring)
@@ -139,10 +142,8 @@ class AccelConfig:
         checked_name("method", self.method, METHODS)
         checked_name("step size rule", self.step_size_rule, STEP_RULES)
         object.__setattr__(self, "tolerance", checked_tolerance("tolerance", self.tolerance))
-        object.__setattr__(self, "max_evaluations",
-                           checked_int("max_evaluations", self.max_evaluations, 1))
-        object.__setattr__(self, "anderson_memory",
-                           checked_int("anderson_memory", self.anderson_memory, 1))
+        for name in ("max_evaluations", "anderson_memory"):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), 1))
         if not isinstance(self.use_blocks, bool):
             raise ValueError(f"use_blocks must be a bool, not {self.use_blocks!r}")
 

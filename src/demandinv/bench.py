@@ -132,12 +132,6 @@ class SummaryRow:
     mean_wall_ms: float
 
 
-def _accel_cfg(cfg: ExperimentConfig, algo: AlgorithmSpec) -> AccelConfig:
-    return AccelConfig(method=algo.method, tolerance=cfg.tolerance,
-                       max_evaluations=cfg.max_evaluations,
-                       step_size_rule=algo.step_rule)
-
-
 # Solvers: (market, algo, AccelConfig) -> (result, SolveOutcome)
 
 
@@ -160,16 +154,23 @@ def _pf(market, algo, acfg):
     return pf_solve(market, algo.gamma, replace(acfg, use_blocks=True))
 
 
+_IVS_GRID = IvsGrid()  # its tables, built once, serve every IVS solve
+
+
 def _ivs(market, algo, acfg):
-    return ivs_solve(market, algo.gamma, IvsGrid(), acfg)
+    return ivs_solve(market, algo.gamma, _IVS_GRID, acfg)
 
 
-def _drawn(gen, params):
-    """rng -> the DGP instance's market at a parameter draw from the same stream."""
-    def market(rng):
-        inst = gen(params, rng)
+@dataclass(frozen=True)
+class _Drawn:
+    """rng -> the instance gen(params, rng)'s market at a parameter draw from the same stream."""
+
+    gen: Callable
+    params: object
+
+    def __call__(self, rng):
+        inst = self.gen(self.params, rng)
         return inst.with_theta(draw_theta(inst.theta_true, rng))
-    return market
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,7 @@ def _grid(mappings, gammas=(0.0, 1.0), methods=("plain", "anderson", "spectral",
 _BY_NAME = (_by_name(solve_inner), _by_name(rcnl_solve_inner))
 _STATIC = dict.fromkeys(("delta", "V", "kalouptsidi_mixed", "kalouptsidi_tilde"), _BY_NAME[0])
 _NESTED = dict.fromkeys(("delta", "IV"), _BY_NAME[1])
-_J250 = _drawn(gen_static_market, StaticDgpParams(n_products=250))
+_J250 = _Drawn(gen_static_market, StaticDgpParams(n_products=250))
 
 
 def _durable_dist(sol, _market):
@@ -205,22 +206,22 @@ def _durable_dist(sol, _market):
 
 
 _SUITE_TABLE = {
-    "static_j25": Suite(_drawn(gen_static_market, StaticDgpParams(n_products=25)),
+    "static_j25": Suite(_Drawn(gen_static_market, StaticDgpParams(n_products=25)),
                         _STATIC, dist_metric, _grid(("delta", "V")), 50, 9),
     "static_j250": Suite(_J250, _STATIC, dist_metric, _grid(("delta", "V")), 50, 4),
     "static_2types": Suite(
-        _drawn(gen_static_market, StaticDgpParams(n_products=250, n_draws=2)),
+        _Drawn(gen_static_market, StaticDgpParams(n_products=250, n_draws=2)),
         _STATIC, dist_metric,
         _grid(("delta", "V")) + (AlgorithmSpec("kalouptsidi_mixed"),
                                  AlgorithmSpec("kalouptsidi_tilde")), 50, 7),
-    "rcnl": Suite(_drawn(gen_nested_market, StaticDgpParams(n_products=75)),
+    "rcnl": Suite(_Drawn(gen_nested_market, StaticDgpParams(n_products=75)),
                   _NESTED, rcnl_dist_metric, _grid(("delta", "IV")), 50, 7),
     "large_hetero": Suite(lambda rng: large_heterogeneity_market()[0], _STATIC, dist_metric,
                           _grid(("delta", "V")), 1, 0, max_evaluations=2000),
-    "dynamic_pf": Suite(_drawn(gen_dynamic_market, DynamicDgpParams(horizon=50)),
+    "dynamic_pf": Suite(_Drawn(gen_dynamic_market, DynamicDgpParams(horizon=50)),
                         {"V": _pf, "joint": _joint}, _durable_dist,
                         _grid(("V", "joint")), 20, 11, 1e-12, 3000),
-    "dynamic_ivs": Suite(_drawn(gen_dynamic_market, DynamicDgpParams(horizon=25)),
+    "dynamic_ivs": Suite(_Drawn(gen_dynamic_market, DynamicDgpParams(horizon=25)),
                          {"V": _ivs, "joint": _joint}, _durable_dist,
                          _grid(("V",)), 20, 11, 1e-12, 3000),
     "stepsize_sweep": Suite(_J250, _STATIC, dist_metric,
@@ -264,8 +265,10 @@ def run_suite(cfg: ExperimentConfig) -> list[RunRecord]:
     for rep in range(cfg.replications):
         market = suite.market(SeededRng(cfg.master_seed, rep).generator())
         for algo in cfg.algorithms:
+            acfg = AccelConfig(method=algo.method, tolerance=cfg.tolerance,
+                               max_evaluations=cfg.max_evaluations, step_size_rule=algo.step_rule)
             t0 = time.perf_counter()
-            result, outcome = suite.solvers[algo.mapping](market, algo, _accel_cfg(cfg, algo))
+            result, outcome = suite.solvers[algo.mapping](market, algo, acfg)
             ms = (time.perf_counter() - t0) * 1e3
             records.append(RunRecord(cfg.suite, rep, algo.label, outcome.evaluations,
                                      outcome.converged, outcome.termination,

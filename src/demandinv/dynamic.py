@@ -353,8 +353,9 @@ def traditional_joint_solve(mkt: DurableMarket, gamma: float, phi: float,
 class IvsGrid:
     """The Chebyshev grid of n_nodes nodes on [lo, hi] and the Gauss-Hermite
     order of the IVS expectations, checked once at construction, which builds
-    the order's rule once per grid (read-only, not a field): an order without
-    finite weights (372 and above) raises ValueError there."""
+    what each ivs_solve on the grid reads (read-only, not fields): the nodes
+    _nodes, their _fit_matrix and the order's rule _quadrature, raising
+    ValueError for an order without finite weights (372 and above)."""
 
     n_nodes: int = 10
     lo: float = -20.0
@@ -369,7 +370,9 @@ class IvsGrid:
         lo = checked_real("lo", self.lo, lambda v: math.isfinite(2.0 * v), f"a real {rule}")
         hi = checked_real("hi", self.hi, lambda v: lo < v and math.isfinite(2.0 * v),
                           f"a real above lo = {lo!r} {rule}")
-        _freeze(self, lo=lo, hi=hi, _quadrature=normal_quadrature(self.gh_order))
+        _freeze(self, lo=lo, hi=hi, _nodes=chebyshev_nodes(self.n_nodes, lo, hi),
+                _fit_matrix=chebyshev_fit_matrix(self.n_nodes),
+                _quadrature=normal_quadrature(self.gh_order))
 
 
 def _expectations(coefs, ar1, points, grid: IvsGrid, ghx, ghw) -> np.ndarray:
@@ -403,19 +406,17 @@ def ivs_solve(mkt: DurableMarket, gamma: float, grid: IvsGrid, cfg: AccelConfig)
     a horizon below 3, on which the AR(1) fit is not defined.
 
     sol.value is V at the data points. The rest of the final state follows
-    from what the caller holds: V at the grid nodes is
-    outcome.point[I*T:].reshape(I, N), the nodes numerics.chebyshev_nodes(N,
-    grid.lo, grid.hi), and the AR(1) fits numerics.ols_ar1_rows of the
-    inclusive values log sum_j exp(delta_jt + mu_ijt) at sol.delta.
+    from what the caller holds: V at the grid's nodes grid._nodes is
+    outcome.point[I*T:].reshape(I, N), and the AR(1) fits are
+    numerics.ols_ar1_rows of the inclusive values log sum_j exp(delta_jt +
+    mu_ijt) at sol.delta.
     """
     gamma = _checked_gamma(gamma)
     I, T = mkt.n_types, mkt.horizon
     if T < 3:
         raise ValueError(f"ivs_solve needs a horizon of at least 3 periods for the "
                          f"AR(1) fit of the inclusive values, not {T}")
-    N = grid.n_nodes
-    nodes = chebyshev_nodes(N, grid.lo, grid.hi)
-    fitmat = chebyshev_fit_matrix(N)
+    N, nodes, fitmat = grid.n_nodes, grid._nodes, grid._fit_matrix
     ghx, ghw = grid._quadrature
     nd = I * T
     em = _exp_mu_t(mkt)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demandinv import dynamic
+from demandinv import accel, dynamic
 from demandinv.accel import SOLVE_ERRSTATE, AccelConfig
 from demandinv.datagen import (DynamicDgpParams, SeededRng, draw_theta,
                                gen_dynamic_market)
@@ -201,6 +201,23 @@ class TestPfSolve:
         assert out.converged
         assert sol.dist < 1e-12
 
+    def test_the_block_step_cap_keeps_per_period_squarem_from_stalling(self, monkeypatch):
+        # the market behind accel.DEFAULT_BLOCK_STEP_CAP: capped, per-period
+        # SQUAREM converges in 315 evaluations; uncapped, its block steps spike
+        # and it ends at the evaluation cap at a residual of about 1.31
+        rng = SeededRng(3, 0).generator()
+        inst = gen_dynamic_market(DynamicDgpParams(horizon=25), rng)
+        mkt = inst.with_theta(draw_theta(inst.theta_true, rng))
+        cfg = AccelConfig(method="squarem", tolerance=1e-12, max_evaluations=600,
+                          use_blocks=True)
+        sol, out = pf_solve(mkt, 1.0, cfg)
+        assert out.converged
+        assert bellman_residual(sol, mkt) < 1e-11
+        monkeypatch.setattr(accel, "DEFAULT_BLOCK_STEP_CAP", np.inf)
+        _, out = pf_solve(mkt, 1.0, cfg)
+        assert out.termination == "max_evaluations"
+        assert out.final_residual > 1.0
+
     def test_beta0_matches_per_period_static(self):
         # with beta = 0 each period is a static inversion over the active
         # (exit-reweighted) population
@@ -352,6 +369,20 @@ class TestIvs:
         assert IvsGrid() == IvsGrid(10, -20.0, 10.0, 5)
         half = np.finfo(float).max / 2
         assert IvsGrid(lo=-half, hi=half).hi == half
+
+    def test_the_grid_builds_its_tables_once_and_the_solve_builds_none(self, monkeypatch):
+        grid = IvsGrid(n_nodes=7, lo=-3.0, hi=4.0, gh_order=4)
+        for got, want in [(grid._nodes, chebyshev_nodes(7, -3.0, 4.0)),
+                          (grid._fit_matrix, chebyshev_fit_matrix(7)),
+                          *zip(grid._quadrature, normal_quadrature(4))]:
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
+        inst, _ = desk_instance(3)
+        cfg = AccelConfig(tolerance=1e-12, max_evaluations=50)
+        before = ivs_solve(inst.market, 1.0, grid, cfg)[1].point
+        for name in ("chebyshev_nodes", "chebyshev_fit_matrix", "normal_quadrature"):
+            monkeypatch.setattr(dynamic, name, None)
+        np.testing.assert_array_equal(ivs_solve(inst.market, 1.0, grid, cfg)[1].point, before)
 
     @pytest.mark.parametrize("method", ["plain", "anderson"])
     def test_a_wide_grid_ends_non_finite_without_a_warning(self, method):

@@ -67,7 +67,11 @@ def test_truth_and_renested_lines_are_deterministic(tool):
     runs = [(list(tool.truth_lines(None)), list(tool.renested_lines(None))) for _ in range(2)]
     truth, renested = runs[0]
     assert runs[1] == runs[0]
-    assert [key for key, _ in truth] == [f"truth {key}" for key in tool.DESIGNS]
+    # one truth line per suite whose markets a DGP design draws, keyed by the suite
+    assert [key for key, _ in truth] == [
+        f"truth {suite}" for suite in ("static_j25", "static_j250", "static_2types", "rcnl",
+                                       "dynamic_pf", "dynamic_ivs", "stepsize_sweep")]
     assert len(renested) == 16
+    assert all(key.startswith("renested rcnl ") for key, _ in renested)
     assert all(value.endswith(("term=converged", "term=max_evaluations", "term=non_finite"))
                for _, value in renested)

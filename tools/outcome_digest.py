@@ -8,17 +8,22 @@ one replication of each ``bench`` suite through ``run_suite``. A workload
 solve's hash covers the returned point's bytes, the evaluations, the
 termination, the final residual, the residual history and every field of
 the first return value (the delta vector, or the ``DurableSolution``'s
-values, delta, ownership path and dist). A ``renested`` line hashes the same for one solve, by
-one RCNL mapping and method, of the ``rcnl_j75`` design's market at a
-drawn theta, re-nested into four interleaved nests of 19, 19, 19 and 18
+values, delta, ownership path and dist). A ``renested`` line hashes the
+same for one solve, by one RCNL mapping and method, of the ``rcnl`` suite's
+first market re-nested into four interleaved nests of 19, 19, 19 and 18
 products: unequal nests in two size classes, which the DGP's three equal
 nests never make. A suite record's hash covers every ``RunRecord`` field
-but ``wall_ms``. A ``truth`` line hashes one DGP design's market and its
-truth (``delta_true`` for the static and nested designs, ``solution_true``
-for the durable ones) at replication 0. A solve line ends with its
-evaluations and termination in clear, so a changed line shows whether the
-outcome changed or only its bits. ``--seed`` replaces every default master
-seed.
+but ``wall_ms``. A ``truth <suite>`` line hashes the market and the truth
+(``delta_true``, or the durable ``solution_true``) of the DGP instance at
+replication 0 of each suite whose markets a DGP design draws. A solve line
+ends with its evaluations and termination in clear, so a changed line shows
+whether the outcome changed or only its bits. ``--seed`` replaces every
+default master seed.
+
+The designs and master seeds are read from ``bench``'s suite table. Digests
+keyed by design map as ``truth rcnl_j75`` -> ``truth rcnl``, ``dynamic_t50``
+-> ``dynamic_pf``, ``dynamic_t25`` -> ``dynamic_ivs`` and ``renested
+rcnl_j75`` -> ``renested rcnl``; ``truth stepsize_sweep`` has no counterpart.
 
 Run it from the repository root on two checkouts and ``diff`` the outputs;
 nothing is stored, so the script pins no bits of its own.
@@ -43,10 +48,8 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
 from demandinv.accel import AccelConfig  # noqa: E402
-from demandinv.bench import SUITES, default_config, run_suite  # noqa: E402
-from demandinv.datagen import (DynamicDgpParams, SeededRng, StaticDgpParams,  # noqa: E402
-                               draw_theta, gen_dynamic_market, gen_nested_market,
-                               gen_static_market)
+from demandinv.bench import _SUITE_TABLE, SUITES, _Drawn, default_config, run_suite  # noqa: E402
+from demandinv.datagen import SeededRng  # noqa: E402
 from demandinv.rcnl import RCNL_MAPPINGS, NestedMarket, rcnl_solve_inner  # noqa: E402
 
 
@@ -93,46 +96,37 @@ def workload_lines(seed):
                        in_clear(digest(result, outcome), outcome))
 
 
+def master_seed(suite, seed):
+    """seed, or the suite's own master seed if seed is None."""
+    return _SUITE_TABLE[suite].master_seed if seed is None else seed
+
+
 def suite_lines(seed):
     for suite in SUITES:
-        cfg = replace(default_config(suite), replications=1)
-        if seed is not None:
-            cfg = replace(cfg, master_seed=seed)
+        cfg = replace(default_config(suite), replications=1, master_seed=master_seed(suite, seed))
         for rec in run_suite(cfg):
             kept = [getattr(rec, f.name) for f in fields(rec) if f.name != "wall_ms"]
             yield f"bench {suite} r{rec.replication} {rec.algorithm}", in_clear(digest(kept), rec)
 
 
-# key -> (generator, parameters, default master seed, truth field)
-DESIGNS = {
-    "static_j25": (gen_static_market, StaticDgpParams(n_products=25), 9, "delta_true"),
-    "static_j250": (gen_static_market, StaticDgpParams(n_products=250), 4, "delta_true"),
-    "static_2types": (gen_static_market, StaticDgpParams(n_products=250, n_draws=2), 7,
-                      "delta_true"),
-    "rcnl_j75": (gen_nested_market, StaticDgpParams(n_products=75), 7, "delta_true"),
-    "dynamic_t50": (gen_dynamic_market, DynamicDgpParams(horizon=50), 11, "solution_true"),
-    "dynamic_t25": (gen_dynamic_market, DynamicDgpParams(horizon=25), 11, "solution_true"),
-}
-
-
 def renested_lines(seed):
-    gen, params, default_seed, _ = DESIGNS["rcnl_j75"]
-    rng = SeededRng(default_seed if seed is None else seed, 0).generator()
-    inst = gen(params, rng)
-    base = inst.with_theta(draw_theta(inst.theta_true, rng)).base
+    base = _SUITE_TABLE["rcnl"].market(SeededRng(master_seed("rcnl", seed), 0).generator()).base
     mkt = NestedMarket(base, np.arange(base.n_products) % 4, 0.5)
     for mapping in RCNL_MAPPINGS:
         for method in workloads.METHODS:
             cfg = AccelConfig(method=method, tolerance=1e-13, max_evaluations=1000)
             delta, outcome = rcnl_solve_inner(mkt, mapping, cfg)
-            yield (f"renested rcnl_j75 {mapping}+{method}",
+            yield (f"renested rcnl {mapping}+{method}",
                    in_clear(digest(delta, outcome), outcome))
 
 
 def truth_lines(seed):
-    for key, (gen, params, default_seed, truth) in DESIGNS.items():
-        inst = gen(params, SeededRng(default_seed if seed is None else seed, 0).generator())
-        yield f"truth {key}", digest(inst.market, getattr(inst, truth))
+    for suite, spec in _SUITE_TABLE.items():
+        if isinstance(spec.market, _Drawn):  # a DGP design, not a fixed market
+            inst = spec.market.gen(spec.market.params,
+                                   SeededRng(master_seed(suite, seed), 0).generator())
+            truth = inst.solution_true if hasattr(inst, "solution_true") else inst.delta_true
+            yield f"truth {suite}", digest(inst.market, truth)
 
 
 def main(argv=None) -> int:
